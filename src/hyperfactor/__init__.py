@@ -19,20 +19,16 @@ from .combinatorics import (
     padic_valuation,
 )
 from .constructors import (
-    Branch,
-    CompositeConstruction,
-    ConstructionPlan,
-    LiftedConstruction,
+    Block,
     OddTailSolution,
+    Realization,
     construct_div,
     construct_general_L_div,
     construct_minus1,
     certificate_with_branch,
-    make_certificate,
     odd_tail_solution,
-    select_branch,
 )
-from .decide import Status, Verdict, construct, decide, decide_general
+from .decide import Status, Verdict, construct, decide, decide_general, plan
 from .errors import FormatError, InvariantViolation, LimitExceeded, NotFactorableError
 from .factorization import Factorization, sort_factor
 from .fileformat import (
@@ -49,7 +45,7 @@ from .linear_system import (
     LinearSystem,
     SolutionVector,
     build_system,
-    evaluate_solution,
+    check_certificate,
     integer_search_small,
     lp_feasible,
     solution_residual,
@@ -62,9 +58,7 @@ from .verifier import verify_factorization
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
-    "CompositeConstruction",
-    "ConstructionPlan",
+    "Block",
     "EvolutionState",
     "Factorization",
     "FarkasCertificate",
@@ -72,10 +66,10 @@ __all__ = [
     "InvariantViolation",
     "LevelSet",
     "LimitExceeded",
-    "LiftedConstruction",
     "LinearSystem",
     "NotFactorableError",
     "OddTailSolution",
+    "Realization",
     "SolutionVector",
     "Status",
     "StepRecord",
@@ -84,6 +78,7 @@ __all__ = [
     "binomial",
     "build_system",
     "certificate_with_branch",
+    "check_certificate",
     "construct",
     "construct_div",
     "construct_general_L_div",
@@ -92,7 +87,6 @@ __all__ = [
     "decide_general",
     "elements_of",
     "enumerate_types",
-    "evaluate_solution",
     "evolve_step",
     "extend_by_complements",
     "factor_count",
@@ -101,17 +95,16 @@ __all__ = [
     "iter_types",
     "load_text",
     "lp_feasible",
-    "make_certificate",
     "mask_of",
     "odd_tail_solution",
     "padic_valuation",
     "parse_certificate",
     "parse_factorization",
+    "plan",
     "project_lift",
     "repair_to_complement_paired",
     "run",
     "save_text",
-    "select_branch",
     "solution_residual",
     "sort_factor",
     "verify_certificate",

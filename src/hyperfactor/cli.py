@@ -11,9 +11,8 @@ import argparse
 import sys
 from typing import Sequence
 
-from .combinatorics import LevelSet, binomial, enumerate_types, iter_types
-from .constructors import certificate_with_branch
-from .decide import Status, Verdict, construct, decide, decide_general
+from .combinatorics import LevelSet, enumerate_types
+from .decide import Status, Verdict, construct, decide_general, plan
 from .errors import FormatError, LimitExceeded, NotFactorableError
 from .fileformat import (
     CERTIFICATE_MAGIC,
@@ -25,7 +24,7 @@ from .fileformat import (
     write_factorization,
 )
 from .flow import DEFAULT_MAX_GROUND, StepRecord
-from .linear_system import SolutionVector
+from .linear_system import check_certificate
 from .verifier import verify_factorization
 
 _STATUS_EXIT = {
@@ -62,11 +61,7 @@ def _print_verdict(verdict: Verdict) -> None:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    levels = _levels_of(args)
-    if levels.is_full_range():
-        verdict = decide(args.n, levels.k)
-    else:
-        verdict = decide_general(args.n, levels)
+    verdict = decide_general(args.n, _levels_of(args))
     _print_verdict(verdict)
     return _STATUS_EXIT[verdict.status]
 
@@ -83,14 +78,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     levels = _levels_of(args)
     trace = _trace_printer if args.trace else None
     try:
-        if levels.is_full_range():
-            fact = construct(
-                args.n, k=levels.k, max_ground_size=args.max_ground_size, trace=trace
-            )
-        else:
-            fact = construct(
-                args.n, levels=levels, max_ground_size=args.max_ground_size, trace=trace
-            )
+        fact = construct(
+            args.n, levels=levels, max_ground_size=args.max_ground_size, trace=trace
+        )
     except NotFactorableError as exc:
         print(f"not factorable: {exc}", file=sys.stderr)
         return 1
@@ -103,70 +93,16 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solution_blocks(n: int, levels: LevelSet) -> list[tuple[int, LevelSet, SolutionVector]]:
-    """Witness solutions, one block per (ground, levels) system the pipeline solves."""
-    from .constructors import (
-        Branch,
-        CompositeConstruction,
-        LiftedConstruction,
-        construct_div,
-        construct_minus1,
-        select_branch,
-    )
-
-    if not levels.is_full_range():
-        verdict = decide_general(n, levels)
-        if verdict.status is not Status.FACTORABLE:
-            raise NotFactorableError(f"(n={n}, levels={levels.levels}): {verdict.reason}")
-        assert verdict.solution is not None
-        return [(n, levels, verdict.solution)]
-
-    def full_range(k: int) -> list[tuple[int, LevelSet, SolutionVector]]:
-        if k == 0:
-            return []
-        if k == 1:
-            return [(n, LevelSet.full(1), {(n,): 1})]
-        if k == n:
-            top = (0,) * (n - 1) + (1,)
-            return [(n, LevelSet.of([n]), {top: 1})] + full_range(n - 1)
-        if 2 * k < n:
-            plan_branch = select_branch(n, k).branch
-            if plan_branch in (Branch.DIV_GENERIC, Branch.DIV_EDGE):
-                return [(n, LevelSet.full(k), construct_div(n, k))]
-            built = construct_minus1(n, k)
-            if isinstance(built, LiftedConstruction):
-                return [(built.lift_n, built.lift_levels, built.solution)]
-            assert isinstance(built, CompositeConstruction)
-            return [(n, built.top_levels, built.top_solution)] + full_range(built.sub_k)
-        # complement pairing block over the middle sizes
-        mid = LevelSet.of(range(n - k, k + 1))
-        pairs: SolutionVector = {}
-        for s in range(n - k, (n + 1) // 2):
-            lam = [0] * mid.k
-            lam[s - 1] = 1
-            lam[n - s - 1] += 1
-            pairs[tuple(lam)] = binomial(n, s)
-        if n % 2 == 0:
-            lam = [0] * mid.k
-            lam[n // 2 - 1] = 2
-            pairs[tuple(lam)] = binomial(n, n // 2) // 2
-        return [(n, mid, pairs)] + full_range(n - k - 1)
-
-    verdict = decide(n, levels.k)
-    if verdict.status is not Status.FACTORABLE:
-        raise NotFactorableError(f"(n={n}, k={levels.k}): {verdict.reason}")
-    return full_range(levels.k)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     levels = _levels_of(args)
     try:
-        blocks = _solution_blocks(args.n, levels)
+        blocks = plan(args.n, levels)
     except NotFactorableError as exc:
         print(f"not factorable: {exc}", file=sys.stderr)
         return 1
-    for block_n, block_levels, solution in blocks:
-        print(f"n={block_n} levels={','.join(map(str, block_levels.levels))}")
+    for block in blocks:
+        solution = block.solution
+        print(f"n={block.n} levels={','.join(map(str, block.levels.levels))}")
         for lam in sorted(solution, key=lambda l: tuple(reversed(l)), reverse=True):
             print(",".join(map(str, lam)) + f": {solution[lam]}")
     return 0
@@ -174,22 +110,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_certificate(args: argparse.Namespace) -> int:
     levels = _levels_of(args)
-    found = certificate_with_branch(args.n, levels)
-    if found is not None:
-        name, cert = found
-        print(" ".join(str(v) for v in cert.y))
-        print(f"family: {name}", file=sys.stderr)
-        return 0
-    if levels.is_full_range():
-        verdict = decide(args.n, levels.k)
-    else:
-        verdict = decide_general(args.n, levels)
+    levels.check_against_ground(args.n)
+    verdict = decide_general(args.n, levels)
     if verdict.status is Status.FACTORABLE:
         print("instance is factorable; no certificate exists", file=sys.stderr)
         return 1
     if verdict.certificate is not None:
         print(" ".join(str(v) for v in verdict.certificate.y))
-        print("family: simplex-derived", file=sys.stderr)
+        print(f"family: {verdict.family}", file=sys.stderr)
         return 0
     print("no certificate family applies", file=sys.stderr)
     return 3
@@ -211,17 +139,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if first == CERTIFICATE_MAGIC:
         n, levels, cert = parse_certificate(text)
         levels.check_against_ground(n)
-        y = cert.y
-        for lam in iter_types(n, levels):
-            if sum(c * y[i] for i, c in enumerate(lam) if c) < 0:
-                print(f"violation: type {lam} has negative product with y")
-                return 1
-        b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
-        if b_dot >= 0:
-            print(f"violation: b . y = {b_dot} is not negative")
+        check = check_certificate(n, levels, cert)
+        if check.violating_type is not None:
+            print(f"violation: type {check.violating_type} has negative product with y")
+            return 1
+        if not check.ok:
+            print(f"violation: b . y = {check.b_dot_y} is not negative")
             return 1
         print(f"OK: certificate separates n={n} levels={','.join(map(str, levels.levels))} "
-              f"(b . y = {b_dot})")
+              f"(b . y = {check.b_dot_y})")
         return 0
     raise FormatError(f"unrecognized file magic {first!r}")
 

@@ -1,11 +1,13 @@
 """Closed-form solution families and infeasibility certificates.
 
 For the full level range {1..k} with k < n/2, factorability is a pure
-congruence-and-threshold condition on (n, k).  Feasible instances fall into a
-small dispatch table of explicit solution families; infeasible ones carry an
-explicit separating vector.  Every certificate produced here is re-validated
-row by row before it is surfaced, and every solution family asserts a zero
-residual, so a formula slip cannot escape silently.
+congruence-and-threshold condition on (n, k).  Feasible instances get
+explicit solution families, handed out as blocks: the (ground, levels)
+system a family solves, its multiplicities, and how the factors are made
+from them.  Infeasible ones carry an explicit separating vector.  Every
+certificate produced here is re-validated row by row before it is surfaced,
+and every solution family checks for a zero residual, so a formula slip
+cannot escape silently.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .combinatorics import LevelSet, TypeVector, binomial, iter_types
-from .linear_system import FarkasCertificate, SolutionVector, solution_residual
+from .combinatorics import LevelSet, TypeVector, binomial
+from .errors import InvariantViolation
+from .linear_system import (
+    FarkasCertificate,
+    SolutionVector,
+    check_certificate,
+    solution_residual,
+)
 
 
 def _unit_type(k: int, entries: dict[int, int]) -> TypeVector:
@@ -30,73 +38,37 @@ def _unit_type(k: int, entries: dict[int, int]) -> TypeVector:
 
 def _assert_solves(n: int, levels: LevelSet, solution: SolutionVector) -> None:
     res = solution_residual(n, levels, solution)
-    assert all(v == 0 for v in res), f"construction residual {res} for n={n} levels={levels.levels}"
+    if any(res):
+        raise InvariantViolation(f"construction residual {res} for n={n} levels={levels.levels}")
 
 
 # ---------------------------------------------------------------------------
-# branch dispatch
+# blocks
 
 
-class Branch(enum.Enum):
-    DIV_GENERIC = "div-generic"
-    DIV_EDGE = "div-edge"
-    MINUS1_EVEN_LIFT = "minus1-even-lift"
-    MINUS1_ODD_LIFT = "minus1-odd-lift"
-    MINUS1_ODD_ABC = "minus1-odd-abc"
-    MINUS1_ODD_RST = "minus1-odd-rst"
-    GENERAL_L_DIV = "general-l-div"
-    COMPLEMENT_REDUCTION = "complement-reduction"
-    TRIVIAL_SMALL = "trivial-small"
+class Realization(enum.Enum):
+    """How a block's factors are made from its multiplicities."""
+
+    #: the flow engine on the block's own ground set
+    FLOW = "flow"
+    #: the flow engine on a ground set one larger, then project_lift
+    LIFT = "lift"
+    #: the factors {S, complement(S)}, appended after the factors of the rest
+    COMPLEMENT_PAIRS = "complement-pairs"
+    #: the single factor {1..n}
+    WHOLE_SET = "whole-set"
+    #: the single factor of the n singletons
+    SINGLETONS = "singletons"
 
 
 @dataclass(frozen=True)
-class ConstructionPlan:
-    branch: Branch
+class Block:
+    """One (ground, levels) system of a construction and its witness solution."""
+
     n: int
-    k: int
-    residue: int
-    #: n // k for the residue-(k-1) family, n/k - 1 for the divisible one
-    j: int
-    #: offset above the feasibility threshold for odd k (residue k-1 only)
-    t: int | None = None
-    #: (ground size, levels) of the lifted sub-problem, when the plan lifts
-    lift: tuple[int, LevelSet] | None = None
-
-
-def select_branch(n: int, k: int) -> ConstructionPlan:
-    """Pick the solution family for the full range {1..k}, 2 <= k < n/2.
-
-    Raises ValueError outside the feasible region of the characterization;
-    callers decide infeasibility before asking for a plan.
-    """
-    if k < 2 or 2 * k >= n:
-        raise ValueError(f"plan selection needs 2 <= k < n/2, got n={n} k={k}")
-    r = n % k
-    if r == 0:
-        if n < k * (k - 2):
-            raise ValueError(f"(n={n}, k={k}) is below the divisible threshold")
-        branch = Branch.DIV_EDGE if n == k * (k - 2) else Branch.DIV_GENERIC
-        return ConstructionPlan(branch, n, k, 0, n // k - 1)
-    if r == k - 1:
-        j = n // k
-        if n < k * (-(-k // 2) - 1) - 1:
-            raise ValueError(f"(n={n}, k={k}) is below the residue-(k-1) threshold")
-        if k % 2 == 0:
-            lift_levels = LevelSet.of(range(2, k + 1, 2))
-            return ConstructionPlan(
-                Branch.MINUS1_EVEN_LIFT, n, k, r, j, lift=(n + 1, lift_levels)
-            )
-        t = (n - (k * k - k - 2) // 2) // k
-        assert (k * k - k - 2) // 2 + t * k == n
-        if t >= (k - 3) // 2:
-            lift_levels = LevelSet.of(range(1, k + 1, 2))
-            return ConstructionPlan(
-                Branch.MINUS1_ODD_LIFT, n, k, r, j, t=t, lift=(n + 1, lift_levels)
-            )
-        if t == (k - 5) // 2:
-            return ConstructionPlan(Branch.MINUS1_ODD_ABC, n, k, r, j, t=t)
-        return ConstructionPlan(Branch.MINUS1_ODD_RST, n, k, r, j, t=t)
-    raise ValueError(f"n={n} is neither 0 nor -1 modulo k={k}; no construction exists")
+    levels: LevelSet
+    solution: SolutionVector
+    realization: Realization
 
 
 # ---------------------------------------------------------------------------
@@ -179,44 +151,36 @@ def construct_general_L_div(n: int, levels: LevelSet) -> SolutionVector | None:
 # residue k-1, full range
 
 
-@dataclass(frozen=True)
-class LiftedConstruction:
-    """Solve on a one-larger ground set, then delete the extra element."""
+def construct_minus1(n: int, k: int) -> list[Block]:
+    """Blocks for levels {1..k} when n = -1 (mod k), 2k < n, above threshold.
 
-    lift_n: int
-    lift_levels: LevelSet
-    solution: SolutionVector
-
-
-@dataclass(frozen=True)
-class CompositeConstruction:
-    """Explicit types for the top levels plus a recursive full-range rest."""
-
-    top_levels: LevelSet
-    top_solution: SolutionVector
-    sub_k: int
-
-
-def construct_minus1(n: int, k: int) -> LiftedConstruction | CompositeConstruction:
-    """Solution plan for levels {1..k} when n = -1 (mod k), above threshold."""
-    plan = select_branch(n, k)
-    if plan.branch is Branch.MINUS1_EVEN_LIFT or plan.branch is Branch.MINUS1_ODD_LIFT:
-        assert plan.lift is not None
-        lift_n, lift_levels = plan.lift
-        solution = construct_general_L_div(lift_n, lift_levels)
-        assert solution is not None, f"lift solution missing for n={n} k={k}"
-        return LiftedConstruction(lift_n, lift_levels, solution)
-    if plan.branch is Branch.MINUS1_ODD_ABC:
-        return _abc_construction(n, k)
-    if plan.branch is Branch.MINUS1_ODD_RST:
-        assert plan.t is not None
-        tail = odd_tail_solution(k, plan.t)
-        assert tail.n == n
-        return CompositeConstruction(tail.top_levels(), tail.solution(), tail.sub_k())
-    raise ValueError(f"n={n} is not -1 modulo k={k}")
+    Even k, and odd k well above the threshold, lift to n + 1 and cover the
+    whole range.  Otherwise (odd k, small offset t) one block covers the top
+    levels; the full range below its lowest level is left to the caller.
+    """
+    if k < 2 or 2 * k >= n or n % k != k - 1 or n < k * (-(-k // 2) - 1) - 1:
+        raise ValueError(
+            f"(n={n}, k={k}) needs 2 <= k < n/2, n = -1 (mod k) and n above the threshold"
+        )
+    if k % 2 == 0:
+        return [_lift_block(n, LevelSet.of(range(2, k + 1, 2)))]
+    t = (n - (k * k - k - 2) // 2) // k
+    if t >= (k - 3) // 2:
+        return [_lift_block(n, LevelSet.of(range(1, k + 1, 2)))]
+    if t == (k - 5) // 2:
+        return [_abc_block(n, k)]
+    tail = odd_tail_solution(k, t)
+    return [Block(n, tail.top_levels(), tail.solution(), Realization.FLOW)]
 
 
-def _abc_construction(n: int, k: int) -> CompositeConstruction:
+def _lift_block(n: int, lift_levels: LevelSet) -> Block:
+    solution = construct_general_L_div(n + 1, lift_levels)
+    if solution is None:
+        raise InvariantViolation(f"lift solution missing for n={n} levels={lift_levels.levels}")
+    return Block(n + 1, lift_levels, solution, Realization.LIFT)
+
+
+def _abc_block(n: int, k: int) -> Block:
     # reachable only for odd k >= 7 at the single point n = k^2 - 3k - 1
     assert n == k * k - 3 * k - 1
     c_k2 = binomial(n, k - 2)
@@ -234,7 +198,7 @@ def _abc_construction(n: int, k: int) -> CompositeConstruction:
         solution[_unit_type(k, {k - 1: 1, k: k - 4})] = c
     top_levels = LevelSet.of([k - 2, k - 1, k])
     _assert_solves(n, top_levels, solution)
-    return CompositeConstruction(top_levels, solution, k - 3)
+    return Block(n, top_levels, solution, Realization.FLOW)
 
 
 @dataclass(frozen=True)
@@ -407,27 +371,12 @@ def _candidate_certificates(n: int, levels: LevelSet) -> list[tuple[str, list[Fr
     return out
 
 
-def _certificate_holds(n: int, levels: LevelSet, cert: FarkasCertificate) -> bool:
-    """Row-streamed validation; avoids materialising large type lists."""
-    y = cert.y
-    for lam in iter_types(n, levels):
-        if sum(c * y[i] for i, c in enumerate(lam) if c) < 0:
-            return False
-    b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
-    return b_dot < 0
-
-
 def certificate_with_branch(n: int, levels: LevelSet) -> tuple[str, FarkasCertificate] | None:
     """First certificate family that applies AND validates, with its branch tag."""
     levels.check_against_ground(n)
     for name, y in _candidate_certificates(n, levels):
         cert = FarkasCertificate(tuple(y))
-        if _certificate_holds(n, levels, cert):
+        if check_certificate(n, levels, cert).ok:
             return name, cert
     return None
 
-
-def make_certificate(n: int, levels: LevelSet) -> FarkasCertificate | None:
-    """An explicit Farkas certificate, or None when no family applies."""
-    found = certificate_with_branch(n, levels)
-    return found[1] if found else None

@@ -10,8 +10,9 @@ decide_general(n, L) handles arbitrary level sets: certificate families,
 the divisible pairing construction, bounded exhaustive integer search, then
 exact rational feasibility; UNKNOWN is an honest outcome beyond those limits.
 
-construct realizes every FACTORABLE verdict as an explicit factorization and
-verifies it from scratch before returning.
+plan lays out the systems a FACTORABLE verdict is built from, as blocks;
+construct realizes the blocks as an explicit factorization and verifies it
+from scratch before returning, and the CLI's solve prints them.
 """
 
 from __future__ import annotations
@@ -20,19 +21,16 @@ import enum
 from dataclasses import dataclass
 from typing import Callable
 
-from .combinatorics import LevelSet, check_ground, full_mask, mask_of
+from .combinatorics import LevelSet, binomial, check_ground, full_mask, mask_of
 from .constructors import (
-    Branch,
-    CompositeConstruction,
-    LiftedConstruction,
+    Block,
+    Realization,
     certificate_with_branch,
     construct_div,
     construct_general_L_div,
     construct_minus1,
-    make_certificate,
-    select_branch,
 )
-from .errors import LimitExceeded, NotFactorableError
+from .errors import InvariantViolation, LimitExceeded, NotFactorableError, SearchLimitExceeded
 from .factorization import Factorization
 from .flow import DEFAULT_MAX_GROUND, StepRecord, run as flow_run
 from .linear_system import (
@@ -62,6 +60,8 @@ class Verdict:
     certificate: FarkasCertificate | None = None
     #: the levels the certificate separates (same ground size n)
     certificate_levels: tuple[int, ...] | None = None
+    #: the certificate family, or "simplex-derived" for an LP certificate
+    family: str | None = None
     #: zero-residual multiplicity witness, when one backs the verdict
     solution: SolutionVector | None = None
     #: True when NOT_FACTORABLE rests on an exhausted integer search
@@ -96,6 +96,7 @@ def decide(n: int, k: int) -> Verdict:
             + inner.reason,
             certificate=inner.certificate,
             certificate_levels=inner.certificate_levels,
+            family=inner.family,
         )
     if 2 * k < n:
         r = n % k
@@ -119,13 +120,15 @@ def decide(n: int, k: int) -> Verdict:
             why = f"residue obstruction: n = {r} (mod {k}) is neither 0 nor -1"
         levels = LevelSet.full(k)
         found = certificate_with_branch(n, levels)
-        assert found is not None, f"missing certificate for infeasible (n={n}, k={k})"
+        if found is None:
+            raise InvariantViolation(f"missing certificate for infeasible (n={n}, k={k})")
         name, cert = found
         return Verdict(
             Status.NOT_FACTORABLE,
             f"{why}; certificate family: {name}",
             certificate=cert,
             certificate_levels=levels.levels,
+            family=name,
         )
     # n/2 <= k <= n-1: complement pairing reduces to the range {1..n-k-1}
     m = n - k - 1
@@ -140,6 +143,7 @@ def decide(n: int, k: int) -> Verdict:
         f"complement pairing reduces to levels 1..{m}: " + inner.reason,
         certificate=inner.certificate,
         certificate_levels=inner.certificate_levels,
+        family=inner.family,
     )
 
 
@@ -152,9 +156,9 @@ def decide_general(
     lp_type_limit: int = 5_000,
 ) -> Verdict:
     """Decision for an arbitrary level set; UNKNOWN is possible beyond limits."""
-    levels.check_against_ground(n)
     if levels.is_full_range():
         return decide(n, levels.k)
+    levels.check_against_ground(n)
     found = certificate_with_branch(n, levels)
     if found is not None:
         name, cert = found
@@ -163,6 +167,7 @@ def decide_general(
             f"validated certificate family: {name}",
             certificate=cert,
             certificate_levels=levels.levels,
+            family=name,
         )
     if n % levels.k == 0:
         solution = construct_general_L_div(n, levels)
@@ -178,7 +183,7 @@ def decide_general(
             solution = integer_search_small(
                 system, type_limit=search_type_limit, node_limit=search_node_limit
             )
-        except RuntimeError:
+        except SearchLimitExceeded:
             solution = None
             exhausted = False
         else:
@@ -204,6 +209,7 @@ def decide_general(
                 "exact rational infeasibility (simplex-derived certificate)",
                 certificate=outcome.certificate,
                 certificate_levels=levels.levels,
+                family="simplex-derived",
             )
         return Verdict(
             Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL,
@@ -223,6 +229,64 @@ def decide_general(
 TraceFn = Callable[[StepRecord], None]
 
 
+def plan(n: int, levels: LevelSet) -> list[Block]:
+    """The blocks a factorization of (n, levels) is built from, in print order.
+
+    Raises NotFactorableError for a negative verdict and LimitExceeded for an
+    undecided one.
+    """
+    verdict = decide_general(n, levels)
+    if levels.is_full_range():
+        where = f"(n={n}, k={levels.k})"
+    else:
+        where = f"(n={n}, levels={levels.levels})"
+    if verdict.status is Status.NOT_FACTORABLE:
+        raise NotFactorableError(f"{where}: {verdict.reason}")
+    if verdict.status is not Status.FACTORABLE:
+        raise LimitExceeded(f"{where} undecided: {verdict.reason}")
+    if verdict.solution is not None:
+        return [Block(n, levels, verdict.solution, Realization.FLOW)]
+    return _range_blocks(n, levels.k)
+
+
+def _range_blocks(n: int, k: int) -> list[Block]:
+    """Blocks for the factorable full range {1..k}, 0 <= k <= n."""
+    if k == 0:
+        return []
+    if k == 1:
+        return [Block(n, LevelSet.full(1), {(n,): 1}, Realization.SINGLETONS)]
+    if k == n:
+        whole = Block(n, LevelSet.of([n]), {(0,) * (n - 1) + (1,): 1}, Realization.WHOLE_SET)
+        return [whole] + _range_blocks(n, n - 1)
+    if 2 * k >= n:
+        pairs = Block(
+            n, LevelSet.of(range(n - k, k + 1)), _complement_pairs(n, k),
+            Realization.COMPLEMENT_PAIRS,
+        )
+        return [pairs] + _range_blocks(n, n - k - 1)
+    if n % k == 0:
+        return [Block(n, LevelSet.full(k), construct_div(n, k), Realization.FLOW)]
+    top = construct_minus1(n, k)
+    if top[-1].realization is Realization.LIFT:
+        return top
+    return top + _range_blocks(n, top[-1].levels.levels[0] - 1)
+
+
+def _complement_pairs(n: int, k: int) -> SolutionVector:
+    """Multiplicities of the factors {S, complement(S)}, n - k <= |S| <= k."""
+    pairs: SolutionVector = {}
+    for s in range(n - k, (n + 1) // 2):
+        lam = [0] * k
+        lam[s - 1] = 1
+        lam[n - s - 1] += 1
+        pairs[tuple(lam)] = binomial(n, s)
+    if n % 2 == 0:
+        lam = [0] * k
+        lam[n // 2 - 1] = 2
+        pairs[tuple(lam)] = binomial(n, n // 2) // 2
+    return pairs
+
+
 def construct(
     n: int,
     k: int | None = None,
@@ -238,77 +302,37 @@ def construct(
     check_ground(n)
     if (k is None) == (levels is None):
         raise ValueError("pass exactly one of k or levels")
-    if levels is not None and levels.is_full_range():
-        k, levels = levels.k, None
-    if levels is not None:
-        verdict = decide_general(n, levels)
-        if verdict.status is Status.NOT_FACTORABLE:
-            raise NotFactorableError(f"(n={n}, levels={levels.levels}): {verdict.reason}")
-        if verdict.status is not Status.FACTORABLE:
-            raise LimitExceeded(f"(n={n}, levels={levels.levels}) undecided: {verdict.reason}")
-        assert verdict.solution is not None
-        fact = flow_run(
-            n, levels, verdict.solution, max_ground_size=max_ground_size, trace=trace
-        )
-        _must_verify(fact)
-        return fact
-    assert k is not None
-    verdict = decide(n, k)
-    if verdict.status is not Status.FACTORABLE:
-        raise NotFactorableError(f"(n={n}, k={k}): {verdict.reason}")
-    fact = _factors_for_full_range(n, k, max_ground_size, trace)
-    _must_verify(fact)
+    if levels is None:
+        if not isinstance(k, int) or not 1 <= k <= n:
+            raise ValueError(f"k must be an int in 1..n={n}, got {k!r}")
+        levels = LevelSet.full(k)
+    fact = _realize(n, plan(n, levels), max_ground_size, trace)
+    problems = verify_factorization(fact)
+    if problems:
+        raise InvariantViolation(f"constructed factorization failed verification: {problems[:3]}")
     return fact
 
 
-def _must_verify(fact: Factorization) -> None:
-    problems = verify_factorization(fact)
-    if problems:
-        raise AssertionError(f"constructed factorization failed verification: {problems[:3]}")
-
-
-def _factors_for_full_range(
-    n: int, k: int, max_ground_size: int, trace: TraceFn | None
+def _realize(
+    n: int, blocks: list[Block], max_ground_size: int, trace: TraceFn | None
 ) -> Factorization:
-    """Recursive realization for levels {1..k}; assumes factorability."""
-    if k == 0:
+    """Fold the blocks from the last one: each block's factors go before those
+    of the blocks after it, except complement pairs, which go after."""
+    if not blocks:
         return Factorization(n, (), ())
-    if k == 1:
-        singletons = tuple(mask_of([e]) for e in range(1, n + 1))
-        return Factorization(n, (1,), (singletons,))
-    if k == n:
-        inner = _factors_for_full_range(n, n - 1, max_ground_size, trace)
-        factors = ((full_mask(n),),) + inner.factors
-        return Factorization(n, tuple(range(1, n + 1)), factors)
-    if 2 * k < n:
-        return _construct_small_range(n, k, max_ground_size, trace)
-    inner = _factors_for_full_range(n, n - k - 1, max_ground_size, trace)
-    return extend_by_complements(inner, k)
-
-
-def _construct_small_range(
-    n: int, k: int, max_ground_size: int, trace: TraceFn | None
-) -> Factorization:
-    plan = select_branch(n, k)
-    full = LevelSet.full(k)
-    if plan.branch in (Branch.DIV_GENERIC, Branch.DIV_EDGE):
-        solution = construct_div(n, k)
-        return flow_run(n, full, solution, max_ground_size=max_ground_size, trace=trace)
-    built = construct_minus1(n, k)
-    if isinstance(built, LiftedConstruction):
-        lifted = flow_run(
-            built.lift_n,
-            built.lift_levels,
-            built.solution,
-            max_ground_size=max_ground_size,
-            trace=trace,
+    block, rest = blocks[0], blocks[1:]
+    if block.realization is Realization.COMPLEMENT_PAIRS:
+        return extend_by_complements(_realize(n, rest, max_ground_size, trace), block.levels.k)
+    if block.realization is Realization.SINGLETONS:
+        head = Factorization(n, (1,), (tuple(mask_of([e]) for e in range(1, n + 1)),))
+    elif block.realization is Realization.WHOLE_SET:
+        head = Factorization(n, (n,), ((full_mask(n),),))
+    else:
+        head = flow_run(
+            block.n, block.levels, block.solution, max_ground_size=max_ground_size, trace=trace
         )
-        fact = project_lift(lifted, built.lift_n)
-        assert fact.n == n and fact.levels == full.levels
-        return fact
-    assert isinstance(built, CompositeConstruction)
-    top = flow_run(
-        n, built.top_levels, built.top_solution, max_ground_size=max_ground_size, trace=trace
-    )
-    sub = _factors_for_full_range(n, built.sub_k, max_ground_size, trace)
-    return Factorization(n, full.levels, top.factors + sub.factors)
+        if block.realization is Realization.LIFT:
+            head = project_lift(head, block.n)
+    tail = _realize(n, rest, max_ground_size, trace)
+    levels = tuple(sorted(set(head.levels) | set(tail.levels)))
+    return Factorization(n, levels, head.factors + tail.factors)

@@ -11,6 +11,10 @@ class LimitExceeded(RuntimeError):
     """The instance is beyond the configured desk-scale work limits."""
 
 
+class SearchLimitExceeded(LimitExceeded):
+    """The exhaustive integer search hit its node limit before settling."""
+
+
 class NotFactorableError(ValueError):
     """Construction was requested for an instance with no 1-factorization."""
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -76,7 +78,7 @@ def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -
                     leave = i
         if leave < 0:
             # can only happen for an unbounded phase-1, which is impossible
-            raise RuntimeError("phase-1 simplex became unbounded")
+            raise InvariantViolation("phase-1 simplex became unbounded")
         piv = rows[leave][enter]
         rows[leave] = [v / piv for v in rows[leave]]
         for i in range(m):
@@ -95,17 +97,20 @@ def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -
             if bv < nvar:
                 x[bv] = rows[i][-1]
         # self-check: non-negative and exactly solves the original system
-        assert all(v >= 0 for v in x)
+        if any(v < 0 for v in x):
+            raise InvariantViolation("simplex returned a negative solution")
         for i in range(m):
             total = sum(x[j] * columns[j][i] for j in range(nvar))
-            assert total == rhs[i], "simplex returned a non-solution"
+            if total != rhs[i]:
+                raise InvariantViolation("simplex returned a non-solution")
         return FeasibilityResult(True, tuple(x), None)
 
     # infeasible: simplex multipliers u_i = 1 - reduced cost of artificial i
     # satisfy u.col_j <= 0 and u.b = value > 0; negate and undo row signs.
     y = [-(Fraction(1) - obj[nvar + i]) * sign[i] for i in range(m)]
     for j in range(nvar):
-        dot = sum(y[i] * columns[j][i] for i in range(m))
-        assert dot >= 0, "separator fails a column"
-    assert sum(y[i] * rhs[i] for i in range(m)) < 0, "separator fails the rhs"
+        if sum(y[i] * columns[j][i] for i in range(m)) < 0:
+            raise InvariantViolation("separator fails a column")
+    if sum(y[i] * rhs[i] for i in range(m)) >= 0:
+        raise InvariantViolation("separator fails the rhs")
     return FeasibilityResult(False, None, tuple(y))

@@ -165,7 +165,8 @@ def max_flow_integral(net: StepNetwork) -> tuple[int, list[list[int]], list[int]
     source = 0
     sink = 1 + m + n_occ
     g = _MaxFlow(sink + 1)
-    source_edges = [g.add_edge(source, 1 + i, 1) for i in range(m)]
+    for i in range(m):
+        g.add_edge(source, 1 + i, 1)
     arc_edges: list[list[int]] = []
     unbounded = m + 1
     for i, arcs in enumerate(net.partition_arcs):
@@ -174,7 +175,6 @@ def max_flow_integral(net: StepNetwork) -> tuple[int, list[list[int]], list[int]
     value = g.max_flow(source, sink)
     flows = [[g.flow_on(e) for e in row] for row in arc_edges]
     sink_flows = [g.flow_on(e) for e in sink_edges]
-    del source_edges
     return value, flows, sink_flows
 
 

@@ -14,6 +14,7 @@ decision pipeline reduces everything to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -23,8 +24,10 @@ from .combinatorics import (
     TypeVector,
     binomial,
     enumerate_types,
-    factor_count,
+    is_valid_type,
+    iter_types,
 )
+from .errors import InvariantViolation, SearchLimitExceeded
 from .exactlp import feasible_nonnegative
 
 
@@ -49,26 +52,9 @@ def build_system(n: int, levels: LevelSet) -> LinearSystem:
     return LinearSystem(n, levels, types, b)
 
 
-def evaluate_solution(system: LinearSystem, solution: Mapping[TypeVector, int]) -> tuple[int, ...]:
-    """Residual (A^T x - b) per level, exact.  Unknown type keys are an error."""
-    known = set(system.types)
-    k = system.levels.k
-    res = [-v for v in system.b]
-    for lam, mult in solution.items():
-        if lam not in known:
-            raise ValueError(f"solution key is not an (n, levels)-type: {lam}")
-        if mult < 0:
-            raise ValueError(f"negative multiplicity for type {lam}: {mult}")
-        for i in range(k):
-            if lam[i]:
-                res[i] += lam[i] * mult
-    return tuple(res)
-
-
 def solution_residual(n: int, levels: LevelSet, solution: Mapping[TypeVector, int]) -> tuple[int, ...]:
-    """Residual without materialising the full system (keys checked for validity)."""
-    from .combinatorics import is_valid_type
-
+    """Residual (A^T x - b) per level, exact.  Non-type keys and negative
+    multiplicities are an error."""
     k = levels.k
     res = [-(binomial(n, i) if i in levels else 0) for i in range(1, k + 1)]
     for lam, mult in solution.items():
@@ -108,17 +94,21 @@ class CertificateCheck:
     b_dot_y: Fraction
 
 
-def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> CertificateCheck:
-    """Exact check of the two Farkas conditions against every row."""
+def check_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> CertificateCheck:
+    """Exact check of the two Farkas conditions, streaming the type rows."""
     y = cert.y
-    if len(y) != system.levels.k:
-        raise ValueError(f"certificate length {len(y)} != k={system.levels.k}")
-    for lam in system.types:
-        dot = sum(c * y[i] for i, c in enumerate(lam) if c)
-        if dot < 0:
+    if len(y) != levels.k:
+        raise ValueError(f"certificate length {len(y)} != k={levels.k}")
+    for lam in iter_types(n, levels):
+        if sum(c * y[i] for i, c in enumerate(lam) if c) < 0:
             return CertificateCheck(False, lam, Fraction(0))
-    b_dot = sum(b * y[i] for i, b in enumerate(system.b) if b)
+    b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
     return CertificateCheck(b_dot < 0, None, b_dot)
+
+
+def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> CertificateCheck:
+    """check_certificate for the instance of a built system."""
+    return check_certificate(system.n, system.levels, cert)
 
 
 @dataclass(frozen=True)
@@ -151,19 +141,11 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
     y = [Fraction(0)] * system.levels.k
     for pos, i in enumerate(rows):
         y[i] = result.separator[pos]
-    denom_lcm = 1
-    for v in y:
-        denom_lcm = denom_lcm * v.denominator // _gcd(denom_lcm, v.denominator)
+    denom_lcm = math.lcm(*(v.denominator for v in y))
     cert = FarkasCertificate(tuple(v * denom_lcm for v in y))
-    check = verify_certificate(system, cert)
-    assert check.ok, "extracted certificate failed validation"
+    if not verify_certificate(system, cert).ok:
+        raise InvariantViolation("extracted certificate failed validation")
     return LpOutcome(False, None, cert)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +197,7 @@ def integer_search_small(
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
-            raise RuntimeError(f"integer search exceeded {node_limit} nodes")
+            raise SearchLimitExceeded(f"integer search exceeded {node_limit} nodes")
         if all(v == 0 for v in budget):
             return True
         if idx == ntypes:
@@ -262,15 +244,14 @@ def integer_search_small(
 def verify_solution(system: LinearSystem, solution: Mapping[TypeVector, int]) -> list[str]:
     """All violations of 'solution solves the system over non-negative ints'."""
     violations: list[str] = []
-    known = set(system.types)
     for lam, mult in solution.items():
-        if lam not in known:
+        if not is_valid_type(lam, system.n, system.levels):
             violations.append(f"unknown type {lam}")
         if not isinstance(mult, int) or mult < 0:
             violations.append(f"multiplicity of {lam} is not a non-negative int: {mult!r}")
     if violations:
         return violations
-    res = evaluate_solution(system, solution)
+    res = solution_residual(system.n, system.levels, solution)
     for i, r in enumerate(res, start=1):
         if r != 0:
             violations.append(f"level {i}: residual {r}")

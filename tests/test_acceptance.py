@@ -150,8 +150,8 @@ def test_c05_evolution_invariant_every_step():
 
     # the exact systems the pipeline solves for these two instances
     audit(12, LevelSet.full(3), construct_div(12, 3))
-    lifted = construct_minus1(11, 3)
-    audit(lifted.lift_n, lifted.lift_levels, lifted.solution)
+    [lifted] = construct_minus1(11, 3)
+    audit(lifted.n, lifted.levels, lifted.solution)
     # and the pipeline itself completes on both
     assert verify_factorization(construct(12, 3)) == []
     assert verify_factorization(construct(11, 3)) == []

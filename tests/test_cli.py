@@ -102,6 +102,11 @@ def test_solve_not_factorable(capsys):
     assert capsys.readouterr().err.startswith("not factorable:")
 
 
+def test_solve_undecided_is_a_limit_not_a_refusal(capsys):
+    assert main(["solve", "--n", "54", "--levels", "2,3,4,5,6,7,8,9"]) == 3
+    assert capsys.readouterr().err.startswith("limit exceeded: (n=54, levels=(2, 3, 4, 5, 6, 7, 8, 9)) undecided:")
+
+
 def test_certificate_success(capsys):
     assert main(["certificate", "--n", "18", "--k", "6"]) == 0
     captured = capsys.readouterr()
@@ -118,6 +123,14 @@ def test_certificate_no_family(capsys):
     # infeasible, but settled by exhausted search: no certificate to print
     assert main(["certificate", "--n", "10", "--levels", "2,3,4"]) == 3
     assert "no certificate family applies" in capsys.readouterr().err
+
+
+def test_certificate_family_of_a_reduced_range(capsys):
+    # k >= n/2: the vector separates the complementary range 1..10
+    assert main(["certificate", "--n", "23", "--k", "12"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1 1 2 1 1 1 0 0 0 -1\n"
+    assert captured.err == "family: residue-mid-tight\n"
 
 
 def test_certificate_simplex_derived(capsys):

@@ -1,22 +1,25 @@
 """Tests for the closed-form solution families and certificate families."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hyperfactor
 from hyperfactor.combinatorics import LevelSet, binomial
 from hyperfactor.constructors import (
-    Branch,
-    CompositeConstruction,
-    LiftedConstruction,
+    Realization,
     certificate_with_branch,
     construct_div,
     construct_general_L_div,
     construct_minus1,
-    make_certificate,
     odd_tail_solution,
-    select_branch,
 )
+from hyperfactor.decide import plan
+from hyperfactor.errors import NotFactorableError
 from hyperfactor.linear_system import (
     FarkasCertificate,
     build_system,
@@ -25,33 +28,29 @@ from hyperfactor.linear_system import (
 )
 
 
-def test_select_branch_dispatch():
-    assert select_branch(12, 3).branch is Branch.DIV_GENERIC
-    assert select_branch(24, 6).branch is Branch.DIV_EDGE
-    plan = select_branch(9, 2)
-    assert plan.branch is Branch.MINUS1_EVEN_LIFT
-    assert plan.lift == (10, LevelSet.of([2]))
-    plan = select_branch(11, 3)
-    assert plan.branch is Branch.MINUS1_ODD_LIFT
-    assert plan.lift == (12, LevelSet.of([1, 3]))
-    assert plan.t == 3
-    plan = select_branch(27, 7)
-    assert plan.branch is Branch.MINUS1_ODD_ABC and plan.t == 1
-    plan = select_branch(20, 7)
-    assert plan.branch is Branch.MINUS1_ODD_RST and plan.t == 0
+def _shape(n, k):
+    return [(b.n, b.levels.levels, b.realization) for b in plan(n, LevelSet.full(k))]
 
 
-def test_select_branch_rejects_infeasible():
-    with pytest.raises(ValueError):
-        select_branch(18, 6)  # below divisible threshold
-    with pytest.raises(ValueError):
-        select_branch(7, 3)  # residue 1
-    with pytest.raises(ValueError):
-        select_branch(13, 5)  # residue 3
-    with pytest.raises(ValueError):
-        select_branch(26, 9)  # below the near-divisible threshold
-    with pytest.raises(ValueError):
-        select_branch(6, 3)  # k is not below n/2
+def test_plan_dispatch():
+    flow, lift = Realization.FLOW, Realization.LIFT
+    assert _shape(12, 3) == [(12, (1, 2, 3), flow)]
+    assert _shape(24, 6) == [(24, (1, 2, 3, 4, 5, 6), flow)]
+    assert _shape(9, 2) == [(10, (2,), lift)]
+    assert _shape(11, 3) == [(12, (1, 3), lift)]
+    # odd k, t = 1: the a/b/c top block over levels 5..7, then 1..4 by lifting
+    assert _shape(27, 7) == [(27, (5, 6, 7), flow), (28, (2, 4), lift)]
+    # odd k, t = 0: the r/s/t top block over levels 4..7, then 1..3 by lifting
+    assert _shape(20, 7) == [(20, (4, 5, 6, 7), flow), (21, (1, 3), lift)]
+
+
+def test_plan_rejects_infeasible():
+    for n, k in [(18, 6), (7, 3), (13, 5), (26, 9)]:
+        with pytest.raises(NotFactorableError):
+            plan(n, LevelSet.full(k))
+    for n, k in [(7, 3), (13, 5), (26, 9), (6, 3)]:
+        with pytest.raises(ValueError):
+            construct_minus1(n, k)
 
 
 def test_construct_div_values():
@@ -111,52 +110,51 @@ def test_construct_general_L_div():
 
 
 def test_construct_minus1_lifts():
-    built = construct_minus1(11, 3)
-    assert isinstance(built, LiftedConstruction)
-    assert built.lift_n == 12 and built.lift_levels == LevelSet.of([1, 3])
-    assert built.solution == {(3, 0, 3): 4, (0, 0, 4): 52}
+    [block] = construct_minus1(11, 3)
+    assert block.realization is Realization.LIFT
+    assert block.n == 12 and block.levels == LevelSet.of([1, 3])
+    assert block.solution == {(3, 0, 3): 4, (0, 0, 4): 52}
 
-    built = construct_minus1(9, 2)
-    assert isinstance(built, LiftedConstruction)
-    assert built.lift_n == 10 and built.lift_levels == LevelSet.of([2])
-    assert built.solution == {(0, 5): 9}
+    [block] = construct_minus1(9, 2)
+    assert block.realization is Realization.LIFT
+    assert block.n == 10 and block.levels == LevelSet.of([2])
+    assert block.solution == {(0, 5): 9}
 
-    built = construct_minus1(15, 4)
-    assert isinstance(built, LiftedConstruction)
-    assert built.lift_n == 16 and built.lift_levels == LevelSet.of([2, 4])
-    assert solution_residual(16, LevelSet.of([2, 4]), built.solution) == (0,) * 4
+    [block] = construct_minus1(15, 4)
+    assert block.realization is Realization.LIFT
+    assert block.n == 16 and block.levels == LevelSet.of([2, 4])
+    assert solution_residual(16, LevelSet.of([2, 4]), block.solution) == (0,) * 4
 
 
 def test_construct_minus1_abc():
-    built = construct_minus1(27, 7)
-    assert isinstance(built, CompositeConstruction)
-    assert built.sub_k == 4
-    assert built.top_levels == LevelSet.of([5, 6, 7])
-    assert built.top_solution == {
+    [block] = construct_minus1(27, 7)
+    assert block.realization is Realization.FLOW
+    assert block.n == 27
+    assert block.levels == LevelSet.of([5, 6, 7])
+    assert block.solution == {
         (0, 0, 0, 0, 4, 0, 1): 17940,
         (0, 0, 0, 0, 3, 2, 0): 2990,
         (0, 0, 0, 0, 0, 1, 3): 290030,
     }
-    assert solution_residual(27, built.top_levels, built.top_solution) == (0,) * 7
-    # k = 9 instance is also exactly integral
-    built9 = construct_minus1(53, 9)
-    assert isinstance(built9, CompositeConstruction)
-    assert built9.sub_k == 6
-    assert solution_residual(53, built9.top_levels, built9.top_solution) == (0,) * 9
+    assert solution_residual(27, block.levels, block.solution) == (0,) * 7
+    # k = 9 instance is also exactly integral; the rest is the range 1..6
+    [block9] = construct_minus1(53, 9)
+    assert block9.levels.levels[0] - 1 == 6
+    assert solution_residual(53, block9.levels, block9.solution) == (0,) * 9
 
 
 def test_construct_minus1_rst():
-    built = construct_minus1(20, 7)
-    assert isinstance(built, CompositeConstruction)
-    assert built.sub_k == 3
-    assert built.top_levels == LevelSet.of([4, 5, 6, 7])
-    assert built.top_solution == {
+    [block] = construct_minus1(20, 7)
+    assert block.realization is Realization.FLOW
+    assert block.levels.levels[0] - 1 == 3
+    assert block.levels == LevelSet.of([4, 5, 6, 7])
+    assert block.solution == {
         (0, 0, 0, 0, 0, 1, 2): 37791,
         (0, 0, 0, 0, 4, 0, 0): 2907,
         (0, 0, 0, 1, 2, 1, 0): 969,
         (0, 0, 0, 2, 1, 0, 1): 1938,
     }
-    assert solution_residual(20, built.top_levels, built.top_solution) == (0,) * 7
+    assert solution_residual(20, block.levels, block.solution) == (0,) * 7
 
 
 def test_odd_tail_frozen_values():
@@ -221,8 +219,9 @@ def test_certificate_values():
         (7, LevelSet.of([2]), (F(0), F(-1))),
     ]
     for n, L, expected in cases:
-        cert = make_certificate(n, L)
-        assert cert is not None, (n, L.levels)
+        found = certificate_with_branch(n, L)
+        assert found is not None, (n, L.levels)
+        cert = found[1]
         assert cert.y == expected, (n, L.levels, cert.y)
         assert verify_certificate(build_system(n, L), cert).ok
 
@@ -238,11 +237,11 @@ def test_certificate_families_tagged():
 
 
 def test_certificate_none_for_factorable():
-    assert make_certificate(12, LevelSet.full(3)) is None
-    assert make_certificate(11, LevelSet.full(3)) is None
-    assert make_certificate(12, LevelSet.of([2, 4])) is None
+    assert certificate_with_branch(12, LevelSet.full(3)) is None
+    assert certificate_with_branch(11, LevelSet.full(3)) is None
+    assert certificate_with_branch(12, LevelSet.of([2, 4])) is None
     # small n: no family may apply even though the instance is infeasible
-    assert make_certificate(6, LevelSet.of([4])) is None
+    assert certificate_with_branch(6, LevelSet.of([4])) is None
 
 
 def test_full_range_families_raw_validity():
@@ -255,3 +254,25 @@ def test_full_range_families_raw_validity():
             for name, y in _candidate_certificates(n, L):
                 cert = FarkasCertificate(tuple(y))
                 assert verify_certificate(build_system(n, L), cert).ok, (n, k, name)
+
+
+def test_residual_check_survives_python_O():
+    """The zero-residual check is an explicit raise, so `python -O` keeps it."""
+    code = (
+        "import sys\n"
+        "assert sys.flags.optimize\n"
+        "import hyperfactor.constructors as c\n"
+        "from hyperfactor.errors import InvariantViolation\n"
+        "c.solution_residual = lambda n, levels, solution: (1,) + (0,) * (levels.k - 1)\n"
+        "try:\n"
+        "    c.construct_div(12, 3)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(f'raised: {exc}')\n"
+    )
+    src = str(Path(hyperfactor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: construction residual (1, 0, 0) for n=12")

@@ -3,8 +3,11 @@
 import pytest
 
 from hyperfactor.combinatorics import LevelSet, binomial
-from hyperfactor.decide import Status, construct, decide, decide_general
-from hyperfactor.errors import LimitExceeded, NotFactorableError
+from hyperfactor.constructors import Block, Realization, construct_general_L_div
+from hyperfactor.decide import Status, _realize, construct, decide, decide_general, plan
+from hyperfactor.flow import DEFAULT_MAX_GROUND
+from hyperfactor import linear_system
+from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
 from hyperfactor.linear_system import build_system, verify_certificate
 from hyperfactor.verifier import verify_factorization
 
@@ -136,6 +139,26 @@ def test_decide_general_limit_overrides():
     v = decide_general(11, lv, search_type_limit=0, lp_type_limit=0)
     assert v.status is Status.UNKNOWN
     assert "exceed the search and LP limits" in v.reason
+    # the search's node limit falls through to the LP
+    v = decide_general(11, lv, search_node_limit=1)
+    assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
+
+
+def test_decide_general_search_faults_propagate(monkeypatch):
+    """A fault inside the search is an error, not a fall-through to the LP
+    (which would answer with the intact simplex of its second call)."""
+    real = linear_system.feasible_nonnegative
+    calls = []
+
+    def faulty_once(columns, rhs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise InvariantViolation("simulated simplex fault")
+        return real(columns, rhs)
+
+    monkeypatch.setattr(linear_system, "feasible_nonnegative", faulty_once)
+    with pytest.raises(InvariantViolation, match="simulated simplex fault"):
+        decide_general(11, LevelSet.of([2, 3]))
 
 
 def test_construct_full_range_small():
@@ -171,6 +194,19 @@ def test_construct_rejects_and_limits():
         construct(9)
     with pytest.raises(ValueError):
         construct(9, 2, LevelSet.of([2]))
+
+
+def test_realize_puts_a_top_block_before_its_sub_range():
+    """The odd-k top blocks need n >= 20, above the default ground limit, so
+    the same join runs here on a small top block: level 4 of [12] over 1..3."""
+    four = LevelSet.of([4])
+    top = Block(12, four, construct_general_L_div(12, four), Realization.FLOW)
+    fact = _realize(12, [top] + plan(12, LevelSet.full(3)), DEFAULT_MAX_GROUND, None)
+    assert fact.levels == (1, 2, 3, 4)
+    assert verify_factorization(fact) == []
+    n_top = binomial(12, 4) // 3
+    assert all(len(factor) == 3 for factor in fact.factors[:n_top])
+    assert len(fact.factors) == n_top + len(construct(12, 3).factors)
 
 
 def test_construct_sweep_small():

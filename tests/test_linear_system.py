@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from hyperfactor.combinatorics import LevelSet, binomial
+from hyperfactor.errors import SearchLimitExceeded
 from hyperfactor.linear_system import (
     FarkasCertificate,
     build_system,
-    evaluate_solution,
     integer_search_small,
     lp_feasible,
     solution_residual,
@@ -39,17 +39,16 @@ def test_build_system_sparse_b_zeros():
     assert all(lam[0] == lam[2] == 0 for lam in system.types)
 
 
-def test_evaluate_solution():
-    system = build_system(12, LevelSet.full(3))
+def test_solution_residual():
+    levels = LevelSet.full(3)
     solution = {(3, 0, 3): 4, (0, 3, 2): 22, (0, 0, 4): 41}
-    assert evaluate_solution(system, solution) == (0, 0, 0)
-    assert solution_residual(12, LevelSet.full(3), solution) == (0, 0, 0)
+    assert solution_residual(12, levels, solution) == (0, 0, 0)
     short = {(3, 0, 3): 4, (0, 3, 2): 22, (0, 0, 4): 40}
-    assert evaluate_solution(system, short) == (0, 0, -4)
+    assert solution_residual(12, levels, short) == (0, 0, -4)
     with pytest.raises(ValueError):
-        evaluate_solution(system, {(1, 1, 1): 1})
+        solution_residual(12, levels, {(1, 1, 1): 1})
     with pytest.raises(ValueError):
-        evaluate_solution(system, {(3, 0, 3): -1})
+        solution_residual(12, levels, {(3, 0, 3): -1})
 
 
 def test_verify_certificate_examples():
@@ -131,7 +130,7 @@ def test_relaxation_prune_is_load_bearing():
     exact rational cone prune collapses it to a handful."""
     system = build_system(10, LevelSet.full(4))
     assert integer_search_small(system, relaxation_prune=True) is None
-    with pytest.raises(RuntimeError):
+    with pytest.raises(SearchLimitExceeded):
         integer_search_small(system, relaxation_prune=False, node_limit=200_000)
 
 
