@@ -16,7 +16,6 @@ from .combinatorics import (
     factor_count,
     iter_types,
     mask_of,
-    padic_valuation,
 )
 from .constructors import (
     Block,
@@ -50,7 +49,6 @@ from .linear_system import (
     lp_feasible,
     solution_residual,
     verify_certificate,
-    verify_solution,
 )
 from .reducer import extend_by_complements, project_lift, repair_to_complement_paired
 from .verifier import verify_factorization
@@ -97,7 +95,6 @@ __all__ = [
     "lp_feasible",
     "mask_of",
     "odd_tail_solution",
-    "padic_valuation",
     "parse_certificate",
     "parse_factorization",
     "plan",
@@ -109,7 +106,6 @@ __all__ = [
     "sort_factor",
     "verify_certificate",
     "verify_factorization",
-    "verify_solution",
     "write_certificate",
     "write_factorization",
 ]

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .combinatorics import LevelSet, enumerate_types
 from .decide import Status, Verdict, construct, decide_general, plan
-from .errors import FormatError, LimitExceeded, NotFactorableError
+from .errors import FormatError, InvariantViolation, LimitExceeded, NotFactorableError
 from .fileformat import (
     CERTIFICATE_MAGIC,
     FACTORIZATION_MAGIC,
@@ -53,8 +53,9 @@ def _print_verdict(verdict: Verdict) -> None:
     print(verdict.status.value)
     print(f"reason: {verdict.reason}")
     if verdict.certificate is not None:
+        if verdict.certificate_levels is None:
+            raise InvariantViolation("certificate verdict without certificate levels")
         print("certificate: " + " ".join(str(v) for v in verdict.certificate.y))
-        assert verdict.certificate_levels is not None
         print("certificate-levels: " + ",".join(map(str, verdict.certificate_levels)))
     if verdict.solution is not None:
         print("solution-types: " + str(len(verdict.solution)))
@@ -109,9 +110,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_certificate(args: argparse.Namespace) -> int:
-    levels = _levels_of(args)
-    levels.check_against_ground(args.n)
-    verdict = decide_general(args.n, levels)
+    verdict = decide_general(args.n, _levels_of(args))
     if verdict.status is Status.FACTORABLE:
         print("instance is factorable; no certificate exists", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Exact combinatorial primitives: binomials, valuations, bit-set subsets, level types.
+"""Exact combinatorial primitives: binomials, bit-set subsets, level types.
 
 Ground sets are {1, .., n} with n <= 64; subsets are bit-sets stored in a plain
 int (bit i-1 <-> element i).  A "type" records, for a partition of the ground
@@ -25,30 +25,6 @@ def binomial(a: int, b: int) -> int:
     if a < 0 or b < 0 or a < b:
         return 0
     return math.comb(a, b)
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def padic_valuation(p: int, m: int) -> int:
-    """Largest e such that p**e divides m.  Requires p prime and m >= 1."""
-    if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return e
 
 
 def check_ground(n: int) -> None:
@@ -151,11 +127,6 @@ def masks_of_size(n: int, s: int) -> list[int]:
 def type_weight(lam: TypeVector) -> int:
     """Total number of covered elements: sum of j * lambda_j."""
     return sum(j * c for j, c in enumerate(lam, start=1))
-
-
-def type_size(lam: TypeVector) -> int:
-    """Number of parts: sum of lambda_j."""
-    return sum(lam)
 
 
 def is_valid_type(lam: TypeVector, n: int, levels: LevelSet) -> bool:

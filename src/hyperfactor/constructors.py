@@ -72,78 +72,85 @@ class Block:
 
 
 # ---------------------------------------------------------------------------
-# divisible case, full range
+# range thresholds
+
+
+def _divisible_ok(n: int, k: int) -> bool:
+    return n % k == 0 and n >= k * (k - 2)
+
+
+def _minus_one_threshold(k: int) -> int:
+    """For k < n/2 and n = -1 (mod k), {1..k} is factorable iff n >= this."""
+    return k * (-(-k // 2) - 1) - 1
+
+
+def _minus_one_ok(n: int, k: int) -> bool:
+    return n % k == k - 1 and n >= _minus_one_threshold(k)
+
+
+# ---------------------------------------------------------------------------
+# divisible pairing
+
+
+def _pairing(n: int, levels: LevelSet) -> SolutionVector | None:
+    """The divisible pairing pattern for k | n, or None where it goes negative.
+
+    One type per lower level l pairs k/gcd(k,l) sets of size l with enough
+    size-k sets to use exactly n elements; a pure size-k type absorbs the
+    remaining level-k budget.  The ground size is not capped: a lift solves
+    on n + 1.  Callers check the residual.
+    """
+    k = levels.k
+    solution: SolutionVector = {}
+    covered_k = 0
+    for l in levels.levels[:-1]:
+        g = gcd(k, l)
+        lam_k = n // k - l // g
+        if lam_k < 0:
+            return None
+        mult = binomial(n, l) // (k // g)
+        solution[_unit_type(k, {l: k // g, k: lam_k})] = mult
+        covered_k += lam_k * mult
+    remainder = binomial(n, k) - covered_k
+    if remainder < 0:
+        return None
+    if remainder:
+        solution[_unit_type(k, {k: n // k})] = remainder // (n // k)
+    return solution
 
 
 def construct_div(n: int, k: int) -> SolutionVector:
     """Solution for levels {1..k} when k | n, n > 2k and n >= k(k-2).
 
-    One type per lower level i pairs k/gcd(k,i) sets of size i with enough
-    size-k sets to use exactly n elements; a pure size-k type absorbs the
-    remaining level-k budget.  At the single edge point n = k(k-2) the two
-    top lower levels are handled by one mixed type instead.
+    The pairing pattern on {1..k}.  At the single edge point n = k(k-2) the
+    two top lower levels are handled by one mixed type instead.
     """
-    if n % k or 2 * k >= n or n < k * (k - 2):
+    if 2 * k >= n or not _divisible_ok(n, k):
         raise ValueError(f"divisible construction needs k | n, n > 2k, n >= k(k-2); got n={n} k={k}")
     edge = n == k * (k - 2)
-    solution: SolutionVector = {}
-    covered_k = 0
-    top = k - 3 if edge else k - 1
-    for i in range(1, top + 1):
-        g = gcd(k, i)
-        q = k // g
-        lam_k = n // k - i // g
-        assert lam_k >= 0
-        count = binomial(n, i)
-        assert count % q == 0, f"k/gcd(k,i) does not divide C(n,i) for n={n} i={i}"
-        mult = count // q
-        solution[_unit_type(k, {i: q, k: lam_k})] = mult
-        covered_k += lam_k * mult
+    paired = LevelSet.of([*range(1, k - 2), k]) if edge else LevelSet.full(k)
+    solution = _pairing(n, paired)
+    if solution is None:
+        raise InvariantViolation(f"pairing goes negative for n={n} k={k}")
     if edge:
         # one type pays for both level k-2 and level k-1
-        mult = binomial(n, k - 2)
-        assert (k - 2) * mult == binomial(n, k - 1)
-        solution[_unit_type(k, {k - 2: 1, k - 1: k - 2})] = mult
-    remainder = binomial(n, k) - covered_k
-    assert remainder >= 0 and remainder % (n // k) == 0
-    if remainder:
-        solution[_unit_type(k, {k: n // k})] = remainder // (n // k)
+        solution[_unit_type(k, {k - 2: 1, k - 1: k - 2})] = binomial(n, k - 2)
     _assert_solves(n, LevelSet.full(k), solution)
     return solution
 
 
 def construct_general_L_div(n: int, levels: LevelSet) -> SolutionVector | None:
-    """Same pairing pattern for an arbitrary level set when k | n.
+    """The pairing pattern for an arbitrary level set when k | n.
 
     Returns None (not applicable) when some pairing type would need a negative
     number of size-k sets, or the level-k remainder would go negative.
     """
     levels.check_against_ground(n)
-    k = levels.k
-    if n % k:
-        raise ValueError(f"divisible construction needs k | n, got n={n} k={k}")
-    solution: SolutionVector = {}
-    covered_k = 0
-    for l in levels:
-        if l == k:
-            continue
-        g = gcd(k, l)
-        q = k // g
-        lam_k = n // k - l // g
-        if lam_k < 0:
-            return None
-        count = binomial(n, l)
-        assert count % q == 0, f"k/gcd(k,l) does not divide C(n,l) for n={n} l={l}"
-        mult = count // q
-        solution[_unit_type(k, {l: q, k: lam_k})] = mult
-        covered_k += lam_k * mult
-    remainder = binomial(n, k) - covered_k
-    if remainder < 0:
-        return None
-    assert remainder % (n // k) == 0
-    if remainder:
-        solution[_unit_type(k, {k: n // k})] = remainder // (n // k)
-    _assert_solves(n, levels, solution)
+    if n % levels.k:
+        raise ValueError(f"divisible construction needs k | n, got n={n} k={levels.k}")
+    solution = _pairing(n, levels)
+    if solution is not None:
+        _assert_solves(n, levels, solution)
     return solution
 
 
@@ -158,7 +165,7 @@ def construct_minus1(n: int, k: int) -> list[Block]:
     whole range.  Otherwise (odd k, small offset t) one block covers the top
     levels; the full range below its lowest level is left to the caller.
     """
-    if k < 2 or 2 * k >= n or n % k != k - 1 or n < k * (-(-k // 2) - 1) - 1:
+    if k < 2 or 2 * k >= n or not _minus_one_ok(n, k):
         raise ValueError(
             f"(n={n}, k={k}) needs 2 <= k < n/2, n = -1 (mod k) and n above the threshold"
         )
@@ -174,9 +181,11 @@ def construct_minus1(n: int, k: int) -> list[Block]:
 
 
 def _lift_block(n: int, lift_levels: LevelSet) -> Block:
-    solution = construct_general_L_div(n + 1, lift_levels)
+    # the lifted ground n + 1 may be 65: the block holds multiplicities only
+    solution = _pairing(n + 1, lift_levels)
     if solution is None:
         raise InvariantViolation(f"lift solution missing for n={n} levels={lift_levels.levels}")
+    _assert_solves(n + 1, lift_levels, solution)
     return Block(n + 1, lift_levels, solution, Realization.LIFT)
 
 
@@ -344,12 +353,11 @@ def _candidate_certificates(n: int, levels: LevelSet) -> list[tuple[str, list[Fr
                 y[k - 1] = F(-1)
                 out.append(("residue-mid-tight", y))
         elif r == 0:
-            jj = j - 1
-            if 2 <= jj <= k - 4:
-                y = [F(jj + 1)] * (jj + 1) + [F(jj, 2)] * (k - jj - 3) + [F(-1), F(0)]
+            if j >= 3 and not _divisible_ok(n, k):
+                y = [F(j)] * j + [F(j - 1, 2)] * (k - j - 2) + [F(-1), F(0)]
                 out.append(("divisible-below-threshold", y))
         else:
-            if 2 <= j <= -(-k // 2) - 3:
+            if j >= 2 and not _minus_one_ok(n, k):
                 y = [F(j + 1)] * (2 * j + 1) + [F(j, 2)] * (k - 2 * j - 4) + [F(-1), F(j), F(-1)]
                 out.append(("minus-one-below-threshold", y))
     else:

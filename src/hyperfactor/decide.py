@@ -18,13 +18,16 @@ from scratch before returning, and the CLI's solve prints them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .combinatorics import LevelSet, binomial, check_ground, full_mask, mask_of
 from .constructors import (
     Block,
     Realization,
+    _divisible_ok,
+    _minus_one_ok,
+    _minus_one_threshold,
     certificate_with_branch,
     construct_div,
     construct_general_L_div,
@@ -34,6 +37,8 @@ from .errors import InvariantViolation, LimitExceeded, NotFactorableError, Searc
 from .factorization import Factorization
 from .flow import DEFAULT_MAX_GROUND, StepRecord, run as flow_run
 from .linear_system import (
+    SEARCH_NODE_LIMIT,
+    SEARCH_TYPE_LIMIT,
     FarkasCertificate,
     SolutionVector,
     build_system,
@@ -68,14 +73,6 @@ class Verdict:
     search_exhausted: bool = False
 
 
-def _divisible_ok(n: int, k: int) -> bool:
-    return n % k == 0 and n >= k * (k - 2)
-
-
-def _minus_one_ok(n: int, k: int) -> bool:
-    return n % k == k - 1 and n >= k * (-(-k // 2) - 1) - 1
-
-
 def decide(n: int, k: int) -> Verdict:
     """Complete decision for the full level range {1..k}, 1 <= k <= n <= 64."""
     check_ground(n)
@@ -90,13 +87,10 @@ def decide(n: int, k: int) -> Verdict:
         if n == 1:
             return Verdict(Status.FACTORABLE, "trivial: ground set of size 1")
         inner = decide(n, n - 1)
-        return Verdict(
-            inner.status,
-            "the whole ground set forms one factor; rest reduces to k = n-1: "
+        return replace(
+            inner,
+            reason="the whole ground set forms one factor; rest reduces to k = n-1: "
             + inner.reason,
-            certificate=inner.certificate,
-            certificate_levels=inner.certificate_levels,
-            family=inner.family,
         )
     if 2 * k < n:
         r = n % k
@@ -106,16 +100,14 @@ def decide(n: int, k: int) -> Verdict:
                 f"divisible case: n = 0 (mod {k}) and n = {n} >= k(k-2) = {k * (k - 2)}",
             )
         if _minus_one_ok(n, k):
-            thr = k * (-(-k // 2) - 1) - 1
             return Verdict(
                 Status.FACTORABLE,
-                f"near-divisible case: n = -1 (mod {k}) and n = {n} >= {thr}",
+                f"near-divisible case: n = -1 (mod {k}) and n = {n} >= {_minus_one_threshold(k)}",
             )
         if r == 0:
             why = f"below the divisible threshold: n = {n} < k(k-2) = {k * (k - 2)}"
         elif r == k - 1:
-            thr = k * (-(-k // 2) - 1) - 1
-            why = f"below the near-divisible threshold: n = {n} < {thr}"
+            why = f"below the near-divisible threshold: n = {n} < {_minus_one_threshold(k)}"
         else:
             why = f"residue obstruction: n = {r} (mod {k}) is neither 0 nor -1"
         levels = LevelSet.full(k)
@@ -138,23 +130,14 @@ def decide(n: int, k: int) -> Verdict:
             "complement pairing alone covers all levels (reduction target is empty)",
         )
     inner = decide(n, m)
-    return Verdict(
-        inner.status,
-        f"complement pairing reduces to levels 1..{m}: " + inner.reason,
-        certificate=inner.certificate,
-        certificate_levels=inner.certificate_levels,
-        family=inner.family,
-    )
+    return replace(inner, reason=f"complement pairing reduces to levels 1..{m}: " + inner.reason)
 
 
-def decide_general(
-    n: int,
-    levels: LevelSet,
-    *,
-    search_type_limit: int = 200,
-    search_node_limit: int = 200_000,
-    lp_type_limit: int = 5_000,
-) -> Verdict:
+#: Above this many types decide_general skips the exact simplex.
+LP_TYPE_LIMIT = 5_000
+
+
+def decide_general(n: int, levels: LevelSet) -> Verdict:
     """Decision for an arbitrary level set; UNKNOWN is possible beyond limits."""
     if levels.is_full_range():
         return decide(n, levels.k)
@@ -178,11 +161,9 @@ def decide_general(
                 solution=solution,
             )
     system = build_system(n, levels)
-    if len(system.types) <= search_type_limit:
+    if len(system.types) <= SEARCH_TYPE_LIMIT:
         try:
-            solution = integer_search_small(
-                system, type_limit=search_type_limit, node_limit=search_node_limit
-            )
+            solution = integer_search_small(system, node_limit=SEARCH_NODE_LIMIT)
         except SearchLimitExceeded:
             solution = None
             exhausted = False
@@ -200,10 +181,11 @@ def decide_general(
                 "exhaustive search over all non-negative integer multiplicities",
                 search_exhausted=True,
             )
-    if len(system.types) <= lp_type_limit:
+    if len(system.types) <= LP_TYPE_LIMIT:
         outcome = lp_feasible(system)
         if not outcome.feasible:
-            assert outcome.certificate is not None
+            if outcome.certificate is None:
+                raise InvariantViolation(f"LP infeasible without a certificate for n={n}")
             return Verdict(
                 Status.NOT_FACTORABLE,
                 "exact rational infeasibility (simplex-derived certificate)",
@@ -218,7 +200,7 @@ def decide_general(
     return Verdict(
         Status.UNKNOWN,
         f"{len(system.types)} types exceed the search and LP limits "
-        f"({search_type_limit}, {lp_type_limit})",
+        f"({SEARCH_TYPE_LIMIT}, {LP_TYPE_LIMIT})",
     )
 
 

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .combinatorics import LevelSet, TypeVector, binomial, factor_count
+from .combinatorics import LevelSet, binomial, factor_count
 from .errors import InvariantViolation, LimitExceeded
 from .factorization import Factorization
 from .linear_system import SolutionVector, solution_residual
@@ -39,7 +39,6 @@ class LabeledPartition:
     """Parts as (bit-set, potential) pairs; potentials never change."""
 
     parts: list[tuple[int, int]]
-    type_vector: TypeVector
 
 
 @dataclass
@@ -193,9 +192,10 @@ def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionS
         mult = solution[lam]
         parts = [(0, j) for j in levels for _ in range(lam[j - 1])]
         for _ in range(mult):
-            partitions.append(LabeledPartition(list(parts), lam))
+            partitions.append(LabeledPartition(list(parts)))
     expected = factor_count(n, levels)
-    assert len(partitions) == expected, f"{len(partitions)} partitions != M = {expected}"
+    if len(partitions) != expected:
+        raise InvariantViolation(f"{len(partitions)} partitions != M = {expected}")
     state = EvolutionState(n, levels, 0, partitions)
     _check_occurrence_counts(state)
     return state
@@ -253,7 +253,7 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
         where = p.parts.index((mask, j))
         parts = list(p.parts)
         parts[where] = (mask | new_bit, j)
-        new_partitions.append(LabeledPartition(parts, p.type_vector))
+        new_partitions.append(LabeledPartition(parts))
     new_state = EvolutionState(n, state.levels, ell + 1, new_partitions)
     pairs = _check_occurrence_counts(new_state)
     new_state.last_step = StepRecord(ell, value, len(net.occ_keys), pairs)
@@ -281,6 +281,7 @@ def run(
             trace(state.last_step)
     factors = []
     for p in state.partitions:
-        assert all(mask.bit_count() == j for mask, j in p.parts)
+        if any(mask.bit_count() != j for mask, j in p.parts):
+            raise InvariantViolation(f"evolution ended with a part short of its size: {p.parts}")
         factors.append([mask for mask, _ in p.parts])
     return Factorization.build(n, levels, factors)

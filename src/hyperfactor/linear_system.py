@@ -132,12 +132,14 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
     rhs = [system.b[i] for i in rows]
     result = feasible_nonnegative(columns, rhs)
     if result.feasible:
-        assert result.solution is not None
+        if result.solution is None:
+            raise InvariantViolation("feasible simplex outcome without a solution")
         sol = {
             lam: v for lam, v in zip(system.types, result.solution) if v != 0
         }
         return LpOutcome(True, sol, None)
-    assert result.separator is not None
+    if result.separator is None:
+        raise InvariantViolation("infeasible simplex outcome without a separator")
     y = [Fraction(0)] * system.levels.k
     for pos, i in enumerate(rows):
         y[i] = result.separator[pos]
@@ -151,12 +153,16 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
 # ---------------------------------------------------------------------------
 # bounded exhaustive integer search (the desk-scale oracle)
 
+#: The search refuses systems with more types than this.
+SEARCH_TYPE_LIMIT = 200
+#: Default node budget of the search.
+SEARCH_NODE_LIMIT = 200_000
+
 
 def integer_search_small(
     system: LinearSystem,
     *,
-    type_limit: int = 200,
-    node_limit: int = 200_000,
+    node_limit: int = SEARCH_NODE_LIMIT,
     relaxation_prune: bool = True,
 ) -> SolutionVector | None:
     """Exhaustive search for a non-negative integer solution of the system.
@@ -172,8 +178,8 @@ def integer_search_small(
     Returns a solution dict or None (= proof of integer infeasibility).
     """
     types = system.types
-    if len(types) > type_limit:
-        raise ValueError(f"{len(types)} types exceed the search limit {type_limit}")
+    if len(types) > SEARCH_TYPE_LIMIT:
+        raise ValueError(f"{len(types)} types exceed the search limit {SEARCH_TYPE_LIMIT}")
     k = system.levels.k
     ntypes = len(types)
 
@@ -240,19 +246,3 @@ def integer_search_small(
         return {lam: m for lam, m in chosen if m > 0}
     return None
 
-
-def verify_solution(system: LinearSystem, solution: Mapping[TypeVector, int]) -> list[str]:
-    """All violations of 'solution solves the system over non-negative ints'."""
-    violations: list[str] = []
-    for lam, mult in solution.items():
-        if not is_valid_type(lam, system.n, system.levels):
-            violations.append(f"unknown type {lam}")
-        if not isinstance(mult, int) or mult < 0:
-            violations.append(f"multiplicity of {lam} is not a non-negative int: {mult!r}")
-    if violations:
-        return violations
-    res = solution_residual(system.n, system.levels, solution)
-    for i, r in enumerate(res, start=1):
-        if r != 0:
-            violations.append(f"level {i}: residual {r}")
-    return violations

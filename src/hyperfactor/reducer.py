@@ -12,6 +12,7 @@ of a ground set, the inverse of solving on a one-larger ground set.
 from __future__ import annotations
 
 from .combinatorics import full_mask, masks_of_size
+from .errors import InvariantViolation
 from .factorization import Factorization, sort_factor
 from .verifier import verify_factorization
 
@@ -49,9 +50,7 @@ def extend_by_complements(fact: Factorization, k: int) -> Factorization:
     return Factorization(n, tuple(range(1, k + 1)), fact.factors + tuple(pairs))
 
 
-def repair_to_complement_paired(
-    fact: Factorization, *, check_each_swap: bool = False
-) -> tuple[Factorization, Factorization]:
+def repair_to_complement_paired(fact: Factorization) -> tuple[Factorization, Factorization]:
     """Swap sets between factors until every middle-size set is complement-paired.
 
     fact must be a valid factorization on levels {1..k} with n/2 <= k <= n-1.
@@ -80,21 +79,14 @@ def repair_to_complement_paired(
             union = 0
             for m in rest:
                 union |= m
-            assert union == comp
             jf = host[comp]
-            assert jf != i
+            if union != comp or jf == i:
+                raise InvariantViolation(f"set {mask:#x} cannot be paired with its complement")
             factors[i] = [mask, comp]
             factors[jf] = [m for m in factors[jf] if m != comp] + rest
             host[comp] = i
             for m in rest:
                 host[m] = jf
-            if check_each_swap:
-                for idx in (i, jf):
-                    u = 0
-                    for m in factors[idx]:
-                        assert u & m == 0, "swap produced overlapping sets"
-                        u |= m
-                    assert u == full, "swap broke the partition property"
     paired = Factorization.build(n, fact.levels, factors)
     residue_factors = [f for f in factors if len(f) > 2]
     residue = Factorization.build(n, tuple(range(1, n - k)), residue_factors)

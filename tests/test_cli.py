@@ -86,6 +86,15 @@ def test_solve_lifted_block(capsys):
     assert capsys.readouterr().out == "n=12 levels=1,3\n0,0,4: 52\n3,0,3: 4\n"
 
 
+def test_solve_lifts_to_ground_65(capsys):
+    """(64, {1..5}) lifts to a block on 65 elements: it has multiplicities
+    only, and its evolution is beyond the work limit."""
+    assert main(["solve", "--n", "64", "--k", "5"]) == 0
+    assert capsys.readouterr().out.startswith("n=65 levels=1,3,5\n")
+    assert main(["construct", "--n", "64", "--k", "5"]) == 3
+    assert capsys.readouterr().err.startswith("limit exceeded:")
+
+
 def test_solve_complement_blocks(capsys):
     assert main(["solve", "--n", "8", "--k", "4"]) == 0
     assert capsys.readouterr().out == (
@@ -210,3 +219,11 @@ def test_value_errors_exit_two(capsys):
     assert "comma-separated" in capsys.readouterr().err
     assert main(["decide", "--n", "7", "--levels", "9"]) == 2
     capsys.readouterr()
+
+
+def test_level_beyond_ground_errors_agree(capsys):
+    for command in ("decide", "solve", "construct", "certificate"):
+        assert main([command, "--n", "5", "--k", "7"]) == 2
+        assert capsys.readouterr().err == "error: k must be an int in 1..n=5, got 7\n"
+        assert main([command, "--n", "5", "--levels", "2,7"]) == 2
+        assert capsys.readouterr().err == "error: largest level 7 exceeds ground size 5\n"

@@ -12,14 +12,11 @@ from hyperfactor.combinatorics import (
     enumerate_types,
     factor_count,
     full_mask,
-    is_prime,
     is_valid_type,
     iter_types,
     mask_of,
     masks_of_size,
     min_element,
-    padic_valuation,
-    type_size,
     type_weight,
 )
 
@@ -50,25 +47,6 @@ def test_binomial_pascal_identity():
                 assert binomial(a - 1, b) + binomial(a - 1, b - 1) == 0
                 continue
             assert binomial(a, b) == binomial(a - 1, b) + binomial(a - 1, b - 1)
-
-
-def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
-    for m in range(-2, 25):
-        assert is_prime(m) == (m in primes)
-
-
-def test_padic_valuation():
-    assert padic_valuation(2, 24) == 3
-    assert padic_valuation(3, 24) == 1
-    assert padic_valuation(5, 24) == 0
-    assert padic_valuation(7, 343) == 3
-    with pytest.raises(ValueError):
-        padic_valuation(4, 8)
-    with pytest.raises(ValueError):
-        padic_valuation(2, 0)
-    with pytest.raises(ValueError):
-        padic_valuation(2, -8)
 
 
 def test_check_ground():
@@ -128,7 +106,6 @@ def test_masks_of_size():
 
 def test_type_helpers():
     assert type_weight((1, 0, 2)) == 1 + 6
-    assert type_size((1, 0, 2)) == 3
     L = LevelSet.of([1, 3])
     assert is_valid_type((1, 0, 2), 7, L)
     assert not is_valid_type((0, 2, 1), 7, L)  # level 2 not allowed

@@ -1,5 +1,7 @@
 """Tests for the decision procedures and the construction pipeline."""
 
+import importlib
+
 import pytest
 
 from hyperfactor.combinatorics import LevelSet, binomial
@@ -8,8 +10,11 @@ from hyperfactor.decide import Status, _realize, construct, decide, decide_gener
 from hyperfactor.flow import DEFAULT_MAX_GROUND
 from hyperfactor import linear_system
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
-from hyperfactor.linear_system import build_system, verify_certificate
+from hyperfactor.linear_system import build_system, solution_residual, verify_certificate
 from hyperfactor.verifier import verify_factorization
+
+# the package rebinds `hyperfactor.decide` to the function of that name
+decide_module = importlib.import_module("hyperfactor.decide")
 
 
 def test_decide_divisible():
@@ -123,24 +128,26 @@ def test_decide_general_search_outcomes():
     v = decide_general(11, LevelSet.of([2, 3]))
     assert v.status is Status.FACTORABLE
     assert v.solution is not None
-    from hyperfactor.linear_system import verify_solution
-
-    assert verify_solution(build_system(11, LevelSet.of([2, 3])), v.solution) == []
+    assert not any(solution_residual(11, LevelSet.of([2, 3]), v.solution))
 
     # no admissible sizes at all
     v = decide_general(6, LevelSet.of([4]))
     assert v.status is Status.NOT_FACTORABLE and v.search_exhausted
 
 
-def test_decide_general_limit_overrides():
+def test_decide_general_limit_overrides(monkeypatch):
     lv = LevelSet.of([2, 3])
-    v = decide_general(11, lv, search_type_limit=0)
-    assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
-    v = decide_general(11, lv, search_type_limit=0, lp_type_limit=0)
-    assert v.status is Status.UNKNOWN
-    assert "exceed the search and LP limits" in v.reason
+    with monkeypatch.context() as m:
+        m.setattr(decide_module, "SEARCH_TYPE_LIMIT", 0)
+        v = decide_general(11, lv)
+        assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
+        m.setattr(decide_module, "LP_TYPE_LIMIT", 0)
+        v = decide_general(11, lv)
+        assert v.status is Status.UNKNOWN
+        assert v.reason.endswith("exceed the search and LP limits (0, 0)")
     # the search's node limit falls through to the LP
-    v = decide_general(11, lv, search_node_limit=1)
+    monkeypatch.setattr(decide_module, "SEARCH_NODE_LIMIT", 1)
+    v = decide_general(11, lv)
     assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
 
 
@@ -159,6 +166,34 @@ def test_decide_general_search_faults_propagate(monkeypatch):
     monkeypatch.setattr(linear_system, "feasible_nonnegative", faulty_once)
     with pytest.raises(InvariantViolation, match="simulated simplex fault"):
         decide_general(11, LevelSet.of([2, 3]))
+
+
+def _range_factorable(n: int, k: int) -> bool:
+    """The characterization of factorable ranges {1..k}, written out apart
+    from decide."""
+    if k == 1 or n == 1:
+        return True
+    if k == n:
+        return _range_factorable(n, n - 1)
+    if 2 * k >= n:
+        return k == n - 1 or _range_factorable(n, n - k - 1)
+    if n % k == 0:
+        return n >= k * (k - 2)
+    return n % k == k - 1 and n >= k * ((k + 1) // 2 - 1) - 1
+
+
+def test_plan_solves_every_factorable_range():
+    """Every block that plan gives for a factorable range with n <= 64 has a
+    zero residual, the lifted blocks on the ground n + 1 = 65 included."""
+    grounds = set()
+    for n in range(1, 65):
+        for k in range(1, n + 1):
+            if not _range_factorable(n, k):
+                continue
+            for block in plan(n, LevelSet.full(k)):
+                assert not any(solution_residual(block.n, block.levels, block.solution)), (n, k)
+                grounds.add(block.n)
+    assert 65 in grounds
 
 
 def test_construct_full_range_small():

@@ -21,7 +21,6 @@ def test_init_state_perfect_matchings():
     assert len(state.partitions) == 3
     for p in state.partitions:
         assert p.parts == [(0, 2), (0, 2)]
-        assert p.type_vector == (0, 2)
 
 
 def test_init_state_rejects_unbalanced():

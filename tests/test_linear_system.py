@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hyperfactor.combinatorics import LevelSet, binomial
+from hyperfactor import linear_system
 from hyperfactor.errors import SearchLimitExceeded
 from hyperfactor.linear_system import (
     FarkasCertificate,
@@ -13,7 +14,6 @@ from hyperfactor.linear_system import (
     lp_feasible,
     solution_residual,
     verify_certificate,
-    verify_solution,
 )
 
 
@@ -107,7 +107,7 @@ def test_integer_search_finds_and_refutes():
     system = build_system(12, LevelSet.full(3))
     sol = integer_search_small(system)
     assert sol is not None
-    assert verify_solution(system, sol) == []
+    assert not any(solution_residual(system.n, system.levels, sol))
 
     assert integer_search_small(build_system(7, LevelSet.full(3))) is None
     assert integer_search_small(build_system(18, LevelSet.full(6))) is None
@@ -121,8 +121,8 @@ def test_integer_search_with_and_without_relaxation_prune():
         b = integer_search_small(system, relaxation_prune=False)
         assert (a is None) == (b is None), (n, k)
         if a is not None:
-            assert verify_solution(system, a) == []
-            assert verify_solution(system, b) == []
+            assert not any(solution_residual(system.n, system.levels, a))
+            assert not any(solution_residual(system.n, system.levels, b))
 
 
 def test_relaxation_prune_is_load_bearing():
@@ -134,21 +134,8 @@ def test_relaxation_prune_is_load_bearing():
         integer_search_small(system, relaxation_prune=False, node_limit=200_000)
 
 
-def test_integer_search_type_limit():
+def test_integer_search_type_limit(monkeypatch):
     system = build_system(18, LevelSet.full(6))
+    monkeypatch.setattr(linear_system, "SEARCH_TYPE_LIMIT", 10)
     with pytest.raises(ValueError):
-        integer_search_small(system, type_limit=10)
-
-
-def test_verify_solution_reports():
-    system = build_system(12, LevelSet.full(3))
-    good = {(3, 0, 3): 4, (0, 3, 2): 22, (0, 0, 4): 41}
-    assert verify_solution(system, good) == []
-    bad = dict(good)
-    bad[(0, 0, 4)] = 40
-    msgs = verify_solution(system, bad)
-    assert len(msgs) == 1 and "level 3" in msgs[0]
-    msgs = verify_solution(system, {})
-    assert len(msgs) == 3
-    msgs = verify_solution(system, {(9, 9, 9): 1})
-    assert any("unknown type" in m for m in msgs)
+        integer_search_small(system)

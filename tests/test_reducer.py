@@ -59,7 +59,7 @@ def test_repair_fixed_point():
 
 def test_repair_empty_residue():
     ext = extend_by_complements(Factorization(5, (), ()), 4)
-    paired, residue = repair_to_complement_paired(ext, check_each_swap=True)
+    paired, residue = repair_to_complement_paired(ext)
     assert paired == ext
     assert residue.factors == () and residue.levels == ()
 
@@ -90,7 +90,7 @@ def test_repair_restores_broken_pair():
     broken = _unshuffle(ext)
     assert verify_factorization(broken) == []  # still a valid factorization
     assert sum(_is_pair(6, f) for f in broken.factors) == 9
-    paired, residue = repair_to_complement_paired(broken, check_each_swap=True)
+    paired, residue = repair_to_complement_paired(broken)
     assert verify_factorization(paired) == []
     assert sum(_is_pair(6, f) for f in paired.factors) == 10
     assert residue.levels == (1, 2)
