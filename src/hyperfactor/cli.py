@@ -137,7 +137,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
     if first == CERTIFICATE_MAGIC:
         n, levels, cert = parse_certificate(text)
-        levels.check_against_ground(n)
         check = check_certificate(n, levels, cert)
         if check.violating_type is not None:
             print(f"violation: type {check.violating_type} has negative product with y")

@@ -42,6 +42,12 @@ def _assert_solves(n: int, levels: LevelSet, solution: SolutionVector) -> None:
         raise InvariantViolation(f"construction residual {res} for n={n} levels={levels.levels}")
 
 
+def _require(ok: bool, what: str) -> None:
+    """An intermediate check of a closed-form family; holds under python -O."""
+    if not ok:
+        raise InvariantViolation(what)
+
+
 # ---------------------------------------------------------------------------
 # blocks
 
@@ -191,14 +197,14 @@ def _lift_block(n: int, lift_levels: LevelSet) -> Block:
 
 def _abc_block(n: int, k: int) -> Block:
     # reachable only for odd k >= 7 at the single point n = k^2 - 3k - 1
-    assert n == k * k - 3 * k - 1
+    _require(n == k * k - 3 * k - 1, f"abc block needs n = k^2 - 3k - 1, got n={n} k={k}")
     c_k2 = binomial(n, k - 2)
     a = Fraction(3 * (k - 3), 2 * n) * c_k2
     b = Fraction(k - 5, 2 * n) * c_k2
-    assert a.denominator == 1 and b.denominator == 1
+    _require(a.denominator == 1 == b.denominator, f"abc block k={k}: a={a}, b={b} not integral")
     a, b = int(a), int(b)
     c = binomial(n, k - 1) - 2 * b
-    assert a >= 0 and b >= 0 and c >= 0
+    _require(a >= 0 and b >= 0 and c >= 0, f"abc block k={k}: a={a}, b={b}, c={c} negative")
     solution: SolutionVector = {}
     solution[_unit_type(k, {k - 2: (k + 1) // 2, k: (k - 5) // 2})] = a
     if b:
@@ -265,44 +271,45 @@ def odd_tail_solution(k: int, t: int) -> OddTailSolution:
     n = (k * k - k - 2) // 2 + t * k
     m = (k - 5) // 2 - t
     half = (k - 1) // 2 + t
+    where = f"odd tail k={k} t={t}"
 
     # the two aggregate counting identities pin down x and y
     factors_high = sum(binomial(n - 1, i) for i in range(half, k))
     subsets_high = sum(binomial(n, i) for i in range(half + 1, k + 1))
     x = (half + 1) * factors_high - subsets_high
     y = subsets_high - half * factors_high
-    assert x >= 0 and y >= 0
+    _require(x >= 0 and y >= 0, f"{where}: x={x}, y={y} negative")
 
     # independent closed form for y must agree
     y_direct = sum(
         Fraction(k - 2 + 2 * t + i * half, n) * binomial(n, k - 2 - i) for i in range(m + 1)
     )
-    assert y_direct == y, f"closed form for y disagrees: {y_direct} vs {y}"
+    _require(y_direct == y, f"{where}: closed form for y disagrees: {y_direct} vs {y}")
 
     a = {i: binomial(n, k - 2 - i) % 2 for i in range(2, m + 1)}
     b = {i: binomial(n, k - 2 - i) // 2 for i in range(2, m + 1)}
 
     lower_weighted = sum(i * binomial(n, k - 2 - i) for i in range(1, m + 1))
     rhs = 2 * t * y + lower_weighted
-    assert rhs % (k - 2 + 2 * t) == 0
+    _require(rhs % (k - 2 + 2 * t) == 0, f"{where}: A is not integral")
     big_a = rhs // (k - 2 + 2 * t)
     big_b = ((k - 3) // 2 + t) * big_a - t * y
-    assert big_a >= 0 and big_b >= 0
-    assert big_a + 2 * big_b == lower_weighted
+    _require(big_a >= 0 and big_b >= 0, f"{where}: A={big_a}, B={big_b} negative")
+    _require(big_a + 2 * big_b == lower_weighted, f"{where}: A + 2B != {lower_weighted}")
 
     a[1] = big_a - sum(i * a[i] for i in range(2, m + 1))
     b[1] = big_b - sum(i * b[i] for i in range(2, m + 1))
-    assert a[1] >= 0 and b[1] >= 0
-    assert a[1] + 2 * b[1] == binomial(n, k - 3)
+    _require(a[1] >= 0 and b[1] >= 0, f"{where}: a_1={a[1]}, b_1={b[1]} negative")
+    _require(a[1] + 2 * b[1] == binomial(n, k - 3), f"{where}: a_1 + 2 b_1 != C(n, k-3)")
 
     a0 = y - sum(a[i] + b[i] for i in range(1, m + 1))
-    assert a0 >= 0
+    _require(a0 >= 0, f"{where}: a_0={a0} negative")
     level_k2 = (
         (k + 1) // 2 * a0
         + sum(((k - 1) // 2 - i) * a[i] for i in range(1, m + 1))
         + sum(((k - 3) // 2 - i) * b[i] for i in range(1, m + 1))
     )
-    assert level_k2 == binomial(n, k - 2)
+    _require(level_k2 == binomial(n, k - 2), f"{where}: level k-2 count {level_k2} != C(n, k-2)")
 
     tail = OddTailSolution(
         n,

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .combinatorics import LevelSet, binomial, factor_count
+from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, factor_count
 from .errors import InvariantViolation, LimitExceeded
 from .factorization import Factorization
 from .linear_system import SolutionVector, solution_residual
@@ -269,6 +269,11 @@ def run(
     trace: Callable[[StepRecord], None] | None = None,
 ) -> Factorization:
     """Full evolution from the empty ground set to a verified-shape factorization."""
+    if n > MAX_GROUND_SIZE:
+        raise LimitExceeded(
+            f"ground size {n} exceeds the {MAX_GROUND_SIZE}-element bit-mask cap of the "
+            "evolution engine; no max_ground_size can lift it"
+        )
     if n > max_ground_size:
         raise LimitExceeded(
             f"ground size {n} exceeds the evolution work limit {max_ground_size}; "

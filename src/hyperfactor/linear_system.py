@@ -25,7 +25,6 @@ from .combinatorics import (
     binomial,
     enumerate_types,
     is_valid_type,
-    iter_types,
 )
 from .errors import InvariantViolation, SearchLimitExceeded
 from .exactlp import feasible_nonnegative
@@ -95,15 +94,55 @@ class CertificateCheck:
 
 
 def check_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> CertificateCheck:
-    """Exact check of the two Farkas conditions, streaming the type rows."""
+    """Exact check of the two Farkas conditions in O(n * |levels|).
+
+    The least lam . y over all types is an unbounded knapsack over the ground
+    size (Gilmore & Gomory 1961), solved exactly on y scaled to integers.  A
+    violation is reported as the first violating type in canonical order, the
+    one streaming iter_types would meet first.
+    """
     y = cert.y
     if len(y) != levels.k:
         raise ValueError(f"certificate length {len(y)} != k={levels.k}")
-    for lam in iter_types(n, levels):
-        if sum(c * y[i] for i, c in enumerate(lam) if c) < 0:
-            return CertificateCheck(False, lam, Fraction(0))
-    b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
-    return CertificateCheck(b_dot < 0, None, b_dot)
+    levels.check_against_ground(n)
+    scale = math.lcm(*(v.denominator for v in y))
+    desc = sorted(levels, reverse=True)
+    weight = {j: int(y[j - 1] * scale) for j in desc}
+    # best[idx][rem]: least sum of c_j * weight[j] over the levels desc[idx:]
+    # with sum of j * c_j == rem; None when no such multiplicities exist
+    best: list[list[int | None]] = [[None] * (n + 1) for _ in range(len(desc) + 1)]
+    best[len(desc)][0] = 0
+    for idx in range(len(desc) - 1, -1, -1):
+        j = desc[idx]
+        row, below = best[idx], best[idx + 1]
+        for rem in range(n + 1):
+            cell = below[rem]
+            if rem >= j and row[rem - j] is not None:
+                more = row[rem - j] + weight[j]
+                if cell is None or more < cell:
+                    cell = more
+            row[rem] = cell
+    least = best[0][n]
+    if least is None or least >= 0:
+        b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
+        return CertificateCheck(b_dot < 0, None, b_dot)
+    # canonical order takes the most parts of the largest level first, so the
+    # first violating type takes, level by level, the largest multiplicity
+    # whose best completion is still negative
+    lam = [0] * levels.k
+    rem, acc = n, 0
+    for idx, j in enumerate(desc):
+        below = best[idx + 1]
+        for c in range(rem // j, -1, -1):
+            tail = below[rem - c * j]
+            if tail is not None and acc + c * weight[j] + tail < 0:
+                break
+        else:
+            raise InvariantViolation(f"knapsack walk found no violating type for n={n}")
+        lam[j - 1] = c
+        rem -= c * j
+        acc += c * weight[j]
+    return CertificateCheck(False, tuple(lam), Fraction(0))
 
 
 def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> CertificateCheck:

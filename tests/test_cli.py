@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import time
+
 import pytest
 
 from hyperfactor.cli import main
@@ -91,8 +93,15 @@ def test_solve_lifts_to_ground_65(capsys):
     only, and its evolution is beyond the work limit."""
     assert main(["solve", "--n", "64", "--k", "5"]) == 0
     assert capsys.readouterr().out.startswith("n=65 levels=1,3,5\n")
+    # the 64-element cap is named first: raising the work limit cannot help
+    cap = (
+        "limit exceeded: ground size 65 exceeds the 64-element bit-mask cap of the "
+        "evolution engine; no max_ground_size can lift it\n"
+    )
     assert main(["construct", "--n", "64", "--k", "5"]) == 3
-    assert capsys.readouterr().err.startswith("limit exceeded:")
+    assert capsys.readouterr().err == cap
+    assert main(["construct", "--n", "64", "--k", "5", "--max-ground-size", "65"]) == 3
+    assert capsys.readouterr().err == cap
 
 
 def test_solve_complement_blocks(capsys):
@@ -162,6 +171,24 @@ def test_verify_certificate_file(capsys, tmp_path):
     assert main(["verify", "--file", path]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "OK: certificate separates n=7 levels=1,2,3 (b . y = -21/2)"
+
+
+def test_large_negative_verdicts_are_fast(capsys, tmp_path):
+    """decide, certificate and verify at n = 60 and 64, where streaming every
+    type row took minutes; the Farkas check is a knapsack DP."""
+    start = time.perf_counter()
+    for n, k in ((64, 20), (60, 14)):
+        instance = ["--n", str(n), "--k", str(k)]
+        assert main(["decide", *instance]) == 1
+        assert capsys.readouterr().out.startswith("NOT_FACTORABLE\n")
+        assert main(["certificate", *instance]) == 0
+        y = capsys.readouterr().out
+        path = str(tmp_path / f"cert_{n}.txt")
+        levels = ",".join(map(str, range(1, k + 1)))
+        save_text(f"FARKAS v1\nn={n} levels={levels}\n{y}", path)
+        assert main(["verify", "--file", path]) == 0
+        assert capsys.readouterr().out.startswith(f"OK: certificate separates n={n} ")
+    assert time.perf_counter() - start < 5
 
 
 def test_verify_rejects_bad_certificates(capsys, tmp_path):

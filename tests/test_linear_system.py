@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet, binomial
+from hyperfactor.combinatorics import LevelSet, binomial, iter_types
 from hyperfactor import linear_system
 from hyperfactor.errors import SearchLimitExceeded
 from hyperfactor.linear_system import (
+    CertificateCheck,
     FarkasCertificate,
     build_system,
+    check_certificate,
     integer_search_small,
     lp_feasible,
     solution_residual,
@@ -75,6 +78,53 @@ def test_verify_certificate_rejects():
     assert check.b_dot_y > 0
     with pytest.raises(ValueError):
         verify_certificate(system, FarkasCertificate((1, 1)))
+
+
+def _streamed_check(n, levels, cert):
+    """Reference Farkas check: stream the type rows in canonical order."""
+    y = cert.y
+    if len(y) != levels.k:
+        raise ValueError(f"certificate length {len(y)} != k={levels.k}")
+    for lam in iter_types(n, levels):
+        if sum(c * y[i] for i, c in enumerate(lam)) < 0:
+            return CertificateCheck(False, lam, Fraction(0))
+    b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
+    return CertificateCheck(b_dot < 0, None, b_dot)
+
+
+@st.composite
+def _certificate_instances(draw):
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(1, n))
+    lower = draw(st.sets(st.integers(1, k - 1))) if k > 1 else set()
+    levels = LevelSet.of(lower | {k})
+    # mostly small negative entries, so that both verdicts and both kinds of
+    # failure occur
+    entry = st.builds(Fraction, st.integers(-2, 4), st.sampled_from([1, 2, 3]))
+    y = draw(st.lists(entry, min_size=k, max_size=k))
+    return n, levels, FarkasCertificate(tuple(y))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_certificate_instances())
+def test_check_certificate_matches_row_streaming(instance):
+    n, levels, cert = instance
+    assert check_certificate(n, levels, cert) == _streamed_check(n, levels, cert)
+
+
+def test_check_certificate_edge_cases():
+    # no (7, {2, 4})-type exists: every y satisfies the row condition
+    levels = LevelSet.of([2, 4])
+    check = check_certificate(7, levels, FarkasCertificate((0, 1, 0, -1)))
+    assert check == CertificateCheck(True, None, Fraction(-14))
+    check = check_certificate(7, levels, FarkasCertificate((0, -1, 0, -1)))
+    assert check == CertificateCheck(True, None, Fraction(-56))
+    check = check_certificate(7, levels, FarkasCertificate((0, 1, 0, 1)))
+    assert check == CertificateCheck(False, None, Fraction(56))
+    with pytest.raises(ValueError, match="exceeds ground size"):
+        check_certificate(3, LevelSet.full(4), FarkasCertificate((1, 1, 1, 1)))
+    with pytest.raises(ValueError, match="certificate length"):
+        check_certificate(7, levels, FarkasCertificate((1, 1, 1)))
 
 
 def test_lp_feasible_outcomes():

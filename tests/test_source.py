@@ -5,18 +5,12 @@ from pathlib import Path
 
 import hyperfactor
 
-#: the closed-form families keep intermediate asserts; their final residual
-#: check is an explicit raise
-ASSERTS_ALLOWED = {"constructors.py"}
 
-
-def test_no_assert_statements_outside_constructors():
+def test_no_assert_statements_in_src():
     """Checks must survive `python -O`, so they are explicit raises."""
     package = Path(hyperfactor.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
-        if path.name in ASSERTS_ALLOWED:
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
