@@ -44,7 +44,7 @@ def _parse_levels(text: str) -> LevelSet:
 
 
 def _levels_of(args: argparse.Namespace) -> LevelSet:
-    if getattr(args, "k", None) is not None:
+    if args.k is not None:
         return LevelSet.full(args.k)
     return _parse_levels(args.levels)
 
@@ -78,13 +78,7 @@ def _trace_printer(record: StepRecord) -> None:
 def _cmd_construct(args: argparse.Namespace) -> int:
     levels = _levels_of(args)
     trace = _trace_printer if args.trace else None
-    try:
-        fact = construct(
-            args.n, levels=levels, max_ground_size=args.max_ground_size, trace=trace
-        )
-    except NotFactorableError as exc:
-        print(f"not factorable: {exc}", file=sys.stderr)
-        return 1
+    fact = construct(args.n, levels=levels, max_ground_size=args.max_ground_size, trace=trace)
     text = write_factorization(fact)
     if args.out:
         save_text(text, args.out)
@@ -95,13 +89,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    levels = _levels_of(args)
-    try:
-        blocks = plan(args.n, levels)
-    except NotFactorableError as exc:
-        print(f"not factorable: {exc}", file=sys.stderr)
-        return 1
-    for block in blocks:
+    for block in plan(args.n, _levels_of(args)):
         solution = block.solution
         print(f"n={block.n} levels={','.join(map(str, block.levels.levels))}")
         for lam in sorted(solution, key=lambda l: tuple(reversed(l)), reverse=True):
@@ -157,12 +145,11 @@ def _cmd_types(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_instance_args(p: argparse.ArgumentParser, *, levels_too: bool = True) -> None:
+def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="ground set size (1..64)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="full level range 1..k")
-    if levels_too:
-        group.add_argument("--levels", type=str, help="comma-separated level set, e.g. 2,4")
+    group.add_argument("--levels", type=str, help="comma-separated level set, e.g. 2,4")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,6 +202,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
+    except NotFactorableError as exc:
+        print(f"not factorable: {exc}", file=sys.stderr)
+        return 1
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 3

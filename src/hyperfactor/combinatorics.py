@@ -175,6 +175,19 @@ def enumerate_types(n: int, levels: LevelSet) -> list[TypeVector]:
     return list(iter_types(n, levels))
 
 
+def count_types(n: int, levels: LevelSet) -> int:
+    """len(enumerate_types(n, levels)) without listing them, in O(n * |levels|).
+
+    The number of partitions of n into parts from levels, one level at a time.
+    """
+    levels.check_against_ground(n)
+    ways = [1] + [0] * n
+    for j in levels:
+        for rem in range(j, n + 1):
+            ways[rem] += ways[rem - j]
+    return ways[n]
+
+
 def factor_count(n: int, levels: LevelSet) -> int:
     """Number of 1-factors in any 1-factorization: sum of C(n-1, j-1) over j in levels."""
     levels.check_against_ground(n)

@@ -5,9 +5,10 @@ congruence-and-threshold condition on (n, k).  Feasible instances get
 explicit solution families, handed out as blocks: the (ground, levels)
 system a family solves, its multiplicities, and how the factors are made
 from them.  Infeasible ones carry an explicit separating vector.  Every
-certificate produced here is re-validated row by row before it is surfaced,
-and every solution family checks for a zero residual, so a formula slip
-cannot escape silently.
+certificate produced here passes the exact Farkas check of
+linear_system.check_certificate (a knapsack DP over the ground size) before
+it is surfaced, and every solution family checks for a zero residual, so a
+formula slip cannot escape silently.
 """
 
 from __future__ import annotations
@@ -221,8 +222,8 @@ class OddTailSolution:
     """Exact multiplicities for the top-level block, odd k, small offset t.
 
     Covers levels (k+2t+1)/2 .. k of the ground set of size
-    n = (k^2-k-2)/2 + t*k with four type shapes; the remaining levels form a
-    full-range sub-problem on the same ground set (see sub_k).  All the
+    n = (k^2-k-2)/2 + t*k with four type shapes; the levels below form a
+    full-range sub-problem on the same ground set.  All the
     bookkeeping quantities are exposed for auditing: x and y are the two
     top-type multiplicities, a_i/b_i split the budgets of the shared lower
     levels, and A, B are their index-weighted sums.
@@ -241,9 +242,6 @@ class OddTailSolution:
 
     def top_levels(self) -> LevelSet:
         return LevelSet.of(range((self.k + 2 * self.t + 1) // 2, self.k + 1))
-
-    def sub_k(self) -> int:
-        return (self.k + 2 * self.t - 1) // 2
 
     def solution(self) -> SolutionVector:
         k, t, m = self.k, self.t, self.m
@@ -331,67 +329,49 @@ def odd_tail_solution(k: int, t: int) -> OddTailSolution:
 # Farkas certificate families
 
 
-def _candidate_certificates(n: int, levels: LevelSet) -> list[tuple[str, list[Fraction]]]:
+def _candidate_certificates(n: int, levels: LevelSet) -> tuple[str, list[Fraction]] | None:
+    """The one certificate family that applies to (n, levels), not yet validated."""
     k = levels.k
     if k < 2 or n <= 2 * k:
-        return []
+        return None
     r = n % k
-    j = n // k
+    j = n // k  # n > 2k, so j >= 2
     F = Fraction
-    out: list[tuple[str, list[Fraction]]] = []
-    if levels.is_full_range():
+    if not levels.is_full_range():
         if r not in (0, k - 1):
-            if j >= 3:
-                y = [F(j, 2)] * (r - 1) + [F(j)] + [F(j - 1, 2)] * (k - r - 1) + [F(-1)]
-                out.append(("residue-mid-large", y))
-            elif j == 2:
-                y = [F(0)] * k
-                for i in range(1, r):
-                    y[i - 1] = F(1)
-                y[r - 1] = F(2)
-                mid = (r + k) // 2
-                if (k - r) % 2:
-                    for i in range(r + 1, mid + 1):
-                        y[i - 1] = F(1)
-                else:
-                    for i in range(r + 1, mid):
-                        y[i - 1] = F(1)
-                    y[mid - 1] = F(1, 2)
-                y[k - 1] = F(-1)
-                out.append(("residue-mid-tight", y))
-        elif r == 0:
-            if j >= 3 and not _divisible_ok(n, k):
-                y = [F(j)] * j + [F(j - 1, 2)] * (k - j - 2) + [F(-1), F(0)]
-                out.append(("divisible-below-threshold", y))
-        else:
-            if j >= 2 and not _minus_one_ok(n, k):
-                y = [F(j + 1)] * (2 * j + 1) + [F(j, 2)] * (k - 2 * j - 4) + [F(-1), F(j), F(-1)]
-                out.append(("minus-one-below-threshold", y))
-    else:
-        if r not in (0, k - 1):
-            y = [F(j, 2)] * k
-            y[r - 1] = F(j)
-            y[k - 1] = F(-1)
-            out.append(("sparse-residue-mid", y))
+            y = [F(j, 2)] * (r - 1) + [F(j)] + [F(j, 2)] * (k - r - 1) + [F(-1)]
+            return "sparse-residue-mid", y
         if r == k - 1 and (k - 1) not in levels:
-            y = [F(0)] * k
-            for l in levels:
-                if l != k:
-                    y[l - 1] = F(j, 2)
-            y[k - 1] = F(-1)
-            out.append(("sparse-minus-one-gap", y))
+            y = [F(j, 2) if l in levels else F(0) for l in range(1, k)] + [F(-1)]
+            return "sparse-minus-one-gap", y
         if r == k - 1 and levels.levels == (2, 3, 4):
-            y = [F(0), F(-1, 2), F((n + 1) // 4 - 1), F(-1)]
-            out.append(("sparse-2-3-4-minus-one", y))
-    return out
+            return "sparse-2-3-4-minus-one", [F(0), F(-1, 2), F((n + 1) // 4 - 1), F(-1)]
+        return None
+    if r == 0:
+        if _divisible_ok(n, k):
+            return None
+        y = [F(j)] * j + [F(j - 1, 2)] * (k - j - 2) + [F(-1), F(0)]
+        return "divisible-below-threshold", y
+    if r == k - 1:
+        if _minus_one_ok(n, k):
+            return None
+        y = [F(j + 1)] * (2 * j + 1) + [F(j, 2)] * (k - 2 * j - 4) + [F(-1), F(j), F(-1)]
+        return "minus-one-below-threshold", y
+    if j >= 3:
+        y = [F(j, 2)] * (r - 1) + [F(j)] + [F(j - 1, 2)] * (k - r - 1) + [F(-1)]
+        return "residue-mid-large", y
+    # j = 2: ones up to the middle level (k + r) // 2, a half there when k - r is even
+    mid = (r + k) // 2
+    half = [] if (k - r) % 2 else [F(1, 2)]
+    y = [F(1)] * (r - 1) + [F(2)] + [F(1)] * (mid - r - len(half)) + half
+    return "residue-mid-tight", y + [F(0)] * (k - 1 - mid) + [F(-1)]
 
 
 def certificate_with_branch(n: int, levels: LevelSet) -> tuple[str, FarkasCertificate] | None:
-    """First certificate family that applies AND validates, with its branch tag."""
+    """The certificate family that applies, with its branch tag, if it validates."""
     levels.check_against_ground(n)
-    for name, y in _candidate_certificates(n, levels):
-        cert = FarkasCertificate(tuple(y))
-        if check_certificate(n, levels, cert).ok:
-            return name, cert
-    return None
-
+    found = _candidate_certificates(n, levels)
+    if found is None:
+        return None
+    cert = FarkasCertificate(tuple(found[1]))
+    return (found[0], cert) if check_certificate(n, levels, cert).ok else None

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .combinatorics import LevelSet, binomial, check_ground, full_mask, mask_of
+from .combinatorics import LevelSet, binomial, check_ground, count_types, full_mask, mask_of
 from .constructors import (
     Block,
     Realization,
@@ -160,16 +160,22 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
                 "divisible level-pairing construction",
                 solution=solution,
             )
+    # counted, not listed: the search limit is below the LP limit, so a
+    # count above the LP limit settles UNKNOWN without building the system
+    ntypes = count_types(n, levels)
+    if ntypes > LP_TYPE_LIMIT:
+        return Verdict(
+            Status.UNKNOWN,
+            f"{ntypes} types exceed the search and LP limits "
+            f"({SEARCH_TYPE_LIMIT}, {LP_TYPE_LIMIT})",
+        )
     system = build_system(n, levels)
-    if len(system.types) <= SEARCH_TYPE_LIMIT:
+    if ntypes <= SEARCH_TYPE_LIMIT:
         try:
             solution = integer_search_small(system, node_limit=SEARCH_NODE_LIMIT)
         except SearchLimitExceeded:
-            solution = None
-            exhausted = False
+            pass
         else:
-            exhausted = True
-        if exhausted:
             if solution is not None:
                 return Verdict(
                     Status.FACTORABLE,
@@ -181,26 +187,20 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
                 "exhaustive search over all non-negative integer multiplicities",
                 search_exhausted=True,
             )
-    if len(system.types) <= LP_TYPE_LIMIT:
-        outcome = lp_feasible(system)
-        if not outcome.feasible:
-            if outcome.certificate is None:
-                raise InvariantViolation(f"LP infeasible without a certificate for n={n}")
-            return Verdict(
-                Status.NOT_FACTORABLE,
-                "exact rational infeasibility (simplex-derived certificate)",
-                certificate=outcome.certificate,
-                certificate_levels=levels.levels,
-                family="simplex-derived",
-            )
+    outcome = lp_feasible(system)
+    if not outcome.feasible:
+        if outcome.certificate is None:
+            raise InvariantViolation(f"LP infeasible without a certificate for n={n}")
         return Verdict(
-            Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL,
-            "rationally feasible, but no integral witness within search limits",
+            Status.NOT_FACTORABLE,
+            "exact rational infeasibility (simplex-derived certificate)",
+            certificate=outcome.certificate,
+            certificate_levels=levels.levels,
+            family="simplex-derived",
         )
     return Verdict(
-        Status.UNKNOWN,
-        f"{len(system.types)} types exceed the search and LP limits "
-        f"({SEARCH_TYPE_LIMIT}, {LP_TYPE_LIMIT})",
+        Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL,
+        "rationally feasible, but no integral witness within search limits",
     )
 
 

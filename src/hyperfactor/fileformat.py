@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .combinatorics import LevelSet, elements_of, mask_of, min_element
+from .combinatorics import MAX_GROUND_SIZE, LevelSet, elements_of, mask_of, min_element
 from .errors import FormatError
 from .factorization import Factorization
 from .linear_system import FarkasCertificate
@@ -28,7 +28,7 @@ CERTIFICATE_MAGIC = "FARKAS v1"
 
 _HEADER_RE = re.compile(r"^n=(\d+) levels=((?:\d+(?:,\d+)*)?)$")
 _SET_RE = re.compile(r"^\{(\d+(?:,\d+)*)\}$")
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 
 def _set_text(mask: int) -> str:
@@ -58,8 +58,8 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
     if not m:
         raise FormatError(f"line 2: malformed header {line!r}")
     n = int(m.group(1))
-    if not 1 <= n <= 64:
-        raise FormatError(f"line 2: ground size n={n} out of range 1..64")
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise FormatError(f"line 2: ground size n={n} out of range 1..{MAX_GROUND_SIZE}")
     levels = tuple(int(v) for v in m.group(2).split(",")) if m.group(2) else ()
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise FormatError(f"line 2: levels must be strictly increasing, got {levels}")

@@ -146,7 +146,6 @@ class StepNetwork:
 
 def build_step_network(state: EvolutionState) -> StepNetwork:
     n, ell = state.n, state.ell
-    occ_index: dict[tuple[int, int], int] = {}
     occ_keys: list[tuple[int, int]] = sorted(
         {part for p in state.partitions for part in p.parts}
     )

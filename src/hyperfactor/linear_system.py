@@ -159,17 +159,21 @@ class LpOutcome:
     certificate: FarkasCertificate | None
 
 
+def _lp_columns(system: LinearSystem) -> tuple[list[int], list[list[int]]]:
+    """The rows i = l - 1 for l in L and each type's column over them; the
+    other rows are zero in every column and in b, and never pivot."""
+    rows = [l - 1 for l in system.levels]
+    return rows, [[lam[i] for i in rows] for lam in system.types]
+
+
 def lp_feasible(system: LinearSystem) -> LpOutcome:
     """Exact rational feasibility of the counting system; never timeouts.
 
     Infeasible outcomes carry a certificate scaled to clear denominators; both
     outcomes are self-validated before being returned.
     """
-    levels = list(system.levels)
-    rows = [l - 1 for l in levels]  # drop identically-zero rows (levels outside L)
-    columns = [[lam[i] for i in rows] for lam in system.types]
-    rhs = [system.b[i] for i in rows]
-    result = feasible_nonnegative(columns, rhs)
+    rows, columns = _lp_columns(system)
+    result = feasible_nonnegative(columns, [system.b[i] for i in rows])
     if result.feasible:
         if result.solution is None:
             raise InvariantViolation("feasible simplex outcome without a solution")
@@ -199,10 +203,7 @@ SEARCH_NODE_LIMIT = 200_000
 
 
 def integer_search_small(
-    system: LinearSystem,
-    *,
-    node_limit: int = SEARCH_NODE_LIMIT,
-    relaxation_prune: bool = True,
+    system: LinearSystem, *, node_limit: int = SEARCH_NODE_LIMIT
 ) -> SolutionVector | None:
     """Exhaustive search for a non-negative integer solution of the system.
 
@@ -211,8 +212,8 @@ def integer_search_small(
     budgets: a branch dies when a positive budget can no longer be met by the
     remaining types, where "cannot be met" covers (a) no remaining type
     touching the level, (b) a forced multiplicity that is fractional, and
-    (c) optionally, the remaining budget falling outside the rational cone of
-    the remaining types (a sound strengthening, checked exactly).
+    (c) the remaining budget falling outside the rational cone of the
+    remaining types (a sound strengthening, checked exactly).
 
     Returns a solution dict or None (= proof of integer infeasibility).
     """
@@ -231,12 +232,9 @@ def integer_search_small(
                 cov |= 1 << i
         suffix_cover[idx] = cov
 
+    rows, columns = _lp_columns(system)
     nodes = 0
     chosen: list[tuple[TypeVector, int]] = []
-
-    def cone_contains(idx: int, budget: list[int]) -> bool:
-        cols = [[lam[i] for i in range(k)] for lam in types[idx:]]
-        return feasible_nonnegative(cols, budget).feasible
 
     def dfs(idx: int, budget: list[int]) -> bool:
         nonlocal nodes
@@ -251,7 +249,7 @@ def integer_search_small(
         for i in range(k):
             if budget[i] > 0 and not (cover >> i) & 1:
                 return False
-        if relaxation_prune and not cone_contains(idx, budget):
+        if not feasible_nonnegative(columns[idx:], [budget[i] for i in rows]).feasible:
             return False
         lam = types[idx]
         m_max = min(budget[i] // lam[i] for i in range(k) if lam[i])

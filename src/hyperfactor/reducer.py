@@ -14,7 +14,7 @@ from __future__ import annotations
 from .combinatorics import full_mask, masks_of_size
 from .errors import InvariantViolation
 from .factorization import Factorization, sort_factor
-from .verifier import verify_factorization
+from .verifier import check_verify_size, verify_factorization
 
 
 def _check_valid(fact: Factorization, where: str) -> None:
@@ -28,6 +28,8 @@ def extend_by_complements(fact: Factorization, k: int) -> Factorization:
 
     fact must be a valid factorization on levels {1..n-k-1} (empty for
     k = n-1); the result covers the full range {1..k}.  Needs n/2 <= k <= n-1.
+    A result too large for verify_factorization is refused (LimitExceeded)
+    before any pair is built.
     """
     n = fact.n
     if not n / 2 <= k <= n - 1:
@@ -36,6 +38,7 @@ def extend_by_complements(fact: Factorization, k: int) -> Factorization:
         raise ValueError(
             f"inner factorization must cover levels 1..{n - k - 1}, has {fact.levels}"
         )
+    check_verify_size(n, range(1, k + 1))
     _check_valid(fact, "extend_by_complements")
     full = full_mask(n)
     pairs: list[tuple[int, ...]] = []

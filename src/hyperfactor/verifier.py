@@ -8,26 +8,30 @@ human-readable violations, empty when the factorization is genuine.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .combinatorics import binomial, elements_of, full_mask, masks_of_size
 from .errors import LimitExceeded
 from .factorization import Factorization
+from .fileformat import _set_text
 
 MAX_VERIFY_SETS = 5_000_000
 
 
-def _set_repr(mask: int) -> str:
-    return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
+def check_verify_size(n: int, levels: Iterable[int]) -> None:
+    """Refuse, with LimitExceeded, a family too large to verify."""
+    total_sets = sum(binomial(n, j) for j in levels)
+    if total_sets > MAX_VERIFY_SETS:
+        raise LimitExceeded(
+            f"verification would track {total_sets} sets (limit {MAX_VERIFY_SETS})"
+        )
 
 
 def verify_factorization(fact: Factorization) -> list[str]:
     """Check every defining property; return all violations found (max ~20)."""
     n = fact.n
     levels = set(fact.levels)
-    total_sets = sum(binomial(n, j) for j in fact.levels)
-    if total_sets > MAX_VERIFY_SETS:
-        raise LimitExceeded(
-            f"verification would track {total_sets} sets (limit {MAX_VERIFY_SETS})"
-        )
+    check_verify_size(n, fact.levels)
     problems: list[str] = []
     full = full_mask(n)
     seen: dict[int, int] = {}
@@ -48,14 +52,14 @@ def verify_factorization(fact: Factorization) -> list[str]:
             size = mask.bit_count()
             if size not in levels:
                 problems.append(
-                    f"factor {idx}: set {_set_repr(mask)} has size {size} outside levels"
+                    f"factor {idx}: set {_set_text(mask)} has size {size} outside levels"
                 )
             if union & mask:
                 overlap = True
             union |= mask
             if mask in seen:
                 problems.append(
-                    f"set {_set_repr(mask)} appears in factors {seen[mask]} and {idx}"
+                    f"set {_set_text(mask)} appears in factors {seen[mask]} and {idx}"
                 )
             else:
                 seen[mask] = idx
@@ -74,7 +78,7 @@ def verify_factorization(fact: Factorization) -> list[str]:
             if got < want:
                 for mask in masks_of_size(n, j):
                     if mask not in seen:
-                        msg += f" (e.g. {_set_repr(mask)} is missing)"
+                        msg += f" (e.g. {_set_text(mask)} is missing)"
                         break
             problems.append(msg)
     expected_factors = sum(binomial(n - 1, j - 1) for j in fact.levels)

@@ -83,6 +83,28 @@ def test_construct_work_limit(capsys):
     assert capsys.readouterr().err.startswith("limit exceeded:")
 
 
+def test_complement_only_construct_is_refused_up_front(capsys):
+    """For k >= n-2 no block reaches the flow engine; the verification limit
+    refuses the complement pairs before any pair is built."""
+    for n, k, sets in [(64, 64, 2**64 - 2), (30, 28, 2**30 - 32), (23, 22, 2**23 - 2)]:
+        start = time.perf_counter()
+        assert main(["construct", "--n", str(n), "--k", str(k)]) == 3
+        assert time.perf_counter() - start < 1.0, (n, k)
+        assert capsys.readouterr().err == (
+            f"limit exceeded: verification would track {sets} sets (limit 5000000)\n"
+        )
+
+
+def test_unknown_without_listing_types(capsys):
+    levels = ",".join(map(str, [*range(1, 31), 32]))
+    start = time.perf_counter()
+    assert main(["decide", "--n", "64", "--levels", levels]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == (
+        "UNKNOWN\nreason: 1696017 types exceed the search and LP limits (200, 5000)\n"
+    )
+
+
 def test_solve_lifted_block(capsys):
     assert main(["solve", "--n", "11", "--k", "3"]) == 0
     assert capsys.readouterr().out == "n=12 levels=1,3\n0,0,4: 52\n3,0,3: 4\n"

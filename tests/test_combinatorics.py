@@ -3,11 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import (
     LevelSet,
     binomial,
     check_ground,
+    count_types,
     elements_of,
     enumerate_types,
     factor_count,
@@ -173,6 +175,17 @@ def test_type_count_matches_partition_dp():
     for n in range(1, 26):
         for k in range(1, min(n, 8) + 1):
             assert len(enumerate_types(n, LevelSet.full(k))) == _partitions_dp(n, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.sets(st.integers(1, 30), min_size=1))
+def test_count_types_matches_enumeration(n, levels):
+    L = LevelSet.of(levels)
+    if L.k > n:
+        with pytest.raises(ValueError):
+            count_types(n, L)
+        return
+    assert count_types(n, L) == len(enumerate_types(n, L))
 
 
 def test_factor_count():

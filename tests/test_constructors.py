@@ -165,7 +165,6 @@ def test_odd_tail_frozen_values():
     assert tail.a == (2907, 969)
     assert tail.b == (1938,)
     assert tail.top_levels() == LevelSet.of([4, 5, 6, 7])
-    assert tail.sub_k() == 3
 
 
 def test_odd_tail_identities():
@@ -251,7 +250,9 @@ def test_full_range_families_raw_validity():
     for k in range(2, 8):
         for n in range(2 * k + 1, 31):
             L = LevelSet.full(k)
-            for name, y in _candidate_certificates(n, L):
+            found = _candidate_certificates(n, L)
+            if found is not None:
+                name, y = found
                 cert = FarkasCertificate(tuple(y))
                 assert verify_certificate(build_system(n, L), cert).ok, (n, k, name)
 

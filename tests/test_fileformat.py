@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import LevelSet
 from hyperfactor.decide import construct
 from hyperfactor.errors import FormatError
 from hyperfactor.factorization import Factorization
 from hyperfactor.fileformat import (
+    CERTIFICATE_MAGIC,
+    FACTORIZATION_MAGIC,
     load_text,
     parse_certificate,
     parse_factorization,
@@ -112,3 +115,85 @@ def test_factorization_accepts_empty_levels():
     fact = parse_factorization(text)
     assert fact == Factorization(5, (), ())
     assert write_factorization(fact) == text
+
+
+def _spelled(draw, value: int) -> str:
+    """value in decimal, now and then with a leading zero."""
+    sign = "-" if value < 0 else ""
+    return sign + ("0" if draw(st.integers(0, 5)) == 0 else "") + str(abs(value))
+
+
+def _header(draw, n: int, levels: list[int]) -> str:
+    return f"n={_spelled(draw, n)} levels={','.join(_spelled(draw, l) for l in levels)}"
+
+
+@st.composite
+def _factorization_texts(draw):
+    """Texts in the shape of the format, some spelled in non-canonical ways."""
+    n = draw(st.integers(0, 9))
+    ground = st.integers(1, max(n, 1))
+    levels = sorted(draw(st.sets(ground, max_size=3)))
+    lines = [FACTORIZATION_MAGIC, _header(draw, n, levels)]
+    for _ in range(draw(st.integers(0, 3))):
+        sets = draw(st.lists(st.sets(ground, min_size=1, max_size=3), min_size=1, max_size=3))
+        sets.sort(key=min)
+        pieces = ("{" + ",".join(_spelled(draw, e) for e in sorted(s)) + "}" for s in sets)
+        lines.append(" | ".join(pieces))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _certificate_texts(draw):
+    n = draw(st.integers(1, 9))
+    levels = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=3)))
+    values = []
+    for _ in levels:
+        p, q = draw(st.integers(-4, 4)), draw(st.integers(0, 4))
+        values.append(_spelled(draw, p) + ("" if q == 1 else f"/{_spelled(draw, q)}"))
+    return f"{CERTIFICATE_MAGIC}\n{_header(draw, n, levels)}\n{' '.join(values)}\n"
+
+
+#: the characters the edits insert or write
+EDIT_ALPHABET = "0123456789{},| =/-\n"
+
+
+@st.composite
+def _edited(draw, texts):
+    """A text from texts with up to three single-character edits."""
+    chars = list(draw(texts))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.sampled_from(range(len(chars) + 1)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            chars.insert(pos, draw(st.sampled_from(EDIT_ALPHABET)))
+        elif pos < len(chars):
+            if op == "delete":
+                del chars[pos]
+            else:
+                chars[pos] = draw(st.sampled_from(EDIT_ALPHABET))
+    return "".join(chars)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_edited(_factorization_texts()))
+def test_accepted_factorization_text_reserializes(text):
+    try:
+        fact = parse_factorization(text)
+    except ValueError:  # FormatError, or an element the bit masks refuse
+        return
+    assert write_factorization(fact) == text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_edited(_certificate_texts()))
+def test_accepted_certificate_text_reserializes(text):
+    try:
+        n, levels, cert = parse_certificate(text)
+    except ValueError:  # FormatError, or a level set LevelSet refuses
+        return
+    assert write_certificate(n, levels, cert) == text
+
+
+def test_certificate_rejects_a_zero_denominator():
+    with pytest.raises(FormatError, match="malformed rational"):
+        parse_certificate(CERT_TEXT.replace("1/2", "1/0"))

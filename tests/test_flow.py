@@ -2,8 +2,9 @@
 
 import pytest
 
-from hyperfactor.combinatorics import LevelSet, binomial
-from hyperfactor.constructors import construct_div
+from hyperfactor.combinatorics import LevelSet, binomial, factor_count
+from hyperfactor.constructors import Realization, construct_div
+from hyperfactor.decide import plan
 from hyperfactor.errors import InvariantViolation, LimitExceeded
 from hyperfactor.flow import (
     build_step_network,
@@ -128,3 +129,32 @@ def test_occurrence_census_mid_evolution():
                     assert occ[(mask, j)] == binomial(6 - state.ell, j - size)
                     seen += occ[(mask, j)]
         assert seen == sum(occ.values())
+
+
+@pytest.mark.parametrize(
+    "n, levels", [(12, LevelSet.full(3)), (11, LevelSet.full(3)), (12, LevelSet.of([2, 4]))]
+)
+def test_max_flow_matches_networkx(n, levels):
+    """The step networks behind construct(n, levels), solved again by networkx:
+    both reach the partition count and saturate every sink arc."""
+    import networkx as nx  # a test-only oracle; the other flow tests run without it
+
+    blocks = [b for b in plan(n, levels) if b.realization in (Realization.FLOW, Realization.LIFT)]
+    assert blocks
+    for block in blocks:
+        state = init_state(block.n, block.levels, block.solution)
+        for _ in range(block.n):
+            net = build_step_network(state)
+            graph = nx.DiGraph()
+            for i, arcs in enumerate(net.partition_arcs):
+                graph.add_edge("s", ("p", i), capacity=1)
+                for o in arcs:
+                    graph.add_edge(("p", i), ("o", o))  # no capacity: unbounded
+            for o, cap in enumerate(net.occ_caps):
+                graph.add_edge(("o", o), "t", capacity=cap)
+            nx_value, nx_flow = nx.maximum_flow(graph, "s", "t")
+            value, _flows, sink_flows = max_flow_integral(net)
+            assert value == nx_value == net.m == factor_count(block.n, block.levels)
+            assert sink_flows == net.occ_caps
+            assert [nx_flow[("o", o)]["t"] for o in range(len(net.occ_caps))] == net.occ_caps
+            state = evolve_step(state)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hyperfactor.combinatorics import LevelSet, binomial, iter_types
 from hyperfactor import linear_system
 from hyperfactor.errors import SearchLimitExceeded
+from hyperfactor.exactlp import FeasibilityResult
 from hyperfactor.linear_system import (
     CertificateCheck,
     FarkasCertificate,
@@ -164,24 +165,34 @@ def test_integer_search_finds_and_refutes():
     assert integer_search_small(build_system(10, LevelSet.full(4))) is None
 
 
-def test_integer_search_with_and_without_relaxation_prune():
+def _without_cone_prune(monkeypatch):
+    """Answer every cone test of the search with "contained", which turns
+    the exact rational prune off."""
+    contained = FeasibilityResult(True, None, None)
+    monkeypatch.setattr(linear_system, "feasible_nonnegative", lambda columns, rhs: contained)
+
+
+def test_integer_search_with_and_without_relaxation_prune(monkeypatch):
     for n, k in [(7, 3), (9, 3), (9, 4), (11, 3), (12, 3), (12, 4)]:
         system = build_system(n, LevelSet.full(k))
-        a = integer_search_small(system, relaxation_prune=True)
-        b = integer_search_small(system, relaxation_prune=False)
+        a = integer_search_small(system)
+        with monkeypatch.context() as m:
+            _without_cone_prune(m)
+            b = integer_search_small(system)
         assert (a is None) == (b is None), (n, k)
         if a is not None:
             assert not any(solution_residual(system.n, system.levels, a))
             assert not any(solution_residual(system.n, system.levels, b))
 
 
-def test_relaxation_prune_is_load_bearing():
+def test_relaxation_prune_is_load_bearing(monkeypatch):
     """Refuting (10, {1..4}) by budgets alone needs millions of nodes; the
     exact rational cone prune collapses it to a handful."""
     system = build_system(10, LevelSet.full(4))
-    assert integer_search_small(system, relaxation_prune=True) is None
+    assert integer_search_small(system) is None
+    _without_cone_prune(monkeypatch)
     with pytest.raises(SearchLimitExceeded):
-        integer_search_small(system, relaxation_prune=False, node_limit=200_000)
+        integer_search_small(system, node_limit=200_000)
 
 
 def test_integer_search_type_limit(monkeypatch):

@@ -1,8 +1,12 @@
 """Tests for the from-scratch factorization verifier."""
 
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import LevelSet
+from hyperfactor.decide import construct
 from hyperfactor.errors import LimitExceeded
 from hyperfactor.factorization import Factorization
 from hyperfactor.flow import run
@@ -77,3 +81,47 @@ def test_large_instances_raise_limit():
     huge = Factorization(64, (32,), ())
     with pytest.raises(LimitExceeded):
         verify_factorization(huge)
+
+
+#: valid factorizations the mutation tests start from, built on first use
+MUTATION_CASES = [
+    lambda: K4,
+    lambda: construct(6, 2),
+    lambda: construct(8, 4),
+    lambda: construct(7, 7),
+    lambda: construct(12, levels=LevelSet.of([2, 4])),
+]
+
+
+@cache
+def _valid(case: int) -> Factorization:
+    return MUTATION_CASES[case]()
+
+
+def _replace(fact: Factorization, changed: dict[int, tuple[int, ...]]) -> Factorization:
+    factors = tuple(changed.get(i, f) for i, f in enumerate(fact.factors))
+    return Factorization(fact.n, fact.levels, factors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_removing_a_set_is_reported(data):
+    fact = _valid(data.draw(st.integers(0, len(MUTATION_CASES) - 1)))
+    assert verify_factorization(fact) == []
+    i = data.draw(st.integers(0, len(fact.factors) - 1))
+    factor = fact.factors[i]
+    j = data.draw(st.integers(0, len(factor) - 1))
+    assert verify_factorization(_replace(fact, {i: factor[:j] + factor[j + 1:]}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_swapping_sets_between_factors_is_reported(data):
+    fact = _valid(data.draw(st.integers(0, len(MUTATION_CASES) - 1)))
+    i, j = data.draw(st.lists(st.integers(0, len(fact.factors) - 1), min_size=2, max_size=2,
+                              unique=True))
+    a = data.draw(st.integers(0, len(fact.factors[i]) - 1))
+    b = data.draw(st.integers(0, len(fact.factors[j]) - 1))
+    fi, fj = list(fact.factors[i]), list(fact.factors[j])
+    fi[a], fj[b] = fj[b], fi[a]
+    assert verify_factorization(_replace(fact, {i: tuple(fi), j: tuple(fj)}))
