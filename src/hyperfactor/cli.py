@@ -69,7 +69,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 def _trace_printer(record: StepRecord) -> None:
     print(
-        f"step {record.ell}: flow={record.flow_value} "
+        f"step {record.ell}: flow={record.flow_value} classes={record.class_nodes} "
         f"occurrences={record.occurrence_nodes} pairs-checked={record.pairs_checked}",
         file=sys.stderr,
     )

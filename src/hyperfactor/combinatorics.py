@@ -95,12 +95,10 @@ def mask_of(elements: Iterable[int]) -> int:
 
 def elements_of(mask: int) -> tuple[int, ...]:
     out = []
-    e = 1
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

@@ -61,6 +61,8 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise FormatError(f"line 2: ground size n={n} out of range 1..{MAX_GROUND_SIZE}")
     levels = tuple(int(v) for v in m.group(2).split(",")) if m.group(2) else ()
+    if levels and levels[0] < 1:
+        raise FormatError(f"line 2: levels must be positive, got {levels}")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise FormatError(f"line 2: levels must be strictly increasing, got {levels}")
     return n, levels
@@ -83,6 +85,8 @@ def parse_factorization(text: str) -> Factorization:
             elems = [int(v) for v in m.group(1).split(",")]
             if any(a >= b for a, b in zip(elems, elems[1:])):
                 raise FormatError(f"line {no}: elements not strictly ascending in {piece!r}")
+            if elems[0] < 1:
+                raise FormatError(f"line {no}: element {elems[0]} is not in 1..{n}")
             if elems[-1] > n:
                 raise FormatError(f"line {no}: element {elems[-1]} exceeds n={n}")
             masks.append(mask_of(elems))

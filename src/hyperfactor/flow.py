@@ -4,24 +4,30 @@ A zero-residual multiplicity vector fixes how many labeled partitions of the
 final ground set exist of each type.  The engine starts from partitions of the
 empty set (each part an empty bit-set labeled with its target size, the
 "potential") and inserts elements 1, .., n one at a time.  At step ell, a flow
-network decides which part of each partition receives element ell+1:
+network decides which part of each partition receives element ell+1.  As in
+Baranyai's proof, identical partitions are counted together: a class is a
+maximal group of partitions with the same parts, and its node carries their
+multiplicity.
 
-    source -> partition          capacity 1
-    partition -> occurrence(S,j) capacity "unbounded" (M+1 works)
+    source -> class              capacity = class size
+    class -> occurrence(S,j)     capacity = class size
     occurrence(S,j) -> sink      capacity C(n-ell-1, j-1-|S|)
 
 where occurrence (S, j) stands for "some part currently equal to S with
-potential j".  The balanced-occurrence invariant (every (S, j) with
-j - |S| <= n - ell occurs in exactly C(n-ell, j-|S|) partitions) guarantees a
-max flow of value M = number of partitions that saturates every sink arc, and
-routing each partition's unit of flow tells it which part to grow.  The same
-invariant is re-checked after every step, so a broken step cannot propagate.
+potential j".  A complete part (|S| = j) has sink capacity 0, so it gets no
+node.  The balanced-occurrence invariant (every (S, j) with j - |S| <= n - ell
+occurs in exactly C(n-ell, j-|S|) partitions) guarantees a max flow of value
+M = number of partitions that saturates every sink arc.  The units a class
+sends to an occurrence are dealt out to its members in index order, and each
+member grows the part its unit names.  The same invariant is re-checked after
+every step, so a broken step cannot propagate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, factor_count
@@ -29,8 +35,9 @@ from .errors import InvariantViolation, LimitExceeded
 from .factorization import Factorization
 from .linear_system import SolutionVector, solution_residual
 
-#: Refuse evolutions beyond this ground size unless explicitly raised; the
-#: per-step invariant audit walks all subsets of {1..ell}.
+#: Refuse evolutions beyond this ground size unless explicitly raised; each
+#: of the n steps routes all M = sum of C(n-1, j-1) partitions, and M grows
+#: quickly with n (construct(17, 6) routes 6,885 in each of 18 steps).
 DEFAULT_MAX_GROUND = 18
 
 
@@ -54,6 +61,7 @@ class EvolutionState:
 class StepRecord:
     ell: int
     flow_value: int
+    class_nodes: int
     occurrence_nodes: int
     pairs_checked: int
 
@@ -70,29 +78,37 @@ class _MaxFlow:
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
         e = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
+        self.to += (v, u)
+        self.cap += (cap, 0)
         self.adj[u].append(e)
-        self.to.append(u)
-        self.cap.append(0)
         self.adj[v].append(e + 1)
         return e
 
     def max_flow(self, s: int, t: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
+        n = len(adj)
         total = 0
-        n = len(self.adj)
         while True:
             level = [-1] * n
             level[s] = 0
             queue = [s]
             for u in queue:
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
+                if level[t] >= 0:
+                    break
+                next_level = level[u] + 1
+                for e in adj[u]:
+                    if cap[e] > 0:
+                        v = to[e]
+                        if level[v] < 0:
+                            level[v] = next_level
+                            queue.append(v)
+            depth = level[t]
+            if depth < 0:
                 return total
+            # nodes as deep as the sink cannot reach it
+            for v in queue:
+                if level[v] == depth and v != t:
+                    level[v] = -1
             # blocking flow by iterative path walk; augmenting paths can
             # zig-zag through residual arcs, so recursion depth would grow
             # with the network size
@@ -101,32 +117,40 @@ class _MaxFlow:
             u = s
             while True:
                 if u == t:
-                    aug = min(self.cap[e] for e in path)
+                    aug = cap[path[0]]
                     for e in path:
-                        self.cap[e] -= aug
-                        self.cap[e ^ 1] += aug
+                        if cap[e] < aug:
+                            aug = cap[e]
+                    for e in path:
+                        cap[e] -= aug
+                        cap[e ^ 1] += aug
                     total += aug
-                    cut = next(i for i, e in enumerate(path) if self.cap[e] == 0)
+                    cut = 0
+                    while cap[path[cut]]:
+                        cut += 1
                     del path[cut:]
-                    u = self.to[path[-1]] if path else s
+                    u = to[path[-1]] if path else s
                     continue
-                advanced = False
-                while it[u] < len(self.adj[u]):
-                    e = self.adj[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        path.append(e)
-                        u = v
-                        advanced = True
+                arcs = adj[u]
+                n_arcs = len(arcs)
+                i = it[u]
+                next_level = level[u] + 1
+                while i < n_arcs:
+                    e = arcs[i]
+                    if cap[e] > 0 and level[to[e]] == next_level:
                         break
-                    it[u] += 1
-                if advanced:
+                    i += 1
+                it[u] = i
+                if i < n_arcs:
+                    e = arcs[i]
+                    path.append(e)
+                    u = to[e]
                     continue
                 if u == s:
                     break
                 level[u] = -1
                 back = path.pop()
-                u = self.to[back ^ 1]
+                u = to[back ^ 1]
                 it[u] += 1
 
     def flow_on(self, e: int) -> int:
@@ -138,38 +162,43 @@ class StepNetwork:
     """The step-ell network in explicit form (mainly for tests and tracing)."""
 
     m: int  # number of partitions
-    occ_keys: list[tuple[int, int]]  # canonical (mask, potential) order
+    occ_keys: list[tuple[int, int]]  # canonical (mask, potential) order, open parts only
     occ_caps: list[int]
-    #: per partition, the sorted occurrence indices it points to
-    partition_arcs: list[list[int]]
+    #: per class, the indices of its partitions in ascending order; classes
+    #: appear in the order their first partition does
+    class_members: list[list[int]]
+    #: per class, the sorted occurrence indices it points to
+    class_arcs: list[list[int]]
 
 
 def build_step_network(state: EvolutionState) -> StepNetwork:
     n, ell = state.n, state.ell
-    occ_keys: list[tuple[int, int]] = sorted(
-        {part for p in state.partitions for part in p.parts}
-    )
+    classes: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for i, p in enumerate(state.partitions):
+        classes.setdefault(tuple(p.parts), []).append(i)
+    # complete parts (|S| = j) have sink capacity 0 and get no node
+    open_parts = [{(mask, j) for mask, j in parts if j > mask.bit_count()} for parts in classes]
+    occ_keys: list[tuple[int, int]] = sorted(set().union(*open_parts))
     occ_index = {key: i for i, key in enumerate(occ_keys)}
     occ_caps = [binomial(n - ell - 1, j - 1 - mask.bit_count()) for mask, j in occ_keys]
-    partition_arcs = [
-        sorted({occ_index[part] for part in p.parts}) for p in state.partitions
-    ]
-    return StepNetwork(len(state.partitions), occ_keys, occ_caps, partition_arcs)
+    class_arcs = [sorted(occ_index[part] for part in parts) for parts in open_parts]
+    return StepNetwork(len(state.partitions), occ_keys, occ_caps, list(classes.values()), class_arcs)
 
 
 def max_flow_integral(net: StepNetwork) -> tuple[int, list[list[int]], list[int]]:
-    """Run max flow; returns (value, per-partition arc flows, per-occurrence sink flow)."""
-    m, n_occ = net.m, len(net.occ_keys)
+    """Run max flow; returns (value, per-class arc flows, per-occurrence sink flow)."""
+    sizes = [len(members) for members in net.class_members]
+    n_classes, n_occ = len(sizes), len(net.occ_keys)
     source = 0
-    sink = 1 + m + n_occ
+    sink = 1 + n_classes + n_occ
     g = _MaxFlow(sink + 1)
-    for i in range(m):
-        g.add_edge(source, 1 + i, 1)
-    arc_edges: list[list[int]] = []
-    unbounded = m + 1
-    for i, arcs in enumerate(net.partition_arcs):
-        arc_edges.append([g.add_edge(1 + i, 1 + m + o, unbounded) for o in arcs])
-    sink_edges = [g.add_edge(1 + m + o, sink, net.occ_caps[o]) for o in range(n_occ)]
+    for c, size in enumerate(sizes):
+        g.add_edge(source, 1 + c, size)
+    arc_edges = [
+        [g.add_edge(1 + c, 1 + n_classes + o, sizes[c]) for o in arcs]
+        for c, arcs in enumerate(net.class_arcs)
+    ]
+    sink_edges = [g.add_edge(1 + n_classes + o, sink, net.occ_caps[o]) for o in range(n_occ)]
     value = g.max_flow(source, sink)
     flows = [[g.flow_on(e) for e in row] for row in arc_edges]
     sink_flows = [g.flow_on(e) for e in sink_edges]
@@ -201,25 +230,43 @@ def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionS
 
 
 def _check_occurrence_counts(state: EvolutionState) -> int:
-    """Audit the balanced-occurrence invariant; returns the pair count checked."""
-    n, ell = state.n, state.ell
+    """Audit the balanced-occurrence invariant; returns the pair count checked.
+
+    Every (mask, j) with mask a subset of {1..ell}, j in levels and
+    0 <= j - |mask| <= n - ell must occur exactly C(n-ell, j-|mask|) times,
+    and no other pair may occur.  If every occurring pair is such a pair
+    with the right count and there are as many of them as such pairs exist,
+    the census is right; only a wrong census is compared pair by pair.
+    """
+    n, ell, levels = state.n, state.ell, state.levels
     remaining = n - ell
-    occ = Counter(part for p in state.partitions for part in p.parts)
+    occ = Counter(chain.from_iterable(p.parts for p in state.partitions))
+    required_pairs = sum(
+        binomial(ell, size)
+        for j in levels
+        for size in range(max(0, j - remaining), min(j, ell) + 1)
+    )
+    # binomial() is 0 unless 0 <= j - |mask| <= n - ell, so the count test
+    # also rejects a potential too small or too large for its set
+    if len(occ) == required_pairs and all(
+        mask >> ell == 0 and j in levels and have == binomial(remaining, j - mask.bit_count())
+        for (mask, j), have in occ.items()
+    ):
+        return required_pairs
     required: dict[tuple[int, int], int] = {}
     for mask in range(1 << ell):
         size = mask.bit_count()
-        for j in state.levels:
+        for j in levels:
             if j >= size and j - size <= remaining:
                 required[(mask, j)] = binomial(remaining, j - size)
-    if occ != required:
-        for key in sorted(set(occ) | set(required)):
-            have, want = occ.get(key, 0), required.get(key, 0)
-            if have != want:
-                mask, j = key
-                raise InvariantViolation(
-                    f"step {ell}: occurrence ({mask:#x}, potential {j}) "
-                    f"appears {have} times, expected {want}"
-                )
+    for key in sorted(set(occ) | set(required)):
+        have, want = occ.get(key, 0), required.get(key, 0)
+        if have != want:
+            mask, j = key
+            raise InvariantViolation(
+                f"step {ell}: occurrence ({mask:#x}, potential {j}) "
+                f"appears {have} times, expected {want}"
+            )
     return len(required)
 
 
@@ -239,23 +286,32 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
                 f"step {ell}: sink arc of occurrence {net.occ_keys[o]} not saturated"
             )
     new_bit = 1 << ell
-    new_partitions: list[LabeledPartition] = []
-    for i, p in enumerate(state.partitions):
-        unit = [net.occ_keys[net.partition_arcs[i][a]] for a, f in enumerate(flows[i]) if f]
-        if len(unit) != 1:
-            raise InvariantViolation(f"step {ell}: partition {i} pushed {len(unit)} units")
-        mask, j = unit[0]
-        if j <= mask.bit_count():
+    new_partitions: list[LabeledPartition | None] = [None] * m
+    for c, members in enumerate(net.class_members):
+        units = sum(flows[c])
+        if units != len(members):
             raise InvariantViolation(
-                f"step {ell}: partition {i} would grow a full part {(mask, j)}"
+                f"step {ell}: class of partition {members[0]} pushed {units} units "
+                f"for {len(members)} partitions"
             )
-        where = p.parts.index((mask, j))
-        parts = list(p.parts)
-        parts[where] = (mask | new_bit, j)
-        new_partitions.append(LabeledPartition(parts))
+        parts = state.partitions[members[0]].parts
+        dealt = 0
+        for o, f in zip(net.class_arcs[c], flows[c]):
+            if not f:
+                continue
+            mask, j = net.occ_keys[o]
+            if j <= mask.bit_count():
+                raise InvariantViolation(
+                    f"step {ell}: partition {members[dealt]} would grow a full part {(mask, j)}"
+                )
+            grown = list(parts)
+            grown[parts.index((mask, j))] = (mask | new_bit, j)
+            for i in members[dealt:dealt + f]:
+                new_partitions[i] = LabeledPartition(list(grown))
+            dealt += f
     new_state = EvolutionState(n, state.levels, ell + 1, new_partitions)
     pairs = _check_occurrence_counts(new_state)
-    new_state.last_step = StepRecord(ell, value, len(net.occ_keys), pairs)
+    new_state.last_step = StepRecord(ell, value, len(net.class_members), len(net.occ_keys), pairs)
     return new_state
 
 

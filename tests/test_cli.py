@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import math
 import time
 
 import pytest
@@ -71,6 +72,15 @@ def test_construct_trace(capsys):
     steps = [line for line in err if line.startswith("step ")]
     assert len(steps) == 6
     assert steps[0].startswith("step 0: flow=6 ")
+    for ell, line in enumerate(steps):
+        fields = dict(item.split("=") for item in line.split(": ", 1)[1].split())
+        # identical partitions share a class node
+        assert 1 <= int(fields["classes"]) <= int(fields["flow"]) == 6
+        # one node per open (S, j): S in {1..ell}, |S| < j, j - |S| <= 6 - ell
+        open_pairs = sum(
+            math.comb(ell, size) for j in (1, 2) for size in range(j) if j - size <= 6 - ell
+        )
+        assert int(fields["occurrences"]) == open_pairs
 
 
 def test_construct_not_factorable(capsys):
@@ -249,6 +259,22 @@ def test_verify_format_error_exit_code(capsys, tmp_path):
 
     missing = str(tmp_path / "does_not_exist.txt")
     assert main(["verify", "--file", missing]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("HYPERFACTOR v1\nn=5 levels=0\n", "format error: line 2: levels must be positive"),
+        ("FARKAS v1\nn=5 levels=0,2\n1 1\n", "format error: line 2: levels must be positive"),
+        ("HYPERFACTOR v1\nn=4 levels=1,3\n{0} | {1,2,3}\n",
+         "format error: line 3: element 0 is not in 1..4"),
+    ],
+)
+def test_verify_rejects_zero_as_a_format_error(capsys, tmp_path, text, message):
+    path = str(tmp_path / "zero.txt")
+    save_text(text, path)
+    assert main(["verify", "--file", path]) == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_usage_errors_exit_two(capsys):

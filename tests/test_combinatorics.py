@@ -95,6 +95,12 @@ def test_mask_round_trip():
         mask_of([65])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(1, 64)))
+def test_elements_of_inverts_mask_of(elements):
+    assert elements_of(mask_of(elements)) == tuple(sorted(elements))
+
+
 def test_masks_of_size():
     assert masks_of_size(4, 2) == [3, 5, 6, 9, 10, 12]
     for n in range(1, 9):

@@ -5,8 +5,11 @@ import pytest
 from hyperfactor.combinatorics import LevelSet, binomial, factor_count
 from hyperfactor.constructors import Realization, construct_div
 from hyperfactor.decide import plan
-from hyperfactor.errors import InvariantViolation, LimitExceeded
+from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
 from hyperfactor.flow import (
+    EvolutionState,
+    LabeledPartition,
+    _check_occurrence_counts,
     build_step_network,
     evolve_step,
     init_state,
@@ -35,13 +38,35 @@ def test_step_network_shape():
     state = init_state(4, LevelSet.of([2]), {(0, 2): 3})
     net = build_step_network(state)
     assert net.m == 3
+    # the three perfect matchings start out identical: one class of 3
+    assert net.class_members == [[0, 1, 2]]
     assert net.occ_keys == [(0, 2)]
     assert net.occ_caps == [3]  # C(3, 1) empty parts may receive element 1
-    assert net.partition_arcs == [[0], [0], [0]]
+    assert net.class_arcs == [[0]]
     value, flows, sink_flows = max_flow_integral(net)
     assert value == 3
-    assert flows == [[1], [1], [1]]
+    assert flows == [[3]]
     assert sink_flows == [3]
+
+
+def test_step_network_leaves_out_complete_parts():
+    state = init_state(4, LevelSet.of([1, 3]), {(1, 0, 1): 4})
+    for _ in range(3):
+        state = evolve_step(state)
+    net = build_step_network(state)
+    complete = {part for p in state.partitions for part in p.parts if part[0].bit_count() == part[1]}
+    assert complete
+    assert not complete & set(net.occ_keys)
+    assert all(j > mask.bit_count() for mask, j in net.occ_keys)
+
+
+def test_class_nodes_of_a_full_range_evolution():
+    """(12, {1..3}) has 67 partitions per step, 804 partition nodes in all;
+    counting identical partitions together leaves 436 class nodes."""
+    records = []
+    run(12, LevelSet.full(3), {(3, 0, 3): 4, (0, 3, 2): 22, (0, 0, 4): 41}, trace=records.append)
+    assert sum(r.flow_value for r in records) == 804
+    assert sum(r.class_nodes for r in records) == 436
 
 
 def test_run_k4_unique_factorization():
@@ -113,30 +138,98 @@ def test_run_ground_size_limit():
     assert len(fact.factors) == 1 and len(fact.factors[0]) == 5
 
 
-def test_occurrence_census_mid_evolution():
-    """Independent recount of the balanced-occurrence invariant each step."""
+def _first_census_error(state):
+    """The message of the first wrong (mask, potential) pair in sorted order, or None."""
     from collections import Counter
 
+    remaining = state.n - state.ell
+    occ = Counter(part for p in state.partitions for part in p.parts)
+    want = {
+        (mask, j): binomial(remaining, j - mask.bit_count())
+        for mask in range(1 << state.ell)
+        for j in state.levels
+        if 0 <= j - mask.bit_count() <= remaining
+    }
+    for mask, j in sorted(set(occ) | set(want)):
+        if occ[(mask, j)] != want.get((mask, j), 0):
+            return (
+                f"step {state.ell}: occurrence ({mask:#x}, potential {j}) "
+                f"appears {occ[(mask, j)]} times, expected {want.get((mask, j), 0)}"
+            )
+    return None
+
+
+def test_occurrence_census_mid_evolution():
+    """Independent recount of the balanced-occurrence invariant each step."""
     state = init_state(6, LevelSet.full(2), construct_div(6, 2))
     for _ in range(6):
         state = evolve_step(state)
-        occ = Counter(part for p in state.partitions for part in p.parts)
-        seen = 0
-        for mask in range(1 << state.ell):
-            size = mask.bit_count()
-            for j in state.levels:
-                if j >= size and j - size <= 6 - state.ell:
-                    assert occ[(mask, j)] == binomial(6 - state.ell, j - size)
-                    seen += occ[(mask, j)]
-        assert seen == sum(occ.values())
+        assert _first_census_error(state) is None
+        assert state.last_step.pairs_checked == sum(
+            1
+            for mask in range(1 << state.ell)
+            for j in state.levels
+            if 0 <= j - mask.bit_count() <= 6 - state.ell
+        )
+
+
+def test_census_names_the_first_wrong_pair():
+    state = init_state(6, LevelSet.full(2), construct_div(6, 2))
+    for _ in range(3):
+        state = evolve_step(state)
+    # {1, 3} with potential 2 lies in exactly C(3, 0) = 1 partition
+    victim = next(p for p in state.partitions if (0b101, 2) in p.parts)
+    victim.parts.remove((0b101, 2))
+    with pytest.raises(InvariantViolation) as exc:
+        _check_occurrence_counts(state)
+    assert str(exc.value) == "step 3: occurrence (0x5, potential 2) appears 0 times, expected 1"
+
+
+def test_census_errors_match_a_full_recount():
+    """Remove, retarget, replace or add one part anywhere mid-evolution: the
+    audit names the same first pair as a recount over all masks does."""
+    base = init_state(6, LevelSet.of([2, 3]), {(0, 3, 0): 5, (0, 0, 2): 10})
+    for _ in range(3):
+        base = evolve_step(base)
+
+    def tampered():
+        for i, p in enumerate(base.partitions):
+            for a, (mask, j) in enumerate(p.parts):
+                # the two replacements keep the number of distinct pairs when
+                # they take the place of a pair that occurs once, and occur
+                # as often as a valid pair of their size would: only the
+                # element 6 beyond ell, or the potential 4 outside the
+                # levels, gives them away
+                for parts in (
+                    p.parts[:a] + p.parts[a + 1:],
+                    p.parts[:a] + [(mask, 5 - j)] + p.parts[a + 1:],
+                    p.parts[:a] + [(mask | 1 << 5, mask.bit_count() + 1)] + p.parts[a + 1:],
+                    p.parts[:a] + [(0b1, 4)] + p.parts[a + 1:],
+                    p.parts + [(mask | 1 << 5, j)],
+                ):
+                    partitions = list(base.partitions)
+                    partitions[i] = LabeledPartition(parts)
+                    yield EvolutionState(base.n, base.levels, base.ell, partitions)
+
+    checked = 0
+    for state in tampered():
+        expected = _first_census_error(state)
+        if expected is None:
+            _check_occurrence_counts(state)
+            continue
+        with pytest.raises(InvariantViolation) as exc:
+            _check_occurrence_counts(state)
+        assert str(exc.value) == expected
+        checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize(
     "n, levels", [(12, LevelSet.full(3)), (11, LevelSet.full(3)), (12, LevelSet.of([2, 4]))]
 )
 def test_max_flow_matches_networkx(n, levels):
-    """The step networks behind construct(n, levels), solved again by networkx:
-    both reach the partition count and saturate every sink arc."""
+    """The class networks behind construct(n, levels), solved again by
+    networkx: both reach the partition count and saturate every sink arc."""
     import networkx as nx  # a test-only oracle; the other flow tests run without it
 
     blocks = [b for b in plan(n, levels) if b.realization in (Realization.FLOW, Realization.LIFT)]
@@ -146,15 +239,37 @@ def test_max_flow_matches_networkx(n, levels):
         for _ in range(block.n):
             net = build_step_network(state)
             graph = nx.DiGraph()
-            for i, arcs in enumerate(net.partition_arcs):
-                graph.add_edge("s", ("p", i), capacity=1)
+            for c, (members, arcs) in enumerate(zip(net.class_members, net.class_arcs)):
+                graph.add_edge("s", ("c", c), capacity=len(members))
                 for o in arcs:
-                    graph.add_edge(("p", i), ("o", o))  # no capacity: unbounded
+                    graph.add_edge(("c", c), ("o", o), capacity=len(members))
             for o, cap in enumerate(net.occ_caps):
                 graph.add_edge(("o", o), "t", capacity=cap)
             nx_value, nx_flow = nx.maximum_flow(graph, "s", "t")
-            value, _flows, sink_flows = max_flow_integral(net)
+            value, flows, sink_flows = max_flow_integral(net)
             assert value == nx_value == net.m == factor_count(block.n, block.levels)
             assert sink_flows == net.occ_caps
             assert [nx_flow[("o", o)]["t"] for o in range(len(net.occ_caps))] == net.occ_caps
+            assert [sum(row) for row in flows] == [len(members) for members in net.class_members]
             state = evolve_step(state)
+
+
+def _flow_blocks_of_full_ranges(max_n):
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            try:
+                blocks = plan(n, LevelSet.full(k))
+            except NotFactorableError:
+                continue
+            for block in blocks:
+                if block.realization in (Realization.FLOW, Realization.LIFT):
+                    yield block
+
+
+def test_every_flow_block_up_to_13_verifies():
+    blocks = list(_flow_blocks_of_full_ranges(13))
+    assert len(blocks) > 20
+    for block in blocks:
+        fact = run(block.n, block.levels, block.solution)
+        assert len(fact.factors) == factor_count(block.n, block.levels)
+        assert verify_factorization(fact) == []
