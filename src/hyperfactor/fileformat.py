@@ -65,6 +65,8 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
         raise FormatError(f"line 2: levels must be positive, got {levels}")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise FormatError(f"line 2: levels must be strictly increasing, got {levels}")
+    if levels and levels[-1] > n:
+        raise FormatError(f"line 2: level {levels[-1]} exceeds n={n}")
     return n, levels
 
 

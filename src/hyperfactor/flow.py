@@ -3,31 +3,32 @@
 A zero-residual multiplicity vector fixes how many labeled partitions of the
 final ground set exist of each type.  The engine starts from partitions of the
 empty set (each part an empty bit-set labeled with its target size, the
-"potential") and inserts elements 1, .., n one at a time.  At step ell, a flow
-network decides which part of each partition receives element ell+1.  As in
-Baranyai's proof, identical partitions are counted together: a class is a
-maximal group of partitions with the same parts, and its node carries their
-multiplicity.
+"potential") and inserts elements 1, .., n one at a time.  As in Baranyai's
+proof, identical partitions are counted together: the state is an ordered
+list of classes (parts, multiplicity), and only the final factorization lists
+each partition.  At step ell, a flow network decides which part receives
+element ell+1:
 
-    source -> class              capacity = class size
-    class -> occurrence(S,j)     capacity = class size
+    source -> class              capacity = multiplicity
+    class -> occurrence(S,j)     capacity = multiplicity
     occurrence(S,j) -> sink      capacity C(n-ell-1, j-1-|S|)
 
 where occurrence (S, j) stands for "some part currently equal to S with
 potential j".  A complete part (|S| = j) has sink capacity 0, so it gets no
 node.  The balanced-occurrence invariant (every (S, j) with j - |S| <= n - ell
 occurs in exactly C(n-ell, j-|S|) partitions) guarantees a max flow of value
-M = number of partitions that saturates every sink arc.  The units a class
-sends to an occurrence are dealt out to its members in index order, and each
-member grows the part its unit names.  The same invariant is re-checked after
-every step, so a broken step cannot propagate.
+M = number of partitions that saturates every sink arc.  A flow of f units
+from a class to an occurrence becomes a class of multiplicity f whose part
+(S, j) grows by ell+1; the new classes follow the old ones' order, then arc
+order.  Two classes never grow into the same parts (dropping the new element
+gives back the parent), so the classes stay distinct.  The same invariant is
+re-checked after every step, so a broken step cannot propagate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, factor_count
@@ -41,11 +42,8 @@ from .linear_system import SolutionVector, solution_residual
 DEFAULT_MAX_GROUND = 18
 
 
-@dataclass
-class LabeledPartition:
-    """Parts as (bit-set, potential) pairs; potentials never change."""
-
-    parts: list[tuple[int, int]]
+#: the parts of a partition as (bit-set, potential) pairs; potentials never change
+Parts = tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -53,7 +51,9 @@ class EvolutionState:
     n: int
     levels: LevelSet
     ell: int
-    partitions: list[LabeledPartition]
+    #: classes of identical partitions as (parts, multiplicity); listing each
+    #: class's parts multiplicity times, in order, lists the partitions
+    classes: list[tuple[Parts, int]]
     last_step: "StepRecord | None" = field(default=None)
 
 
@@ -164,30 +164,29 @@ class StepNetwork:
     m: int  # number of partitions
     occ_keys: list[tuple[int, int]]  # canonical (mask, potential) order, open parts only
     occ_caps: list[int]
-    #: per class, the indices of its partitions in ascending order; classes
-    #: appear in the order their first partition does
-    class_members: list[list[int]]
+    #: per class of the state, its multiplicity
+    class_sizes: list[int]
     #: per class, the sorted occurrence indices it points to
     class_arcs: list[list[int]]
 
 
 def build_step_network(state: EvolutionState) -> StepNetwork:
     n, ell = state.n, state.ell
-    classes: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    for i, p in enumerate(state.partitions):
-        classes.setdefault(tuple(p.parts), []).append(i)
     # complete parts (|S| = j) have sink capacity 0 and get no node
-    open_parts = [{(mask, j) for mask, j in parts if j > mask.bit_count()} for parts in classes]
+    open_parts = [
+        {(mask, j) for mask, j in parts if j > mask.bit_count()} for parts, _ in state.classes
+    ]
     occ_keys: list[tuple[int, int]] = sorted(set().union(*open_parts))
     occ_index = {key: i for i, key in enumerate(occ_keys)}
     occ_caps = [binomial(n - ell - 1, j - 1 - mask.bit_count()) for mask, j in occ_keys]
     class_arcs = [sorted(occ_index[part] for part in parts) for parts in open_parts]
-    return StepNetwork(len(state.partitions), occ_keys, occ_caps, list(classes.values()), class_arcs)
+    sizes = [mult for _, mult in state.classes]
+    return StepNetwork(sum(sizes), occ_keys, occ_caps, sizes, class_arcs)
 
 
 def max_flow_integral(net: StepNetwork) -> tuple[int, list[list[int]], list[int]]:
     """Run max flow; returns (value, per-class arc flows, per-occurrence sink flow)."""
-    sizes = [len(members) for members in net.class_members]
+    sizes = net.class_sizes
     n_classes, n_occ = len(sizes), len(net.occ_keys)
     source = 0
     sink = 1 + n_classes + n_occ
@@ -210,21 +209,21 @@ def max_flow_integral(net: StepNetwork) -> tuple[int, list[list[int]], list[int]
 
 
 def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionState:
-    """Spread multiplicities into labeled partitions of the empty ground set."""
+    """One class of partitions of the empty ground set per type in use."""
     levels.check_against_ground(n)
     res = solution_residual(n, levels, solution)
     if any(res):
         raise ValueError(f"solution does not balance the level counts, residual {res}")
-    partitions: list[LabeledPartition] = []
-    for lam in sorted(solution, key=lambda l: tuple(reversed(l)), reverse=True):
-        mult = solution[lam]
-        parts = [(0, j) for j in levels for _ in range(lam[j - 1])]
-        for _ in range(mult):
-            partitions.append(LabeledPartition(list(parts)))
+    classes = [
+        (tuple((0, j) for j in levels for _ in range(lam[j - 1])), solution[lam])
+        for lam in sorted(solution, key=lambda l: tuple(reversed(l)), reverse=True)
+        if solution[lam] > 0
+    ]
+    m = sum(mult for _, mult in classes)
     expected = factor_count(n, levels)
-    if len(partitions) != expected:
-        raise InvariantViolation(f"{len(partitions)} partitions != M = {expected}")
-    state = EvolutionState(n, levels, 0, partitions)
+    if m != expected:
+        raise InvariantViolation(f"{m} partitions != M = {expected}")
+    state = EvolutionState(n, levels, 0, classes)
     _check_occurrence_counts(state)
     return state
 
@@ -240,7 +239,10 @@ def _check_occurrence_counts(state: EvolutionState) -> int:
     """
     n, ell, levels = state.n, state.ell, state.levels
     remaining = n - ell
-    occ = Counter(chain.from_iterable(p.parts for p in state.partitions))
+    occ: Counter[tuple[int, int]] = Counter()
+    for parts, mult in state.classes:
+        for part in parts:
+            occ[part] += mult
     required_pairs = sum(
         binomial(ell, size)
         for j in levels
@@ -275,43 +277,36 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
     n, ell = state.n, state.ell
     if ell >= n:
         raise ValueError(f"state is already complete (ell = n = {n})")
-    m = len(state.partitions)
     net = build_step_network(state)
     value, flows, sink_flows = max_flow_integral(net)
-    if value != m:
-        raise InvariantViolation(f"step {ell}: max flow {value} < partition count {m}")
+    if value != net.m:
+        raise InvariantViolation(f"step {ell}: max flow {value} < partition count {net.m}")
     for o, flow in enumerate(sink_flows):
         if flow != net.occ_caps[o]:
             raise InvariantViolation(
                 f"step {ell}: sink arc of occurrence {net.occ_keys[o]} not saturated"
             )
     new_bit = 1 << ell
-    new_partitions: list[LabeledPartition | None] = [None] * m
-    for c, members in enumerate(net.class_members):
+    classes: list[tuple[Parts, int]] = []
+    for c, (parts, mult) in enumerate(state.classes):
         units = sum(flows[c])
-        if units != len(members):
+        if units != mult:
             raise InvariantViolation(
-                f"step {ell}: class of partition {members[0]} pushed {units} units "
-                f"for {len(members)} partitions"
+                f"step {ell}: class {c} pushed {units} units for {mult} partitions"
             )
-        parts = state.partitions[members[0]].parts
-        dealt = 0
         for o, f in zip(net.class_arcs[c], flows[c]):
             if not f:
                 continue
             mask, j = net.occ_keys[o]
             if j <= mask.bit_count():
                 raise InvariantViolation(
-                    f"step {ell}: partition {members[dealt]} would grow a full part {(mask, j)}"
+                    f"step {ell}: class {c} would grow a full part {(mask, j)}"
                 )
-            grown = list(parts)
-            grown[parts.index((mask, j))] = (mask | new_bit, j)
-            for i in members[dealt:dealt + f]:
-                new_partitions[i] = LabeledPartition(list(grown))
-            dealt += f
-    new_state = EvolutionState(n, state.levels, ell + 1, new_partitions)
+            i = parts.index((mask, j))
+            classes.append((parts[:i] + ((mask | new_bit, j),) + parts[i + 1:], f))
+    new_state = EvolutionState(n, state.levels, ell + 1, classes)
     pairs = _check_occurrence_counts(new_state)
-    new_state.last_step = StepRecord(ell, value, len(net.class_members), len(net.occ_keys), pairs)
+    new_state.last_step = StepRecord(ell, value, len(state.classes), len(net.occ_keys), pairs)
     return new_state
 
 
@@ -340,8 +335,8 @@ def run(
         if trace is not None and state.last_step is not None:
             trace(state.last_step)
     factors = []
-    for p in state.partitions:
-        if any(mask.bit_count() != j for mask, j in p.parts):
-            raise InvariantViolation(f"evolution ended with a part short of its size: {p.parts}")
-        factors.append([mask for mask, _ in p.parts])
+    for parts, mult in state.classes:
+        if any(mask.bit_count() != j for mask, j in parts):
+            raise InvariantViolation(f"evolution ended with a part short of its size: {parts}")
+        factors += [[mask for mask, _ in parts]] * mult
     return Factorization.build(n, levels, factors)

@@ -277,6 +277,20 @@ def test_verify_rejects_zero_as_a_format_error(capsys, tmp_path, text, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("HYPERFACTOR v1\nn=3 levels=1,9\n{1} | {2} | {3}\n", "line 2: level 9 exceeds n=3"),
+        ("FARKAS v1\nn=5 levels=1,9\n1 1 1 1 1 1 1 1 1\n", "line 2: level 9 exceeds n=5"),
+    ],
+)
+def test_verify_rejects_a_level_above_n(capsys, tmp_path, text, message):
+    path = str(tmp_path / "level.txt")
+    save_text(text, path)
+    assert main(["verify", "--file", path]) == 2
+    assert capsys.readouterr().err == f"format error: {message}\n"
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--n", "7"])  # neither --k nor --levels

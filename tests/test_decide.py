@@ -3,6 +3,7 @@
 import importlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import LevelSet, binomial
 from hyperfactor.constructors import Block, Realization, construct_general_L_div
@@ -10,7 +11,13 @@ from hyperfactor.decide import Status, _realize, construct, decide, decide_gener
 from hyperfactor.flow import DEFAULT_MAX_GROUND
 from hyperfactor import linear_system
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
-from hyperfactor.linear_system import build_system, solution_residual, verify_certificate
+from hyperfactor.linear_system import (
+    build_system,
+    check_certificate,
+    integer_search_small,
+    solution_residual,
+    verify_certificate,
+)
 from hyperfactor.verifier import verify_factorization
 
 # the package rebinds `hyperfactor.decide` to the function of that name
@@ -262,11 +269,34 @@ def test_construct_sweep_small():
 
 def test_decide_matches_exhaustive_search_small():
     """Arithmetic verdicts agree with brute-force integer search, n <= 11."""
-    from hyperfactor.linear_system import integer_search_small
-
     for n in range(2, 12):
         for k in range(2, n + 1):
             v = decide(n, k)
             system = build_system(n, LevelSet.full(k))
             witness = integer_search_small(system, node_limit=2_000_000)
             assert (witness is not None) == (v.status is Status.FACTORABLE), (n, k)
+
+
+@st.composite
+def _non_range_instances(draw):
+    n = draw(st.integers(2, 12))
+    levels = draw(st.sets(st.integers(1, n), min_size=1, max_size=4).map(LevelSet.of))
+    return n, levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_non_range_instances().filter(lambda inst: not inst[1].is_full_range()))
+def test_decide_general_agrees_with_exhaustive_search(instance):
+    """Every verdict on a non-range level set carries a checked witness or
+    certificate, and its status matches a search with a larger node budget."""
+    n, levels = instance
+    verdict = decide_general(n, levels)
+    witness = integer_search_small(build_system(n, levels), node_limit=2_000_000)
+    if witness is None:
+        assert verdict.status is Status.NOT_FACTORABLE, (n, levels)
+    else:
+        assert verdict.status is Status.FACTORABLE, (n, levels)
+        assert not any(solution_residual(n, levels, verdict.solution))
+    if verdict.certificate is not None:
+        cert_levels = LevelSet(verdict.certificate_levels)
+        assert check_certificate(n, cert_levels, verdict.certificate).ok

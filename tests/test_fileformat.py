@@ -85,6 +85,7 @@ def test_file_save_load(tmp_path):
         K4_TEXT + "\n",  # trailing empty factor line
         K4_TEXT.replace(" | ", "|"),
         "HYPERFACTOR v1\n",  # missing header
+        "HYPERFACTOR v1\nn=3 levels=1,9\n{1} | {2} | {3}\n",  # level above n
     ],
 )
 def test_factorization_rejects(text):
@@ -106,6 +107,7 @@ def test_factorization_rejects(text):
         CERT_TEXT + "0 0 0\n",  # extra line
         "FARKAS v1\nn=7 levels=\n\n",  # empty level set
         CERT_TEXT.replace("levels=1,2,3", "levels=0,2,3"),
+        "FARKAS v1\nn=5 levels=1,9\n1 1 1 1 1 1 1 1 1\n",  # level above n
     ],
 )
 def test_certificate_rejects(text):

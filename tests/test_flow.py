@@ -1,5 +1,7 @@
 """Tests for the flow-based evolution engine."""
 
+from itertools import chain
+
 import pytest
 
 from hyperfactor.combinatorics import LevelSet, binomial, factor_count
@@ -8,7 +10,6 @@ from hyperfactor.decide import plan
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
 from hyperfactor.flow import (
     EvolutionState,
-    LabeledPartition,
     _check_occurrence_counts,
     build_step_network,
     evolve_step,
@@ -22,9 +23,8 @@ from hyperfactor.verifier import verify_factorization
 def test_init_state_perfect_matchings():
     state = init_state(4, LevelSet.of([2]), {(0, 2): 3})
     assert state.ell == 0
-    assert len(state.partitions) == 3
-    for p in state.partitions:
-        assert p.parts == [(0, 2), (0, 2)]
+    # three identical partitions: one class of multiplicity 3
+    assert state.classes == [(((0, 2), (0, 2)), 3)]
 
 
 def test_init_state_rejects_unbalanced():
@@ -39,7 +39,7 @@ def test_step_network_shape():
     net = build_step_network(state)
     assert net.m == 3
     # the three perfect matchings start out identical: one class of 3
-    assert net.class_members == [[0, 1, 2]]
+    assert net.class_sizes == [3]
     assert net.occ_keys == [(0, 2)]
     assert net.occ_caps == [3]  # C(3, 1) empty parts may receive element 1
     assert net.class_arcs == [[0]]
@@ -54,7 +54,9 @@ def test_step_network_leaves_out_complete_parts():
     for _ in range(3):
         state = evolve_step(state)
     net = build_step_network(state)
-    complete = {part for p in state.partitions for part in p.parts if part[0].bit_count() == part[1]}
+    complete = {
+        part for parts, _ in state.classes for part in parts if part[0].bit_count() == part[1]
+    }
     assert complete
     assert not complete & set(net.occ_keys)
     assert all(j > mask.bit_count() for mask, j in net.occ_keys)
@@ -108,10 +110,11 @@ def test_run_full_range_three():
 def test_evolve_step_rejects_tampered_state():
     state = init_state(4, LevelSet.of([2]), {(0, 2): 3})
     state = evolve_step(state)
-    # swap one part's potential: the occurrence audit must catch it
-    victim = state.partitions[0]
-    mask, j = victim.parts[0]
-    victim.parts[0] = (mask, j + 1)
+    # split one partition off its class and change one part's potential:
+    # the occurrence audit must catch it
+    (parts, mult), *rest = state.classes
+    (mask, j), *others = parts
+    state.classes = [(parts, mult - 1), (((mask, j + 1), *others), 1), *rest]
     with pytest.raises(InvariantViolation):
         evolve_step(state)
 
@@ -121,9 +124,13 @@ def test_evolve_step_rejects_duplicated_partition():
     # skews the occurrence census
     state = init_state(4, LevelSet.of([2]), {(0, 2): 3})
     state = evolve_step(evolve_step(state))
-    together = next(i for i, p in enumerate(state.partitions) if (0b11, 2) in p.parts)
-    apart = next(i for i, p in enumerate(state.partitions) if (0b01, 2) in p.parts)
-    state.partitions[apart] = state.partitions[together]
+    # move one partition's worth of multiplicity from one class to another
+    together = next(c for c, (parts, _) in enumerate(state.classes) if (0b11, 2) in parts)
+    apart = next(c for c, (parts, _) in enumerate(state.classes) if (0b01, 2) in parts)
+    classes = list(state.classes)
+    classes[together] = (classes[together][0], classes[together][1] + 1)
+    classes[apart] = (classes[apart][0], classes[apart][1] - 1)
+    state.classes = classes
     with pytest.raises(InvariantViolation):
         evolve_step(state)
 
@@ -143,7 +150,10 @@ def _first_census_error(state):
     from collections import Counter
 
     remaining = state.n - state.ell
-    occ = Counter(part for p in state.partitions for part in p.parts)
+    occ = Counter()
+    for parts, mult in state.classes:
+        for part in parts:
+            occ[part] += mult
     want = {
         (mask, j): binomial(remaining, j - mask.bit_count())
         for mask in range(1 << state.ell)
@@ -177,42 +187,48 @@ def test_census_names_the_first_wrong_pair():
     state = init_state(6, LevelSet.full(2), construct_div(6, 2))
     for _ in range(3):
         state = evolve_step(state)
-    # {1, 3} with potential 2 lies in exactly C(3, 0) = 1 partition
-    victim = next(p for p in state.partitions if (0b101, 2) in p.parts)
-    victim.parts.remove((0b101, 2))
+    # {1, 3} with potential 2 lies in exactly C(3, 0) = 1 partition; split
+    # it off its class without that part
+    c = next(c for c, (parts, _) in enumerate(state.classes) if (0b101, 2) in parts)
+    parts, mult = state.classes[c]
+    assert mult == 1
+    state.classes[c] = (tuple(part for part in parts if part != (0b101, 2)), 1)
     with pytest.raises(InvariantViolation) as exc:
         _check_occurrence_counts(state)
     assert str(exc.value) == "step 3: occurrence (0x5, potential 2) appears 0 times, expected 1"
 
 
 def test_census_errors_match_a_full_recount():
-    """Remove, retarget, replace or add one part anywhere mid-evolution: the
-    audit names the same first pair as a recount over all masks does."""
-    base = init_state(6, LevelSet.of([2, 3]), {(0, 3, 0): 5, (0, 0, 2): 10})
-    for _ in range(3):
-        base = evolve_step(base)
+    """Remove, retarget, replace or add one part of one partition after step 3
+    or 4: the audit names the same first pair as a recount over all masks does."""
+    state = init_state(6, LevelSet.of([2, 3]), {(0, 3, 0): 5, (0, 0, 2): 10})
+    bases = []
+    for _ in range(4):
+        state = evolve_step(state)
+        bases.append(state)
 
-    def tampered():
-        for i, p in enumerate(base.partitions):
-            for a, (mask, j) in enumerate(p.parts):
+    def tampered(base):
+        for c, (parts, mult) in enumerate(base.classes):
+            for a, (mask, j) in enumerate(parts):
                 # the two replacements keep the number of distinct pairs when
                 # they take the place of a pair that occurs once, and occur
                 # as often as a valid pair of their size would: only the
                 # element 6 beyond ell, or the potential 4 outside the
                 # levels, gives them away
-                for parts in (
-                    p.parts[:a] + p.parts[a + 1:],
-                    p.parts[:a] + [(mask, 5 - j)] + p.parts[a + 1:],
-                    p.parts[:a] + [(mask | 1 << 5, mask.bit_count() + 1)] + p.parts[a + 1:],
-                    p.parts[:a] + [(0b1, 4)] + p.parts[a + 1:],
-                    p.parts + [(mask | 1 << 5, j)],
+                for changed in (
+                    parts[:a] + parts[a + 1:],
+                    parts[:a] + ((mask, 5 - j),) + parts[a + 1:],
+                    parts[:a] + ((mask | 1 << 5, mask.bit_count() + 1),) + parts[a + 1:],
+                    parts[:a] + ((0b1, 4),) + parts[a + 1:],
+                    parts + ((mask | 1 << 5, j),),
                 ):
-                    partitions = list(base.partitions)
-                    partitions[i] = LabeledPartition(parts)
-                    yield EvolutionState(base.n, base.levels, base.ell, partitions)
+                    # one partition of the class is tampered, the rest stay
+                    split = [(parts, mult - 1)] if mult > 1 else []
+                    classes = base.classes[:c] + split + [(changed, 1)] + base.classes[c + 1:]
+                    yield EvolutionState(base.n, base.levels, base.ell, classes)
 
     checked = 0
-    for state in tampered():
+    for state in chain(tampered(bases[2]), tampered(bases[3])):
         expected = _first_census_error(state)
         if expected is None:
             _check_occurrence_counts(state)
@@ -239,10 +255,10 @@ def test_max_flow_matches_networkx(n, levels):
         for _ in range(block.n):
             net = build_step_network(state)
             graph = nx.DiGraph()
-            for c, (members, arcs) in enumerate(zip(net.class_members, net.class_arcs)):
-                graph.add_edge("s", ("c", c), capacity=len(members))
+            for c, (size, arcs) in enumerate(zip(net.class_sizes, net.class_arcs)):
+                graph.add_edge("s", ("c", c), capacity=size)
                 for o in arcs:
-                    graph.add_edge(("c", c), ("o", o), capacity=len(members))
+                    graph.add_edge(("c", c), ("o", o), capacity=size)
             for o, cap in enumerate(net.occ_caps):
                 graph.add_edge(("o", o), "t", capacity=cap)
             nx_value, nx_flow = nx.maximum_flow(graph, "s", "t")
@@ -250,8 +266,12 @@ def test_max_flow_matches_networkx(n, levels):
             assert value == nx_value == net.m == factor_count(block.n, block.levels)
             assert sink_flows == net.occ_caps
             assert [nx_flow[("o", o)]["t"] for o in range(len(net.occ_caps))] == net.occ_caps
-            assert [sum(row) for row in flows] == [len(members) for members in net.class_members]
+            assert [sum(row) for row in flows] == net.class_sizes
             state = evolve_step(state)
+            # the class state relies on: no two classes share parts, and the
+            # multiplicities add up to the partition count
+            assert len({parts for parts, _ in state.classes}) == len(state.classes)
+            assert sum(mult for _, mult in state.classes) == factor_count(block.n, block.levels)
 
 
 def _flow_blocks_of_full_ranges(max_n):
