@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .combinatorics import LevelSet, enumerate_types
+from .combinatorics import LevelSet, iter_types
 from .decide import Status, Verdict, construct, decide_general, plan
 from .errors import FormatError, InvariantViolation, LimitExceeded, NotFactorableError
 from .fileformat import (
@@ -31,7 +31,6 @@ _STATUS_EXIT = {
     Status.FACTORABLE: 0,
     Status.NOT_FACTORABLE: 1,
     Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL: 3,
-    Status.UNKNOWN: 3,
 }
 
 
@@ -140,7 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_types(args: argparse.Namespace) -> int:
     levels = _levels_of(args)
-    for lam in enumerate_types(args.n, levels):
+    for lam in iter_types(args.n, levels):
         print(",".join(map(str, lam)))
     return 0
 

@@ -8,7 +8,8 @@ verdicts carry a validated Farkas certificate.
 
 decide_general(n, L) handles arbitrary level sets: certificate families,
 the divisible pairing construction, bounded exhaustive integer search, then
-exact rational feasibility; UNKNOWN is an honest outcome beyond those limits.
+exact rational feasibility, which lists no types; the one undecided outcome,
+RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL, is an LP solution without a search witness.
 
 plan lays out the systems a FACTORABLE verdict is built from, as blocks;
 construct realizes the blocks as an explicit factorization and verifies it
@@ -53,7 +54,6 @@ class Status(enum.Enum):
     FACTORABLE = "FACTORABLE"
     NOT_FACTORABLE = "NOT_FACTORABLE"
     RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL = "RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL"
-    UNKNOWN = "UNKNOWN"
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,8 @@ def decide(n: int, k: int) -> Verdict:
     return replace(inner, reason=f"complement pairing reduces to levels 1..{m}: " + inner.reason)
 
 
-#: Above this many types decide_general skips the exact simplex.
-LP_TYPE_LIMIT = 5_000
-
-
 def decide_general(n: int, levels: LevelSet) -> Verdict:
-    """Decision for an arbitrary level set; UNKNOWN is possible beyond limits."""
+    """Decision for an arbitrary level set; undecided beyond the search limits."""
     if levels.is_full_range():
         return decide(n, levels.k)
     levels.check_against_ground(n)
@@ -160,17 +156,9 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
                 "divisible level-pairing construction",
                 solution=solution,
             )
-    # counted, not listed: the search limit is below the LP limit, so a
-    # count above the LP limit settles UNKNOWN without building the system
-    ntypes = count_types(n, levels)
-    if ntypes > LP_TYPE_LIMIT:
-        return Verdict(
-            Status.UNKNOWN,
-            f"{ntypes} types exceed the search and LP limits "
-            f"({SEARCH_TYPE_LIMIT}, {LP_TYPE_LIMIT})",
-        )
     system = build_system(n, levels)
-    if ntypes <= SEARCH_TYPE_LIMIT:
+    # counted, not listed: only the search lists types
+    if count_types(n, levels) <= SEARCH_TYPE_LIMIT:
         try:
             solution = integer_search_small(system, node_limit=SEARCH_NODE_LIMIT)
         except SearchLimitExceeded:

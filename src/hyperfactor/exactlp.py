@@ -1,17 +1,21 @@
-"""Exact rational LP feasibility via a phase-1 simplex with Bland's rule.
+"""Exact rational LP feasibility via a revised phase-1 simplex with Bland's rule.
 
-Everything runs on fractions.Fraction, so there is no rounding anywhere and
-Bland's pivoting rule guarantees termination.  The single entry point decides
-whether a system  sum_j x_j * col_j == rhs,  x >= 0  has a rational solution
-and, when it does not, extracts a separating vector from the optimal simplex
-multipliers (a Farkas witness: y.col_j >= 0 for every column, y.rhs < 0).
+The system is  sum_j x_j * col_j == rhs,  x >= 0,  with m rows.  The simplex
+keeps only the m x m basis inverse and never lists the columns: each step
+hands its candidate separator y to a pricing callback, which returns the
+first column, in the caller's order, with y . col < 0.  linear_system prices
+every type that way with a knapsack DP.  Everything is exact (Fraction), and
+Bland's rule, with artificial columns after every real one in both the
+entering choice and the ratio-test ties, guarantees termination.  At a
+positive phase-1 optimum y is a Farkas witness: y . col >= 0 for every column
+and y . rhs < 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import InvariantViolation
 
@@ -25,92 +29,91 @@ class FeasibilityResult:
     separator: tuple[Fraction, ...] | None
 
 
+def phase_one(
+    rhs: Sequence[int], price: Callable[[tuple[Fraction, ...]], tuple[Any, Sequence[int]] | None]
+) -> tuple[dict[Any, Fraction], None] | tuple[None, tuple[Fraction, ...]]:
+    """Decide {x >= 0 : sum_j x_j * col_j == rhs} != {} over the columns that
+    price(y) returns as (key, col); keys compare in the caller's order.
+
+    Returns (the non-zero basic values by key, None) or (None, separator y),
+    each self-checked.
+    """
+    m = len(rhs)
+    sign = [-1 if r < 0 else 1 for r in rhs]
+    inverse = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+    value = [Fraction(abs(r)) for r in rhs]
+    # (0, key, col) for a priced column, (1, i, None) for the artificial of row i
+    basis: list[tuple[int, Any, Sequence[int] | None]] = [(1, i, None) for i in range(m)]
+
+    while True:
+        # phase-1 multipliers: the inverse rows of the basic artificials, summed
+        pi = [sum((inverse[r][c] for r in range(m) if basis[r][0]), Fraction(0)) for c in range(m)]
+        y = tuple(-pi[i] * sign[i] for i in range(m))
+        found = price(y)
+        if found is not None:
+            key, col = found
+            enter, column = (0, key, col), [sign[i] * col[i] for i in range(m)]
+        else:
+            # an artificial column has reduced cost 1 - pi_i
+            row = next((i for i in range(m) if pi[i] > 1), None)
+            if row is None:
+                break
+            enter, column = (1, row, None), [int(i == row) for i in range(m)]
+        u = [sum(a * b for a, b in zip(inverse[r], column) if b) for r in range(m)]
+        leave = -1
+        best: Fraction | None = None
+        for r in range(m):
+            if u[r] > 0:
+                ratio = value[r] / u[r]
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        if leave < 0:
+            # can only happen for an unbounded phase-1, which is impossible
+            raise InvariantViolation("phase-1 simplex became unbounded")
+        piv = u[leave]
+        inverse[leave] = [v / piv for v in inverse[leave]]
+        value[leave] /= piv
+        for r in range(m):
+            if r != leave and u[r]:
+                f = u[r]
+                inverse[r] = [a - f * p for a, p in zip(inverse[r], inverse[leave])]
+                value[r] -= f * value[leave]
+        basis[leave] = enter
+
+    if sum(value[r] for r in range(m) if basis[r][0]) == 0:
+        solution = {basis[r][1]: value[r] for r in range(m) if not basis[r][0] and value[r]}
+        # self-check: non-negative and exactly solves the original system
+        if any(v < 0 for v in solution.values()):
+            raise InvariantViolation("simplex returned a negative solution")
+        for i in range(m):
+            total = sum(value[r] * col[i] for r, (art, _, col) in enumerate(basis) if not art)
+            if total != rhs[i]:
+                raise InvariantViolation("simplex returned a non-solution")
+        return solution, None
+    if sum(a * b for a, b in zip(y, rhs)) >= 0:
+        raise InvariantViolation("separator fails the rhs")
+    return None, y
+
+
 def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> FeasibilityResult:
     """Decide {x >= 0 : sum_j x_j * columns[j] == rhs} != {} exactly.
 
-    columns are given column-wise; all entries are integers.  The returned
-    solution or separator is self-checked against the input before returning.
+    columns are given column-wise; all entries are integers.  Pricing scans
+    the columns in order.
     """
     m = len(rhs)
-    nvar = len(columns)
     for col in columns:
         if len(col) != m:
             raise ValueError("column length does not match rhs length")
 
-    # orient every row so its right-hand side is non-negative
-    sign = [-1 if rhs[i] < 0 else 1 for i in range(m)]
-    b = [Fraction(sign[i] * rhs[i]) for i in range(m)]
+    def first_below(y: Sequence[Fraction]) -> tuple[int, Sequence[int]] | None:
+        for j, col in enumerate(columns):
+            if sum(a * b for a, b in zip(y, col) if b) < 0:
+                return j, col
+        return None
 
-    # tableau rows: x columns | artificial identity | rhs
-    width = nvar + m + 1
-    rows: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(sign[i] * columns[j][i]) for j in range(nvar)]
-        row += [Fraction(1 if t == i else 0) for t in range(m)]
-        row.append(b[i])
-        rows.append(row)
-    basis = [nvar + i for i in range(m)]
-
-    # phase-1 objective: minimise the sum of artificials.  obj holds reduced
-    # costs; its last cell is minus the current objective value.
-    obj = [Fraction(0)] * width
-    for j in range(width):
-        s = sum(rows[i][j] for i in range(m))
-        c = Fraction(1) if j >= nvar and j < nvar + m else Fraction(0)
-        obj[j] = c - s
-    obj[-1] = -sum(b)
-
-    while True:
-        enter = -1
-        for j in range(nvar + m):  # Bland: lowest eligible index
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best: Fraction | None = None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            # can only happen for an unbounded phase-1, which is impossible
-            raise InvariantViolation("phase-1 simplex became unbounded")
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [a - f * p for a, p in zip(rows[i], rows[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * p for a, p in zip(obj, rows[leave])]
-        basis[leave] = enter
-
-    value = -obj[-1]
-    if value == 0:
-        x = [Fraction(0)] * nvar
-        for i, bv in enumerate(basis):
-            if bv < nvar:
-                x[bv] = rows[i][-1]
-        # self-check: non-negative and exactly solves the original system
-        if any(v < 0 for v in x):
-            raise InvariantViolation("simplex returned a negative solution")
-        for i in range(m):
-            total = sum(x[j] * columns[j][i] for j in range(nvar))
-            if total != rhs[i]:
-                raise InvariantViolation("simplex returned a non-solution")
-        return FeasibilityResult(True, tuple(x), None)
-
-    # infeasible: simplex multipliers u_i = 1 - reduced cost of artificial i
-    # satisfy u.col_j <= 0 and u.b = value > 0; negate and undo row signs.
-    y = [-(Fraction(1) - obj[nvar + i]) * sign[i] for i in range(m)]
-    for j in range(nvar):
-        if sum(y[i] * columns[j][i] for i in range(m)) < 0:
-            raise InvariantViolation("separator fails a column")
-    if sum(y[i] * rhs[i] for i in range(m)) >= 0:
-        raise InvariantViolation("separator fails the rhs")
-    return FeasibilityResult(False, None, tuple(y))
+    solution, separator = phase_one(rhs, first_below)
+    if separator is not None:
+        return FeasibilityResult(False, None, separator)
+    x = tuple(solution.get(j, Fraction(0)) for j in range(len(columns)))
+    return FeasibilityResult(True, x, None)

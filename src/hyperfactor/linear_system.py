@@ -10,6 +10,9 @@ i all chosen partitions contribute gives the system
 with x_lam non-negative integers.  Solvability of this system over the
 non-negative integers is equivalent to 1-factorability, which is why the
 decision pipeline reduces everything to it.
+
+There can be millions of types, so a LinearSystem holds only b; one knapsack
+DP over the ground size both checks certificates and prices the exact LP.
 """
 
 from __future__ import annotations
@@ -17,25 +20,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .combinatorics import (
     LevelSet,
     TypeVector,
     binomial,
+    count_types,
     enumerate_types,
     is_valid_type,
 )
 from .errors import InvariantViolation, SearchLimitExceeded
-from .exactlp import feasible_nonnegative
+from .exactlp import feasible_nonnegative, phase_one
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     n: int
     levels: LevelSet
-    #: all (n, levels)-types in canonical order; these are the rows of A
-    types: tuple[TypeVector, ...]
     #: target counts b_i = C(n, i) for i in levels, else 0 (index i-1)
     b: tuple[int, ...]
 
@@ -46,9 +48,8 @@ SolutionVector = dict[TypeVector, int]
 
 def build_system(n: int, levels: LevelSet) -> LinearSystem:
     levels.check_against_ground(n)
-    types = tuple(enumerate_types(n, levels))
     b = tuple(binomial(n, i) if i in levels else 0 for i in range(1, levels.k + 1))
-    return LinearSystem(n, levels, types, b)
+    return LinearSystem(n, levels, b)
 
 
 def solution_residual(n: int, levels: LevelSet, solution: Mapping[TypeVector, int]) -> tuple[int, ...]:
@@ -93,21 +94,17 @@ class CertificateCheck:
     b_dot_y: Fraction
 
 
-def check_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> CertificateCheck:
-    """Exact check of the two Farkas conditions in O(n * |levels|).
+def first_negative_type(n: int, levels: LevelSet, w: Sequence[Fraction]) -> TypeVector | None:
+    """The first type lam in canonical order with sum of lam_j * w_j < 0, or
+    None; w has one entry per level, in order.
 
-    The least lam . y over all types is an unbounded knapsack over the ground
-    size (Gilmore & Gomory 1961), solved exactly on y scaled to integers.  A
-    violation is reported as the first violating type in canonical order, the
-    one streaming iter_types would meet first.
+    The least such sum over all types is an unbounded knapsack over the ground
+    size (Gilmore & Gomory 1961), solved exactly in O(n * |levels|) on w
+    scaled to integers.
     """
-    y = cert.y
-    if len(y) != levels.k:
-        raise ValueError(f"certificate length {len(y)} != k={levels.k}")
-    levels.check_against_ground(n)
-    scale = math.lcm(*(v.denominator for v in y))
+    scale = math.lcm(*(v.denominator for v in w))
+    weight = {j: int(v * scale) for j, v in zip(levels, w)}
     desc = sorted(levels, reverse=True)
-    weight = {j: int(y[j - 1] * scale) for j in desc}
     # best[idx][rem]: least sum of c_j * weight[j] over the levels desc[idx:]
     # with sum of j * c_j == rem; None when no such multiplicities exist
     best: list[list[int | None]] = [[None] * (n + 1) for _ in range(len(desc) + 1)]
@@ -124,10 +121,9 @@ def check_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> Cert
             row[rem] = cell
     least = best[0][n]
     if least is None or least >= 0:
-        b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
-        return CertificateCheck(b_dot < 0, None, b_dot)
+        return None
     # canonical order takes the most parts of the largest level first, so the
-    # first violating type takes, level by level, the largest multiplicity
+    # first negative type takes, level by level, the largest multiplicity
     # whose best completion is still negative
     lam = [0] * levels.k
     rem, acc = n, 0
@@ -138,11 +134,28 @@ def check_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> Cert
             if tail is not None and acc + c * weight[j] + tail < 0:
                 break
         else:
-            raise InvariantViolation(f"knapsack walk found no violating type for n={n}")
+            raise InvariantViolation(f"knapsack walk found no negative type for n={n}")
         lam[j - 1] = c
         rem -= c * j
         acc += c * weight[j]
-    return CertificateCheck(False, tuple(lam), Fraction(0))
+    return tuple(lam)
+
+
+def check_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> CertificateCheck:
+    """Exact check of the two Farkas conditions in O(n * |levels|).
+
+    A violation is reported as the first violating type in canonical order,
+    the one streaming iter_types would meet first.
+    """
+    y = cert.y
+    if len(y) != levels.k:
+        raise ValueError(f"certificate length {len(y)} != k={levels.k}")
+    levels.check_against_ground(n)
+    lam = first_negative_type(n, levels, [y[j - 1] for j in levels])
+    if lam is not None:
+        return CertificateCheck(False, lam, Fraction(0))
+    b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
+    return CertificateCheck(b_dot < 0, None, b_dot)
 
 
 def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> CertificateCheck:
@@ -159,36 +172,32 @@ class LpOutcome:
     certificate: FarkasCertificate | None
 
 
-def _lp_columns(system: LinearSystem) -> tuple[list[int], list[list[int]]]:
-    """The rows i = l - 1 for l in L and each type's column over them; the
-    other rows are zero in every column and in b, and never pivot."""
-    rows = [l - 1 for l in system.levels]
-    return rows, [[lam[i] for i in rows] for lam in system.types]
-
-
 def lp_feasible(system: LinearSystem) -> LpOutcome:
     """Exact rational feasibility of the counting system; never timeouts.
 
-    Infeasible outcomes carry a certificate scaled to clear denominators; both
-    outcomes are self-validated before being returned.
+    The simplex has one row per level (the other rows are zero in every type
+    and in b) and prices all types with first_negative_type, so Bland's
+    entering column is the first negative type in canonical order and no type
+    is listed.  Infeasible outcomes carry a certificate scaled to clear
+    denominators; both outcomes are self-validated before being returned.
     """
-    rows, columns = _lp_columns(system)
-    result = feasible_nonnegative(columns, [system.b[i] for i in rows])
-    if result.feasible:
-        if result.solution is None:
-            raise InvariantViolation("feasible simplex outcome without a solution")
-        sol = {
-            lam: v for lam, v in zip(system.types, result.solution) if v != 0
-        }
-        return LpOutcome(True, sol, None)
-    if result.separator is None:
-        raise InvariantViolation("infeasible simplex outcome without a separator")
-    y = [Fraction(0)] * system.levels.k
-    for pos, i in enumerate(rows):
-        y[i] = result.separator[pos]
+    n, levels = system.n, system.levels
+
+    def price(y: tuple[Fraction, ...]) -> tuple[tuple, list[int]] | None:
+        lam = first_negative_type(n, levels, y)
+        if lam is None:
+            return None
+        # keys sort in canonical order: decreasing on the reversed vector
+        return (tuple(-c for c in reversed(lam)), lam), [lam[j - 1] for j in levels]
+
+    solution, separator = phase_one([system.b[j - 1] for j in levels], price)
+    if separator is None:
+        return LpOutcome(True, {lam: v for (_key, lam), v in sorted(solution.items())}, None)
+    by_level = dict(zip(levels, separator))
+    y = [by_level.get(j, Fraction(0)) for j in range(1, levels.k + 1)]
     denom_lcm = math.lcm(*(v.denominator for v in y))
     cert = FarkasCertificate(tuple(v * denom_lcm for v in y))
-    if not verify_certificate(system, cert).ok:
+    if not check_certificate(n, levels, cert).ok:
         raise InvariantViolation("extracted certificate failed validation")
     return LpOutcome(False, None, cert)
 
@@ -217,11 +226,11 @@ def integer_search_small(
 
     Returns a solution dict or None (= proof of integer infeasibility).
     """
-    types = system.types
-    if len(types) > SEARCH_TYPE_LIMIT:
-        raise ValueError(f"{len(types)} types exceed the search limit {SEARCH_TYPE_LIMIT}")
+    ntypes = count_types(system.n, system.levels)
+    if ntypes > SEARCH_TYPE_LIMIT:
+        raise ValueError(f"{ntypes} types exceed the search limit {SEARCH_TYPE_LIMIT}")
+    types = enumerate_types(system.n, system.levels)
     k = system.levels.k
-    ntypes = len(types)
 
     # suffix_cover[idx] = bit i set iff some type at position >= idx has lam_i > 0
     suffix_cover = [0] * (ntypes + 1)
@@ -232,7 +241,7 @@ def integer_search_small(
                 cov |= 1 << i
         suffix_cover[idx] = cov
 
-    rows, columns = _lp_columns(system)
+    columns = [[lam[j - 1] for j in system.levels] for lam in types]
     nodes = 0
     chosen: list[tuple[TypeVector, int]] = []
 
@@ -249,7 +258,7 @@ def integer_search_small(
         for i in range(k):
             if budget[i] > 0 and not (cover >> i) & 1:
                 return False
-        if not feasible_nonnegative(columns[idx:], [budget[i] for i in rows]).feasible:
+        if not feasible_nonnegative(columns[idx:], [budget[j - 1] for j in system.levels]).feasible:
             return False
         lam = types[idx]
         m_max = min(budget[i] // lam[i] for i in range(k) if lam[i])

@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import contextlib
 import math
+import os
 import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from hyperfactor.cli import main
+from hyperfactor.combinatorics import LevelSet
 from hyperfactor.fileformat import parse_factorization, save_text
+from hyperfactor.linear_system import FarkasCertificate, check_certificate
 from hyperfactor.verifier import verify_factorization
 
 CERT_7_3 = "FARKAS v1\nn=7 levels=1,2,3\n2 1/2 -1\n"
@@ -39,9 +45,25 @@ def test_decide_sparse_levels(capsys):
     assert "certificate: 0 -1/2 2 -1" in out
 
 
+def _printed_certificate_holds(n: int, out: str) -> bool:
+    """check_certificate on the certificate lines of a decide output."""
+    fields = dict(line.split(": ", 1) for line in out.splitlines()[1:])
+    y = tuple(Fraction(v) for v in fields["certificate"].split())
+    levels = LevelSet.of(int(v) for v in fields["certificate-levels"].split(","))
+    return check_certificate(n, levels, FarkasCertificate(y)).ok
+
+
 def test_decide_undecided_statuses(capsys):
-    assert main(["decide", "--n", "54", "--levels", "2,3,4,5,6,7,8,9"]) == 3
-    assert capsys.readouterr().out.splitlines()[0] == "UNKNOWN"
+    # 7,347 types: beyond the search; the LP, which lists none, refutes it
+    assert main(["decide", "--n", "54", "--levels", "2,3,4,5,6,7,8,9"]) == 1
+    out = capsys.readouterr().out
+    assert out == (
+        "NOT_FACTORABLE\n"
+        "reason: exact rational infeasibility (simplex-derived certificate)\n"
+        "certificate: 0 4 6 8 10 12 5 -2 0\n"
+        "certificate-levels: 2,3,4,5,6,7,8,9\n"
+    )
+    assert _printed_certificate_holds(54, out)
     assert main(["decide", "--n", "48", "--levels", "2,3,4,5,6,7,8"]) == 3
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL"
@@ -105,14 +127,18 @@ def test_complement_only_construct_is_refused_up_front(capsys):
         )
 
 
-def test_unknown_without_listing_types(capsys):
+def test_lp_decides_without_listing_types(capsys):
+    """(64, {1..30, 32}) has 1,696,017 types; the LP prices them all with a
+    knapsack DP instead of listing them."""
     levels = ",".join(map(str, [*range(1, 31), 32]))
     start = time.perf_counter()
-    assert main(["decide", "--n", "64", "--levels", levels]) == 3
+    assert main(["decide", "--n", "64", "--levels", levels]) == 1
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().out == (
-        "UNKNOWN\nreason: 1696017 types exceed the search and LP limits (200, 5000)\n"
-    )
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == [
+        "NOT_FACTORABLE", "reason: exact rational infeasibility (simplex-derived certificate)",
+    ]
+    assert _printed_certificate_holds(64, out)
 
 
 def test_solve_lifted_block(capsys):
@@ -153,8 +179,8 @@ def test_solve_not_factorable(capsys):
 
 
 def test_solve_undecided_is_a_limit_not_a_refusal(capsys):
-    assert main(["solve", "--n", "54", "--levels", "2,3,4,5,6,7,8,9"]) == 3
-    assert capsys.readouterr().err.startswith("limit exceeded: (n=54, levels=(2, 3, 4, 5, 6, 7, 8, 9)) undecided:")
+    assert main(["solve", "--n", "48", "--levels", "2,3,4,5,6,7,8"]) == 3
+    assert capsys.readouterr().err.startswith("limit exceeded: (n=48, levels=(2, 3, 4, 5, 6, 7, 8)) undecided:")
 
 
 def test_certificate_success(capsys):
@@ -195,6 +221,19 @@ def test_types_canonical_order(capsys):
     assert capsys.readouterr().out == (
         "1,0,2\n0,2,1\n2,1,1\n4,0,1\n1,3,0\n3,2,0\n5,1,0\n7,0,0\n"
     )
+
+
+def test_types_streams_without_listing():
+    """types prints each type as it is generated: (40, {1..40}) has 37,338
+    types, a 13 MiB peak when listed first, and 0.2 MiB streamed."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["types", "--n", "40", "--k", "40"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_verify_certificate_file(capsys, tmp_path):

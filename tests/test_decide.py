@@ -1,11 +1,12 @@
 """Tests for the decision procedures and the construction pipeline."""
 
 import importlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet, binomial
+from hyperfactor.combinatorics import LevelSet, binomial, count_types
 from hyperfactor.constructors import Block, Realization, construct_general_L_div
 from hyperfactor.decide import Status, _realize, construct, decide, decide_general, plan
 from hyperfactor.flow import DEFAULT_MAX_GROUND
@@ -148,14 +149,31 @@ def test_decide_general_limit_overrides(monkeypatch):
         m.setattr(decide_module, "SEARCH_TYPE_LIMIT", 0)
         v = decide_general(11, lv)
         assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
-        m.setattr(decide_module, "LP_TYPE_LIMIT", 0)
-        v = decide_general(11, lv)
-        assert v.status is Status.UNKNOWN
-        assert v.reason.endswith("exceed the search and LP limits (0, 0)")
     # the search's node limit falls through to the LP
     monkeypatch.setattr(decide_module, "SEARCH_NODE_LIMIT", 1)
     v = decide_general(11, lv)
     assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
+
+
+def test_decide_general_past_the_old_type_limit():
+    """Every non-range set with k <= 8, n <= 64 and more than 5,000 types: the
+    LP lists no types, so it runs on all 40 of them that reach it."""
+    reached = Counter()
+    swept = 0
+    for n in range(9, 65):
+        for k in range(2, 9):
+            for bits in range(2 ** (k - 1)):
+                levels = LevelSet.of([j for j in range(1, k) if bits >> (j - 1) & 1] + [k])
+                if levels.is_full_range() or count_types(n, levels) <= 5000:
+                    continue
+                swept += 1
+                v = decide_general(n, levels)
+                if v.certificate is not None:
+                    assert check_certificate(n, levels, v.certificate).ok, (n, levels)
+                if v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL or v.family == "simplex-derived":
+                    reached[v.status] += 1
+    assert swept == 392
+    assert reached == {Status.NOT_FACTORABLE: 13, Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL: 27}
 
 
 def test_decide_general_search_faults_propagate(monkeypatch):

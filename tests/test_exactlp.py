@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
-from hyperfactor.exactlp import feasible_nonnegative
+import pytest
+
+from hyperfactor.errors import InvariantViolation
+from hyperfactor.exactlp import feasible_nonnegative, phase_one
 
 
 def _recheck(columns, rhs, result):
@@ -109,3 +112,9 @@ def test_exhaustive_tiny_systems():
                 result = feasible_nonnegative(columns, list(rhs))
                 assert result.feasible == brute(columns, rhs), (columns, rhs)
                 _recheck(columns, list(rhs), result)
+
+
+def test_unbounded_phase_one_raises():
+    # a column that improves nothing has no leaving row
+    with pytest.raises(InvariantViolation, match="unbounded"):
+        phase_one([1], lambda y: (0, [0]))

@@ -1,14 +1,15 @@
 """Tests for the level-counting system, LP dichotomy and integer search."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet, binomial, iter_types
+from hyperfactor.combinatorics import LevelSet, binomial, enumerate_types, iter_types
 from hyperfactor import linear_system
-from hyperfactor.errors import SearchLimitExceeded
-from hyperfactor.exactlp import FeasibilityResult
+from hyperfactor.errors import InvariantViolation, SearchLimitExceeded
+from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative
 from hyperfactor.linear_system import (
     CertificateCheck,
     FarkasCertificate,
@@ -23,16 +24,16 @@ from hyperfactor.linear_system import (
 
 def test_build_system_uniform_pairs():
     system = build_system(4, LevelSet.of([2]))
-    assert system.types == ((0, 2),)
+    assert enumerate_types(4, system.levels) == [(0, 2)]
     assert system.b == (0, 6)
 
 
 def test_build_system_full_range():
     system = build_system(7, LevelSet.full(3))
-    assert len(system.types) == 8
+    assert len(enumerate_types(7, system.levels)) == 8
     assert system.b == (7, 21, 35)
     system = build_system(18, LevelSet.full(6))
-    assert len(system.types) == 199
+    assert len(enumerate_types(18, system.levels)) == 199
     assert system.b[5] == 18564
     assert system.b == tuple(binomial(18, i) for i in range(1, 7))
 
@@ -40,7 +41,7 @@ def test_build_system_full_range():
 def test_build_system_sparse_b_zeros():
     system = build_system(12, LevelSet.of([2, 4]))
     assert system.b == (0, 66, 0, 495)
-    assert all(lam[0] == lam[2] == 0 for lam in system.types)
+    assert all(lam[0] == lam[2] == 0 for lam in enumerate_types(12, system.levels))
 
 
 def test_solution_residual():
@@ -200,3 +201,72 @@ def test_integer_search_type_limit(monkeypatch):
     monkeypatch.setattr(linear_system, "SEARCH_TYPE_LIMIT", 10)
     with pytest.raises(ValueError):
         integer_search_small(system)
+
+
+#: Non-range sets the manifest records as settled by the LP, half of them
+#: infeasible and half rationally feasible.
+_LP_SETS = [
+    (21, (1, 2, 3, 4, 5, 7)), (28, (1, 2, 3, 5, 6, 7)), (29, (1, 2, 4, 5, 6)),
+    (31, (1, 4, 5, 6, 7, 8)), (32, (1, 2, 3, 5, 8)), (32, (1, 2, 5, 6, 7, 8)),
+    (32, (1, 3, 5, 6, 7, 8)), (35, (1, 2, 4, 6, 7)), (39, (1, 2, 6, 7, 8)),
+    (40, (1, 2, 3, 4, 6, 7, 8)), (40, (1, 2, 4, 6, 7, 8)), (40, (1, 3, 4, 7, 8)),
+    (20, (1, 2, 3, 4, 6, 7)), (27, (1, 2, 3, 6, 7)), (29, (1, 3, 4, 5, 6)),
+    (31, (1, 2, 3, 7, 8)), (31, (1, 3, 4, 5, 7, 8)), (32, (1, 2, 4, 5, 6, 8)),
+    (34, (1, 2, 3, 5, 6, 7)), (34, (1, 2, 5, 6, 7)), (34, (2, 3, 4, 5, 6, 7)),
+    (35, (1, 2, 5, 6, 7)), (35, (2, 3, 4, 5, 6, 7)), (39, (1, 2, 3, 7, 8)),
+]
+
+
+def test_dp_pricing_matches_scan_pricing():
+    """lp_feasible prices all types with the knapsack DP; the same simplex
+    pricing by scanning the listed types must take the same pivots, so the
+    solution and the scaled separator are identical."""
+    instances = [(n, LevelSet.full(k)) for n in range(1, 15) for k in range(1, n + 1)]
+    instances += [(n, LevelSet.of(levels)) for n, levels in _LP_SETS]
+    outcomes = set()
+    for n, levels in instances:
+        system = build_system(n, levels)
+        types = enumerate_types(n, levels)
+        rows = [l - 1 for l in levels]
+        scan = feasible_nonnegative([[lam[i] for i in rows] for lam in types], [system.b[i] for i in rows])
+        out = lp_feasible(system)
+        assert out.feasible == scan.feasible, (n, levels)
+        if scan.feasible:
+            assert out.solution == {lam: v for lam, v in zip(types, scan.solution) if v}, (n, levels)
+        else:
+            y = [Fraction(0)] * levels.k
+            for pos, i in enumerate(rows):
+                y[i] = scan.separator[pos]
+            scale = math.lcm(*(v.denominator for v in y))
+            assert out.certificate.y == tuple(v * scale for v in y), (n, levels)
+        outcomes.add((levels.is_full_range(), out.feasible))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_lp_outcomes_pin_blands_pivots():
+    """Outcomes the earlier dense tableau produced, over every type listed.
+    Each one changes if an artificial column may not re-enter or if ratio
+    ties stop going to the first basic column in canonical order."""
+    certificates = {
+        (5, (1, 2, 4)): (2, -1, 0, -1),
+        (7, (1, 2, 3, 4, 6)): (3, -1, 2, -2, 0, -2),
+        (9, (1, 2, 4, 5, 6)): (4, -1, 0, -2, 2, -2),
+        (11, (2, 3, 4, 6, 7)): (0, 3, -1, 1, 0, -1, -1),
+        (29, (1, 2, 4, 5, 6)): (14, -1, 0, -2, 12, -3),
+    }
+    for (n, levels), y in certificates.items():
+        out = lp_feasible(build_system(n, LevelSet.of(levels)))
+        assert out.certificate == FarkasCertificate(y), (n, levels)
+    out = lp_feasible(build_system(10, LevelSet.of([1, 2, 4, 6])))
+    assert out.solution == {
+        (0, 0, 0, 1, 0, 1): 190, (0, 2, 0, 0, 0, 1): Fraction(35, 2),
+        (4, 0, 0, 0, 0, 1): Fraction(5, 2), (0, 1, 0, 2, 0, 0): 10,
+    }
+
+
+def test_lp_rechecks_its_certificate(monkeypatch):
+    monkeypatch.setattr(
+        linear_system, "check_certificate", lambda n, levels, cert: CertificateCheck(False, None, Fraction(0))
+    )
+    with pytest.raises(InvariantViolation, match="failed validation"):
+        lp_feasible(build_system(7, LevelSet.full(3)))
