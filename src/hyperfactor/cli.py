@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .combinatorics import LevelSet, iter_types
+from .combinatorics import LevelSet, canonical_key, iter_types
 from .decide import Status, Verdict, construct, decide_general, plan
 from .errors import FormatError, InvariantViolation, LimitExceeded, NotFactorableError
 from .fileformat import (
@@ -91,7 +91,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     for block in plan(args.n, _levels_of(args)):
         solution = block.solution
         print(f"n={block.n} levels={','.join(map(str, block.levels.levels))}")
-        for lam in sorted(solution, key=lambda l: tuple(reversed(l)), reverse=True):
+        for lam in sorted(solution, key=canonical_key):
             print(",".join(map(str, lam)) + f": {solution[lam]}")
     return 0
 

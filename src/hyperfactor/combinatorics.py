@@ -168,6 +168,12 @@ def iter_types(n: int, levels: LevelSet) -> Iterator[TypeVector]:
     yield from rec(0, n)
 
 
+def canonical_key(lam: TypeVector) -> TypeVector:
+    """Ascending sort key of canonical order: sorted by it, the types of one
+    (n, levels) come out as iter_types yields them."""
+    return tuple(-c for c in reversed(lam))
+
+
 def enumerate_types(n: int, levels: LevelSet) -> list[TypeVector]:
     """All (n, levels)-types, canonically ordered (see iter_types)."""
     return list(iter_types(n, levels))

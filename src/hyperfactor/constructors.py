@@ -149,13 +149,12 @@ def construct_div(n: int, k: int) -> SolutionVector:
 def construct_general_L_div(n: int, levels: LevelSet) -> SolutionVector | None:
     """The pairing pattern for an arbitrary level set when k | n.
 
-    Returns None (not applicable) when some pairing type would need a negative
-    number of size-k sets, or the level-k remainder would go negative.
+    Returns None (not applicable) when k does not divide n, when some pairing
+    type would need a negative number of size-k sets, or when the level-k
+    remainder would go negative.
     """
     levels.check_against_ground(n)
-    if n % levels.k:
-        raise ValueError(f"divisible construction needs k | n, got n={n} k={levels.k}")
-    solution = _pairing(n, levels)
+    solution = None if n % levels.k else _pairing(n, levels)
     if solution is not None:
         _assert_solves(n, levels, solution)
     return solution

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .combinatorics import LevelSet, binomial, check_ground, count_types, full_mask, mask_of
+from .combinatorics import LevelSet, binomial, check_ground, full_mask, mask_of
 from .constructors import (
     Block,
     Realization,
@@ -39,7 +39,6 @@ from .factorization import Factorization
 from .flow import DEFAULT_MAX_GROUND, StepRecord, run as flow_run
 from .linear_system import (
     SEARCH_NODE_LIMIT,
-    SEARCH_TYPE_LIMIT,
     FarkasCertificate,
     SolutionVector,
     build_system,
@@ -134,7 +133,9 @@ def decide(n: int, k: int) -> Verdict:
 
 
 def decide_general(n: int, levels: LevelSet) -> Verdict:
-    """Decision for an arbitrary level set; undecided beyond the search limits."""
+    """Decision for an arbitrary level set.  Each stage says itself whether it
+    applies: the pairing returns None (also when k does not divide n), and the
+    search raises SearchLimitExceeded above its type or node limit."""
     if levels.is_full_range():
         return decide(n, levels.k)
     levels.check_against_ground(n)
@@ -148,33 +149,26 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
             certificate_levels=levels.levels,
             family=name,
         )
-    if n % levels.k == 0:
-        solution = construct_general_L_div(n, levels)
+    solution = construct_general_L_div(n, levels)
+    if solution is not None:
+        return Verdict(Status.FACTORABLE, "divisible level-pairing construction", solution=solution)
+    system = build_system(n, levels)
+    try:
+        solution = integer_search_small(system, node_limit=SEARCH_NODE_LIMIT)
+    except SearchLimitExceeded:
+        pass
+    else:
         if solution is not None:
             return Verdict(
                 Status.FACTORABLE,
-                "divisible level-pairing construction",
+                "bounded exhaustive integer search found a witness",
                 solution=solution,
             )
-    system = build_system(n, levels)
-    # counted, not listed: only the search lists types
-    if count_types(n, levels) <= SEARCH_TYPE_LIMIT:
-        try:
-            solution = integer_search_small(system, node_limit=SEARCH_NODE_LIMIT)
-        except SearchLimitExceeded:
-            pass
-        else:
-            if solution is not None:
-                return Verdict(
-                    Status.FACTORABLE,
-                    "bounded exhaustive integer search found a witness",
-                    solution=solution,
-                )
-            return Verdict(
-                Status.NOT_FACTORABLE,
-                "exhaustive search over all non-negative integer multiplicities",
-                search_exhausted=True,
-            )
+        return Verdict(
+            Status.NOT_FACTORABLE,
+            "exhaustive search over all non-negative integer multiplicities",
+            search_exhausted=True,
+        )
     outcome = lp_feasible(system)
     if not outcome.feasible:
         if outcome.certificate is None:

@@ -12,7 +12,7 @@ class LimitExceeded(RuntimeError):
 
 
 class SearchLimitExceeded(LimitExceeded):
-    """The exhaustive integer search hit its node limit before settling."""
+    """The exhaustive integer search hit its type or node limit before settling."""
 
 
 class NotFactorableError(ValueError):

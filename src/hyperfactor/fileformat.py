@@ -137,5 +137,9 @@ def save_text(text: str, path: str) -> None:
 
 
 def load_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None

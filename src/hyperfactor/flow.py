@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, factor_count
+from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, canonical_key, factor_count
 from .errors import InvariantViolation, LimitExceeded
 from .factorization import Factorization
 from .linear_system import SolutionVector, solution_residual
@@ -216,7 +216,7 @@ def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionS
         raise ValueError(f"solution does not balance the level counts, residual {res}")
     classes = [
         (tuple((0, j) for j in levels for _ in range(lam[j - 1])), solution[lam])
-        for lam in sorted(solution, key=lambda l: tuple(reversed(l)), reverse=True)
+        for lam in sorted(solution, key=canonical_key)
         if solution[lam] > 0
     ]
     m = sum(mult for _, mult in classes)

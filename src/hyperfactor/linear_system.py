@@ -26,6 +26,7 @@ from .combinatorics import (
     LevelSet,
     TypeVector,
     binomial,
+    canonical_key,
     count_types,
     enumerate_types,
     is_valid_type,
@@ -187,8 +188,7 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
         lam = first_negative_type(n, levels, y)
         if lam is None:
             return None
-        # keys sort in canonical order: decreasing on the reversed vector
-        return (tuple(-c for c in reversed(lam)), lam), [lam[j - 1] for j in levels]
+        return (canonical_key(lam), lam), [lam[j - 1] for j in levels]
 
     solution, separator = phase_one([system.b[j - 1] for j in levels], price)
     if separator is None:
@@ -205,7 +205,7 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
 # ---------------------------------------------------------------------------
 # bounded exhaustive integer search (the desk-scale oracle)
 
-#: The search refuses systems with more types than this.
+#: The search gives up on systems with more types than this.
 SEARCH_TYPE_LIMIT = 200
 #: Default node budget of the search.
 SEARCH_NODE_LIMIT = 200_000
@@ -216,32 +216,29 @@ def integer_search_small(
 ) -> SolutionVector | None:
     """Exhaustive search for a non-negative integer solution of the system.
 
-    Depth-first over types in canonical order, choosing each multiplicity
-    from its budget maximum down to zero.  Pruning is by remaining level
-    budgets: a branch dies when a positive budget can no longer be met by the
-    remaining types, where "cannot be met" covers (a) no remaining type
-    touching the level, (b) a forced multiplicity that is fractional, and
-    (c) the remaining budget falling outside the rational cone of the
-    remaining types (a sound strengthening, checked exactly).
+    Depth-first over types in canonical order on the |L| level rows, choosing
+    each multiplicity from its budget maximum down to zero.  A branch dies
+    when its budget leaves the rational cone of the remaining types (checked
+    exactly), or when a type is the last chance to pay a level and its forced
+    multiplicity is fractional or ambiguous.
 
     Returns a solution dict or None (= proof of integer infeasibility).
+    Raises SearchLimitExceeded above SEARCH_TYPE_LIMIT types (counted, not
+    listed) or above node_limit nodes.
     """
-    ntypes = count_types(system.n, system.levels)
+    levels = system.levels
+    ntypes = count_types(system.n, levels)
     if ntypes > SEARCH_TYPE_LIMIT:
-        raise ValueError(f"{ntypes} types exceed the search limit {SEARCH_TYPE_LIMIT}")
-    types = enumerate_types(system.n, system.levels)
-    k = system.levels.k
+        raise SearchLimitExceeded(f"{ntypes} types exceed the search limit {SEARCH_TYPE_LIMIT}")
+    types = enumerate_types(system.n, levels)
+    columns = [[lam[j - 1] for j in levels] for lam in types]
+    rows = range(len(levels))
 
-    # suffix_cover[idx] = bit i set iff some type at position >= idx has lam_i > 0
+    # suffix_cover[idx]: bit r set iff a column at position >= idx is positive in row r
     suffix_cover = [0] * (ntypes + 1)
     for idx in range(ntypes - 1, -1, -1):
-        cov = suffix_cover[idx + 1]
-        for i in range(k):
-            if types[idx][i]:
-                cov |= 1 << i
-        suffix_cover[idx] = cov
+        suffix_cover[idx] = suffix_cover[idx + 1] | sum(1 << r for r in rows if columns[idx][r])
 
-    columns = [[lam[j - 1] for j in system.levels] for lam in types]
     nodes = 0
     chosen: list[tuple[TypeVector, int]] = []
 
@@ -250,45 +247,33 @@ def integer_search_small(
         nodes += 1
         if nodes > node_limit:
             raise SearchLimitExceeded(f"integer search exceeded {node_limit} nodes")
-        if all(v == 0 for v in budget):
+        if not any(budget):
             return True
-        if idx == ntypes:
+        if idx == ntypes or not feasible_nonnegative(columns[idx:], budget).feasible:
             return False
-        cover = suffix_cover[idx]
-        for i in range(k):
-            if budget[i] > 0 and not (cover >> i) & 1:
-                return False
-        if not feasible_nonnegative(columns[idx:], [budget[j - 1] for j in system.levels]).feasible:
-            return False
-        lam = types[idx]
-        m_max = min(budget[i] // lam[i] for i in range(k) if lam[i])
+        col = columns[idx]
+        m_max = min(budget[r] // col[r] for r in rows if col[r])
         # forced multiplicity: idx is the last chance to pay for some level
         forced = -1
         nxt = suffix_cover[idx + 1]
-        for i in range(k):
-            if lam[i] and budget[i] > 0 and not (nxt >> i) & 1:
-                if budget[i] % lam[i]:
+        for r in rows:
+            if col[r] and budget[r] > 0 and not (nxt >> r) & 1:
+                if budget[r] % col[r]:
                     return False
-                need = budget[i] // lam[i]
+                need = budget[r] // col[r]
                 if forced >= 0 and forced != need:
                     return False
                 forced = need
-        if forced >= 0:
-            if forced > m_max:
-                return False
-            candidates = range(forced, forced - 1, -1)
-        else:
-            candidates = range(m_max, -1, -1)
-        for m in candidates:
-            nb = budget if m == 0 else [budget[i] - m * lam[i] for i in range(k)]
-            chosen.append((lam, m))
+        if forced > m_max:
+            return False
+        for m in (forced,) if forced >= 0 else range(m_max, -1, -1):
+            nb = budget if m == 0 else [budget[r] - m * col[r] for r in rows]
+            chosen.append((types[idx], m))
             if dfs(idx + 1, nb):
                 return True
             chosen.pop()
         return False
 
-    budget0 = list(system.b)
-    if dfs(0, budget0):
+    if dfs(0, [system.b[j - 1] for j in levels]):
         return {lam: m for lam, m in chosen if m > 0}
     return None
-

@@ -317,6 +317,23 @@ def test_verify_rejects_zero_as_a_format_error(capsys, tmp_path, text, message):
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"HYPERFACTOR v1\nn=3 levels=1\n{1} | {2} | {\xff3}\n",
+         "format error: byte 41: not UTF-8 (invalid start byte)"),
+        (b"FARKAS v1\nn=2 levels=1,2\n1 \xff\n",
+         "format error: byte 27: not UTF-8 (invalid start byte)"),
+    ],
+    ids=["factorization", "certificate"],
+)
+def test_verify_rejects_non_utf8_as_a_format_error(capsys, tmp_path, data, message):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(data)
+    assert main(["verify", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("HYPERFACTOR v1\nn=3 levels=1,9\n{1} | {2} | {3}\n", "line 2: level 9 exceeds n=3"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hyperfactor.combinatorics import (
     LevelSet,
     binomial,
+    canonical_key,
     check_ground,
     count_types,
     elements_of,
@@ -192,6 +193,16 @@ def test_count_types_matches_enumeration(n, levels):
             count_types(n, L)
         return
     assert count_types(n, L) == len(enumerate_types(n, L))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.sets(st.integers(1, 30), min_size=1))
+def test_canonical_key_sorts_types_in_canonical_order(n, levels):
+    L = LevelSet.of(levels)
+    if L.k > n:
+        return
+    types = enumerate_types(n, L)
+    assert types == sorted(types, key=canonical_key)
 
 
 def test_factor_count():

@@ -105,8 +105,8 @@ def test_construct_general_L_div():
     assert construct_general_L_div(10, LevelSet.of([2])) == {(0, 5): 9}
     # lambda_k would go negative: not applicable
     assert construct_general_L_div(8, LevelSet.of([3, 4])) is None
-    with pytest.raises(ValueError):
-        construct_general_L_div(13, LevelSet.of([2, 4]))
+    # k does not divide n: not applicable
+    assert construct_general_L_div(13, LevelSet.of([2, 4])) is None
 
 
 def test_construct_minus1_lifts():

@@ -146,7 +146,7 @@ def test_decide_general_search_outcomes():
 def test_decide_general_limit_overrides(monkeypatch):
     lv = LevelSet.of([2, 3])
     with monkeypatch.context() as m:
-        m.setattr(decide_module, "SEARCH_TYPE_LIMIT", 0)
+        m.setattr(linear_system, "SEARCH_TYPE_LIMIT", 0)
         v = decide_general(11, lv)
         assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
     # the search's node limit falls through to the LP

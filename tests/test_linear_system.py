@@ -199,8 +199,31 @@ def test_relaxation_prune_is_load_bearing(monkeypatch):
 def test_integer_search_type_limit(monkeypatch):
     system = build_system(18, LevelSet.full(6))
     monkeypatch.setattr(linear_system, "SEARCH_TYPE_LIMIT", 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(SearchLimitExceeded):
         integer_search_small(system)
+
+
+@pytest.mark.parametrize(
+    "n, levels, nodes, found",
+    [
+        (17, (3, 4, 5, 6), 686, True),
+        (19, (3, 4, 5), 133, True),
+        (20, (3, 4, 5, 6, 7), 132, True),
+        (12, (1, 2, 3, 4, 5, 6, 7), 66, True),
+        # 188 types, refuted by the cone test at the root
+        (21, (1, 2, 4, 5, 6, 7), 1, False),
+    ],
+)
+def test_integer_search_node_counts(n, levels, nodes, found):
+    """The search settles in exactly `nodes` nodes: one fewer raises."""
+    system = build_system(n, LevelSet(levels))
+    solution = integer_search_small(system, node_limit=nodes)
+    if found:
+        assert not any(solution_residual(n, system.levels, solution))
+    else:
+        assert solution is None
+    with pytest.raises(SearchLimitExceeded):
+        integer_search_small(system, node_limit=nodes - 1)
 
 
 #: Non-range sets the manifest records as settled by the LP, half of them
