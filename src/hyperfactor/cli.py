@@ -2,13 +2,16 @@
 
 Exit codes: 0 factorable / operation OK, 1 not factorable / invalid input
 object, 2 usage or format error, 3 undecided (beyond search limits) or
-work-limit exceeded.
+work-limit exceeded, 4 internal error, 141 the reader closed the output pipe
+(128 + SIGPIPE, as a shell reports for a writer killed by that signal).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 from typing import Sequence
 
 from .combinatorics import LevelSet, canonical_key, iter_types
@@ -196,8 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_ground_size", 1) < 1:
+        parser.error(f"argument --max-ground-size: must be at least 1, got {args.max_ground_size}")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # flush inside the try, so a closed pipe is reported here
+        sys.stdout.flush()
+        return code
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
@@ -207,9 +215,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader is gone; with stdout on devnull the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -148,10 +148,6 @@ def iter_types(n: int, levels: LevelSet) -> Iterator[TypeVector]:
     lam = [0] * k
 
     def rec(idx: int, rem: int) -> Iterator[TypeVector]:
-        if idx == len(desc):
-            if rem == 0:
-                yield tuple(lam)
-            return
         j = desc[idx]
         if idx == len(desc) - 1:
             # last level: multiplicity is forced by divisibility

@@ -83,8 +83,6 @@ def decide(n: int, k: int) -> Verdict:
             "trivial: the n singletons form the single factor (k = 1 convention)",
         )
     if k == n:
-        if n == 1:
-            return Verdict(Status.FACTORABLE, "trivial: ground set of size 1")
         inner = decide(n, n - 1)
         return replace(
             inner,
@@ -286,7 +284,7 @@ def _realize(
         return Factorization(n, (), ())
     block, rest = blocks[0], blocks[1:]
     if block.realization is Realization.COMPLEMENT_PAIRS:
-        return extend_by_complements(_realize(n, rest, max_ground_size, trace), block.levels.k)
+        return extend_by_complements(_realize(n, rest, max_ground_size, trace))
     if block.realization is Realization.SINGLETONS:
         head = Factorization(n, (1,), (tuple(mask_of([e]) for e in range(1, n + 1)),))
     elif block.realization is Realization.WHOLE_SET:
@@ -296,7 +294,7 @@ def _realize(
             block.n, block.levels, block.solution, max_ground_size=max_ground_size, trace=trace
         )
         if block.realization is Realization.LIFT:
-            head = project_lift(head, block.n)
+            head = project_lift(head)
     tail = _realize(n, rest, max_ground_size, trace)
     levels = tuple(sorted(set(head.levels) | set(tail.levels)))
     return Factorization(n, levels, head.factors + tail.factors)

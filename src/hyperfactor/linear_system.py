@@ -220,7 +220,7 @@ def integer_search_small(
     each multiplicity from its budget maximum down to zero.  A branch dies
     when its budget leaves the rational cone of the remaining types (checked
     exactly), or when a type is the last chance to pay a level and its forced
-    multiplicity is fractional or ambiguous.
+    multiplicity is fractional.
 
     Returns a solution dict or None (= proof of integer infeasibility).
     Raises SearchLimitExceeded above SEARCH_TYPE_LIMIT types (counted, not
@@ -233,11 +233,8 @@ def integer_search_small(
     types = enumerate_types(system.n, levels)
     columns = [[lam[j - 1] for j in levels] for lam in types]
     rows = range(len(levels))
-
-    # suffix_cover[idx]: bit r set iff a column at position >= idx is positive in row r
-    suffix_cover = [0] * (ntypes + 1)
-    for idx in range(ntypes - 1, -1, -1):
-        suffix_cover[idx] = suffix_cover[idx + 1] | sum(1 << r for r in rows if columns[idx][r])
+    # last[r]: the last position whose column pays row r (-1 when none does)
+    last = [max((idx for idx, col in enumerate(columns) if col[r]), default=-1) for r in rows]
 
     nodes = 0
     chosen: list[tuple[TypeVector, int]] = []
@@ -252,21 +249,16 @@ def integer_search_small(
         if idx == ntypes or not feasible_nonnegative(columns[idx:], budget).feasible:
             return False
         col = columns[idx]
-        m_max = min(budget[r] // col[r] for r in rows if col[r])
-        # forced multiplicity: idx is the last chance to pay for some level
-        forced = -1
-        nxt = suffix_cover[idx + 1]
-        for r in rows:
-            if col[r] and budget[r] > 0 and not (nxt >> r) & 1:
-                if budget[r] % col[r]:
-                    return False
-                need = budget[r] // col[r]
-                if forced >= 0 and forced != need:
-                    return False
-                forced = need
-        if forced > m_max:
-            return False
-        for m in (forced,) if forced >= 0 else range(m_max, -1, -1):
+        # idx is the last chance to pay a level: inside the cone, every such
+        # level forces the same multiplicity, and it fits every other level
+        forcing = next((r for r in rows if last[r] == idx and budget[r] > 0), None)
+        if forcing is not None:
+            if budget[forcing] % col[forcing]:
+                return False
+            choices = (budget[forcing] // col[forcing],)
+        else:
+            choices = range(min(budget[r] // col[r] for r in rows if col[r]), -1, -1)
+        for m in choices:
             nb = budget if m == 0 else [budget[r] - m * col[r] for r in rows]
             chosen.append((types[idx], m))
             if dfs(idx + 1, nb):

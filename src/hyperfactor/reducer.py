@@ -23,21 +23,18 @@ def _check_valid(fact: Factorization, where: str) -> None:
         raise ValueError(f"{where}: input factorization invalid: {problems[0]}")
 
 
-def extend_by_complements(fact: Factorization, k: int) -> Factorization:
+def extend_by_complements(fact: Factorization) -> Factorization:
     """Append the factors {S, complement(S)} for all n-k <= |S| <= k.
 
-    fact must be a valid factorization on levels {1..n-k-1} (empty for
-    k = n-1); the result covers the full range {1..k}.  Needs n/2 <= k <= n-1.
-    A result too large for verify_factorization is refused (LimitExceeded)
-    before any pair is built.
+    fact must be a valid factorization on levels {1..m} (empty for m = 0),
+    which fixes k = n-m-1; the result covers the full range {1..k}.  Needs
+    n/2 <= k, that is n >= 2m+2.  A result too large for verify_factorization
+    is refused (LimitExceeded) before any pair is built.
     """
-    n = fact.n
-    if not n / 2 <= k <= n - 1:
-        raise ValueError(f"complement extension needs n/2 <= k <= n-1, got n={n} k={k}")
-    if fact.levels != tuple(range(1, n - k)):
-        raise ValueError(
-            f"inner factorization must cover levels 1..{n - k - 1}, has {fact.levels}"
-        )
+    n, m = fact.n, len(fact.levels)
+    k = n - m - 1
+    if fact.levels != tuple(range(1, m + 1)) or 2 * k < n:
+        raise ValueError(f"extension needs levels 1..m with n >= 2m+2, got n={n} levels={fact.levels}")
     check_verify_size(n, range(1, k + 1))
     _check_valid(fact, "extend_by_complements")
     full = full_mask(n)
@@ -96,17 +93,14 @@ def repair_to_complement_paired(fact: Factorization) -> tuple[Factorization, Fac
     return paired, residue
 
 
-def project_lift(fact: Factorization, deleted: int) -> Factorization:
-    """Delete the top element from a lifted factorization.
+def project_lift(fact: Factorization) -> Factorization:
+    """Delete the top element n from a lifted factorization.
 
-    Each factor loses `deleted` from its unique containing set; emptied sets
-    vanish.  Levels must be spaced so the projected level counts stay simple
-    (no two consecutive sizes).  `deleted` must be the largest element, so the
-    remaining ground set is again {1..n-1}.
+    Each factor loses n from its unique containing set; emptied sets vanish,
+    and the remaining ground set is {1..n-1}.  Levels must be spaced so the
+    projected level counts stay simple (no two consecutive sizes).
     """
     n = fact.n
-    if deleted != n:
-        raise ValueError(f"only the top element {n} can be deleted, got {deleted}")
     for a, b in zip(fact.levels, fact.levels[1:]):
         if b == a + 1:
             raise ValueError(f"levels {fact.levels} contain consecutive sizes; projection would double-count")
@@ -115,7 +109,7 @@ def project_lift(fact: Factorization, deleted: int) -> Factorization:
     for idx, factor in enumerate(fact.factors):
         holders = [m for m in factor if m & bit]
         if len(holders) != 1:
-            raise ValueError(f"factor {idx} does not contain element {deleted} exactly once")
+            raise ValueError(f"factor {idx} does not contain element {n} exactly once")
         shrunk = holders[0] ^ bit
         rest = [m for m in factor if not m & bit]
         if shrunk:

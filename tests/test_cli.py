@@ -3,13 +3,19 @@
 import contextlib
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hyperfactor
+from hyperfactor import cli
 from hyperfactor.cli import main
+from hyperfactor.errors import InvariantViolation
 from hyperfactor.combinatorics import LevelSet
 from hyperfactor.fileformat import parse_factorization, save_text
 from hyperfactor.linear_system import FarkasCertificate, check_certificate
@@ -355,6 +361,42 @@ def test_usage_errors_exit_two(capsys):
         main(["decide", "--n", "7", "--k", "3", "--levels", "2"])  # both
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_max_ground_size_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--n", "12", "--k", "3", "--max-ground-size", value])
+        assert exc.value.code == 2
+        assert f"must be at least 1, got {value}" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
+    """An internal fault exits 4, never 1 (NOT_FACTORABLE) or 3 (undecided)."""
+
+    def faulty(n, levels):
+        raise InvariantViolation("audit failed")
+
+    monkeypatch.setattr(cli, "decide_general", faulty)
+    assert main(["decide", "--n", "12", "--k", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("\ninternal error: audit failed\n")
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that stops early gets exit 141 and nothing on stderr."""
+    src = str(Path(hyperfactor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperfactor.cli", "types", "--n", "40", "--k", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"0,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_value_errors_exit_two(capsys):

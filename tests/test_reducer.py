@@ -23,7 +23,7 @@ def _is_pair(n: int, factor: tuple[int, ...]) -> bool:
 
 
 def test_extend_by_complements_6_3():
-    ext = extend_by_complements(_inner_6(), 3)
+    ext = extend_by_complements(_inner_6())
     assert ext.n == 6 and ext.levels == (1, 2, 3)
     assert len(ext.factors) == 6 + 10
     assert sum(_is_pair(6, f) for f in ext.factors) == 10
@@ -32,7 +32,7 @@ def test_extend_by_complements_6_3():
 
 def test_extend_by_complements_from_empty():
     empty = Factorization(5, (), ())
-    ext = extend_by_complements(empty, 4)
+    ext = extend_by_complements(empty)
     assert ext.levels == (1, 2, 3, 4)
     assert len(ext.factors) == 15
     assert all(_is_pair(5, f) for f in ext.factors)
@@ -41,15 +41,15 @@ def test_extend_by_complements_from_empty():
 
 def test_extend_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        extend_by_complements(_inner_6(), 2)  # k below n/2
+        extend_by_complements(Factorization(6, (1, 2, 3), ()))  # k = 2 below n/2
     with pytest.raises(ValueError):
-        extend_by_complements(_inner_6(), 4)  # inner levels should be {1}
+        extend_by_complements(Factorization(6, (2,), ()))  # levels not 1..m
     with pytest.raises(ValueError):
-        extend_by_complements(Factorization(6, (1, 2), ()), 3)  # invalid inner
+        extend_by_complements(Factorization(6, (1, 2), ()))  # invalid inner
 
 
 def test_repair_fixed_point():
-    ext = extend_by_complements(_inner_6(), 3)
+    ext = extend_by_complements(_inner_6())
     paired, residue = repair_to_complement_paired(ext)
     assert paired == ext
     assert residue.levels == (1, 2)
@@ -58,7 +58,7 @@ def test_repair_fixed_point():
 
 
 def test_repair_empty_residue():
-    ext = extend_by_complements(Factorization(5, (), ()), 4)
+    ext = extend_by_complements(Factorization(5, (), ()))
     paired, residue = repair_to_complement_paired(ext)
     assert paired == ext
     assert residue.factors == () and residue.levels == ()
@@ -86,7 +86,7 @@ def _unshuffle(fact: Factorization) -> Factorization:
 
 
 def test_repair_restores_broken_pair():
-    ext = extend_by_complements(_inner_6(), 3)
+    ext = extend_by_complements(_inner_6())
     broken = _unshuffle(ext)
     assert verify_factorization(broken) == []  # still a valid factorization
     assert sum(_is_pair(6, f) for f in broken.factors) == 9
@@ -105,7 +105,7 @@ def test_repair_rejects_partial_levels():
 
 def test_project_lift_pair_levels():
     lifted = run(10, LevelSet.of([2]), {(0, 5): 9})
-    fact = project_lift(lifted, 10)
+    fact = project_lift(lifted)
     assert fact.n == 9 and fact.levels == (1, 2)
     assert len(fact.factors) == binomial(8, 0) + binomial(8, 1)
     assert verify_factorization(fact) == []
@@ -114,7 +114,7 @@ def test_project_lift_pair_levels():
 def test_project_lift_odd_levels():
     lifted = run(12, LevelSet.of([1, 3]), {(3, 0, 3): 4, (0, 0, 4): 52})
     assert len(lifted.factors) == binomial(11, 0) + binomial(11, 2)
-    fact = project_lift(lifted, 12)
+    fact = project_lift(lifted)
     assert fact.n == 11 and fact.levels == (1, 2, 3)
     assert len(fact.factors) == sum(binomial(10, j - 1) for j in (1, 2, 3))
     assert verify_factorization(fact) == []
@@ -123,17 +123,11 @@ def test_project_lift_odd_levels():
 def test_project_lift_rejects_consecutive_levels():
     fact = _inner_6()
     with pytest.raises(ValueError):
-        project_lift(fact, 6)
-
-
-def test_project_lift_rejects_wrong_element():
-    lifted = run(10, LevelSet.of([2]), {(0, 5): 9})
-    with pytest.raises(ValueError):
-        project_lift(lifted, 9)
+        project_lift(fact)
 
 
 def test_project_lift_rejects_missing_element():
     # element 4 never appears: not a partition, caught per factor
     bogus = Factorization(4, (2,), ((0b0011, 0b0110),))
     with pytest.raises(ValueError):
-        project_lift(bogus, 4)
+        project_lift(bogus)
