@@ -106,9 +106,10 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
         return 1
     if verdict.certificate is not None:
         print(" ".join(str(v) for v in verdict.certificate.y))
-        print(f"family: {verdict.family}", file=sys.stderr)
+        levels = ",".join(map(str, verdict.certificate_levels))
+        print(f"family: {verdict.family}\ncertificate-levels: {levels}", file=sys.stderr)
         return 0
-    print("no certificate family applies", file=sys.stderr)
+    print("no Farkas certificate exists: the rational relaxation is feasible", file=sys.stderr)
     return 3
 
 

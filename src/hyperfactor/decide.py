@@ -6,10 +6,10 @@ a reduction to the complementary range {1..n-k-1} (complement pairing covers
 the middle sizes), with k = 1 and k = n handled by convention.  Negative
 verdicts carry a validated Farkas certificate.
 
-decide_general(n, L) handles arbitrary level sets: certificate families,
-the divisible pairing construction, bounded exhaustive integer search, then
-exact rational feasibility, which lists no types; the one undecided outcome,
-RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL, is an LP solution without a search witness.
+decide_general(n, L) handles arbitrary level sets: certificate families, the
+divisible pairing, the exact LP (no type list; refutes with a simplex-derived
+certificate), then bounded integer search for a witness.  Undecided means an LP
+solution without a search witness (RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL).
 
 plan lays out the systems a FACTORABLE verdict is built from, as blocks;
 construct realizes the blocks as an explicit factorization and verifies it
@@ -131,9 +131,9 @@ def decide(n: int, k: int) -> Verdict:
 
 
 def decide_general(n: int, levels: LevelSet) -> Verdict:
-    """Decision for an arbitrary level set.  Each stage says itself whether it
-    applies: the pairing returns None (also when k does not divide n), and the
-    search raises SearchLimitExceeded above its type or node limit."""
+    """Decision for an arbitrary level set.  The exact LP refutes every rationally
+    infeasible set the closed forms leave open, with its certificate; the search
+    looks for a witness on the rest and raises SearchLimitExceeded at its limits."""
     if levels.is_full_range():
         return decide(n, levels.k)
     levels.check_against_ground(n)
@@ -151,22 +151,6 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
     if solution is not None:
         return Verdict(Status.FACTORABLE, "divisible level-pairing construction", solution=solution)
     system = build_system(n, levels)
-    try:
-        solution = integer_search_small(system, node_limit=SEARCH_NODE_LIMIT)
-    except SearchLimitExceeded:
-        pass
-    else:
-        if solution is not None:
-            return Verdict(
-                Status.FACTORABLE,
-                "bounded exhaustive integer search found a witness",
-                solution=solution,
-            )
-        return Verdict(
-            Status.NOT_FACTORABLE,
-            "exhaustive search over all non-negative integer multiplicities",
-            search_exhausted=True,
-        )
     outcome = lp_feasible(system)
     if not outcome.feasible:
         if outcome.certificate is None:
@@ -178,9 +162,23 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
             certificate_levels=levels.levels,
             family="simplex-derived",
         )
+    try:
+        solution = integer_search_small(system, node_limit=SEARCH_NODE_LIMIT)
+    except SearchLimitExceeded:
+        return Verdict(
+            Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL,
+            "rationally feasible, but no integral witness within search limits",
+        )
+    if solution is not None:
+        return Verdict(
+            Status.FACTORABLE,
+            "bounded exhaustive integer search found a witness",
+            solution=solution,
+        )
     return Verdict(
-        Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL,
-        "rationally feasible, but no integral witness within search limits",
+        Status.NOT_FACTORABLE,
+        "exhaustive search over all non-negative integer multiplicities",
+        search_exhausted=True,
     )
 
 

@@ -193,7 +193,7 @@ def test_certificate_success(capsys):
     assert main(["certificate", "--n", "18", "--k", "6"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "3 3 3 1 -1 0\n"
-    assert captured.err.strip() == "family: divisible-below-threshold"
+    assert captured.err == "family: divisible-below-threshold\ncertificate-levels: 1,2,3,4,5,6\n"
 
 
 def test_certificate_factorable_instance(capsys):
@@ -202,9 +202,11 @@ def test_certificate_factorable_instance(capsys):
 
 
 def test_certificate_no_family(capsys):
-    # infeasible, but settled by exhausted search: no certificate to print
-    assert main(["certificate", "--n", "10", "--levels", "2,3,4"]) == 3
-    assert "no certificate family applies" in capsys.readouterr().err
+    # undecided and rationally feasible: no Farkas certificate can exist
+    assert main(["certificate", "--n", "20", "--levels", "1,2,3,4,6,7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no Farkas certificate exists: the rational relaxation is feasible\n"
 
 
 def test_certificate_family_of_a_reduced_range(capsys):
@@ -212,13 +214,13 @@ def test_certificate_family_of_a_reduced_range(capsys):
     assert main(["certificate", "--n", "23", "--k", "12"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "1 1 2 1 1 1 0 0 0 -1\n"
-    assert captured.err == "family: residue-mid-tight\n"
+    assert captured.err == "family: residue-mid-tight\ncertificate-levels: 1,2,3,4,5,6,7,8,9,10\n"
 
 
 def test_certificate_simplex_derived(capsys):
     assert main(["certificate", "--n", "40", "--levels", "2,3,4,5,6,7,8"]) == 0
     captured = capsys.readouterr()
-    assert captured.err.strip() == "family: simplex-derived"
+    assert captured.err == "family: simplex-derived\ncertificate-levels: 2,3,4,5,6,7,8\n"
     assert captured.out.strip()  # a non-empty rational vector
 
 

@@ -16,6 +16,7 @@ from hyperfactor.linear_system import (
     build_system,
     check_certificate,
     integer_search_small,
+    lp_feasible,
     solution_residual,
     verify_certificate,
 )
@@ -128,10 +129,12 @@ def test_decide_general_certificates():
 
 
 def test_decide_general_search_outcomes():
-    # no certificate family survives validation at this size; search settles it
+    # no certificate family survives validation at this size; the LP refutes it
     v = decide_general(10, LevelSet.of([2, 3, 4]))
-    assert v.status is Status.NOT_FACTORABLE
-    assert v.search_exhausted and v.certificate is None
+    assert v.status is Status.NOT_FACTORABLE and not v.search_exhausted
+    assert v.family == "simplex-derived" and v.certificate_levels == (2, 3, 4)
+    assert v.certificate.y == (0, 4, 1, -2)
+    assert check_certificate(10, LevelSet.of([2, 3, 4]), v.certificate).ok
 
     v = decide_general(11, LevelSet.of([2, 3]))
     assert v.status is Status.FACTORABLE
@@ -140,7 +143,9 @@ def test_decide_general_search_outcomes():
 
     # no admissible sizes at all
     v = decide_general(6, LevelSet.of([4]))
-    assert v.status is Status.NOT_FACTORABLE and v.search_exhausted
+    assert v.status is Status.NOT_FACTORABLE and not v.search_exhausted
+    assert v.certificate.y == (0, 0, 0, -1)
+    assert check_certificate(6, LevelSet.of([4]), v.certificate).ok
 
 
 def test_decide_general_limit_overrides(monkeypatch):
@@ -149,7 +154,7 @@ def test_decide_general_limit_overrides(monkeypatch):
         m.setattr(linear_system, "SEARCH_TYPE_LIMIT", 0)
         v = decide_general(11, lv)
         assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
-    # the search's node limit falls through to the LP
+    # the search's node limit leaves an LP-feasible set undecided
     monkeypatch.setattr(decide_module, "SEARCH_NODE_LIMIT", 1)
     v = decide_general(11, lv)
     assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
@@ -177,8 +182,7 @@ def test_decide_general_past_the_old_type_limit():
 
 
 def test_decide_general_search_faults_propagate(monkeypatch):
-    """A fault inside the search is an error, not a fall-through to the LP
-    (which would answer with the intact simplex of its second call)."""
+    """A fault inside the search is an error, not an undecided verdict."""
     real = linear_system.feasible_nonnegative
     calls = []
 
@@ -318,3 +322,26 @@ def test_decide_general_agrees_with_exhaustive_search(instance):
     if verdict.certificate is not None:
         cert_levels = LevelSet(verdict.certificate_levels)
         assert check_certificate(n, cert_levels, verdict.certificate).ok
+    elif verdict.status is Status.NOT_FACTORABLE:
+        assert verdict.search_exhausted, (n, levels)
+    if verdict.search_exhausted:
+        assert lp_feasible(build_system(n, levels)).feasible, (n, levels)
+
+
+def test_every_small_negative_verdict_is_certified():
+    """Every non-range set with k <= 7 and 3 <= n <= 16: the exact LP runs
+    before the search, so each negative verdict carries a checked certificate."""
+    swept = negative = 0
+    for n in range(3, 17):
+        for k in range(2, min(7, n) + 1):
+            for bits in range(2 ** (k - 1) - 1):
+                levels = LevelSet.of([j for j in range(1, k) if bits >> (j - 1) & 1] + [k])
+                swept += 1
+                v = decide_general(n, levels)
+                if v.status is not Status.NOT_FACTORABLE:
+                    continue
+                negative += 1
+                assert v.certificate is not None, (n, levels)
+                cert_levels = LevelSet(v.certificate_levels)
+                assert check_certificate(n, cert_levels, v.certificate).ok, (n, levels)
+    assert (swept, negative) == (1298, 1017)

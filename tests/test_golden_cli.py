@@ -2,9 +2,11 @@
 
 The grid reaches every branch of the construction (divisible, divisible
 edge, even and odd lifts, the odd-k top blocks, complement pairing, k = 1,
-k = n) and every certificate path.  `verify` runs on the files that
-`construct` prints and on certificate files assembled from `certificate`'s
-output, the way a user saves them.
+k = n), every certificate path, and `decide` on a certificate family, the
+pairing, a search witness, a simplex-derived certificate and an undecided set.
+`verify` runs on the files that `construct` prints and on certificate files
+assembled from `certificate`'s output and its `certificate-levels` line, the
+way a user saves them.
 
 Regenerate the fixture with `PYTHONPATH=src python tests/test_golden_cli.py`;
 a change to any entry is a change of CLI behaviour and needs a reason.
@@ -49,12 +51,20 @@ SOLVE = [
     "--n 12 --levels 2,4",
     "--n 11 --levels 2,3",
 ]
-#: certificate instance -> the levels its vector separates
-CERTIFICATE = {
-    "--n 18 --k 6": "1,2,3,4,5,6",
-    "--n 23 --k 12": "1,2,3,4,5,6,7,8,9,10",
-    "--n 40 --levels 2,3,4,5,6,7,8": "2,3,4,5,6,7,8",
-}
+DECIDE = [
+    "--n 18 --k 6",
+    "--n 12 --levels 2,4",
+    "--n 11 --levels 2,3",
+    "--n 10 --levels 2,3,4",
+    "--n 20 --levels 1,2,3,4,6,7",
+    "--n 40 --levels 2,3,4,5,6,7,8",
+]
+CERTIFICATE = [
+    "--n 18 --k 6",
+    "--n 23 --k 12",
+    "--n 40 --levels 2,3,4,5,6,7,8",
+    "--n 10 --levels 2,3,4",
+]
 #: certificate files that fail one Farkas condition each
 BAD_CERTIFICATES = {
     "row-violation": "FARKAS v1\nn=7 levels=1,2,3\n2 1/2 -2\n",
@@ -74,11 +84,11 @@ def _run(command: str) -> tuple[int, str, str]:
         if source in BAD_CERTIFICATES:
             out = BAD_CERTIFICATES[source]
         else:
-            _, out, _ = _run(source)
+            _, out, err = _run(source)
         if source.startswith("certificate "):
-            instance = source[len("certificate "):]
-            n = instance.split()[1]
-            out = f"FARKAS v1\nn={n} levels={CERTIFICATE[instance]}\n{out}"
+            n = source.split()[2]
+            levels = err.split("certificate-levels: ", 1)[1].strip()
+            out = f"FARKAS v1\nn={n} levels={levels}\n{out}"
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "answer.txt")
             Path(path).write_text(out, encoding="utf-8", newline="\n")
@@ -94,7 +104,8 @@ def _capture(argv: list[str]) -> tuple[int, str, str]:
 
 
 def _commands() -> list[str]:
-    commands = [f"construct {c}" for c in CONSTRUCT + CONSTRUCT_REJECTED]
+    commands = [f"decide {c}" for c in DECIDE]
+    commands += [f"construct {c}" for c in CONSTRUCT + CONSTRUCT_REJECTED]
     commands += [f"solve {c}" for c in SOLVE]
     commands += [f"certificate {c}" for c in CERTIFICATE]
     commands += [f"verify construct {c}" for c in CONSTRUCT]
