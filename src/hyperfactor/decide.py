@@ -38,7 +38,6 @@ from .errors import InvariantViolation, LimitExceeded, NotFactorableError, Searc
 from .factorization import Factorization
 from .flow import DEFAULT_MAX_GROUND, StepRecord, run as flow_run
 from .linear_system import (
-    SEARCH_NODE_LIMIT,
     FarkasCertificate,
     SolutionVector,
     build_system,
@@ -163,7 +162,7 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
             family="simplex-derived",
         )
     try:
-        solution = integer_search_small(system, node_limit=SEARCH_NODE_LIMIT)
+        solution = integer_search_small(system)
     except SearchLimitExceeded:
         return Verdict(
             Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL,
@@ -257,7 +256,9 @@ def construct(
 ) -> Factorization:
     """Build and fully verify a factorization, or raise NotFactorableError.
 
-    Exactly one of k (full range {1..k}) and levels may be given.
+    Exactly one of k (full range {1..k}) and levels may be given.  The plan's
+    blocks are built from the last one, so a lift past max_ground_size raises
+    LimitExceeded before any flow runs.
     """
     check_ground(n)
     if (k is None) == (levels is None):
@@ -276,23 +277,24 @@ def construct(
 def _realize(
     n: int, blocks: list[Block], max_ground_size: int, trace: TraceFn | None
 ) -> Factorization:
-    """Fold the blocks from the last one: each block's factors go before those
-    of the blocks after it, except complement pairs, which go after."""
-    if not blocks:
-        return Factorization(n, (), ())
-    block, rest = blocks[0], blocks[1:]
-    if block.realization is Realization.COMPLEMENT_PAIRS:
-        return extend_by_complements(_realize(n, rest, max_ground_size, trace))
-    if block.realization is Realization.SINGLETONS:
-        head = Factorization(n, (1,), (tuple(mask_of([e]) for e in range(1, n + 1)),))
-    elif block.realization is Realization.WHOLE_SET:
-        head = Factorization(n, (n,), ((full_mask(n),),))
-    else:
-        head = flow_run(
-            block.n, block.levels, block.solution, max_ground_size=max_ground_size, trace=trace
-        )
-        if block.realization is Realization.LIFT:
-            head = project_lift(head)
-    tail = _realize(n, rest, max_ground_size, trace)
-    levels = tuple(sorted(set(head.levels) | set(tail.levels)))
-    return Factorization(n, levels, head.factors + tail.factors)
+    """Fold the blocks from the last one, the only one that may lift to n + 1,
+    so the first flow meets the largest ground.  Each block's factors go before
+    those of the blocks after it, except complement pairs, which go after."""
+    fact = Factorization(n, (), ())
+    for block in reversed(blocks):
+        if block.realization is Realization.COMPLEMENT_PAIRS:
+            fact = extend_by_complements(fact)
+            continue
+        if block.realization is Realization.SINGLETONS:
+            head = Factorization(n, (1,), (tuple(mask_of([e]) for e in range(1, n + 1)),))
+        elif block.realization is Realization.WHOLE_SET:
+            head = Factorization(n, (n,), ((full_mask(n),),))
+        else:
+            head = flow_run(
+                block.n, block.levels, block.solution, max_ground_size=max_ground_size, trace=trace
+            )
+            if block.realization is Realization.LIFT:
+                head = project_lift(head)
+        levels = tuple(sorted(set(head.levels) | set(fact.levels)))
+        fact = Factorization(n, levels, head.factors + fact.factors)
+    return fact

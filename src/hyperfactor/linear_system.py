@@ -207,13 +207,11 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
 
 #: The search gives up on systems with more types than this.
 SEARCH_TYPE_LIMIT = 200
-#: Default node budget of the search.
+#: Node budget of the search, read at call time.
 SEARCH_NODE_LIMIT = 200_000
 
 
-def integer_search_small(
-    system: LinearSystem, *, node_limit: int = SEARCH_NODE_LIMIT
-) -> SolutionVector | None:
+def integer_search_small(system: LinearSystem) -> SolutionVector | None:
     """Exhaustive search for a non-negative integer solution of the system.
 
     Depth-first over types in canonical order on the |L| level rows, choosing
@@ -224,7 +222,7 @@ def integer_search_small(
 
     Returns a solution dict or None (= proof of integer infeasibility).
     Raises SearchLimitExceeded above SEARCH_TYPE_LIMIT types (counted, not
-    listed) or above node_limit nodes.
+    listed) or above SEARCH_NODE_LIMIT nodes.
     """
     levels = system.levels
     ntypes = count_types(system.n, levels)
@@ -242,8 +240,8 @@ def integer_search_small(
     def dfs(idx: int, budget: list[int]) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > node_limit:
-            raise SearchLimitExceeded(f"integer search exceeded {node_limit} nodes")
+        if nodes > SEARCH_NODE_LIMIT:
+            raise SearchLimitExceeded(f"integer search exceeded {SEARCH_NODE_LIMIT} nodes")
         if not any(budget):
             return True
         if idx == ntypes or not feasible_nonnegative(columns[idx:], budget).feasible:

@@ -23,6 +23,7 @@ from hyperfactor.fileformat import (
     save_text,
     write_factorization,
 )
+from hyperfactor import linear_system
 from hyperfactor.flow import evolve_step, init_state, run as flow_run
 from hyperfactor.linear_system import (
     build_system,
@@ -72,17 +73,18 @@ def test_c02_negative_instance_with_certificate():
     assert elapsed < 1.0, f"took {elapsed:.2f} s (pin: 1 s)"
 
 
-def test_c03_characterization_table_and_involution():
+def test_c03_characterization_table_and_involution(monkeypatch):
     """Criterion 3: decide agrees with brute-force search for every n <= 14;
     the complement-pairing equivalence holds in truth, not just by delegation.
     < 5 min."""
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 5_000_000)
     start = time.perf_counter()
     brute: dict[tuple[int, int], bool] = {}
 
     def brute_feasible(n: int, k: int) -> bool:
         if (n, k) not in brute:
             system = build_system(n, LevelSet.full(k))
-            witness = integer_search_small(system, node_limit=5_000_000)
+            witness = integer_search_small(system)
             if witness is not None:
                 assert not any(solution_residual(n, system.levels, witness))
             brute[(n, k)] = witness is not None

@@ -121,6 +121,18 @@ def test_construct_work_limit(capsys):
     assert capsys.readouterr().err.startswith("limit exceeded:")
 
 
+def test_construct_refuses_an_over_limit_lift_before_any_flow(capsys):
+    """(20, 7) plans a flow block on 20, then a lift to 21: the lift is built
+    first, so the work limit 20 refuses it before the other block's flow."""
+    start = time.perf_counter()
+    assert main(["construct", "--n", "20", "--k", "7", "--max-ground-size", "20"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "limit exceeded: ground size 21 exceeds the evolution work limit 20; "
+        "raise max_ground_size explicitly to proceed\n"
+    )
+
+
 def test_complement_only_construct_is_refused_up_front(capsys):
     """For k >= n-2 no block reaches the flow engine; the verification limit
     refuses the complement pairs before any pair is built."""

@@ -1,13 +1,17 @@
 """Tests for the decision procedures and the construction pipeline."""
 
-import importlib
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import LevelSet, binomial, count_types
-from hyperfactor.constructors import Block, Realization, construct_general_L_div
+from hyperfactor.constructors import (
+    Block,
+    Realization,
+    construct_general_L_div,
+    construct_minus1,
+)
 from hyperfactor.decide import Status, _realize, construct, decide, decide_general, plan
 from hyperfactor.flow import DEFAULT_MAX_GROUND
 from hyperfactor import linear_system
@@ -21,9 +25,6 @@ from hyperfactor.linear_system import (
     verify_certificate,
 )
 from hyperfactor.verifier import verify_factorization
-
-# the package rebinds `hyperfactor.decide` to the function of that name
-decide_module = importlib.import_module("hyperfactor.decide")
 
 
 def test_decide_divisible():
@@ -155,7 +156,7 @@ def test_decide_general_limit_overrides(monkeypatch):
         v = decide_general(11, lv)
         assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
     # the search's node limit leaves an LP-feasible set undecided
-    monkeypatch.setattr(decide_module, "SEARCH_NODE_LIMIT", 1)
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 1)
     v = decide_general(11, lv)
     assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
 
@@ -273,6 +274,16 @@ def test_realize_puts_a_top_block_before_its_sub_range():
     assert len(fact.factors) == n_top + len(construct(12, 3).factors)
 
 
+def test_realize_refuses_a_lift_before_any_flow():
+    """A flow block on 11 ahead of a lift to 12: the lift is built first, so
+    the work limit 11 refuses the blocks before any flow step runs."""
+    whole = Block(11, LevelSet.of([11]), {(0,) * 10 + (1,): 1}, Realization.FLOW)
+    records = []
+    with pytest.raises(LimitExceeded, match="ground size 12 exceeds the evolution work limit 11"):
+        _realize(11, [whole, *construct_minus1(11, 3)], 11, records.append)
+    assert records == []
+
+
 def test_construct_sweep_small():
     """Every feasible full-range instance with n <= 10 builds and verifies."""
     built = 0
@@ -289,13 +300,14 @@ def test_construct_sweep_small():
     assert built >= 30
 
 
-def test_decide_matches_exhaustive_search_small():
+def test_decide_matches_exhaustive_search_small(monkeypatch):
     """Arithmetic verdicts agree with brute-force integer search, n <= 11."""
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 2_000_000)
     for n in range(2, 12):
         for k in range(2, n + 1):
             v = decide(n, k)
             system = build_system(n, LevelSet.full(k))
-            witness = integer_search_small(system, node_limit=2_000_000)
+            witness = integer_search_small(system)
             assert (witness is not None) == (v.status is Status.FACTORABLE), (n, k)
 
 
@@ -313,7 +325,9 @@ def test_decide_general_agrees_with_exhaustive_search(instance):
     certificate, and its status matches a search with a larger node budget."""
     n, levels = instance
     verdict = decide_general(n, levels)
-    witness = integer_search_small(build_system(n, levels), node_limit=2_000_000)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linear_system, "SEARCH_NODE_LIMIT", 2_000_000)
+        witness = integer_search_small(build_system(n, levels))
     if witness is None:
         assert verdict.status is Status.NOT_FACTORABLE, (n, levels)
     else:

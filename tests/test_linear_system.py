@@ -193,7 +193,7 @@ def test_relaxation_prune_is_load_bearing(monkeypatch):
     assert integer_search_small(system) is None
     _without_cone_prune(monkeypatch)
     with pytest.raises(SearchLimitExceeded):
-        integer_search_small(system, node_limit=200_000)
+        integer_search_small(system)
 
 
 def test_integer_search_type_limit(monkeypatch):
@@ -214,16 +214,18 @@ def test_integer_search_type_limit(monkeypatch):
         (21, (1, 2, 4, 5, 6, 7), 1, False),
     ],
 )
-def test_integer_search_node_counts(n, levels, nodes, found):
+def test_integer_search_node_counts(monkeypatch, n, levels, nodes, found):
     """The search settles in exactly `nodes` nodes: one fewer raises."""
     system = build_system(n, LevelSet(levels))
-    solution = integer_search_small(system, node_limit=nodes)
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", nodes)
+    solution = integer_search_small(system)
     if found:
         assert not any(solution_residual(n, system.levels, solution))
     else:
         assert solution is None
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", nodes - 1)
     with pytest.raises(SearchLimitExceeded):
-        integer_search_small(system, node_limit=nodes - 1)
+        integer_search_small(system)
 
 
 #: Non-range sets the manifest records as settled by the LP, half of them
