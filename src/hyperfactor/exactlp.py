@@ -1,20 +1,25 @@
 """Exact rational LP feasibility via a revised phase-1 simplex with Bland's rule.
 
-The system is  sum_j x_j * col_j == rhs,  x >= 0,  with m rows.  The simplex
-keeps only the m x m basis inverse and never lists the columns: each step
-hands its candidate separator y to a pricing callback, which returns the
-first column, in the caller's order, with y . col < 0.  linear_system prices
-every type that way with a knapsack DP.  Everything is exact (Fraction), and
+The system is  sum_j x_j * col_j == rhs,  x >= 0,  with m rows and integer
+data.  The simplex keeps only the m x m basis inverse and never lists the
+columns: each step hands its candidate separator, scaled to integers, to a
+pricing callback, which returns the first column, in the caller's order,
+with y . col < 0.  linear_system prices every type that way with a knapsack
+DP.  The pivots are fraction-free (Bareiss 1968): the basis inverse is kept
+as its integer adjugate over the basis determinant, so every step is exact
+integer arithmetic and Fractions are built only for the returned values.
 Bland's rule, with artificial columns after every real one in both the
 entering choice and the ratio-test ties, guarantees termination.  At a
-positive phase-1 optimum y is a Farkas witness: y . col >= 0 for every column
-and y . rhs < 0.
+positive phase-1 optimum y is a Farkas witness: y . col >= 0 for every
+column and y . rhs < 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, mul
 from typing import Any, Callable, Sequence
 
 from .errors import InvariantViolation
@@ -29,91 +34,120 @@ class FeasibilityResult:
     separator: tuple[Fraction, ...] | None
 
 
+def _integers(values: Sequence[Any], what: str) -> list[int]:
+    ints = list(map(int, values))
+    if ints != [*values]:
+        raise ValueError(f"{what} has a non-integer entry")
+    return ints
+
+
 def phase_one(
-    rhs: Sequence[int], price: Callable[[tuple[Fraction, ...]], tuple[Any, Sequence[int]] | None]
+    rhs: Sequence[int], price: Callable[[tuple[int, ...]], tuple[Any, Sequence[int]] | None]
 ) -> tuple[dict[Any, Fraction], None] | tuple[None, tuple[Fraction, ...]]:
     """Decide {x >= 0 : sum_j x_j * col_j == rhs} != {} over the columns that
-    price(y) returns as (key, col); keys compare in the caller's order.
+    price(y) returns as (key, col); keys compare in the caller's order.  rhs
+    and every column are integers; y is the separator times the (positive)
+    basis determinant, so it has the separator's signs.
 
     Returns (the non-zero basic values by key, None) or (None, separator y),
     each self-checked.
     """
+    rhs = _integers(rhs, "rhs")
     m = len(rhs)
     sign = [-1 if r < 0 else 1 for r in rhs]
-    inverse = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
-    value = [Fraction(abs(r)) for r in rhs]
+    # the basis inverse is adj / det with det > 0, and the basic values are
+    # value / det; a pivot keeps every entry an integer (Sylvester's identity)
+    adj = [[int(r == c) for c in range(m)] for r in range(m)]
+    det = 1
+    value = [abs(r) for r in rhs]
     # (0, key, col) for a priced column, (1, i, None) for the artificial of row i
     basis: list[tuple[int, Any, Sequence[int] | None]] = [(1, i, None) for i in range(m)]
 
     while True:
-        # phase-1 multipliers: the inverse rows of the basic artificials, summed
-        pi = [sum((inverse[r][c] for r in range(m) if basis[r][0]), Fraction(0)) for c in range(m)]
+        # phase-1 multipliers times det: the adj rows of the basic artificials, summed
+        arts = [adj[r] for r in range(m) if basis[r][0]]
+        pi = list(map(sum, zip(*arts))) if arts else [0] * m
         y = tuple(-pi[i] * sign[i] for i in range(m))
         found = price(y)
         if found is not None:
             key, col = found
+            col = _integers(col, "column")
             enter, column = (0, key, col), [sign[i] * col[i] for i in range(m)]
         else:
-            # an artificial column has reduced cost 1 - pi_i
-            row = next((i for i in range(m) if pi[i] > 1), None)
+            # an artificial column has reduced cost 1 - pi_i / det
+            row = next((i for i in range(m) if pi[i] > det), None)
             if row is None:
                 break
             enter, column = (1, row, None), [int(i == row) for i in range(m)]
-        u = [sum(a * b for a, b in zip(inverse[r], column) if b) for r in range(m)]
+        u = [sum(map(mul, adj[r], column)) for r in range(m)]
+        # ratio test value[r] / u[r], compared by cross-multiplication
         leave = -1
-        best: Fraction | None = None
         for r in range(m):
             if u[r] > 0:
-                ratio = value[r] / u[r]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
+                if leave < 0:
+                    leave = r
+                    continue
+                here, there = value[r] * u[leave], value[leave] * u[r]
+                if here < there or (here == there and basis[r] < basis[leave]):
+                    leave = r
         if leave < 0:
             # can only happen for an unbounded phase-1, which is impossible
             raise InvariantViolation("phase-1 simplex became unbounded")
-        piv = u[leave]
-        inverse[leave] = [v / piv for v in inverse[leave]]
-        value[leave] /= piv
+        piv, prow, pval = u[leave], adj[leave], value[leave]
         for r in range(m):
-            if r != leave and u[r]:
-                f = u[r]
-                inverse[r] = [a - f * p for a, p in zip(inverse[r], inverse[leave])]
-                value[r] -= f * value[leave]
+            if r == leave:
+                continue
+            f = u[r]
+            if f:
+                adj[r] = [(piv * a - f * p) // det for a, p in zip(adj[r], prow)]
+                value[r] = (piv * value[r] - f * pval) // det
+            elif piv != det:
+                adj[r] = [piv * a // det for a in adj[r]]
+                value[r] = piv * value[r] // det
+        det = piv
         basis[leave] = enter
 
     if sum(value[r] for r in range(m) if basis[r][0]) == 0:
-        solution = {basis[r][1]: value[r] for r in range(m) if not basis[r][0] and value[r]}
+        solution = {
+            basis[r][1]: Fraction(value[r], det) for r in range(m) if not basis[r][0] and value[r]
+        }
         # self-check: non-negative and exactly solves the original system
         if any(v < 0 for v in solution.values()):
             raise InvariantViolation("simplex returned a negative solution")
         for i in range(m):
             total = sum(value[r] * col[i] for r, (art, _, col) in enumerate(basis) if not art)
-            if total != rhs[i]:
+            if total != rhs[i] * det:
                 raise InvariantViolation("simplex returned a non-solution")
         return solution, None
     if sum(a * b for a, b in zip(y, rhs)) >= 0:
         raise InvariantViolation("separator fails the rhs")
-    return None, y
+    return None, tuple(Fraction(v, det) for v in y)
 
 
 def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> FeasibilityResult:
     """Decide {x >= 0 : sum_j x_j * columns[j] == rhs} != {} exactly.
 
-    columns are given column-wise; all entries are integers.  Pricing scans
-    the columns in order.
+    columns are given column-wise; entries are integers or Fractions.  Each
+    row is scaled by the lcm of its denominators, which changes no solution,
+    and the separator is scaled back.  Pricing scans the columns in order.
     """
     m = len(rhs)
     for col in columns:
         if len(col) != m:
             raise ValueError("column length does not match rhs length")
+    scale = [math.lcm(*map(attrgetter("denominator"), row)) for row in zip(rhs, *columns)]
+    if any(s != 1 for s in scale):
+        columns = [[v * s for v, s in zip(col, scale)] for col in columns]
+        rhs = [v * s for v, s in zip(rhs, scale)]
 
-    def first_below(y: Sequence[Fraction]) -> tuple[int, Sequence[int]] | None:
+    def first_below(y: Sequence[int]) -> tuple[int, Sequence[int]] | None:
         for j, col in enumerate(columns):
-            if sum(a * b for a, b in zip(y, col) if b) < 0:
+            if sum(map(mul, y, col)) < 0:
                 return j, col
         return None
 
     solution, separator = phase_one(rhs, first_below)
     if separator is not None:
-        return FeasibilityResult(False, None, separator)
+        return FeasibilityResult(False, None, tuple(v * s for v, s in zip(separator, scale)))
     x = tuple(solution.get(j, Fraction(0)) for j in range(len(columns)))
     return FeasibilityResult(True, x, None)

@@ -184,7 +184,7 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
     """
     n, levels = system.n, system.levels
 
-    def price(y: tuple[Fraction, ...]) -> tuple[tuple, list[int]] | None:
+    def price(y: tuple[int, ...]) -> tuple[tuple, list[int]] | None:
         lam = first_negative_type(n, levels, y)
         if lam is None:
             return None

@@ -377,6 +377,15 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_a_usage_error_does_not_break_the_next_call(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "--n", "5"])  # neither --k nor --levels
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["decide", "--n", "12", "--k", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "FACTORABLE"
+
+
 def test_max_ground_size_below_one_is_a_usage_error(capsys):
     for value in ("0", "-3"):
         with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfactor.errors import InvariantViolation
-from hyperfactor.exactlp import feasible_nonnegative, phase_one
+from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative, phase_one
 
 
 def _recheck(columns, rhs, result):
@@ -118,3 +120,85 @@ def test_unbounded_phase_one_raises():
     # a column that improves nothing has no leaving row
     with pytest.raises(InvariantViolation, match="unbounded"):
         phase_one([1], lambda y: (0, [0]))
+
+
+def _reference_phase_one(rhs, price):
+    """The revised phase-1 simplex on a Fraction basis inverse, step for step
+    the pivots of phase_one: the differential oracle for its integer kernel."""
+    m = len(rhs)
+    sign = [-1 if r < 0 else 1 for r in rhs]
+    inverse = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+    value = [Fraction(abs(r)) for r in rhs]
+    basis = [(1, i, None) for i in range(m)]
+    while True:
+        pi = [sum((inverse[r][c] for r in range(m) if basis[r][0]), Fraction(0)) for c in range(m)]
+        y = tuple(-pi[i] * sign[i] for i in range(m))
+        found = price(y)
+        if found is not None:
+            key, col = found
+            enter, column = (0, key, col), [sign[i] * col[i] for i in range(m)]
+        else:
+            row = next((i for i in range(m) if pi[i] > 1), None)
+            if row is None:
+                break
+            enter, column = (1, row, None), [int(i == row) for i in range(m)]
+        u = [sum(a * b for a, b in zip(inverse[r], column) if b) for r in range(m)]
+        leave, best = -1, None
+        for r in range(m):
+            if u[r] > 0:
+                ratio = value[r] / u[r]
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        assert leave >= 0
+        piv = u[leave]
+        inverse[leave] = [v / piv for v in inverse[leave]]
+        value[leave] /= piv
+        for r in range(m):
+            if r != leave and u[r]:
+                f = u[r]
+                inverse[r] = [a - f * p for a, p in zip(inverse[r], inverse[leave])]
+                value[r] -= f * value[leave]
+        basis[leave] = enter
+    if sum(value[r] for r in range(m) if basis[r][0]) == 0:
+        return {basis[r][1]: value[r] for r in range(m) if not basis[r][0] and value[r]}, None
+    return None, y
+
+
+def _scanning(columns):
+    def price(y):
+        for j, col in enumerate(columns):
+            if sum(a * b for a, b in zip(y, col)) < 0:
+                return j, col
+        return None
+
+    return price
+
+
+@st.composite
+def _integer_systems(draw):
+    m = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), max_size=8))
+    rhs = draw(st.lists(st.integers(-5, 9), min_size=m, max_size=m))
+    return columns, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_integer_systems())
+def test_phase_one_matches_the_fraction_reference(system):
+    columns, rhs = system
+    solution, separator = phase_one(rhs, _scanning(columns))
+    assert (solution, separator) == _reference_phase_one(rhs, _scanning(columns))
+    if separator is None:
+        x = tuple(solution.get(j, Fraction(0)) for j in range(len(columns)))
+        result = FeasibilityResult(True, x, None)
+    else:
+        result = FeasibilityResult(False, None, separator)
+    _recheck(columns, rhs, result)
+    _recheck(columns, rhs, feasible_nonnegative(columns, rhs))
+
+
+def test_phase_one_refuses_non_integer_data():
+    with pytest.raises(ValueError, match="rhs has a non-integer entry"):
+        phase_one([Fraction(1, 2)], lambda y: None)
+    with pytest.raises(ValueError, match="column has a non-integer entry"):
+        phase_one([1], lambda y: (0, [Fraction(1, 3)]))
