@@ -4,16 +4,17 @@ decide(n, k) settles factorability of the full level range {1..k} by pure
 arithmetic: for k < n/2 a congruence-plus-threshold test, for n/2 <= k <= n-1
 a reduction to the complementary range {1..n-k-1} (complement pairing covers
 the middle sizes), with k = 1 and k = n handled by convention.  Negative
-verdicts carry a validated Farkas certificate.
+verdicts carry a validated Farkas certificate, positive ones the blocks a
+factorization is built from, made as each branch returns.
 
 decide_general(n, L) handles arbitrary level sets: certificate families, the
 divisible pairing, the exact LP (no type list; refutes with a simplex-derived
 certificate), then bounded integer search for a witness.  Undecided means an LP
 solution without a search witness (RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL).
 
-plan lays out the systems a FACTORABLE verdict is built from, as blocks;
-construct realizes the blocks as an explicit factorization and verifies it
-from scratch before returning, and the CLI's solve prints them.
+plan reads the blocks off a FACTORABLE verdict; construct realizes them as
+an explicit factorization and verifies it from scratch before returning, and
+the CLI's solve prints them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .constructors import (
 )
 from .errors import InvariantViolation, LimitExceeded, NotFactorableError, SearchLimitExceeded
 from .factorization import Factorization
-from .flow import DEFAULT_MAX_GROUND, StepRecord, run as flow_run
+from .flow import DEFAULT_MAX_GROUND, StepRecord, check_evolution_size, run as flow_run
 from .linear_system import (
     FarkasCertificate,
     SolutionVector,
@@ -45,7 +46,7 @@ from .linear_system import (
     lp_feasible,
 )
 from .reducer import extend_by_complements, project_lift
-from .verifier import verify_factorization
+from .verifier import check_verify_size, verify_factorization
 
 
 class Status(enum.Enum):
@@ -69,6 +70,8 @@ class Verdict:
     solution: SolutionVector | None = None
     #: True when NOT_FACTORABLE rests on an exhausted integer search
     search_exhausted: bool = False
+    #: the blocks a factorization is built from, in print order, when FACTORABLE
+    blocks: tuple[Block, ...] | None = None
 
 
 def decide(n: int, k: int) -> Verdict:
@@ -80,32 +83,40 @@ def decide(n: int, k: int) -> Verdict:
         return Verdict(
             Status.FACTORABLE,
             "trivial: the n singletons form the single factor (k = 1 convention)",
+            blocks=(Block(n, LevelSet.full(1), {(n,): 1}, Realization.SINGLETONS),),
         )
     if k == n:
-        inner = decide(n, n - 1)
-        return replace(
-            inner,
-            reason="the whole ground set forms one factor; rest reduces to k = n-1: "
-            + inner.reason,
+        return _prefixed(
+            lambda: Block(n, LevelSet.of([n]), {(0,) * (n - 1) + (1,): 1}, Realization.WHOLE_SET),
+            decide(n, n - 1),
+            "the whole ground set forms one factor; rest reduces to k = n-1: ",
         )
     if 2 * k < n:
-        r = n % k
         if _divisible_ok(n, k):
             return Verdict(
                 Status.FACTORABLE,
                 f"divisible case: n = 0 (mod {k}) and n = {n} >= k(k-2) = {k * (k - 2)}",
+                blocks=(Block(n, LevelSet.full(k), construct_div(n, k), Realization.FLOW),),
             )
         if _minus_one_ok(n, k):
+            blocks = construct_minus1(n, k)
+            if blocks[-1].realization is not Realization.LIFT:
+                # the top block leaves the full range below its lowest level
+                rest = decide(n, blocks[-1].levels.levels[0] - 1).blocks
+                if rest is None:
+                    raise InvariantViolation(f"(n={n}, k={k}): near-divisible remainder infeasible")
+                blocks += rest
             return Verdict(
                 Status.FACTORABLE,
                 f"near-divisible case: n = -1 (mod {k}) and n = {n} >= {_minus_one_threshold(k)}",
+                blocks=tuple(blocks),
             )
-        if r == 0:
+        if n % k == 0:
             why = f"below the divisible threshold: n = {n} < k(k-2) = {k * (k - 2)}"
-        elif r == k - 1:
+        elif n % k == k - 1:
             why = f"below the near-divisible threshold: n = {n} < {_minus_one_threshold(k)}"
         else:
-            why = f"residue obstruction: n = {r} (mod {k}) is neither 0 nor -1"
+            why = f"residue obstruction: n = {n % k} (mod {k}) is neither 0 nor -1"
         levels = LevelSet.full(k)
         found = certificate_with_branch(n, levels)
         if found is None:
@@ -124,9 +135,31 @@ def decide(n: int, k: int) -> Verdict:
         return Verdict(
             Status.FACTORABLE,
             "complement pairing alone covers all levels (reduction target is empty)",
+            blocks=(_complement_pairs(n, k),),
         )
-    inner = decide(n, m)
-    return replace(inner, reason=f"complement pairing reduces to levels 1..{m}: " + inner.reason)
+    return _prefixed(
+        lambda: _complement_pairs(n, k),
+        decide(n, m),
+        f"complement pairing reduces to levels 1..{m}: ",
+    )
+
+
+def _prefixed(head: Callable[[], Block], inner: Verdict, reason: str) -> Verdict:
+    """inner, with reason before its reason and head() before its blocks, if any."""
+    blocks = None if inner.blocks is None else (head(), *inner.blocks)
+    return replace(inner, reason=reason + inner.reason, blocks=blocks)
+
+
+def _complement_pairs(n: int, k: int) -> Block:
+    """The block of the factors {S, complement(S)}, n - k <= |S| <= k."""
+    pairs: SolutionVector = {}
+    for s in range(n - k, n // 2 + 1):
+        lam = [0] * k
+        lam[s - 1] += 1
+        lam[n - s - 1] += 1
+        # a middle-size set and its complement are one factor: C(n, n/2) counts it twice
+        pairs[tuple(lam)] = binomial(n, s) // (2 if 2 * s == n else 1)
+    return Block(n, LevelSet.of(range(n - k, k + 1)), pairs, Realization.COMPLEMENT_PAIRS)
 
 
 def decide_general(n: int, levels: LevelSet) -> Verdict:
@@ -148,7 +181,7 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
         )
     solution = construct_general_L_div(n, levels)
     if solution is not None:
-        return Verdict(Status.FACTORABLE, "divisible level-pairing construction", solution=solution)
+        return _witnessed(n, levels, solution, "divisible level-pairing construction")
     system = build_system(n, levels)
     outcome = lp_feasible(system)
     if not outcome.feasible:
@@ -169,16 +202,17 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
             "rationally feasible, but no integral witness within search limits",
         )
     if solution is not None:
-        return Verdict(
-            Status.FACTORABLE,
-            "bounded exhaustive integer search found a witness",
-            solution=solution,
-        )
+        return _witnessed(n, levels, solution, "bounded exhaustive integer search found a witness")
     return Verdict(
         Status.NOT_FACTORABLE,
         "exhaustive search over all non-negative integer multiplicities",
         search_exhausted=True,
     )
+
+
+def _witnessed(n: int, levels: LevelSet, solution: SolutionVector, reason: str) -> Verdict:
+    block = Block(n, levels, solution, Realization.FLOW)
+    return Verdict(Status.FACTORABLE, reason, solution=solution, blocks=(block,))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +223,7 @@ TraceFn = Callable[[StepRecord], None]
 
 
 def plan(n: int, levels: LevelSet) -> list[Block]:
-    """The blocks a factorization of (n, levels) is built from, in print order.
+    """The blocks of the FACTORABLE verdict on (n, levels), in print order.
 
     Raises NotFactorableError for a negative verdict and LimitExceeded for an
     undecided one.
@@ -203,47 +237,7 @@ def plan(n: int, levels: LevelSet) -> list[Block]:
         raise NotFactorableError(f"{where}: {verdict.reason}")
     if verdict.status is not Status.FACTORABLE:
         raise LimitExceeded(f"{where} undecided: {verdict.reason}")
-    if verdict.solution is not None:
-        return [Block(n, levels, verdict.solution, Realization.FLOW)]
-    return _range_blocks(n, levels.k)
-
-
-def _range_blocks(n: int, k: int) -> list[Block]:
-    """Blocks for the factorable full range {1..k}, 0 <= k <= n."""
-    if k == 0:
-        return []
-    if k == 1:
-        return [Block(n, LevelSet.full(1), {(n,): 1}, Realization.SINGLETONS)]
-    if k == n:
-        whole = Block(n, LevelSet.of([n]), {(0,) * (n - 1) + (1,): 1}, Realization.WHOLE_SET)
-        return [whole] + _range_blocks(n, n - 1)
-    if 2 * k >= n:
-        pairs = Block(
-            n, LevelSet.of(range(n - k, k + 1)), _complement_pairs(n, k),
-            Realization.COMPLEMENT_PAIRS,
-        )
-        return [pairs] + _range_blocks(n, n - k - 1)
-    if n % k == 0:
-        return [Block(n, LevelSet.full(k), construct_div(n, k), Realization.FLOW)]
-    top = construct_minus1(n, k)
-    if top[-1].realization is Realization.LIFT:
-        return top
-    return top + _range_blocks(n, top[-1].levels.levels[0] - 1)
-
-
-def _complement_pairs(n: int, k: int) -> SolutionVector:
-    """Multiplicities of the factors {S, complement(S)}, n - k <= |S| <= k."""
-    pairs: SolutionVector = {}
-    for s in range(n - k, (n + 1) // 2):
-        lam = [0] * k
-        lam[s - 1] = 1
-        lam[n - s - 1] += 1
-        pairs[tuple(lam)] = binomial(n, s)
-    if n % 2 == 0:
-        lam = [0] * k
-        lam[n // 2 - 1] = 2
-        pairs[tuple(lam)] = binomial(n, n // 2) // 2
-    return pairs
+    return list(verdict.blocks)
 
 
 def construct(
@@ -256,9 +250,9 @@ def construct(
 ) -> Factorization:
     """Build and fully verify a factorization, or raise NotFactorableError.
 
-    Exactly one of k (full range {1..k}) and levels may be given.  The plan's
-    blocks are built from the last one, so a lift past max_ground_size raises
-    LimitExceeded before any flow runs.
+    Exactly one of k (full range {1..k}) and levels may be given.  Before any
+    flow runs, the largest flow ground is checked against the evolution limits
+    and the family against the verifier's; either raises LimitExceeded.
     """
     check_ground(n)
     if (k is None) == (levels is None):
@@ -267,7 +261,12 @@ def construct(
         if not isinstance(k, int) or not 1 <= k <= n:
             raise ValueError(f"k must be an int in 1..n={n}, got {k!r}")
         levels = LevelSet.full(k)
-    fact = _realize(n, plan(n, levels), max_ground_size, trace)
+    blocks = plan(n, levels)
+    grounds = [b.n for b in blocks if b.realization in (Realization.FLOW, Realization.LIFT)]
+    if grounds:
+        check_evolution_size(max(grounds), max_ground_size)
+        check_verify_size(n, levels.levels)
+    fact = _realize(n, blocks, max_ground_size, trace)
     problems = verify_factorization(fact)
     if problems:
         raise InvariantViolation(f"constructed factorization failed verification: {problems[:3]}")
@@ -277,9 +276,9 @@ def construct(
 def _realize(
     n: int, blocks: list[Block], max_ground_size: int, trace: TraceFn | None
 ) -> Factorization:
-    """Fold the blocks from the last one, the only one that may lift to n + 1,
-    so the first flow meets the largest ground.  Each block's factors go before
-    those of the blocks after it, except complement pairs, which go after."""
+    """Fold the blocks from the last one, the only one that may lift to n + 1.
+    Each block's factors go before those of the later blocks, but complement
+    pairs go after them."""
     fact = Factorization(n, (), ())
     for block in reversed(blocks):
         if block.realization is Realization.COMPLEMENT_PAIRS:

@@ -149,5 +149,6 @@ def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -
     solution, separator = phase_one(rhs, first_below)
     if separator is not None:
         return FeasibilityResult(False, None, tuple(v * s for v, s in zip(separator, scale)))
-    x = tuple(solution.get(j, Fraction(0)) for j in range(len(columns)))
+    zero = Fraction(0)
+    x = tuple(solution.get(j, zero) for j in range(len(columns)))
     return FeasibilityResult(True, x, None)

@@ -310,15 +310,9 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
     return new_state
 
 
-def run(
-    n: int,
-    levels: LevelSet,
-    solution: SolutionVector,
-    *,
-    max_ground_size: int = DEFAULT_MAX_GROUND,
-    trace: Callable[[StepRecord], None] | None = None,
-) -> Factorization:
-    """Full evolution from the empty ground set to a verified-shape factorization."""
+def check_evolution_size(n: int, max_ground_size: int) -> None:
+    """Refuse, with LimitExceeded, an evolution on n elements past the
+    bit-mask cap or past the work limit max_ground_size."""
     if n > MAX_GROUND_SIZE:
         raise LimitExceeded(
             f"ground size {n} exceeds the {MAX_GROUND_SIZE}-element bit-mask cap of the "
@@ -329,6 +323,18 @@ def run(
             f"ground size {n} exceeds the evolution work limit {max_ground_size}; "
             "raise max_ground_size explicitly to proceed"
         )
+
+
+def run(
+    n: int,
+    levels: LevelSet,
+    solution: SolutionVector,
+    *,
+    max_ground_size: int = DEFAULT_MAX_GROUND,
+    trace: Callable[[StepRecord], None] | None = None,
+) -> Factorization:
+    """Full evolution from the empty ground set to a verified-shape factorization."""
+    check_evolution_size(n, max_ground_size)
     state = init_state(n, levels, solution)
     for _ in range(n):
         state = evolve_step(state)

@@ -133,6 +133,17 @@ def test_construct_refuses_an_over_limit_lift_before_any_flow(capsys):
     )
 
 
+def test_construct_refuses_a_family_too_large_to_verify_before_any_flow(capsys):
+    """(48, 6) plans one flow block on 48 elements; its 14,196,868 sets are
+    past the verifier's cap, so construct refuses it before the flow."""
+    start = time.perf_counter()
+    assert main(["construct", "--n", "48", "--k", "6", "--max-ground-size", "48"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "limit exceeded: verification would track 14196868 sets (limit 5000000)\n"
+    )
+
+
 def test_complement_only_construct_is_refused_up_front(capsys):
     """For k >= n-2 no block reaches the flow engine; the verification limit
     refuses the complement pairs before any pair is built."""

@@ -1,5 +1,6 @@
 """Tests for the decision procedures and the construction pipeline."""
 
+import importlib
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from hyperfactor.constructors import (
     construct_minus1,
 )
 from hyperfactor.decide import Status, _realize, construct, decide, decide_general, plan
+from hyperfactor.cli import main
 from hyperfactor.flow import DEFAULT_MAX_GROUND
 from hyperfactor import linear_system
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
@@ -213,17 +215,55 @@ def _range_factorable(n: int, k: int) -> bool:
 
 
 def test_plan_solves_every_factorable_range():
-    """Every block that plan gives for a factorable range with n <= 64 has a
-    zero residual, the lifted blocks on the ground n + 1 = 65 included."""
+    """decide has blocks for (n, k), n <= 64, exactly when the range is
+    factorable.  Every block has a zero residual, the lifted blocks on the
+    ground n + 1 = 65 included, and the levels the blocks cover on the ground n
+    partition {1..k}."""
     grounds = set()
     for n in range(1, 65):
         for k in range(1, n + 1):
-            if not _range_factorable(n, k):
+            blocks = decide(n, k).blocks
+            assert (blocks is None) == (not _range_factorable(n, k)), (n, k)
+            if blocks is None:
                 continue
-            for block in plan(n, LevelSet.full(k)):
+            assert plan(n, LevelSet.full(k)) == list(blocks)
+            covered = Counter()
+            for block in blocks:
                 assert not any(solution_residual(block.n, block.levels, block.solution)), (n, k)
                 grounds.add(block.n)
+                levels = block.levels.levels
+                if block.realization is Realization.LIFT:
+                    # as in project_lift: a lifted s-set loses the element n + 1 or not
+                    assert block.n == n + 1
+                    covered.update(levels)
+                    covered.update(s - 1 for s in levels if s > 1)
+                else:
+                    assert block.n == n
+                    covered.update(levels)
+                if block.realization is Realization.COMPLEMENT_PAIRS:
+                    # sizes n-j..j for the top level j of the range it pairs off
+                    assert levels == tuple(range(n - levels[-1], levels[-1] + 1)), (n, k)
+                elif block.realization is Realization.WHOLE_SET:
+                    assert levels == (n,)
+                elif block.realization is Realization.SINGLETONS:
+                    assert levels == (1,)
+            assert covered == Counter(range(1, k + 1)), (n, k)
     assert 65 in grounds
+
+
+def test_near_divisible_remainder_must_be_factorable(monkeypatch, capsys):
+    """A top block whose remainder range is infeasible is an internal error,
+    not a usage error: (11, {1..5}) fails the residue test."""
+    top = Block(11, LevelSet.of([6]), {}, Realization.FLOW)
+    # the package exports the function decide, which hides the module of that name
+    decide_module = importlib.import_module("hyperfactor.decide")
+    monkeypatch.setattr(decide_module, "construct_minus1", lambda n, k: [top])
+    with pytest.raises(InvariantViolation, match="near-divisible remainder infeasible"):
+        decide(11, 3)
+    assert main(["decide", "--n", "11", "--k", "3"]) == 4
+    assert "internal error: (n=11, k=3): near-divisible remainder infeasible" in (
+        capsys.readouterr().err
+    )
 
 
 def test_construct_full_range_small():
