@@ -9,6 +9,7 @@ lambda_j = 0 for j outside L.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -100,6 +101,39 @@ def elements_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+@functools.cache
+def _byte_text_rows() -> tuple[tuple[str, ...], ...]:
+    """Row i, entry b: the comma-joined elements of byte value b at bit offset 8i.
+
+    Built on first use, so a process that spells no set never holds it.
+    """
+    rows = []
+    for i in range(MAX_GROUND_SIZE // 8):
+        row = [""] * 256
+        for b in range(1, 256):
+            low = b & -b
+            head, rest = str(8 * i + low.bit_length()), row[b ^ low]
+            row[b] = f"{head},{rest}" if rest else head
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def set_text(mask: int) -> str:
+    """The set spelled as `{e1,e2,...}`, elements ascending; read a byte at a time."""
+    chunks = []
+    for row in _byte_text_rows():
+        if not mask:
+            break
+        byte = mask & 0xFF
+        if byte:
+            chunks.append(row[byte])
+        mask >>= 8
+    else:
+        if mask:
+            raise ValueError(f"not a subset of 1..{MAX_GROUND_SIZE}: {mask}")
+    return "{" + ",".join(chunks) + "}"
 
 
 def full_mask(n: int) -> int:

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import lt
+from typing import NoReturn
 
-from .combinatorics import MAX_GROUND_SIZE, LevelSet, elements_of, mask_of, min_element
+from .combinatorics import MAX_GROUND_SIZE, LevelSet, set_text
 from .errors import FormatError
 from .factorization import Factorization
 from .linear_system import FarkasCertificate
@@ -31,14 +33,13 @@ _SET_RE = re.compile(r"^\{(\d+(?:,\d+)*)\}$")
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 
-def _set_text(mask: int) -> str:
-    return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
+#: the bit of each element, looked up by its canonical spelling
+_ELEMENT_BIT = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND_SIZE + 1)}.__getitem__
 
 
 def write_factorization(fact: Factorization) -> str:
     lines = [FACTORIZATION_MAGIC, f"n={fact.n} levels={','.join(map(str, fact.levels))}"]
-    for factor in fact.factors:
-        lines.append(" | ".join(_set_text(mask) for mask in factor))
+    lines.extend(" | ".join(map(set_text, factor)) for factor in fact.factors)
     return "\n".join(lines) + "\n"
 
 
@@ -70,16 +71,31 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
     return n, levels
 
 
-def parse_factorization(text: str) -> Factorization:
-    lines = _split_lines(text, FACTORIZATION_MAGIC)
-    if len(lines) < 2:
-        raise FormatError("line 2: missing header")
-    n, levels = _parse_header(lines[1])
-    factors: list[tuple[int, ...]] = []
-    for no, line in enumerate(lines[2:], start=3):
+def _decode_line(line: str, n: int) -> tuple[int, ...] | None:
+    """The masks of a factor line spelled as the writer spells one, else None.
+
+    A spelling is looked up whole, so `01` or `65` fails; summing the bits is
+    their union only for distinct elements, which the caller's re-write check
+    ensures.
+    """
+    if not (line.startswith("{") and line.endswith("}")):
+        return None
+    try:
+        masks = [sum(map(_ELEMENT_BIT, piece.split(","))) for piece in line[1:-1].split("} | {")]
+    except KeyError:
+        return None
+    lows = [mask & -mask for mask in masks]
+    if max(masks) >> n or not all(map(lt, lows, lows[1:])):
+        return None
+    return tuple(masks)
+
+
+def _raise_first_error(lines: list[str], n: int) -> NoReturn:
+    """Name the first fault of factor lines that do not decode and re-write."""
+    for no, line in enumerate(lines, start=3):
         if not line:
             raise FormatError(f"line {no}: empty factor line")
-        masks: list[int] = []
+        mins: list[int] = []
         for piece in line.split(" | "):
             m = _SET_RE.match(piece)
             if not m:
@@ -91,16 +107,24 @@ def parse_factorization(text: str) -> Factorization:
                 raise FormatError(f"line {no}: element {elems[0]} is not in 1..{n}")
             if elems[-1] > n:
                 raise FormatError(f"line {no}: element {elems[-1]} exceeds n={n}")
-            masks.append(mask_of(elems))
-        mins = [min_element(mask) for mask in masks]
+            mins.append(elems[0])
         if any(a >= b for a, b in zip(mins, mins[1:])):
             raise FormatError(f"line {no}: sets not ordered by minimum element")
-        factors.append(tuple(masks))
-    fact = Factorization(n, levels, tuple(factors))
-    if write_factorization(fact) != text:
-        # catches leading zeros and any other non-canonical spelling
-        raise FormatError("factorization text is not in canonical form")
-    return fact
+    # catches leading zeros and any other non-canonical spelling
+    raise FormatError("factorization text is not in canonical form")
+
+
+def parse_factorization(text: str) -> Factorization:
+    lines = _split_lines(text, FACTORIZATION_MAGIC)
+    if len(lines) < 2:
+        raise FormatError("line 2: missing header")
+    n, levels = _parse_header(lines[1])
+    factors = [_decode_line(line, n) for line in lines[2:]]
+    if None not in factors:
+        fact = Factorization(n, levels, tuple(factors))
+        if write_factorization(fact) == text:
+            return fact
+    _raise_first_error(lines[2:], n)
 
 
 def write_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> str:

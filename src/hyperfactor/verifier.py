@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .combinatorics import binomial, elements_of, full_mask, masks_of_size
+from .combinatorics import binomial, full_mask, masks_of_size, set_text
 from .errors import LimitExceeded
 from .factorization import Factorization
-from .fileformat import _set_text
 
 MAX_VERIFY_SETS = 5_000_000
 
@@ -52,14 +51,14 @@ def verify_factorization(fact: Factorization) -> list[str]:
             size = mask.bit_count()
             if size not in levels:
                 problems.append(
-                    f"factor {idx}: set {_set_text(mask)} has size {size} outside levels"
+                    f"factor {idx}: set {set_text(mask)} has size {size} outside levels"
                 )
             if union & mask:
                 overlap = True
             union |= mask
             if mask in seen:
                 problems.append(
-                    f"set {_set_text(mask)} appears in factors {seen[mask]} and {idx}"
+                    f"set {set_text(mask)} appears in factors {seen[mask]} and {idx}"
                 )
             else:
                 seen[mask] = idx
@@ -68,8 +67,7 @@ def verify_factorization(fact: Factorization) -> list[str]:
         if overlap:
             problems.append(f"factor {idx}: sets overlap")
         elif union != full:
-            missing = elements_of(full ^ union)
-            problems.append(f"factor {idx}: elements {missing} are not covered")
+            problems.append(f"factor {idx}: elements {set_text(full ^ union)} are not covered")
     for j in fact.levels:
         want = binomial(n, j)
         got = level_counts[j]
@@ -78,7 +76,7 @@ def verify_factorization(fact: Factorization) -> list[str]:
             if got < want:
                 for mask in masks_of_size(n, j):
                     if mask not in seen:
-                        msg += f" (e.g. {_set_text(mask)} is missing)"
+                        msg += f" (e.g. {set_text(mask)} is missing)"
                         break
             problems.append(msg)
     expected_factors = sum(binomial(n - 1, j - 1) for j in fact.levels)

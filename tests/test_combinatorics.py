@@ -20,6 +20,7 @@ from hyperfactor.combinatorics import (
     mask_of,
     masks_of_size,
     min_element,
+    set_text,
     type_weight,
 )
 
@@ -100,6 +101,30 @@ def test_mask_round_trip():
 @given(st.sets(st.integers(1, 64)))
 def test_elements_of_inverts_mask_of(elements):
     assert elements_of(mask_of(elements)) == tuple(sorted(elements))
+
+
+def _spelled_by_elements(mask):
+    return "{" + ",".join(map(str, elements_of(mask))) + "}"
+
+
+@settings(max_examples=500)
+@given(st.integers(0, 2**64 - 1))
+def test_set_text_spells_the_elements(mask):
+    assert set_text(mask) == _spelled_by_elements(mask)
+
+
+def test_set_text_at_every_bit_and_the_extremes():
+    for i in range(64):
+        assert set_text(1 << i) == _spelled_by_elements(1 << i) == f"{{{i + 1}}}"
+    assert set_text(1 << 63) == "{64}"
+    assert set_text(full_mask(64)) == _spelled_by_elements(full_mask(64))
+    assert set_text(0) == "{}"
+
+
+@pytest.mark.parametrize("mask", [1 << 64, full_mask(65), -1])
+def test_set_text_refuses_masks_outside_64_bits(mask):
+    with pytest.raises(ValueError, match="not a subset of 1..64"):
+        set_text(mask)
 
 
 def test_masks_of_size():

@@ -1,17 +1,20 @@
 """Tests for the strict text formats and their round-trip guarantees."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet
+from hyperfactor.combinatorics import LevelSet, elements_of, mask_of, min_element
 from hyperfactor.decide import construct
 from hyperfactor.errors import FormatError
 from hyperfactor.factorization import Factorization
 from hyperfactor.fileformat import (
     CERTIFICATE_MAGIC,
     FACTORIZATION_MAGIC,
+    _parse_header,
+    _split_lines,
     load_text,
     parse_certificate,
     parse_factorization,
@@ -65,32 +68,40 @@ def test_file_save_load(tmp_path):
     assert parse_factorization(load_text(path)) == K4
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        K4_TEXT.replace("\n", "\r\n"),  # CRLF endings
-        K4_TEXT[:-1],  # missing trailing newline
-        K4_TEXT.replace("HYPERFACTOR v1", "HYPERFACTOR v2"),
-        K4_TEXT.replace("n=4", "n=04"),  # non-canonical ground size
-        K4_TEXT.replace("{1,2}", "{01,2}"),  # non-canonical element
-        K4_TEXT.replace("n=4 levels=2", "n=4  levels=2"),
-        K4_TEXT.replace("n=4 levels=2", "n=0 levels=2"),
-        K4_TEXT.replace("n=4 levels=2", "n=65 levels=2"),
-        K4_TEXT.replace("levels=2", "levels=2,2"),
-        K4_TEXT.replace("{1,2} | {3,4}", "{3,4} | {1,2}"),  # min-element order
-        K4_TEXT.replace("{1,2}", "{2,1}"),  # ascending elements
-        K4_TEXT.replace("{1,2}", "{1,5}"),  # element exceeds n
-        K4_TEXT.replace("{1,2}", "{0,2}"),  # element below 1
-        K4_TEXT.replace("levels=2", "levels=0,2"),
-        K4_TEXT + "\n",  # trailing empty factor line
-        K4_TEXT.replace(" | ", "|"),
-        "HYPERFACTOR v1\n",  # missing header
-        "HYPERFACTOR v1\nn=3 levels=1,9\n{1} | {2} | {3}\n",  # level above n
-    ],
-)
+#: rejected factorization texts and the message each is rejected with
+FACTORIZATION_REJECTS = {
+    K4_TEXT.replace("\n", "\r\n"): "carriage returns are not allowed (LF endings only)",
+    K4_TEXT[:-1]: "missing trailing newline",
+    K4_TEXT.replace("HYPERFACTOR v1", "HYPERFACTOR v2"): "line 1: expected 'HYPERFACTOR v1'",
+    # non-canonical ground size
+    K4_TEXT.replace("n=4", "n=04"): "factorization text is not in canonical form",
+    # non-canonical element
+    K4_TEXT.replace("{1,2}", "{01,2}"): "factorization text is not in canonical form",
+    K4_TEXT.replace("n=4 levels=2", "n=4  levels=2"): "line 2: malformed header 'n=4  levels=2'",
+    K4_TEXT.replace("n=4 levels=2", "n=0 levels=2"): "line 2: ground size n=0 out of range 1..64",
+    K4_TEXT.replace("n=4 levels=2", "n=65 levels=2"): "line 2: ground size n=65 out of range 1..64",
+    K4_TEXT.replace("levels=2", "levels=2,2"): "line 2: levels must be strictly increasing, got (2, 2)",
+    # min-element order
+    K4_TEXT.replace("{1,2} | {3,4}", "{3,4} | {1,2}"): "line 3: sets not ordered by minimum element",
+    # ascending elements
+    K4_TEXT.replace("{1,2}", "{2,1}"): "line 3: elements not strictly ascending in '{2,1}'",
+    K4_TEXT.replace("{1,2}", "{1,5}"): "line 3: element 5 exceeds n=4",
+    K4_TEXT.replace("{1,2}", "{0,2}"): "line 3: element 0 is not in 1..4",
+    K4_TEXT.replace("levels=2", "levels=0,2"): "line 2: levels must be positive, got (0, 2)",
+    # trailing empty factor line
+    K4_TEXT + "\n": "line 6: empty factor line",
+    K4_TEXT.replace(" | ", "|"): "line 3: malformed set '{1,2}|{3,4}'",
+    "HYPERFACTOR v1\n": "line 2: missing header",
+    # level above n
+    "HYPERFACTOR v1\nn=3 levels=1,9\n{1} | {2} | {3}\n": "line 2: level 9 exceeds n=3",
+}
+
+
+@pytest.mark.parametrize("text", list(FACTORIZATION_REJECTS))
 def test_factorization_rejects(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as info:
         parse_factorization(text)
+    assert str(info.value) == FACTORIZATION_REJECTS[text]
 
 
 @pytest.mark.parametrize(
@@ -132,18 +143,33 @@ def _header(draw, n: int, levels: list[int]) -> str:
     return f"n={_spelled(draw, n)} levels={','.join(_spelled(draw, l) for l in levels)}"
 
 
+#: elements on either side of a byte boundary of the set encoder's table
+BYTE_EDGES = (1, 8, 9, 16, 17, 56, 57, 64, 65)
+
+
 @st.composite
 def _factorization_texts(draw):
-    """Texts in the shape of the format, some spelled in non-canonical ways."""
-    n = draw(st.integers(0, 9))
-    ground = st.integers(1, max(n, 1))
+    """Texts in the shape of the format, some spelled in non-canonical ways.
+
+    Ground sizes and elements cluster at the byte edges, where the set encoder
+    moves from one table row to the next; an element may be n + 1.
+    """
+    n = draw(st.one_of(st.integers(0, 9), st.sampled_from(BYTE_EDGES), st.integers(0, 64)))
+    edges = [e for e in BYTE_EDGES if e <= n + 1]
+    ground = st.one_of(st.integers(1, max(n, 1)), st.sampled_from(edges or [1]))
+    # half the texts are canonical but for the edits, so that many are accepted
+    spell = str if draw(st.booleans()) else (lambda value: _spelled(draw, value))
     levels = sorted(draw(st.sets(ground, max_size=3)))
-    lines = [FACTORIZATION_MAGIC, _header(draw, n, levels)]
+    lines = [FACTORIZATION_MAGIC, f"n={spell(n)} levels={','.join(map(spell, levels))}"]
     for _ in range(draw(st.integers(0, 3))):
-        sets = draw(st.lists(st.sets(ground, min_size=1, max_size=3), min_size=1, max_size=3))
+        if draw(st.booleans()):  # disjoint sets, as in a factor
+            elems = draw(st.lists(ground, min_size=1, max_size=9, unique=True))
+            size = draw(st.integers(1, 3))
+            sets = [set(elems[i:i + size]) for i in range(0, len(elems), size)]
+        else:
+            sets = draw(st.lists(st.sets(ground, min_size=1, max_size=3), min_size=1, max_size=3))
         sets.sort(key=min)
-        pieces = ("{" + ",".join(_spelled(draw, e) for e in sorted(s)) + "}" for s in sets)
-        lines.append(" | ".join(pieces))
+        lines.append(" | ".join("{" + ",".join(map(spell, sorted(s))) + "}" for s in sets))
     return "\n".join(lines) + "\n"
 
 
@@ -197,6 +223,65 @@ def test_accepted_certificate_text_reserializes(text):
     except FormatError:
         return
     assert write_certificate(n, levels, cert) == text
+
+
+def _reference_parse_factorization(text):
+    """The element-by-element parser the byte-table one replaced: the
+    differential oracle for its accept/reject decisions and messages."""
+    lines = _split_lines(text, FACTORIZATION_MAGIC)
+    if len(lines) < 2:
+        raise FormatError("line 2: missing header")
+    n, levels = _parse_header(lines[1])
+    factors = []
+    for no, line in enumerate(lines[2:], start=3):
+        if not line:
+            raise FormatError(f"line {no}: empty factor line")
+        masks = []
+        for piece in line.split(" | "):
+            m = re.match(r"^\{(\d+(?:,\d+)*)\}$", piece)
+            if not m:
+                raise FormatError(f"line {no}: malformed set {piece!r}")
+            elems = [int(v) for v in m.group(1).split(",")]
+            if any(a >= b for a, b in zip(elems, elems[1:])):
+                raise FormatError(f"line {no}: elements not strictly ascending in {piece!r}")
+            if elems[0] < 1:
+                raise FormatError(f"line {no}: element {elems[0]} is not in 1..{n}")
+            if elems[-1] > n:
+                raise FormatError(f"line {no}: element {elems[-1]} exceeds n={n}")
+            masks.append(mask_of(elems))
+        mins = [min_element(mask) for mask in masks]
+        if any(a >= b for a, b in zip(mins, mins[1:])):
+            raise FormatError(f"line {no}: sets not ordered by minimum element")
+        factors.append(tuple(masks))
+    fact = Factorization(n, levels, tuple(factors))
+    spelled = [FACTORIZATION_MAGIC, f"n={n} levels={','.join(map(str, levels))}"]
+    for factor in factors:
+        spelled.append(" | ".join(
+            "{" + ",".join(str(e) for e in elements_of(mask)) + "}" for mask in factor
+        ))
+    if "\n".join(spelled) + "\n" != text:
+        raise FormatError("factorization text is not in canonical form")
+    return fact
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_edited(_factorization_texts()))
+def test_parser_matches_the_reference(text):
+    assert _outcome(parse_factorization, text) == _outcome(_reference_parse_factorization, text)
+
+
+def test_round_trip_through_every_table_row():
+    fact = construct(64, 1)
+    text = write_factorization(fact)
+    assert text == "HYPERFACTOR v1\nn=64 levels=1\n" + " | ".join(f"{{{e}}}" for e in range(1, 65)) + "\n"
+    assert parse_factorization(text) == fact == _reference_parse_factorization(text)
 
 
 def test_certificate_rejects_a_zero_denominator():
