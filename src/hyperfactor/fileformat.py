@@ -43,6 +43,15 @@ def write_factorization(fact: Factorization) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(digits: str, no: int) -> int:
+    """The int a matched run of digits spells; FormatError naming line `no`
+    when it is longer than int() converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormatError(f"line {no}: number too long ({len(digits)} digits)") from None
+
+
 def _split_lines(text: str, magic: str) -> list[str]:
     if "\r" in text:
         raise FormatError("carriage returns are not allowed (LF endings only)")
@@ -58,10 +67,10 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
     m = _HEADER_RE.match(line)
     if not m:
         raise FormatError(f"line 2: malformed header {line!r}")
-    n = int(m.group(1))
+    n = _number(m.group(1), 2)
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise FormatError(f"line 2: ground size n={n} out of range 1..{MAX_GROUND_SIZE}")
-    levels = tuple(int(v) for v in m.group(2).split(",")) if m.group(2) else ()
+    levels = tuple(_number(v, 2) for v in m.group(2).split(",")) if m.group(2) else ()
     if levels and levels[0] < 1:
         raise FormatError(f"line 2: levels must be positive, got {levels}")
     if any(a >= b for a, b in zip(levels, levels[1:])):
@@ -100,7 +109,7 @@ def _raise_first_error(lines: list[str], n: int) -> NoReturn:
             m = _SET_RE.match(piece)
             if not m:
                 raise FormatError(f"line {no}: malformed set {piece!r}")
-            elems = [int(v) for v in m.group(1).split(",")]
+            elems = [_number(v, no) for v in m.group(1).split(",")]
             if any(a >= b for a, b in zip(elems, elems[1:])):
                 raise FormatError(f"line {no}: elements not strictly ascending in {piece!r}")
             if elems[0] < 1:
@@ -148,7 +157,10 @@ def parse_certificate(text: str) -> tuple[int, LevelSet, FarkasCertificate]:
     for f in fields:
         if not _RATIONAL_RE.match(f):
             raise FormatError(f"line 3: malformed rational {f!r}")
-        values.append(Fraction(f))
+        try:
+            values.append(Fraction(f))
+        except ValueError:  # the pattern leaves only int()'s digit limit
+            raise FormatError(f"line 3: rational too long ({len(f)} characters)") from None
     cert = FarkasCertificate(tuple(values))
     if write_certificate(n, levels, cert) != text:
         raise FormatError("certificate text is not in canonical form")

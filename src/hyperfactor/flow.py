@@ -23,11 +23,19 @@ from a class to an occurrence becomes a class of multiplicity f whose part
 order.  Two classes never grow into the same parts (dropping the new element
 gives back the parent), so the classes stay distinct.  The same invariant is
 re-checked after every step, so a broken step cannot propagate.
+
+The max flow is Dinic's, with its first phase done without a graph, as a
+pour: each class, in order, puts its multiplicity into its occurrences in
+arc order, each taking what the class has left or what its sink arc has
+room for, whichever is less.  That is exactly the phase's blocking flow.
+When the pour routes every partition, as it does whenever each class has
+one open part, no graph is built; otherwise the residual network is filled
+in directly and Dinic runs its later phases on it.  Either way the flows,
+and so the factorization, are those of the plain Dinic run.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,18 +79,14 @@ class StepRecord:
 
 
 class _MaxFlow:
-    def __init__(self, n_nodes: int) -> None:
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    """Dinic on a network in edge-pair form: edge e runs to[e] with residual
+    cap[e], e ^ 1 is its reverse, and adj[u] lists u's edges in the order
+    the phases scan them."""
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        e = len(self.to)
-        self.to += (v, u)
-        self.cap += (cap, 0)
-        self.adj[u].append(e)
-        self.adj[v].append(e + 1)
-        return e
+    def __init__(self, adj: list[list[int]], to: list[int], cap: list[int]) -> None:
+        self.adj = adj
+        self.to = to
+        self.cap = cap
 
     def max_flow(self, s: int, t: int) -> int:
         adj, to, cap = self.adj, self.to, self.cap
@@ -153,9 +157,6 @@ class _MaxFlow:
                 u = to[back ^ 1]
                 it[u] += 1
 
-    def flow_on(self, e: int) -> int:
-        return self.cap[e ^ 1]
-
 
 @dataclass
 class StepNetwork:
@@ -170,6 +171,11 @@ class StepNetwork:
     class_arcs: list[list[int]]
 
 
+def _binomial_row(a: int) -> dict[int, int]:
+    """C(a, d) keyed by d in 0..a; .get gives None or a default for any other d."""
+    return {d: binomial(a, d) for d in range(a + 1)}
+
+
 def build_step_network(state: EvolutionState) -> StepNetwork:
     n, ell = state.n, state.ell
     # complete parts (|S| = j) have sink capacity 0 and get no node
@@ -178,30 +184,74 @@ def build_step_network(state: EvolutionState) -> StepNetwork:
     ]
     occ_keys: list[tuple[int, int]] = sorted(set().union(*open_parts))
     occ_index = {key: i for i, key in enumerate(occ_keys)}
-    occ_caps = [binomial(n - ell - 1, j - 1 - mask.bit_count()) for mask, j in occ_keys]
+    sink_cap = _binomial_row(n - ell - 1).get
+    occ_caps = [sink_cap(j - 1 - mask.bit_count(), 0) for mask, j in occ_keys]
     class_arcs = [sorted(occ_index[part] for part in parts) for parts in open_parts]
     sizes = [mult for _, mult in state.classes]
     return StepNetwork(sum(sizes), occ_keys, occ_caps, sizes, class_arcs)
 
 
 def max_flow_integral(net: StepNetwork) -> tuple[int, list[list[int]], list[int]]:
-    """Run max flow; returns (value, per-class arc flows, per-occurrence sink flow)."""
-    sizes = net.class_sizes
-    n_classes, n_occ = len(sizes), len(net.occ_keys)
-    source = 0
-    sink = 1 + n_classes + n_occ
-    g = _MaxFlow(sink + 1)
-    for c, size in enumerate(sizes):
-        g.add_edge(source, 1 + c, size)
-    arc_edges = [
-        [g.add_edge(1 + c, 1 + n_classes + o, sizes[c]) for o in arcs]
-        for c, arcs in enumerate(net.class_arcs)
-    ]
-    sink_edges = [g.add_edge(1 + n_classes + o, sink, net.occ_caps[o]) for o in range(n_occ)]
-    value = g.max_flow(source, sink)
-    flows = [[g.flow_on(e) for e in row] for row in arc_edges]
-    sink_flows = [g.flow_on(e) for e in sink_edges]
-    return value, flows, sink_flows
+    """Run max flow; returns (value, per-class arc flows, per-occurrence sink flow).
+
+    The pour is Dinic's first phase: on the level graph source -> class ->
+    occurrence -> sink a class arc holds as much as its source arc, so each
+    path the phase walks, in edge order, is cut at the source arc (the class
+    is done) or at the sink arc (the occurrence is full).  Only when units
+    are left is the residual network built, edge for edge as Dinic would
+    hold it after that phase, for phases 2 on.
+    """
+    sizes, class_arcs, occ_caps = net.class_sizes, net.class_arcs, net.occ_caps
+    room = list(occ_caps)
+    flows: list[list[int]] = []
+    left_over: list[int] = []
+    for left, arcs in zip(sizes, class_arcs):
+        row = []
+        for o in arcs:
+            f = room[o] if room[o] < left else left
+            room[o] -= f
+            left -= f
+            row.append(f)
+        flows.append(row)
+        left_over.append(left)
+    poured = sum(sizes) - sum(left_over)
+    if not any(left_over):
+        return poured, flows, [c - r for c, r in zip(occ_caps, room)]
+    # edge pairs in the order the network is scanned: source arcs, class arcs
+    # class by class, sink arcs; forward edges hold the residual, reverse
+    # edges the flow
+    n_classes = len(sizes)
+    first_occ = 1 + n_classes
+    sink = first_occ + len(occ_caps)
+    to: list[int] = []
+    cap: list[int] = []
+    for c, (size, left) in enumerate(zip(sizes, left_over)):
+        to += (1 + c, 0)
+        cap += (left, size - left)
+    adj = [list(range(0, len(to), 2))] + [[e] for e in range(1, len(to), 2)]
+    adj += [[] for _ in range(sink - n_classes)]
+    row_starts = []
+    e = len(to)
+    for u, (size, arcs, row) in enumerate(zip(sizes, class_arcs, flows), start=1):
+        out = adj[u]
+        row_starts.append(e)
+        for o, f in zip(arcs, row):
+            v = first_occ + o
+            to += (v, u)
+            cap += (size - f, f)
+            out.append(e)
+            adj[v].append(e + 1)
+            e += 2
+    sink_start = e
+    for v, (full, r) in enumerate(zip(occ_caps, room), start=first_occ):
+        adj[v].append(e)
+        to += (sink, v)
+        cap += (r, full - r)
+        e += 2
+    adj[sink] = list(range(sink_start + 1, e, 2))
+    value = poured + _MaxFlow(adj, to, cap).max_flow(0, sink)
+    flows = [cap[e + 1:e + 2 * len(arcs):2] for e, arcs in zip(row_starts, class_arcs)]
+    return value, flows, cap[sink_start + 1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +289,22 @@ def _check_occurrence_counts(state: EvolutionState) -> int:
     """
     n, ell, levels = state.n, state.ell, state.levels
     remaining = n - ell
-    occ: Counter[tuple[int, int]] = Counter()
+    occ: dict[tuple[int, int], int] = {}
+    count = occ.get
     for parts, mult in state.classes:
         for part in parts:
-            occ[part] += mult
+            occ[part] = count(part, 0) + mult
     required_pairs = sum(
         binomial(ell, size)
         for j in levels
         for size in range(max(0, j - remaining), min(j, ell) + 1)
     )
-    # binomial() is 0 unless 0 <= j - |mask| <= n - ell, so the count test
-    # also rejects a potential too small or too large for its set
+    # a pair (mask, j) must occur C(n-ell, j-|mask|) times; a difference
+    # j - |mask| outside 0..n-ell looks up None, which no count equals
+    target = _binomial_row(remaining).get
+    in_levels = frozenset(levels)
     if len(occ) == required_pairs and all(
-        mask >> ell == 0 and j in levels and have == binomial(remaining, j - mask.bit_count())
+        mask >> ell == 0 and j in in_levels and have == target(j - mask.bit_count())
         for (mask, j), have in occ.items()
     ):
         return required_pairs
@@ -259,8 +312,9 @@ def _check_occurrence_counts(state: EvolutionState) -> int:
     for mask in range(1 << ell):
         size = mask.bit_count()
         for j in levels:
-            if j >= size and j - size <= remaining:
-                required[(mask, j)] = binomial(remaining, j - size)
+            want = target(j - size)
+            if want is not None:
+                required[(mask, j)] = want
     for key in sorted(set(occ) | set(required)):
         have, want = occ.get(key, 0), required.get(key, 0)
         if have != want:

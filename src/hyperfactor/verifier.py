@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .combinatorics import binomial, full_mask, masks_of_size, set_text
+from .combinatorics import MAX_GROUND_SIZE, binomial, full_mask, masks_of_size, set_text
 from .errors import LimitExceeded
 from .factorization import Factorization
 
@@ -46,7 +46,9 @@ def verify_factorization(fact: Factorization) -> list[str]:
         overlap = False
         for mask in factor:
             if mask <= 0 or mask & ~full:
-                problems.append(f"factor {idx}: set {mask} is not a subset of the ground set")
+                # set_text spells masks of at most 64 bits; others stay integers
+                spelled = set_text(mask) if 0 < mask < 1 << MAX_GROUND_SIZE else mask
+                problems.append(f"factor {idx}: set {spelled} is not a subset of the ground set")
                 continue
             size = mask.bit_count()
             if size not in levels:

@@ -378,6 +378,37 @@ def test_verify_rejects_a_level_above_n(capsys, tmp_path, text, message):
     assert capsys.readouterr().err == f"format error: {message}\n"
 
 
+@pytest.fixture
+def default_int_digit_limit():
+    """int() refusing more than 4,300 digits, as Python does by default."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"HYPERFACTOR v1\nn={NINES} levels=1\n{{1}}\n", "line 2: number too long (5000 digits)"),
+        (f"HYPERFACTOR v1\nn=2 levels=1,2\n{{1,2}}\n{{1}} | {{{NINES}}}\n",
+         "line 4: number too long (5000 digits)"),
+        (f"FARKAS v1\nn=3 levels=1\n-{NINES}\n", "line 3: rational too long (5001 characters)"),
+    ],
+    ids=["header", "factor-element", "certificate-value"],
+)
+def test_verify_rejects_a_number_past_the_int_digit_limit(
+    capsys, tmp_path, default_int_digit_limit, text, message
+):
+    path = str(tmp_path / "long.txt")
+    save_text(text, path)
+    assert main(["verify", "--file", path]) == 2
+    assert capsys.readouterr().err == f"format error: {message}\n"
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--n", "7"])  # neither --k nor --levels

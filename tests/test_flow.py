@@ -3,6 +3,7 @@
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import LevelSet, binomial, factor_count
 from hyperfactor.constructors import Realization, construct_div
@@ -10,7 +11,9 @@ from hyperfactor.decide import plan
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
 from hyperfactor.flow import (
     EvolutionState,
+    StepNetwork,
     _check_occurrence_counts,
+    _MaxFlow,
     build_step_network,
     evolve_step,
     init_state,
@@ -238,6 +241,136 @@ def test_census_errors_match_a_full_recount():
         assert str(exc.value) == expected
         checked += 1
     assert checked > 100
+
+
+def _replace_a_complete_pair(state, new_part):
+    """The state with one complete part of size 2, a pair that occurs once,
+    replaced by new_part in its partition."""
+    for c, (parts, mult) in enumerate(state.classes):
+        for a, (mask, j) in enumerate(parts):
+            if j == mask.bit_count() == 2:
+                assert mult == 1
+                classes = list(state.classes)
+                classes[c] = (parts[:a] + (new_part,) + parts[a + 1:], 1)
+                return EvolutionState(state.n, state.levels, state.ell, classes)
+    raise AssertionError("no complete pair of size 2")
+
+
+@pytest.mark.parametrize(
+    "new_part",
+    [(0b111, 1), (0b111, 3), (1 << 5, 1), (0, 2)],
+    ids=[
+        "set-larger-than-potential-plus-one",
+        "potential-outside-levels",
+        "mask-beyond-ell",
+        "potential-beyond-the-remaining-elements",
+    ],
+)
+def test_census_audit_names_a_pair_outside_the_binomial_row(new_part):
+    """After step 5 of (6, {1, 2}) every pair occurs once.  Swap a complete
+    pair for a bad one: the census keeps its number of distinct pairs, and
+    j - |S| is -2, 0, 0 or 2 against the row C(1, 0..1), so only the
+    difference range, the level, the mask or the range again tells it from a
+    good pair.  The audit raises InvariantViolation naming the first wrong
+    pair, never IndexError."""
+    state = init_state(6, LevelSet.full(2), construct_div(6, 2))
+    for _ in range(5):
+        state = evolve_step(state)
+    bad = _replace_a_complete_pair(state, new_part)
+    distinct = {part for parts, _ in bad.classes for part in parts}
+    assert len(distinct) == state.last_step.pairs_checked  # the one-pass check runs
+    expected = _first_census_error(bad)
+    assert expected is not None
+    with pytest.raises(InvariantViolation) as exc:
+        _check_occurrence_counts(bad)
+    assert str(exc.value) == expected
+
+
+def _reference_max_flow_integral(net):
+    """The network build and full Dinic run the pour replaced: every edge
+    added one by one, every phase run by _MaxFlow.max_flow."""
+    sizes = net.class_sizes
+    n_classes, n_occ = len(sizes), len(net.occ_keys)
+    source, sink = 0, 1 + n_classes + n_occ
+    g = _MaxFlow([[] for _ in range(sink + 1)], [], [])
+
+    def add_edge(u, v, cap):
+        e = len(g.to)
+        g.to += (v, u)
+        g.cap += (cap, 0)
+        g.adj[u].append(e)
+        g.adj[v].append(e + 1)
+        return e
+
+    for c, size in enumerate(sizes):
+        add_edge(source, 1 + c, size)
+    arc_edges = [
+        [add_edge(1 + c, 1 + n_classes + o, sizes[c]) for o in arcs]
+        for c, arcs in enumerate(net.class_arcs)
+    ]
+    sink_edges = [add_edge(1 + n_classes + o, sink, net.occ_caps[o]) for o in range(n_occ)]
+    value = g.max_flow(source, sink)
+    flows = [[g.cap[e ^ 1] for e in row] for row in arc_edges]
+    return value, flows, [g.cap[e ^ 1] for e in sink_edges]
+
+
+@st.composite
+def _networks(draw, kind):
+    """Class networks of a few classes and occurrences, arcs sorted as
+    build_step_network sorts them.  kind "zero-sinks" closes some sink arcs;
+    kind "short" adds a class so the partitions outnumber the sink room."""
+    n_occ = draw(st.integers(1, 7))
+    n_classes = draw(st.integers(1, 7))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=n_classes, max_size=n_classes))
+    arcs = st.sets(st.integers(0, n_occ - 1), min_size=1).map(sorted)
+    class_arcs = draw(st.lists(arcs, min_size=n_classes, max_size=n_classes))
+    caps = draw(st.lists(st.integers(0, 6), min_size=n_occ, max_size=n_occ))
+    if kind == "zero-sinks":
+        closed = draw(st.sets(st.integers(0, n_occ - 1), min_size=1))
+        caps = [0 if o in closed else cap for o, cap in enumerate(caps)]
+    if kind == "short" and sum(sizes) <= sum(caps):
+        sizes.append(sum(caps) - sum(sizes) + draw(st.integers(1, 3)))
+        class_arcs.append(draw(arcs))
+    keys = [(o, 1) for o in range(n_occ)]
+    return StepNetwork(sum(sizes), keys, caps, sizes, class_arcs)
+
+
+@pytest.mark.parametrize("kind", ["random", "zero-sinks", "short"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pour_matches_the_full_dinic_run(kind, data):
+    net = data.draw(_networks(kind))
+    result = max_flow_integral(net)
+    assert result == _reference_max_flow_integral(net)
+    if kind == "short":
+        assert result[0] < net.m
+
+
+def test_a_real_run_takes_both_paths(monkeypatch):
+    """construct(12, 3)'s flow block: some steps are routed by the pour
+    alone, the others also run Dinic on the residual network, and every step
+    routes the reference's flows."""
+    residual_runs = []
+    max_flow = _MaxFlow.max_flow
+
+    def counted(self, s, t):
+        residual_runs.append(t)
+        return max_flow(self, s, t)
+
+    (block,) = [b for b in plan(12, LevelSet.full(3)) if b.realization == Realization.FLOW]
+    state = init_state(block.n, block.levels, block.solution)
+    pour_only = 0
+    for _ in range(block.n):
+        net = build_step_network(state)
+        reference = _reference_max_flow_integral(net)
+        with monkeypatch.context() as patch:
+            patch.setattr(_MaxFlow, "max_flow", counted)
+            before = len(residual_runs)
+            assert max_flow_integral(net) == reference
+            pour_only += len(residual_runs) == before
+        state = evolve_step(state)
+    assert 0 < pour_only < block.n
+    assert len(residual_runs) == block.n - pour_only
 
 
 @pytest.mark.parametrize(

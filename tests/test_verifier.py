@@ -60,7 +60,11 @@ def test_size_outside_levels():
 def test_not_a_subset_of_ground():
     bad = Factorization(4, (2,), ((0b10011, 0b1100),) + K4.factors[1:])
     msgs = verify_factorization(bad)
-    assert any("not a subset of the ground set" in m for m in msgs)
+    assert "factor 0: set {1,2,5} is not a subset of the ground set" in msgs
+    # set_text spells masks of 1..64; any other stays an integer
+    for mask, spelled in ((1 << 63, "{64}"), (1 << 64, str(1 << 64)), (0, "0"), (-3, "-3")):
+        msgs = verify_factorization(Factorization(4, (2,), ((mask, 0b1100),)))
+        assert msgs[0] == f"factor 0: set {spelled} is not a subset of the ground set"
 
 
 def test_wrong_factor_count():
