@@ -30,8 +30,10 @@ arc order, each taking what the class has left or what its sink arc has
 room for, whichever is less.  That is exactly the phase's blocking flow.
 When the pour routes every partition, as it does whenever each class has
 one open part, no graph is built; otherwise the residual network is filled
-in directly and Dinic runs its later phases on it.  Either way the flows,
-and so the factorization, are those of the plain Dinic run.
+in directly and Dinic runs its later phases on it.  Those phases label each
+node by its residual distance to the sink, so the path walk only enters
+nodes that can still reach it.  Either way the flows, and so the
+factorization, are those of the plain Dinic run.
 """
 
 from __future__ import annotations
@@ -81,7 +83,18 @@ class StepRecord:
 class _MaxFlow:
     """Dinic on a network in edge-pair form: edge e runs to[e] with residual
     cap[e], e ^ 1 is its reverse, and adj[u] lists u's edges in the order
-    the phases scan them."""
+    the phases scan them.
+
+    Each phase labels the nodes by their residual distance to the sink, with
+    a search backwards from it that stops once the source is labelled.  The
+    walk takes an arc only when it has room and its head is one step closer
+    to the sink, and drops a node that turns out a dead end.  On a shortest
+    path from the source these are exactly the arcs into the next level from
+    the source that still lead to the sink, in the same order, so the paths,
+    the amounts pushed and the residual left are those of the levels counted
+    from the source; the walk just never enters a branch that cannot reach
+    the sink.
+    """
 
     def __init__(self, adj: list[list[int]], to: list[int], cap: list[int]) -> None:
         self.adj = adj
@@ -93,32 +106,30 @@ class _MaxFlow:
         n = len(adj)
         total = 0
         while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                if level[t] >= 0:
-                    break
-                next_level = level[u] + 1
-                for e in adj[u]:
-                    if cap[e] > 0:
-                        v = to[e]
-                        if level[v] < 0:
-                            level[v] = next_level
-                            queue.append(v)
-            depth = level[t]
-            if depth < 0:
-                return total
-            # nodes as deep as the sink cannot reach it
+            # label by residual distance to the sink: arc e of adj[v] is
+            # the reverse of an arc into v, which has room when cap[e ^ 1] > 0
+            dist = [-1] * n
+            dist[t] = 0
+            queue = [t]
             for v in queue:
-                if level[v] == depth and v != t:
-                    level[v] = -1
+                if dist[s] >= 0:
+                    break
+                farther = dist[v] + 1
+                for e in adj[v]:
+                    if cap[e ^ 1] > 0:
+                        u = to[e]
+                        if dist[u] < 0:
+                            dist[u] = farther
+                            queue.append(u)
+            if dist[s] < 0:
+                return total
             # blocking flow by iterative path walk; augmenting paths can
             # zig-zag through residual arcs, so recursion depth would grow
             # with the network size
             it = [0] * n
             path: list[int] = []
             u = s
+            before = total
             while True:
                 if u == t:
                     aug = cap[path[0]]
@@ -138,10 +149,10 @@ class _MaxFlow:
                 arcs = adj[u]
                 n_arcs = len(arcs)
                 i = it[u]
-                next_level = level[u] + 1
+                closer = dist[u] - 1
                 while i < n_arcs:
                     e = arcs[i]
-                    if cap[e] > 0 and level[to[e]] == next_level:
+                    if cap[e] > 0 and dist[to[e]] == closer:
                         break
                     i += 1
                 it[u] = i
@@ -151,8 +162,12 @@ class _MaxFlow:
                     u = to[e]
                     continue
                 if u == s:
+                    # the labels promise a path: a phase that routes nothing
+                    # would repeat forever
+                    if total == before:
+                        raise InvariantViolation("max flow phase found no path to the sink")
                     break
-                level[u] = -1
+                dist[u] = -1
                 back = path.pop()
                 u = to[back ^ 1]
                 it[u] += 1
@@ -179,14 +194,18 @@ def _binomial_row(a: int) -> dict[int, int]:
 def build_step_network(state: EvolutionState) -> StepNetwork:
     n, ell = state.n, state.ell
     # complete parts (|S| = j) have sink capacity 0 and get no node
-    open_parts = [
-        {(mask, j) for mask, j in parts if j > mask.bit_count()} for parts, _ in state.classes
-    ]
-    occ_keys: list[tuple[int, int]] = sorted(set().union(*open_parts))
+    occ_keys: list[tuple[int, int]] = sorted(
+        (mask, j)
+        for mask, j in set().union(*[parts for parts, _ in state.classes])
+        if j > mask.bit_count()
+    )
     occ_index = {key: i for i, key in enumerate(occ_keys)}
     sink_cap = _binomial_row(n - ell - 1).get
     occ_caps = [sink_cap(j - 1 - mask.bit_count(), 0) for mask, j in occ_keys]
-    class_arcs = [sorted(occ_index[part] for part in parts) for parts in open_parts]
+    # a complete part looks up None
+    class_arcs = [
+        sorted(set(map(occ_index.get, parts)) - {None}) for parts, _ in state.classes
+    ]
     sizes = [mult for _, mult in state.classes]
     return StepNetwork(sum(sizes), occ_keys, occ_caps, sizes, class_arcs)
 

@@ -1,6 +1,8 @@
 """Tests for the decision procedures and the construction pipeline."""
 
+import hashlib
 import importlib
+import time
 from collections import Counter
 
 import pytest
@@ -18,6 +20,7 @@ from hyperfactor.cli import main
 from hyperfactor.flow import DEFAULT_MAX_GROUND
 from hyperfactor import linear_system
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
+from hyperfactor.fileformat import write_factorization
 from hyperfactor.linear_system import (
     build_system,
     check_certificate,
@@ -299,6 +302,20 @@ def test_construct_rejects_and_limits():
         construct(9)
     with pytest.raises(ValueError):
         construct(9, 2, LevelSet.of([2]))
+
+
+def test_construct_twenty_up_to_seven():
+    """(20, {1..7}) lifts to a flow on 21 elements: 43,796 factors, a clean
+    verifier pass and fixed bytes, well inside two minutes."""
+    start = time.perf_counter()
+    fact = construct(20, 7, max_ground_size=21)
+    elapsed = time.perf_counter() - start
+    assert len(fact.factors) == 43_796
+    assert verify_factorization(fact) == []
+    assert hashlib.sha256(write_factorization(fact).encode("utf-8")).hexdigest() == (
+        "6c989600d472502bdcc7b42345533898ac93f398ac513737a303377869823621"
+    )
+    assert elapsed < 120.0, f"took {elapsed:.1f} s (pin: 120 s)"
 
 
 def test_realize_puts_a_top_block_before_its_sub_range():

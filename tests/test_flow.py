@@ -201,16 +201,15 @@ def test_census_names_the_first_wrong_pair():
     assert str(exc.value) == "step 3: occurrence (0x5, potential 2) appears 0 times, expected 1"
 
 
-def test_census_errors_match_a_full_recount():
-    """Remove, retarget, replace or add one part of one partition after step 3
-    or 4: the audit names the same first pair as a recount over all masks does."""
+def _tampered_states():
+    """Every state after step 3 or 4 of (6, {2, 3}) with one part of one
+    partition removed, retargeted, replaced or added."""
     state = init_state(6, LevelSet.of([2, 3]), {(0, 3, 0): 5, (0, 0, 2): 10})
     bases = []
     for _ in range(4):
         state = evolve_step(state)
         bases.append(state)
-
-    def tampered(base):
+    for base in bases[2:]:
         for c, (parts, mult) in enumerate(base.classes):
             for a, (mask, j) in enumerate(parts):
                 # the two replacements keep the number of distinct pairs when
@@ -230,8 +229,12 @@ def test_census_errors_match_a_full_recount():
                     classes = base.classes[:c] + split + [(changed, 1)] + base.classes[c + 1:]
                     yield EvolutionState(base.n, base.levels, base.ell, classes)
 
+
+def test_census_errors_match_a_full_recount():
+    """Remove, retarget, replace or add one part of one partition after step 3
+    or 4: the audit names the same first pair as a recount over all masks does."""
     checked = 0
-    for state in chain(tampered(bases[2]), tampered(bases[3])):
+    for state in _tampered_states():
         expected = _first_census_error(state)
         if expected is None:
             _check_occurrence_counts(state)
@@ -286,32 +289,165 @@ def test_census_audit_names_a_pair_outside_the_binomial_row(new_part):
     assert str(exc.value) == expected
 
 
+def _reference_max_flow(adj, to, cap, s, t):
+    """Dinic with levels counted from the source, the reference that
+    _MaxFlow.max_flow's distances to the sink must match: every node as deep
+    as the sink is dropped, and the walk still enters dead branches short
+    of it."""
+    n = len(adj)
+    total = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            if level[t] >= 0:
+                break
+            next_level = level[u] + 1
+            for e in adj[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = next_level
+                        queue.append(v)
+        depth = level[t]
+        if depth < 0:
+            return total
+        for v in queue:
+            if level[v] == depth and v != t:
+                level[v] = -1
+        it = [0] * n
+        path = []
+        u = s
+        while True:
+            if u == t:
+                aug = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= aug
+                    cap[e ^ 1] += aug
+                total += aug
+                cut = 0
+                while cap[path[cut]]:
+                    cut += 1
+                del path[cut:]
+                u = to[path[-1]] if path else s
+                continue
+            arcs = adj[u]
+            i = it[u]
+            while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == level[u] + 1):
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+                continue
+            if u == s:
+                break
+            level[u] = -1
+            back = path.pop()
+            u = to[back ^ 1]
+            it[u] += 1
+
+
+def _edge_pairs(n_nodes, edges):
+    """adj, to and cap of a network with the given (u, v, capacity) edges,
+    each added with its reverse edge of capacity 0."""
+    adj = [[] for _ in range(n_nodes)]
+    to, cap = [], []
+    for u, v, c in edges:
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, 0)
+    return adj, to, cap
+
+
 def _reference_max_flow_integral(net):
     """The network build and full Dinic run the pour replaced: every edge
-    added one by one, every phase run by _MaxFlow.max_flow."""
+    added one by one, every phase run by the forward-level reference."""
     sizes = net.class_sizes
     n_classes, n_occ = len(sizes), len(net.occ_keys)
     source, sink = 0, 1 + n_classes + n_occ
-    g = _MaxFlow([[] for _ in range(sink + 1)], [], [])
+    edges = [(source, 1 + c, size) for c, size in enumerate(sizes)]
+    arc_edges = []
+    for c, arcs in enumerate(net.class_arcs):
+        arc_edges.append([2 * (len(edges) + i) for i in range(len(arcs))])
+        edges += [(1 + c, 1 + n_classes + o, sizes[c]) for o in arcs]
+    sink_edges = [2 * (len(edges) + o) for o in range(n_occ)]
+    edges += [(1 + n_classes + o, sink, net.occ_caps[o]) for o in range(n_occ)]
+    adj, to, cap = _edge_pairs(sink + 1, edges)
+    value = _reference_max_flow(adj, to, cap, source, sink)
+    flows = [[cap[e ^ 1] for e in row] for row in arc_edges]
+    return value, flows, [cap[e ^ 1] for e in sink_edges]
 
-    def add_edge(u, v, cap):
-        e = len(g.to)
-        g.to += (v, u)
-        g.cap += (cap, 0)
-        g.adj[u].append(e)
-        g.adj[v].append(e + 1)
-        return e
 
-    for c, size in enumerate(sizes):
-        add_edge(source, 1 + c, size)
-    arc_edges = [
-        [add_edge(1 + c, 1 + n_classes + o, sizes[c]) for o in arcs]
-        for c, arcs in enumerate(net.class_arcs)
-    ]
-    sink_edges = [add_edge(1 + n_classes + o, sink, net.occ_caps[o]) for o in range(n_occ)]
-    value = g.max_flow(source, sink)
-    flows = [[g.cap[e ^ 1] for e in row] for row in arc_edges]
-    return value, flows, [g.cap[e ^ 1] for e in sink_edges]
+@st.composite
+def _graphs(draw):
+    """General networks: 2-12 nodes, parallel edges, cycles and self-loops,
+    capacities 0-5, and a source and sink drawn among the nodes."""
+    n_nodes = draw(st.integers(2, 12))
+    node = st.integers(0, n_nodes - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.integers(0, 5)), max_size=40))
+    s, t = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+    return n_nodes, edges, s, t
+
+
+@settings(max_examples=1000, deadline=None)
+@given(graph=_graphs())
+def test_sink_distances_route_the_forward_levels_flow(graph):
+    """Labelling by distance to the sink finds the same augmenting paths as
+    labelling by level from the source: same value, same final residual."""
+    n_nodes, edges, s, t = graph
+    adj, to, cap = _edge_pairs(n_nodes, edges)
+    expected_cap = list(cap)
+    expected = _reference_max_flow(adj, to, expected_cap, s, t)
+    assert _MaxFlow(adj, to, cap).max_flow(s, t) == expected
+    assert cap == expected_cap
+
+
+class _ReadRows(list):
+    """An adjacency list that records which nodes' edges were read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, u):
+        self.read.add(u)
+        return super().__getitem__(u)
+
+
+def _reach_sink(adj, to, cap, t):
+    """The nodes with a residual path to t."""
+    reach = {t}
+    queue = [t]
+    for v in queue:
+        for e in adj[v]:
+            if cap[e ^ 1] > 0 and to[e] not in reach:
+                reach.add(to[e])
+                queue.append(to[e])
+    return reach
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph=_graphs())
+def test_max_flow_reads_no_node_that_cannot_reach_the_sink(graph):
+    """No augmenting path ever enters a node that cannot reach the sink, so
+    neither phase reads its edges: not the labelling, not the walk."""
+    n_nodes, edges, s, t = graph
+    adj, to, cap = _edge_pairs(n_nodes, edges)
+    reach = _reach_sink(adj, to, cap, t)
+    rows = _ReadRows(adj)
+    _MaxFlow(rows, to, cap).max_flow(s, t)
+    assert rows.read <= reach
+
+
+def test_the_walk_skips_a_dead_branch_at_the_source():
+    # 0 -> 1 -> 2 is a dead branch; 0 -> 3 -> 4 reaches the sink
+    adj, to, cap = _edge_pairs(5, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1)])
+    rows = _ReadRows(adj)
+    assert _MaxFlow(rows, to, cap).max_flow(0, 4) == 1
+    assert rows.read == {0, 3, 4}
 
 
 @st.composite
@@ -344,6 +480,41 @@ def test_pour_matches_the_full_dinic_run(kind, data):
     assert result == _reference_max_flow_integral(net)
     if kind == "short":
         assert result[0] < net.m
+
+
+def _reference_build_step_network(state):
+    """The step network built as before the open parts were filtered once
+    over the distinct parts: one set of open parts per class."""
+    open_parts = [
+        {(mask, j) for mask, j in parts if j > mask.bit_count()} for parts, _ in state.classes
+    ]
+    occ_keys = sorted(set().union(*open_parts))
+    occ_index = {key: i for i, key in enumerate(occ_keys)}
+    remaining = state.n - state.ell - 1
+    occ_caps = [
+        binomial(remaining, j - 1 - mask.bit_count())
+        if 0 <= j - 1 - mask.bit_count() <= remaining
+        else 0
+        for mask, j in occ_keys
+    ]
+    class_arcs = [sorted(occ_index[part] for part in parts) for parts in open_parts]
+    sizes = [mult for _, mult in state.classes]
+    return StepNetwork(sum(sizes), occ_keys, occ_caps, sizes, class_arcs)
+
+
+def test_step_network_matches_the_reference_build():
+    """Every step of construct(12, 3)'s flow block, and every tampered state
+    of the census tests, gets the network of the per-class build."""
+    (block,) = [b for b in plan(12, LevelSet.full(3)) if b.realization == Realization.FLOW]
+    state = init_state(block.n, block.levels, block.solution)
+    states = [state]
+    for _ in range(block.n - 1):
+        state = evolve_step(state)
+        states.append(state)
+    tampered = list(_tampered_states())
+    assert len(tampered) > 100
+    for state in states + tampered:
+        assert build_step_network(state) == _reference_build_step_network(state)
 
 
 def test_a_real_run_takes_both_paths(monkeypatch):
