@@ -149,7 +149,9 @@ def min_element(mask: int) -> int:
 
 def masks_of_size(n: int, s: int) -> list[int]:
     """All bit-sets over {1..n} of size s, ascending as integers (colex order)."""
-    return sorted(mask_of(c) for c in combinations(range(1, n + 1), s))
+    if n > MAX_GROUND_SIZE:
+        raise ValueError(f"element out of range 1..{MAX_GROUND_SIZE}: {MAX_GROUND_SIZE + 1}")
+    return sorted(map(sum, combinations([1 << i for i in range(n)], s)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,15 +29,19 @@ pour: each class, in order, puts its multiplicity into its occurrences in
 arc order, each taking what the class has left or what its sink arc has
 room for, whichever is less.  That is exactly the phase's blocking flow.
 When the pour routes every partition, as it does whenever each class has
-one open part, no graph is built; otherwise the residual network is filled
-in directly and Dinic runs its later phases on it.  Those phases label each
-node by its residual distance to the sink, so the path walk only enters
-nodes that can still reach it.  Either way the flows, and so the
-factorization, are those of the plain Dinic run.
+one open part, that is all.  Otherwise Dinic's later phases run on the
+pour's own state: the per-class arc flows, the units each class has left,
+the room each sink arc has left, and one list per occurrence of the
+(class, slot) arcs into it.  Each node's arcs are scanned in the order of
+Dinic's edge list, and each node is labelled by its residual distance to
+the sink, so the path walk only enters nodes that can still reach it.
+Either way the flows, and so the factorization, are those of the plain
+Dinic run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,6 +70,18 @@ class EvolutionState:
     classes: list[tuple[Parts, int]]
     last_step: "StepRecord | None" = field(default=None)
 
+    @functools.cached_property
+    def census(self) -> dict[tuple[int, int], int]:
+        """How often each (mask, potential) part occurs over the partitions:
+        each class's parts counted with its multiplicity, complete parts
+        included.  Counted on first use; the classes must not change after."""
+        occ: dict[tuple[int, int], int] = {}
+        count = occ.get
+        for parts, mult in self.classes:
+            for part in parts:
+                occ[part] = count(part, 0) + mult
+        return occ
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -76,106 +92,11 @@ class StepRecord:
     pairs_checked: int
 
 
-# ---------------------------------------------------------------------------
-# integral max flow (level-graph shortest augmenting paths, deterministic)
-
-
-class _MaxFlow:
-    """Dinic on a network in edge-pair form: edge e runs to[e] with residual
-    cap[e], e ^ 1 is its reverse, and adj[u] lists u's edges in the order
-    the phases scan them.
-
-    Each phase labels the nodes by their residual distance to the sink, with
-    a search backwards from it that stops once the source is labelled.  The
-    walk takes an arc only when it has room and its head is one step closer
-    to the sink, and drops a node that turns out a dead end.  On a shortest
-    path from the source these are exactly the arcs into the next level from
-    the source that still lead to the sink, in the same order, so the paths,
-    the amounts pushed and the residual left are those of the levels counted
-    from the source; the walk just never enters a branch that cannot reach
-    the sink.
-    """
-
-    def __init__(self, adj: list[list[int]], to: list[int], cap: list[int]) -> None:
-        self.adj = adj
-        self.to = to
-        self.cap = cap
-
-    def max_flow(self, s: int, t: int) -> int:
-        adj, to, cap = self.adj, self.to, self.cap
-        n = len(adj)
-        total = 0
-        while True:
-            # label by residual distance to the sink: arc e of adj[v] is
-            # the reverse of an arc into v, which has room when cap[e ^ 1] > 0
-            dist = [-1] * n
-            dist[t] = 0
-            queue = [t]
-            for v in queue:
-                if dist[s] >= 0:
-                    break
-                farther = dist[v] + 1
-                for e in adj[v]:
-                    if cap[e ^ 1] > 0:
-                        u = to[e]
-                        if dist[u] < 0:
-                            dist[u] = farther
-                            queue.append(u)
-            if dist[s] < 0:
-                return total
-            # blocking flow by iterative path walk; augmenting paths can
-            # zig-zag through residual arcs, so recursion depth would grow
-            # with the network size
-            it = [0] * n
-            path: list[int] = []
-            u = s
-            before = total
-            while True:
-                if u == t:
-                    aug = cap[path[0]]
-                    for e in path:
-                        if cap[e] < aug:
-                            aug = cap[e]
-                    for e in path:
-                        cap[e] -= aug
-                        cap[e ^ 1] += aug
-                    total += aug
-                    cut = 0
-                    while cap[path[cut]]:
-                        cut += 1
-                    del path[cut:]
-                    u = to[path[-1]] if path else s
-                    continue
-                arcs = adj[u]
-                n_arcs = len(arcs)
-                i = it[u]
-                closer = dist[u] - 1
-                while i < n_arcs:
-                    e = arcs[i]
-                    if cap[e] > 0 and dist[to[e]] == closer:
-                        break
-                    i += 1
-                it[u] = i
-                if i < n_arcs:
-                    e = arcs[i]
-                    path.append(e)
-                    u = to[e]
-                    continue
-                if u == s:
-                    # the labels promise a path: a phase that routes nothing
-                    # would repeat forever
-                    if total == before:
-                        raise InvariantViolation("max flow phase found no path to the sink")
-                    break
-                dist[u] = -1
-                back = path.pop()
-                u = to[back ^ 1]
-                it[u] += 1
-
-
 @dataclass
 class StepNetwork:
-    """The step-ell network in explicit form (mainly for tests and tracing)."""
+    """The step-ell network as per-class rows.  max_flow_integral pours
+    into rows of the same shape and runs Dinic's later phases on them; no
+    edge list is built."""
 
     m: int  # number of partitions
     occ_keys: list[tuple[int, int]]  # canonical (mask, potential) order, open parts only
@@ -195,9 +116,7 @@ def build_step_network(state: EvolutionState) -> StepNetwork:
     n, ell = state.n, state.ell
     # complete parts (|S| = j) have sink capacity 0 and get no node
     occ_keys: list[tuple[int, int]] = sorted(
-        (mask, j)
-        for mask, j in set().union(*[parts for parts, _ in state.classes])
-        if j > mask.bit_count()
+        (mask, j) for mask, j in state.census if j > mask.bit_count()
     )
     occ_index = {key: i for i, key in enumerate(occ_keys)}
     sink_cap = _binomial_row(n - ell - 1).get
@@ -210,6 +129,10 @@ def build_step_network(state: EvolutionState) -> StepNetwork:
     return StepNetwork(sum(sizes), occ_keys, occ_caps, sizes, class_arcs)
 
 
+# ---------------------------------------------------------------------------
+# integral max flow (Dinic, deterministic)
+
+
 def max_flow_integral(net: StepNetwork) -> tuple[int, list[list[int]], list[int]]:
     """Run max flow; returns (value, per-class arc flows, per-occurrence sink flow).
 
@@ -217,8 +140,7 @@ def max_flow_integral(net: StepNetwork) -> tuple[int, list[list[int]], list[int]
     occurrence -> sink a class arc holds as much as its source arc, so each
     path the phase walks, in edge order, is cut at the source arc (the class
     is done) or at the sink arc (the occurrence is full).  Only when units
-    are left is the residual network built, edge for edge as Dinic would
-    hold it after that phase, for phases 2 on.
+    are left do the later phases run, on the pour's own rows.
     """
     sizes, class_arcs, occ_caps = net.class_sizes, net.class_arcs, net.occ_caps
     room = list(occ_caps)
@@ -233,44 +155,186 @@ def max_flow_integral(net: StepNetwork) -> tuple[int, list[list[int]], list[int]
             row.append(f)
         flows.append(row)
         left_over.append(left)
-    poured = sum(sizes) - sum(left_over)
-    if not any(left_over):
-        return poured, flows, [c - r for c, r in zip(occ_caps, room)]
-    # edge pairs in the order the network is scanned: source arcs, class arcs
-    # class by class, sink arcs; forward edges hold the residual, reverse
-    # edges the flow
+    value = sum(sizes) - sum(left_over)
+    if any(left_over):
+        value += _later_phases(sizes, class_arcs, flows, left_over, room)
+    return value, flows, [c - r for c, r in zip(occ_caps, room)]
+
+
+def _later_phases(
+    sizes: list[int],
+    class_arcs: list[list[int]],
+    flows: list[list[int]],
+    left_over: list[int],
+    room: list[int],
+) -> int:
+    """Dinic's phases 2 on, pushed into the rows in place; returns the units
+    they route.
+
+    The rows are the residual network: source -> class c has room
+    left_over[c], the arc of c's slot i room sizes[c] - flows[c][i] and its
+    reverse flows[c][i], occurrence o -> sink room[o].  A class scans its
+    arcs by slot; an occurrence scans its reverse arcs in class order, then
+    its sink arc.  That is the order of Dinic's edge list (source arcs,
+    class arcs class by class, sink arcs), so the paths and amounts are Dinic's.
+
+    Each phase labels the nodes by their residual distance to the sink, a
+    level at a time, up to the level of the source.  The walk takes an arc
+    only when it has room and its head is one step closer to the sink, and
+    drops a node that turns out a dead end.  On a shortest path from the
+    source these are exactly the arcs into the next level from the source
+    that still lead to the sink, in the same order, so the paths, the
+    amounts pushed and the residual left are those of the levels counted
+    from the source; the walk just never enters a branch that cannot reach
+    the sink.  Paths alternate class, occurrence, class, ..., so a node's
+    kind is the parity of its place on the path.
+    """
     n_classes = len(sizes)
-    first_occ = 1 + n_classes
-    sink = first_occ + len(occ_caps)
-    to: list[int] = []
-    cap: list[int] = []
-    for c, (size, left) in enumerate(zip(sizes, left_over)):
-        to += (1 + c, 0)
-        cap += (left, size - left)
-    adj = [list(range(0, len(to), 2))] + [[e] for e in range(1, len(to), 2)]
-    adj += [[] for _ in range(sink - n_classes)]
-    row_starts = []
-    e = len(to)
-    for u, (size, arcs, row) in enumerate(zip(sizes, class_arcs, flows), start=1):
-        out = adj[u]
-        row_starts.append(e)
-        for o, f in zip(arcs, row):
-            v = first_occ + o
-            to += (v, u)
-            cap += (size - f, f)
-            out.append(e)
-            adj[v].append(e + 1)
-            e += 2
-    sink_start = e
-    for v, (full, r) in enumerate(zip(occ_caps, room), start=first_occ):
-        adj[v].append(e)
-        to += (sink, v)
-        cap += (r, full - r)
-        e += 2
-    adj[sink] = list(range(sink_start + 1, e, 2))
-    value = poured + _MaxFlow(adj, to, cap).max_flow(0, sink)
-    flows = [cap[e + 1:e + 2 * len(arcs):2] for e, arcs in zip(row_starts, class_arcs)]
-    return value, flows, cap[sink_start + 1::2]
+    # per occurrence, the (class, slot) of each arc into it, in class order
+    into: list[list[tuple[int, int]]] = [[] for _ in room]
+    for c, arcs in enumerate(class_arcs):
+        for i, o in enumerate(arcs):
+            into[o].append((c, i))
+    total = 0
+    while True:
+        # occurrences with sink room are at distance 1; a class is one
+        # farther than an occurrence its arcs have room into, an occurrence
+        # one farther than a class that holds flow in it
+        class_dist = [-1] * n_classes
+        occ_dist = [-1] * len(room)
+        level = [o for o, r in enumerate(room) if r]
+        for o in level:
+            occ_dist[o] = 1
+        d = 1
+        while level:
+            reached = []
+            for o in level:
+                for c, i in into[o]:
+                    if class_dist[c] < 0 and flows[c][i] < sizes[c]:
+                        class_dist[c] = d + 1
+                        reached.append(c)
+            d += 2
+            if any(map(left_over.__getitem__, reached)):
+                break
+            level = []
+            for c in reached:
+                for o, f in zip(class_arcs[c], flows[c]):
+                    if f and occ_dist[o] < 0:
+                        occ_dist[o] = d
+                        level.append(o)
+        else:
+            return total
+        # the source is at distance d; blocking flow by iterative path walk,
+        # since augmenting paths zig-zag through reverse arcs and grow with
+        # the network.  path lists the nodes after the source; via[p] is the
+        # slot of the arc into path[p]: the slot of class path[p - 1] for an
+        # occurrence, path[p]'s own slot, held in reverse, for a class
+        source_it = 0
+        class_it = [0] * n_classes
+        occ_it = [0] * len(room)
+        path: list[int] = []
+        via: list[int] = []
+        top = d - 1
+        before = total
+        while True:
+            depth = len(path)
+            if not depth:
+                c = source_it
+                while c < n_classes and not (left_over[c] and class_dist[c] == top):
+                    c += 1
+                source_it = c
+                if c == n_classes:
+                    # the labels promise a path: a phase that routes nothing
+                    # would repeat forever
+                    if total == before:
+                        raise InvariantViolation("max flow phase found no path to the sink")
+                    break
+                path.append(c)
+                via.append(-1)
+            elif depth & 1:
+                c = path[-1]
+                arcs, row, size = class_arcs[c], flows[c], sizes[c]
+                closer = class_dist[c] - 1
+                n_arcs = len(arcs)
+                i = class_it[c]
+                while i < n_arcs and not (row[i] < size and occ_dist[arcs[i]] == closer):
+                    i += 1
+                class_it[c] = i
+                if i < n_arcs:
+                    path.append(arcs[i])
+                    via.append(i)
+                    continue
+                class_dist[c] = -1
+                path.pop()
+                via.pop()
+                if path:
+                    occ_it[path[-1]] += 1
+                else:
+                    source_it += 1
+            else:
+                o = path[-1]
+                closer = occ_dist[o] - 1
+                if closer:
+                    entries = into[o]
+                    n_entries = len(entries)
+                    k = occ_it[o]
+                    while k < n_entries:
+                        c, j = entries[k]
+                        if flows[c][j] and class_dist[c] == closer:
+                            break
+                        k += 1
+                    occ_it[o] = k
+                    if k < n_entries:
+                        path.append(c)
+                        via.append(j)
+                        continue
+                elif room[o]:
+                    total += _augment(sizes, flows, left_over, room, path, via)
+                    continue
+                occ_dist[o] = -1
+                path.pop()
+                via.pop()
+                class_it[path[-1]] += 1
+
+
+def _augment(
+    sizes: list[int],
+    flows: list[list[int]],
+    left_over: list[int],
+    room: list[int],
+    path: list[int],
+    via: list[int],
+) -> int:
+    """Push the most the path from the source to the sink takes, and cut the
+    path before its first arc left without room; returns the amount."""
+    first, last = path[0], path[-1]
+    aug = min(left_over[first], room[last])
+    for p in range(1, len(path)):
+        if p & 1:  # class path[p - 1] into occurrence path[p]
+            c = path[p - 1]
+            r = sizes[c] - flows[c][via[p]]
+        else:  # occurrence path[p - 1] back into class path[p]
+            r = flows[path[p]][via[p]]
+        if r < aug:
+            aug = r
+    left_over[first] -= aug
+    room[last] -= aug
+    cut = len(path) if left_over[first] else 0
+    for p in range(1, len(path)):
+        if p & 1:
+            c = path[p - 1]
+            row = flows[c]
+            row[via[p]] += aug
+            full = row[via[p]] == sizes[c]
+        else:
+            row = flows[path[p]]
+            row[via[p]] -= aug
+            full = not row[via[p]]
+        if full and p < cut:
+            cut = p
+    del path[cut:]
+    del via[cut:]
+    return aug
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +372,7 @@ def _check_occurrence_counts(state: EvolutionState) -> int:
     """
     n, ell, levels = state.n, state.ell, state.levels
     remaining = n - ell
-    occ: dict[tuple[int, int], int] = {}
-    count = occ.get
-    for parts, mult in state.classes:
-        for part in parts:
-            occ[part] = count(part, 0) + mult
+    occ = state.census
     required_pairs = sum(
         binomial(ell, size)
         for j in levels

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .combinatorics import full_mask, masks_of_size
 from .errors import InvariantViolation
-from .factorization import Factorization, sort_factor
+from .factorization import Factorization
 from .verifier import check_verify_size, verify_factorization
 
 
@@ -39,14 +39,15 @@ def extend_by_complements(fact: Factorization) -> Factorization:
     _check_valid(fact, "extend_by_complements")
     full = full_mask(n)
     pairs: list[tuple[int, ...]] = []
+    # the set holding element 1 has the smaller minimum, so it comes first
     for s in range(n - k, (n + 1) // 2):
         for mask in masks_of_size(n, s):
-            pairs.append(sort_factor([mask, full ^ mask]))
+            pairs.append((mask, full ^ mask) if mask & 1 else (full ^ mask, mask))
     if n % 2 == 0:
         # middle size: enumerate each pair once via the half containing element 1
         for mask in masks_of_size(n, n // 2):
             if mask & 1:
-                pairs.append(sort_factor([mask, full ^ mask]))
+                pairs.append((mask, full ^ mask))
     return Factorization(n, tuple(range(1, k + 1)), fact.factors + tuple(pairs))
 
 

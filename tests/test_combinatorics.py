@@ -1,6 +1,7 @@
 """Tests for exact combinatorial primitives."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +137,16 @@ def test_masks_of_size():
             assert len(masks) == binomial(n, s)
             assert masks == sorted(masks)
             assert all(m.bit_count() == s for m in masks)
+    # summing bits gives the masks mask_of builds from the element lists, in
+    # the same order; a ground past 64 elements is refused as mask_of
+    # refuses element 65
+    for n in range(17):
+        for s in range(n + 2):
+            assert masks_of_size(n, s) == sorted(
+                mask_of(c) for c in combinations(range(1, n + 1), s)
+            )
+    with pytest.raises(ValueError, match="element out of range 1..64: 65"):
+        masks_of_size(65, 3)
 
 
 def test_type_helpers():

@@ -3,8 +3,9 @@
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hyperfactor import flow
 from hyperfactor.combinatorics import LevelSet, binomial, factor_count
 from hyperfactor.constructors import Realization, construct_div
 from hyperfactor.decide import plan
@@ -13,7 +14,6 @@ from hyperfactor.flow import (
     EvolutionState,
     StepNetwork,
     _check_occurrence_counts,
-    _MaxFlow,
     build_step_network,
     evolve_step,
     init_state,
@@ -110,6 +110,21 @@ def test_run_full_range_three():
     assert by_size == {1: 12, 2: 66, 3: 220}
 
 
+def _with_classes(state, classes):
+    """A fresh state with the given classes: a state counts its census on
+    first use, so a tampered state is a new one, never an edited one."""
+    return EvolutionState(state.n, state.levels, state.ell, classes)
+
+
+def test_census_counts_each_part_once_per_partition():
+    state = init_state(6, LevelSet.of([2, 3]), {(0, 3, 0): 5, (0, 0, 2): 10})
+    assert state.census == {(0, 2): 15, (0, 3): 20}
+    state = evolve_step(state)
+    assert state.census == {(0, 2): 10, (0b1, 2): 5, (0, 3): 10, (0b1, 3): 10}
+    # a hand-built state counts its own
+    assert _with_classes(state, [(((0, 2), (0, 2)), 2)]).census == {(0, 2): 4}
+
+
 def test_evolve_step_rejects_tampered_state():
     state = init_state(4, LevelSet.of([2]), {(0, 2): 3})
     state = evolve_step(state)
@@ -117,9 +132,9 @@ def test_evolve_step_rejects_tampered_state():
     # the occurrence audit must catch it
     (parts, mult), *rest = state.classes
     (mask, j), *others = parts
-    state.classes = [(parts, mult - 1), (((mask, j + 1), *others), 1), *rest]
+    tampered = _with_classes(state, [(parts, mult - 1), (((mask, j + 1), *others), 1), *rest])
     with pytest.raises(InvariantViolation):
-        evolve_step(state)
+        evolve_step(tampered)
 
 
 def test_evolve_step_rejects_duplicated_partition():
@@ -133,9 +148,8 @@ def test_evolve_step_rejects_duplicated_partition():
     classes = list(state.classes)
     classes[together] = (classes[together][0], classes[together][1] + 1)
     classes[apart] = (classes[apart][0], classes[apart][1] - 1)
-    state.classes = classes
     with pytest.raises(InvariantViolation):
-        evolve_step(state)
+        evolve_step(_with_classes(state, classes))
 
 
 def test_run_ground_size_limit():
@@ -195,9 +209,10 @@ def test_census_names_the_first_wrong_pair():
     c = next(c for c, (parts, _) in enumerate(state.classes) if (0b101, 2) in parts)
     parts, mult = state.classes[c]
     assert mult == 1
-    state.classes[c] = (tuple(part for part in parts if part != (0b101, 2)), 1)
+    classes = list(state.classes)
+    classes[c] = (tuple(part for part in parts if part != (0b101, 2)), 1)
     with pytest.raises(InvariantViolation) as exc:
-        _check_occurrence_counts(state)
+        _check_occurrence_counts(_with_classes(state, classes))
     assert str(exc.value) == "step 3: occurrence (0x5, potential 2) appears 0 times, expected 1"
 
 
@@ -290,10 +305,11 @@ def test_census_audit_names_a_pair_outside_the_binomial_row(new_part):
 
 
 def _reference_max_flow(adj, to, cap, s, t):
-    """Dinic with levels counted from the source, the reference that
-    _MaxFlow.max_flow's distances to the sink must match: every node as deep
-    as the sink is dropped, and the walk still enters dead branches short
-    of it."""
+    """Dinic with levels counted from the source on a network in edge-pair
+    form (edge e runs to[e] with residual cap[e], e ^ 1 is its reverse), the
+    reference that max_flow_integral's distances to the sink must match:
+    every node as deep as the sink is dropped, and the walk still enters
+    dead branches short of it."""
     n = len(adj)
     total = 0
     while True:
@@ -382,85 +398,32 @@ def _reference_max_flow_integral(net):
 
 
 @st.composite
-def _graphs(draw):
-    """General networks: 2-12 nodes, parallel edges, cycles and self-loops,
-    capacities 0-5, and a source and sink drawn among the nodes."""
-    n_nodes = draw(st.integers(2, 12))
-    node = st.integers(0, n_nodes - 1)
-    edges = draw(st.lists(st.tuples(node, node, st.integers(0, 5)), max_size=40))
-    s, t = draw(st.lists(node, min_size=2, max_size=2, unique=True))
-    return n_nodes, edges, s, t
-
-
-@settings(max_examples=1000, deadline=None)
-@given(graph=_graphs())
-def test_sink_distances_route_the_forward_levels_flow(graph):
-    """Labelling by distance to the sink finds the same augmenting paths as
-    labelling by level from the source: same value, same final residual."""
-    n_nodes, edges, s, t = graph
-    adj, to, cap = _edge_pairs(n_nodes, edges)
-    expected_cap = list(cap)
-    expected = _reference_max_flow(adj, to, expected_cap, s, t)
-    assert _MaxFlow(adj, to, cap).max_flow(s, t) == expected
-    assert cap == expected_cap
-
-
-class _ReadRows(list):
-    """An adjacency list that records which nodes' edges were read."""
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.read = set()
-
-    def __getitem__(self, u):
-        self.read.add(u)
-        return super().__getitem__(u)
-
-
-def _reach_sink(adj, to, cap, t):
-    """The nodes with a residual path to t."""
-    reach = {t}
-    queue = [t]
-    for v in queue:
-        for e in adj[v]:
-            if cap[e ^ 1] > 0 and to[e] not in reach:
-                reach.add(to[e])
-                queue.append(to[e])
-    return reach
-
-
-@settings(max_examples=500, deadline=None)
-@given(graph=_graphs())
-def test_max_flow_reads_no_node_that_cannot_reach_the_sink(graph):
-    """No augmenting path ever enters a node that cannot reach the sink, so
-    neither phase reads its edges: not the labelling, not the walk."""
-    n_nodes, edges, s, t = graph
-    adj, to, cap = _edge_pairs(n_nodes, edges)
-    reach = _reach_sink(adj, to, cap, t)
-    rows = _ReadRows(adj)
-    _MaxFlow(rows, to, cap).max_flow(s, t)
-    assert rows.read <= reach
-
-
-def test_the_walk_skips_a_dead_branch_at_the_source():
-    # 0 -> 1 -> 2 is a dead branch; 0 -> 3 -> 4 reaches the sink
-    adj, to, cap = _edge_pairs(5, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1)])
-    rows = _ReadRows(adj)
-    assert _MaxFlow(rows, to, cap).max_flow(0, 4) == 1
-    assert rows.read == {0, 3, 4}
-
-
-@st.composite
 def _networks(draw, kind):
-    """Class networks of a few classes and occurrences, arcs sorted as
-    build_step_network sorts them.  kind "zero-sinks" closes some sink arcs;
-    kind "short" adds a class so the partitions outnumber the sink room."""
-    n_occ = draw(st.integers(1, 7))
-    n_classes = draw(st.integers(1, 7))
-    sizes = draw(st.lists(st.integers(1, 5), min_size=n_classes, max_size=n_classes))
-    arcs = st.sets(st.integers(0, n_occ - 1), min_size=1).map(sorted)
-    class_arcs = draw(st.lists(arcs, min_size=n_classes, max_size=n_classes))
-    caps = draw(st.lists(st.integers(0, 6), min_size=n_occ, max_size=n_occ))
+    """Class networks, arcs sorted as build_step_network sorts them.  Kinds
+    "random", "zero-sinks" and "short" have a few classes and occurrences;
+    "zero-sinks" closes some sink arcs, "short" adds a class so the
+    partitions outnumber the sink room.  Kind "late" has the shape of a late
+    step: up to 30 classes, mostly of multiplicity 1, with 2 or 3 arcs each,
+    and sink room that one way of routing every partition fills exactly."""
+    if kind == "late":
+        n_occ = draw(st.integers(3, 12))
+        n_classes = draw(st.integers(1, 30))
+        sizes = draw(
+            st.lists(st.sampled_from([1, 1, 1, 1, 2, 3]), min_size=n_classes, max_size=n_classes)
+        )
+        arcs = st.sets(st.integers(0, n_occ - 1), min_size=2, max_size=3).map(sorted)
+        class_arcs = draw(st.lists(arcs, min_size=n_classes, max_size=n_classes))
+        caps = [0] * n_occ
+        for size, row in zip(sizes, class_arcs):
+            for _ in range(size):
+                caps[draw(st.sampled_from(row))] += 1
+    else:
+        n_occ = draw(st.integers(1, 7))
+        n_classes = draw(st.integers(1, 7))
+        sizes = draw(st.lists(st.integers(1, 5), min_size=n_classes, max_size=n_classes))
+        arcs = st.sets(st.integers(0, n_occ - 1), min_size=1).map(sorted)
+        class_arcs = draw(st.lists(arcs, min_size=n_classes, max_size=n_classes))
+        caps = draw(st.lists(st.integers(0, 6), min_size=n_occ, max_size=n_occ))
     if kind == "zero-sinks":
         closed = draw(st.sets(st.integers(0, n_occ - 1), min_size=1))
         caps = [0 if o in closed else cap for o, cap in enumerate(caps)]
@@ -471,7 +434,7 @@ def _networks(draw, kind):
     return StepNetwork(sum(sizes), keys, caps, sizes, class_arcs)
 
 
-@pytest.mark.parametrize("kind", ["random", "zero-sinks", "short"])
+@pytest.mark.parametrize("kind", ["random", "zero-sinks", "short", "late"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_pour_matches_the_full_dinic_run(kind, data):
@@ -480,6 +443,106 @@ def test_pour_matches_the_full_dinic_run(kind, data):
     assert result == _reference_max_flow_integral(net)
     if kind == "short":
         assert result[0] < net.m
+    if kind == "late":
+        assert result[0] == net.m
+
+
+def _pour(net):
+    """Each class, in order, fills its occurrences in arc order: the flows,
+    the units left per class and the sink room left after Dinic's first
+    phase."""
+    room = list(net.occ_caps)
+    flows, left_over = [], []
+    for left, arcs in zip(net.class_sizes, net.class_arcs):
+        row = []
+        for o in arcs:
+            f = min(left, room[o])
+            room[o] -= f
+            left -= f
+            row.append(f)
+        flows.append(row)
+        left_over.append(left)
+    return flows, left_over, room
+
+
+_any_network = st.sampled_from(["random", "zero-sinks", "short", "late"]).flatmap(_networks)
+
+
+@settings(max_examples=500, deadline=None)
+@given(net=_any_network)
+def test_sink_distances_route_the_forward_levels_flow(net):
+    """Where the pour leaves units, the later phases label by distance to
+    the sink and walk the pour's own rows, and still route the flows of
+    Dinic with levels counted from the source on the full edge list."""
+    assume(any(_pour(net)[1]))
+    assert max_flow_integral(net) == _reference_max_flow_integral(net)
+
+
+class _ReadRows(list):
+    """Arc rows that record which classes' rows were looked up by index."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, c):
+        self.read.add(c)
+        return super().__getitem__(c)
+
+
+def _classes_reaching_the_sink(net):
+    """The classes with a residual path to the sink after the pour: an arc
+    with room into an occurrence that reaches it, which it does with sink
+    room or through the reverse of an arc holding flow from such a class."""
+    flows, _, room = _pour(net)
+    occ_reach = {o for o, r in enumerate(room) if r}
+    class_reach = set()
+    grown = True
+    while grown:
+        grown = False
+        for c, (size, arcs, row) in enumerate(zip(net.class_sizes, net.class_arcs, flows)):
+            if c not in class_reach and any(
+                o in occ_reach and f < size for o, f in zip(arcs, row)
+            ):
+                class_reach.add(c)
+                grown = True
+            if c in class_reach:
+                for o, f in zip(arcs, row):
+                    if f and o not in occ_reach:
+                        occ_reach.add(o)
+                        grown = True
+    return class_reach
+
+
+@settings(max_examples=500, deadline=None)
+@given(net=_any_network)
+def test_max_flow_reads_no_node_that_cannot_reach_the_sink(net):
+    """No augmenting path ever enters a class that cannot reach the sink, so
+    the later phases look up no such class's arcs: not the labelling, not
+    the walk.  The pour and the reverse-arc lists read every row once, in
+    order, without a lookup."""
+    reach = _classes_reaching_the_sink(net)
+    rows = _ReadRows(net.class_arcs)
+    expected = _reference_max_flow_integral(net)
+    read_net = StepNetwork(net.m, net.occ_keys, net.occ_caps, net.class_sizes, rows)
+    assert max_flow_integral(read_net) == expected
+    assert rows.read <= reach
+
+
+def test_the_walk_skips_a_dead_branch_at_the_source():
+    # class 1 has a unit left but only an arc into the full occurrence 0,
+    # which class 0 fills and has no other arc out of: a dead branch.  Class
+    # 3's unit reaches the sink through occurrence 1, back to class 2 and on
+    # to occurrence 2
+    net = StepNetwork(4, [(o, 1) for o in range(3)], [1, 1, 1], [1, 1, 1, 1],
+                      [[0], [0], [1, 2], [1]])
+    assert _pour(net)[1] == [0, 1, 0, 1]
+    rows = _ReadRows(net.class_arcs)
+    read_net = StepNetwork(net.m, net.occ_keys, net.occ_caps, net.class_sizes, rows)
+    result = max_flow_integral(read_net)
+    assert result == (3, [[1], [0], [0, 1], [1]], [1, 1, 1])
+    assert result == _reference_max_flow_integral(net)
+    assert rows.read == {2, 3}
 
 
 def _reference_build_step_network(state):
@@ -519,14 +582,14 @@ def test_step_network_matches_the_reference_build():
 
 def test_a_real_run_takes_both_paths(monkeypatch):
     """construct(12, 3)'s flow block: some steps are routed by the pour
-    alone, the others also run Dinic on the residual network, and every step
-    routes the reference's flows."""
-    residual_runs = []
-    max_flow = _MaxFlow.max_flow
+    alone, the others also run Dinic's later phases on the pour's rows, and
+    every step routes the reference's flows."""
+    later_runs = []
+    later_phases = flow._later_phases
 
-    def counted(self, s, t):
-        residual_runs.append(t)
-        return max_flow(self, s, t)
+    def counted(*rows):
+        later_runs.append(len(rows[0]))
+        return later_phases(*rows)
 
     (block,) = [b for b in plan(12, LevelSet.full(3)) if b.realization == Realization.FLOW]
     state = init_state(block.n, block.levels, block.solution)
@@ -535,13 +598,35 @@ def test_a_real_run_takes_both_paths(monkeypatch):
         net = build_step_network(state)
         reference = _reference_max_flow_integral(net)
         with monkeypatch.context() as patch:
-            patch.setattr(_MaxFlow, "max_flow", counted)
-            before = len(residual_runs)
+            patch.setattr(flow, "_later_phases", counted)
+            before = len(later_runs)
             assert max_flow_integral(net) == reference
-            pour_only += len(residual_runs) == before
+            pour_only += len(later_runs) == before
         state = evolve_step(state)
     assert 0 < pour_only < block.n
-    assert len(residual_runs) == block.n - pour_only
+    assert len(later_runs) == block.n - pour_only
+
+
+def test_long_augmenting_paths_route_the_reference_flows(monkeypatch):
+    """(15, {1, 3, 5}) is one flow block whose later phases walk augmenting
+    paths of up to 571 arcs, zig-zagging through reverse arcs; every step
+    routes the reference's flows."""
+    longest = []
+    augment = flow._augment
+
+    def measured(sizes, flows, left_over, room, path, via):
+        longest.append(len(path) + 1)  # the arcs: one into each node, one to the sink
+        return augment(sizes, flows, left_over, room, path, via)
+
+    monkeypatch.setattr(flow, "_augment", measured)
+    (block,) = plan(15, LevelSet.of([1, 3, 5]))
+    assert block.realization == Realization.FLOW
+    state = init_state(block.n, block.levels, block.solution)
+    for _ in range(block.n):
+        net = build_step_network(state)
+        assert max_flow_integral(net) == _reference_max_flow_integral(net)
+        state = evolve_step(state)
+    assert max(longest) == 571
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 
 from hyperfactor.combinatorics import LevelSet, binomial, full_mask
 from hyperfactor.constructors import construct_div
-from hyperfactor.factorization import Factorization
+from hyperfactor.factorization import Factorization, sort_factor
 from hyperfactor.flow import run
 from hyperfactor.reducer import (
     extend_by_complements,
@@ -37,6 +37,15 @@ def test_extend_by_complements_from_empty():
     assert len(ext.factors) == 15
     assert all(_is_pair(5, f) for f in ext.factors)
     assert verify_factorization(ext) == []
+    # each pair lists the set holding element 1 first, the order sort_factor
+    # gives; the pairs follow the size of their smaller set, then its colex
+    # order, and a middle pair counts the half holding element 1
+    for n in range(2, 13):
+        factors = extend_by_complements(Factorization(n, (), ())).factors
+        assert len(factors) == 2 ** (n - 1) - 1
+        assert all(f == sort_factor(f) and f[0] & 1 for f in factors)
+        smaller = [min(f, key=lambda mask: (mask.bit_count(), not mask & 1)) for f in factors]
+        assert smaller == sorted(smaller, key=lambda mask: (mask.bit_count(), mask))
 
 
 def test_extend_rejects_bad_inputs():
