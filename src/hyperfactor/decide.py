@@ -122,13 +122,7 @@ def decide(n: int, k: int) -> Verdict:
         if found is None:
             raise InvariantViolation(f"missing certificate for infeasible (n={n}, k={k})")
         name, cert = found
-        return Verdict(
-            Status.NOT_FACTORABLE,
-            f"{why}; certificate family: {name}",
-            certificate=cert,
-            certificate_levels=levels.levels,
-            family=name,
-        )
+        return _refuted(f"{why}; certificate family: {name}", levels, name, cert)
     # n/2 <= k <= n-1: complement pairing reduces to the range {1..n-k-1}
     m = n - k - 1
     if m == 0:
@@ -172,13 +166,7 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
     found = certificate_with_branch(n, levels)
     if found is not None:
         name, cert = found
-        return Verdict(
-            Status.NOT_FACTORABLE,
-            f"validated certificate family: {name}",
-            certificate=cert,
-            certificate_levels=levels.levels,
-            family=name,
-        )
+        return _refuted(f"validated certificate family: {name}", levels, name, cert)
     solution = construct_general_L_div(n, levels)
     if solution is not None:
         return _witnessed(n, levels, solution, "divisible level-pairing construction")
@@ -187,13 +175,8 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
     if not outcome.feasible:
         if outcome.certificate is None:
             raise InvariantViolation(f"LP infeasible without a certificate for n={n}")
-        return Verdict(
-            Status.NOT_FACTORABLE,
-            "exact rational infeasibility (simplex-derived certificate)",
-            certificate=outcome.certificate,
-            certificate_levels=levels.levels,
-            family="simplex-derived",
-        )
+        reason = "exact rational infeasibility (simplex-derived certificate)"
+        return _refuted(reason, levels, "simplex-derived", outcome.certificate)
     try:
         solution = integer_search_small(system)
     except SearchLimitExceeded:
@@ -208,6 +191,11 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
         "exhaustive search over all non-negative integer multiplicities",
         search_exhausted=True,
     )
+
+
+def _refuted(reason: str, levels: LevelSet, family: str, cert: FarkasCertificate) -> Verdict:
+    """NOT_FACTORABLE, backed by cert, a validated certificate on levels."""
+    return Verdict(Status.NOT_FACTORABLE, reason, cert, levels.levels, family)
 
 
 def _witnessed(n: int, levels: LevelSet, solution: SolutionVector, reason: str) -> Verdict:

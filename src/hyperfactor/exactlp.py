@@ -7,11 +7,12 @@ pricing callback, which returns the first column, in the caller's order,
 with y . col < 0.  linear_system prices every type that way with a knapsack
 DP.  The pivots are fraction-free (Bareiss 1968): the basis inverse is kept
 as its integer adjugate over the basis determinant, so every step is exact
-integer arithmetic and Fractions are built only for the returned values.
-Bland's rule, with artificial columns after every real one in both the
-entering choice and the ratio-test ties, guarantees termination.  At a
-positive phase-1 optimum y is a Farkas witness: y . col >= 0 for every
-column and y . rhs < 0.
+integer arithmetic.  Bland's rule, with artificial columns after every real
+one in both the entering choice and the ratio-test ties, guarantees
+termination.  At a positive phase-1 optimum y is a Farkas witness:
+y . col >= 0 for every column and y . rhs < 0.  It is returned with its
+denominators cleared, as integers; Fractions appear only in the solution
+values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, mul
+from itertools import chain
+from operator import mul
 from typing import Any, Callable, Sequence
 
 from .errors import InvariantViolation
@@ -28,10 +30,8 @@ from .errors import InvariantViolation
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
-    #: exact non-negative solution (length = number of columns) when feasible
-    solution: tuple[Fraction, ...] | None
-    #: separating vector (length = number of rows) when infeasible
-    separator: tuple[Fraction, ...] | None
+    #: integer separating vector (length = number of rows) when infeasible
+    separator: tuple[int, ...] | None
 
 
 def _integers(values: Sequence[Any], what: str) -> list[int]:
@@ -43,14 +43,14 @@ def _integers(values: Sequence[Any], what: str) -> list[int]:
 
 def phase_one(
     rhs: Sequence[int], price: Callable[[tuple[int, ...]], tuple[Any, Sequence[int]] | None]
-) -> tuple[dict[Any, Fraction], None] | tuple[None, tuple[Fraction, ...]]:
+) -> tuple[dict[Any, Fraction], None] | tuple[None, tuple[int, ...]]:
     """Decide {x >= 0 : sum_j x_j * col_j == rhs} != {} over the columns that
     price(y) returns as (key, col); keys compare in the caller's order.  rhs
     and every column are integers; y is the separator times the (positive)
     basis determinant, so it has the separator's signs.
 
-    Returns (the non-zero basic values by key, None) or (None, separator y),
-    each self-checked.
+    Returns (the non-zero basic values by key, None) or (None, y // gcd(det,
+    *y)), the separator with its denominators cleared; each self-checked.
     """
     rhs = _integers(rhs, "rhs")
     m = len(rhs)
@@ -121,24 +121,19 @@ def phase_one(
         return solution, None
     if sum(a * b for a, b in zip(y, rhs)) >= 0:
         raise InvariantViolation("separator fails the rhs")
-    return None, tuple(Fraction(v, det) for v in y)
+    g = math.gcd(det, *y)
+    return None, tuple(v // g for v in y)
 
 
 def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> FeasibilityResult:
     """Decide {x >= 0 : sum_j x_j * columns[j] == rhs} != {} exactly.
 
-    columns are given column-wise; entries are integers or Fractions.  Each
-    row is scaled by the lcm of its denominators, which changes no solution,
-    and the separator is scaled back.  Pricing scans the columns in order.
+    columns are given column-wise and must be integers; pricing scans them
+    in order.
     """
-    m = len(rhs)
-    for col in columns:
-        if len(col) != m:
-            raise ValueError("column length does not match rhs length")
-    scale = [math.lcm(*map(attrgetter("denominator"), row)) for row in zip(rhs, *columns)]
-    if any(s != 1 for s in scale):
-        columns = [[v * s for v, s in zip(col, scale)] for col in columns]
-        rhs = [v * s for v, s in zip(rhs, scale)]
+    if any(len(col) != len(rhs) for col in columns):
+        raise ValueError("column length does not match rhs length")
+    _integers(list(chain.from_iterable(columns)), "column")
 
     def first_below(y: Sequence[int]) -> tuple[int, Sequence[int]] | None:
         for j, col in enumerate(columns):
@@ -146,9 +141,5 @@ def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -
                 return j, col
         return None
 
-    solution, separator = phase_one(rhs, first_below)
-    if separator is not None:
-        return FeasibilityResult(False, None, tuple(v * s for v, s in zip(separator, scale)))
-    zero = Fraction(0)
-    x = tuple(solution.get(j, zero) for j in range(len(columns)))
-    return FeasibilityResult(True, x, None)
+    _, separator = phase_one(rhs, first_below)
+    return FeasibilityResult(separator is None, separator)

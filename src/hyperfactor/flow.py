@@ -368,41 +368,55 @@ def _check_occurrence_counts(state: EvolutionState) -> int:
     0 <= j - |mask| <= n - ell must occur exactly C(n-ell, j-|mask|) times,
     and no other pair may occur.  If every occurring pair is such a pair
     with the right count and there are as many of them as such pairs exist,
-    the census is right; only a wrong census is compared pair by pair.
+    the census is right.  Otherwise the first wrong pair in (mask, j) order
+    is named, found from the census alone, never from all 2^ell masks.
     """
     n, ell, levels = state.n, state.ell, state.levels
     remaining = n - ell
     occ = state.census
-    required_pairs = sum(
-        binomial(ell, size)
-        for j in levels
-        for size in range(max(0, j - remaining), min(j, ell) + 1)
-    )
+    sizes = {j: range(max(0, j - remaining), min(j, ell) + 1) for j in levels}
+    required_pairs = sum(binomial(ell, size) for j in levels for size in sizes[j])
     # a pair (mask, j) must occur C(n-ell, j-|mask|) times; a difference
     # j - |mask| outside 0..n-ell looks up None, which no count equals
     target = _binomial_row(remaining).get
-    in_levels = frozenset(levels)
     if len(occ) == required_pairs and all(
-        mask >> ell == 0 and j in in_levels and have == target(j - mask.bit_count())
+        mask >> ell == 0 and j in sizes and have == target(j - mask.bit_count())
         for (mask, j), have in occ.items()
     ):
         return required_pairs
-    required: dict[tuple[int, int], int] = {}
-    for mask in range(1 << ell):
-        size = mask.bit_count()
-        for j in levels:
-            want = target(j - size)
-            if want is not None:
-                required[(mask, j)] = want
-    for key in sorted(set(occ) | set(required)):
-        have, want = occ.get(key, 0), required.get(key, 0)
+    # a wrong pair occurs with the wrong count, or is the least mask of some
+    # (j, size) that does not occur
+    wrong = []
+    for (mask, j), have in occ.items():
+        want = target(j - mask.bit_count()) if mask >> ell == 0 and j in sizes else None
         if have != want:
-            mask, j = key
-            raise InvariantViolation(
-                f"step {ell}: occurrence ({mask:#x}, potential {j}) "
-                f"appears {have} times, expected {want}"
-            )
-    return len(required)
+            wrong.append(((mask, j), have, want or 0))
+    for j in levels:
+        for size in sizes[j]:
+            mask = _least_absent(occ, j, size, ell)
+            if mask is not None:
+                wrong.append(((mask, j), 0, target(j - size)))
+    (mask, j), have, expected = min(wrong)
+    raise InvariantViolation(
+        f"step {ell}: occurrence ({mask:#x}, potential {j}) "
+        f"appears {have} times, expected {expected}"
+    )
+
+
+def _least_absent(occ: dict[tuple[int, int], int], j: int, size: int, ell: int) -> int | None:
+    """The least mask of `size` elements of {1..ell} with (mask, j) not in occ,
+    or None; masks of one size are stepped in ascending order (Gosper's hack),
+    so the walk passes only masks that occur."""
+    mask = (1 << size) - 1
+    while (mask, j) in occ:
+        if not mask:
+            return None
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
+        if mask >> ell:
+            return None
+    return mask
 
 
 def evolve_step(state: EvolutionState) -> EvolutionState:

@@ -179,8 +179,9 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
     The simplex has one row per level (the other rows are zero in every type
     and in b) and prices all types with first_negative_type, so Bland's
     entering column is the first negative type in canonical order and no type
-    is listed.  Infeasible outcomes carry a certificate scaled to clear
-    denominators; both outcomes are self-validated before being returned.
+    is listed.  Infeasible outcomes carry the simplex's separator, already
+    cleared of denominators, on its levels; both outcomes are self-validated
+    before being returned.
     """
     n, levels = system.n, system.levels
 
@@ -194,9 +195,7 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
     if separator is None:
         return LpOutcome(True, {lam: v for (_key, lam), v in sorted(solution.items())}, None)
     by_level = dict(zip(levels, separator))
-    y = [by_level.get(j, Fraction(0)) for j in range(1, levels.k + 1)]
-    denom_lcm = math.lcm(*(v.denominator for v in y))
-    cert = FarkasCertificate(tuple(v * denom_lcm for v in y))
+    cert = FarkasCertificate(tuple(by_level.get(j, 0) for j in range(1, levels.k + 1)))
     if not check_certificate(n, levels, cert).ok:
         raise InvariantViolation("extracted certificate failed validation")
     return LpOutcome(False, None, cert)

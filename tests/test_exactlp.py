@@ -1,5 +1,6 @@
 """Tests for the exact rational feasibility kernel."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,18 @@ from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative, phase_o
 
 
 def _recheck(columns, rhs, result):
+    """A feasible result must have a solution, which phase_one finds and this
+    checks; an infeasible one an integer separator, which this checks."""
     if result.feasible:
-        x = result.solution
+        solution, separator = phase_one(rhs, _scanning(columns))
+        assert separator is None
+        x = [solution.get(j, Fraction(0)) for j in range(len(columns))]
         assert all(v >= 0 for v in x)
         for i in range(len(rhs)):
             assert sum(x[j] * columns[j][i] for j in range(len(columns))) == rhs[i]
     else:
         y = result.separator
+        assert all(isinstance(v, int) for v in y)
         for col in columns:
             assert sum(a * b for a, b in zip(y, col)) >= 0
         assert sum(a * b for a, b in zip(y, rhs)) < 0
@@ -56,22 +62,25 @@ def test_empty_columns():
 
 
 def test_fractional_data():
+    """The kernel takes integer data only; a non-integer column is refused
+    before any pivot, even one that would never enter the basis."""
     columns = [[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(1)]]
-    rhs = [Fraction(1, 4), Fraction(3, 2)]
-    result = feasible_nonnegative(columns, rhs)
-    assert result.feasible
-    _recheck(columns, rhs, result)
-    assert result.solution[0] == Fraction(1, 2)
-    assert result.solution[1] == Fraction(1)
+    with pytest.raises(ValueError, match="column has a non-integer entry"):
+        feasible_nonnegative(columns, [0, 0])
+    with pytest.raises(ValueError, match="column has a non-integer entry"):
+        feasible_nonnegative([[1], [Fraction(1, 3)]], [1])
+    with pytest.raises(ValueError, match="rhs has a non-integer entry"):
+        feasible_nonnegative([[1, 2]], [Fraction(1, 4), 1])
+    # integral Fractions are integers
+    assert feasible_nonnegative([[Fraction(2)]], [4]).feasible
 
 
 def test_requires_mixing():
     # x1*(2,1) + x2*(1,2) = (4,5) has the unique solution (1,2)
     columns = [[2, 1], [1, 2]]
     rhs = [4, 5]
-    result = feasible_nonnegative(columns, rhs)
-    assert result.feasible
-    assert tuple(result.solution) == (Fraction(1), Fraction(2))
+    assert feasible_nonnegative(columns, rhs).feasible
+    assert phase_one(rhs, _scanning(columns)) == ({0: 1, 1: 2}, None)
 
 
 def test_exhaustive_tiny_systems():
@@ -185,15 +194,18 @@ def _integer_systems(draw):
 @settings(max_examples=400, deadline=None)
 @given(_integer_systems())
 def test_phase_one_matches_the_fraction_reference(system):
+    """The same solution as the Fraction tableau, and its separator times the
+    lcm of the separator's denominators."""
     columns, rhs = system
     solution, separator = phase_one(rhs, _scanning(columns))
-    assert (solution, separator) == _reference_phase_one(rhs, _scanning(columns))
-    if separator is None:
-        x = tuple(solution.get(j, Fraction(0)) for j in range(len(columns)))
-        result = FeasibilityResult(True, x, None)
+    ref_solution, ref_separator = _reference_phase_one(rhs, _scanning(columns))
+    assert solution == ref_solution
+    if ref_separator is None:
+        assert separator is None
     else:
-        result = FeasibilityResult(False, None, separator)
-    _recheck(columns, rhs, result)
+        scale = math.lcm(*(v.denominator for v in ref_separator))
+        assert separator == tuple(v * scale for v in ref_separator)
+    _recheck(columns, rhs, FeasibilityResult(separator is None, separator))
     _recheck(columns, rhs, feasible_nonnegative(columns, rhs))
 
 

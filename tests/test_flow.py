@@ -1,5 +1,6 @@
 """Tests for the flow-based evolution engine."""
 
+import time
 from itertools import chain
 
 import pytest
@@ -301,6 +302,35 @@ def test_census_audit_names_a_pair_outside_the_binomial_row(new_part):
     assert expected is not None
     with pytest.raises(InvariantViolation) as exc:
         _check_occurrence_counts(bad)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("first", ["absent-pair", "doubled-pair"])
+def test_census_audit_at_step_thirty_reads_only_the_census(first):
+    """At step 30 of (40, {2}) a full recount would list 2^30 masks.  Move
+    one complete pair of one partition onto a pair another partition holds:
+    the moved pair then occurs 0 times and the other 2, and the audit names
+    the lower of the two within a second."""
+    state = init_state(40, LevelSet.of([2]), {(0, 20): 39})
+    for _ in range(30):
+        state = evolve_step(state)
+    complete = [sorted(p for p in parts if p[0].bit_count() == 2) for parts, _ in state.classes]
+    (parts, mult), *rest = state.classes
+    assert mult == 1 and all(complete)
+    others = sorted(chain.from_iterable(complete[1:]))
+    if first == "absent-pair":
+        moved, onto = complete[0][0], others[-1]
+        expected = f"step 30: occurrence ({moved[0]:#x}, potential 2) appears 0 times, expected 1"
+        assert moved < onto
+    else:
+        moved, onto = complete[0][-1], others[0]
+        expected = f"step 30: occurrence ({onto[0]:#x}, potential 2) appears 2 times, expected 1"
+        assert onto < moved
+    tampered = _with_classes(state, [(tuple(onto if p == moved else p for p in parts), 1), *rest])
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolation) as exc:
+        _check_occurrence_counts(tampered)
+    assert time.perf_counter() - start < 1.0
     assert str(exc.value) == expected
 
 

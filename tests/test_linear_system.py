@@ -6,20 +6,30 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet, binomial, enumerate_types, iter_types
+from hyperfactor.combinatorics import (
+    LevelSet,
+    binomial,
+    canonical_key,
+    count_types,
+    enumerate_types,
+    iter_types,
+)
 from hyperfactor import linear_system
+from hyperfactor.decide import decide_general
 from hyperfactor.errors import InvariantViolation, SearchLimitExceeded
-from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative
+from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative, phase_one
 from hyperfactor.linear_system import (
     CertificateCheck,
     FarkasCertificate,
     build_system,
     check_certificate,
+    first_negative_type,
     integer_search_small,
     lp_feasible,
     solution_residual,
     verify_certificate,
 )
+from test_exactlp import _reference_phase_one, _scanning
 
 
 def test_build_system_uniform_pairs():
@@ -169,7 +179,7 @@ def test_integer_search_finds_and_refutes():
 def _without_cone_prune(monkeypatch):
     """Answer every cone test of the search with "contained", which turns
     the exact rational prune off."""
-    contained = FeasibilityResult(True, None, None)
+    contained = FeasibilityResult(True, None)
     monkeypatch.setattr(linear_system, "feasible_nonnegative", lambda columns, rhs: contained)
 
 
@@ -242,30 +252,80 @@ _LP_SETS = [
 ]
 
 
+def _dp_instances():
+    """Every range with n <= 14, and _LP_SETS."""
+    instances = [(n, LevelSet.full(k)) for n in range(1, 15) for k in range(1, n + 1)]
+    return instances + [(n, LevelSet.of(levels)) for n, levels in _LP_SETS]
+
+
 def test_dp_pricing_matches_scan_pricing():
     """lp_feasible prices all types with the knapsack DP; the same simplex
     pricing by scanning the listed types must take the same pivots, so the
-    solution and the scaled separator are identical."""
-    instances = [(n, LevelSet.full(k)) for n in range(1, 15) for k in range(1, n + 1)]
-    instances += [(n, LevelSet.of(levels)) for n, levels in _LP_SETS]
+    solution and the separator on the levels are identical."""
     outcomes = set()
-    for n, levels in instances:
+    for n, levels in _dp_instances():
         system = build_system(n, levels)
         types = enumerate_types(n, levels)
         rows = [l - 1 for l in levels]
-        scan = feasible_nonnegative([[lam[i] for i in rows] for lam in types], [system.b[i] for i in rows])
+        columns = [[lam[i] for i in rows] for lam in types]
+        rhs = [system.b[i] for i in rows]
+        scan = feasible_nonnegative(columns, rhs)
         out = lp_feasible(system)
         assert out.feasible == scan.feasible, (n, levels)
         if scan.feasible:
-            assert out.solution == {lam: v for lam, v in zip(types, scan.solution) if v}, (n, levels)
+            solution, _ = phase_one(rhs, _scanning(columns))
+            assert out.solution == {types[j]: v for j, v in solution.items()}, (n, levels)
         else:
-            y = [Fraction(0)] * levels.k
+            y = [0] * levels.k
             for pos, i in enumerate(rows):
                 y[i] = scan.separator[pos]
-            scale = math.lcm(*(v.denominator for v in y))
-            assert out.certificate.y == tuple(v * scale for v in y), (n, levels)
+            assert out.certificate.y == tuple(y), (n, levels)
         outcomes.add((levels.is_full_range(), out.feasible))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _fraction_lcm_certificate(n, levels):
+    """The certificate as lp_feasible built it while phase_one returned its
+    separator as Fractions: the separator of the Fraction tableau, priced by
+    the knapsack DP, placed on its levels and multiplied by the lcm of its
+    denominators."""
+
+    def price(y):
+        lam = first_negative_type(n, levels, y)
+        if lam is None:
+            return None
+        return (canonical_key(lam), lam), [lam[j - 1] for j in levels]
+
+    _, separator = _reference_phase_one([binomial(n, j) for j in levels], price)
+    by_level = dict(zip(levels, separator))
+    y = [by_level.get(j, Fraction(0)) for j in range(1, levels.k + 1)]
+    scale = math.lcm(*(v.denominator for v in y))
+    return FarkasCertificate(tuple(v * scale for v in y))
+
+
+def test_lp_certificate_matches_the_fraction_lcm_construction():
+    """On every set the suite refutes with the LP, lp_feasible's certificate
+    is the one the Fraction separator and an lcm give: the ranges with
+    n <= 14 and _LP_SETS, and the non-range sets with k <= 8, n <= 64 and
+    more than 5,000 types that decide_general refutes with the simplex."""
+    refuted = []
+    for n, levels in _dp_instances():
+        out = lp_feasible(build_system(n, levels))
+        if not out.feasible:
+            refuted.append((n, levels, out.certificate))
+    swept = len(refuted)
+    for n in range(9, 65):
+        for k in range(2, 9):
+            for bits in range(2 ** (k - 1)):
+                levels = LevelSet.of([j for j in range(1, k) if bits >> (j - 1) & 1] + [k])
+                if levels.is_full_range() or count_types(n, levels) <= 5000:
+                    continue
+                v = decide_general(n, levels)
+                if v.family == "simplex-derived":
+                    refuted.append((n, levels, v.certificate))
+    assert len(refuted) - swept == 13
+    for n, levels, cert in refuted:
+        assert cert == _fraction_lcm_certificate(n, levels), (n, levels)
 
 
 def test_lp_outcomes_pin_blands_pivots():
