@@ -54,7 +54,8 @@ def _require(ok: bool, what: str) -> None:
 
 
 class Realization(enum.Enum):
-    """How a block's factors are made from its multiplicities."""
+    """How a block's factors are made from its multiplicities.  The n singletons
+    (k = 1) and the whole set (the head of k = n) are one-partition FLOW blocks."""
 
     #: the flow engine on the block's own ground set
     FLOW = "flow"
@@ -62,10 +63,6 @@ class Realization(enum.Enum):
     LIFT = "lift"
     #: the factors {S, complement(S)}, appended after the factors of the rest
     COMPLEMENT_PAIRS = "complement-pairs"
-    #: the single factor {1..n}
-    WHOLE_SET = "whole-set"
-    #: the single factor of the n singletons
-    SINGLETONS = "singletons"
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .combinatorics import LevelSet, binomial, check_ground, full_mask, mask_of
+from .combinatorics import LevelSet, binomial, check_ground
 from .constructors import (
     Block,
     Realization,
@@ -83,11 +83,11 @@ def decide(n: int, k: int) -> Verdict:
         return Verdict(
             Status.FACTORABLE,
             "trivial: the n singletons form the single factor (k = 1 convention)",
-            blocks=(Block(n, LevelSet.full(1), {(n,): 1}, Realization.SINGLETONS),),
+            blocks=(Block(n, LevelSet.full(1), {(n,): 1}, Realization.FLOW),),
         )
     if k == n:
         return _prefixed(
-            lambda: Block(n, LevelSet.of([n]), {(0,) * (n - 1) + (1,): 1}, Realization.WHOLE_SET),
+            lambda: Block(n, LevelSet.of([n]), {(0,) * (n - 1) + (1,): 1}, Realization.FLOW),
             decide(n, n - 1),
             "the whole ground set forms one factor; rest reduces to k = n-1: ",
         )
@@ -239,8 +239,9 @@ def construct(
     """Build and fully verify a factorization, or raise NotFactorableError.
 
     Exactly one of k (full range {1..k}) and levels may be given.  Before any
-    flow runs, the largest flow ground is checked against the evolution limits
-    and the family against the verifier's; either raises LimitExceeded.
+    flow runs, the widest flow or lift block (largest ground, then most
+    partitions) is checked against the evolution limits and the family
+    against the verifier's; either raises LimitExceeded.
     """
     check_ground(n)
     if (k is None) == (levels is None):
@@ -250,10 +251,10 @@ def construct(
             raise ValueError(f"k must be an int in 1..n={n}, got {k!r}")
         levels = LevelSet.full(k)
     blocks = plan(n, levels)
-    grounds = [b.n for b in blocks if b.realization in (Realization.FLOW, Realization.LIFT)]
-    if grounds:
-        check_evolution_size(max(grounds), max_ground_size)
-        check_verify_size(n, levels.levels)
+    flows = [b for b in blocks if b.realization is not Realization.COMPLEMENT_PAIRS]
+    if flows:
+        check_evolution_size(*max((b.n, sum(b.solution.values())) for b in flows), max_ground_size)
+    check_verify_size(n, levels.levels)
     fact = _realize(n, blocks, max_ground_size, trace)
     problems = verify_factorization(fact)
     if problems:
@@ -265,23 +266,18 @@ def _realize(
     n: int, blocks: list[Block], max_ground_size: int, trace: TraceFn | None
 ) -> Factorization:
     """Fold the blocks from the last one, the only one that may lift to n + 1.
-    Each block's factors go before those of the later blocks, but complement
-    pairs go after them."""
+    Each block but complement pairs is a flow run (projected for a lift), and
+    its factors go before those of the later blocks; complement pairs go after."""
     fact = Factorization(n, (), ())
     for block in reversed(blocks):
         if block.realization is Realization.COMPLEMENT_PAIRS:
             fact = extend_by_complements(fact)
             continue
-        if block.realization is Realization.SINGLETONS:
-            head = Factorization(n, (1,), (tuple(mask_of([e]) for e in range(1, n + 1)),))
-        elif block.realization is Realization.WHOLE_SET:
-            head = Factorization(n, (n,), ((full_mask(n),),))
-        else:
-            head = flow_run(
-                block.n, block.levels, block.solution, max_ground_size=max_ground_size, trace=trace
-            )
-            if block.realization is Realization.LIFT:
-                head = project_lift(head)
+        head = flow_run(
+            block.n, block.levels, block.solution, max_ground_size=max_ground_size, trace=trace
+        )
+        if block.realization is Realization.LIFT:
+            head = project_lift(head)
         levels = tuple(sorted(set(head.levels) | set(fact.levels)))
         fact = Factorization(n, levels, head.factors + fact.factors)
     return fact

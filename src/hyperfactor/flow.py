@@ -50,9 +50,10 @@ from .errors import InvariantViolation, LimitExceeded
 from .factorization import Factorization
 from .linear_system import SolutionVector, solution_residual
 
-#: Refuse evolutions beyond this ground size unless explicitly raised; each
-#: of the n steps routes all M = sum of C(n-1, j-1) partitions, and M grows
-#: quickly with n (construct(17, 6) routes 6,885 in each of 18 steps).
+#: Refuse evolutions beyond this ground size unless explicitly raised; each of
+#: the n steps routes all M = sum of C(n-1, j-1) partitions, and M grows quickly
+#: with n (construct(17, 6) routes 6,885 in each of 18 steps).  M = 1 (levels
+#: {1} or {n}) is n one-arc steps at any n, so the limit skips it.
 DEFAULT_MAX_GROUND = 18
 
 
@@ -457,15 +458,15 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
     return new_state
 
 
-def check_evolution_size(n: int, max_ground_size: int) -> None:
-    """Refuse, with LimitExceeded, an evolution on n elements past the
-    bit-mask cap or past the work limit max_ground_size."""
+def check_evolution_size(n: int, partitions: int, max_ground_size: int) -> None:
+    """Refuse, with LimitExceeded, an evolution on n elements past the bit-mask
+    cap, or of more than one partition past the work limit max_ground_size."""
     if n > MAX_GROUND_SIZE:
         raise LimitExceeded(
             f"ground size {n} exceeds the {MAX_GROUND_SIZE}-element bit-mask cap of the "
             "evolution engine; no max_ground_size can lift it"
         )
-    if n > max_ground_size:
+    if partitions > 1 and n > max_ground_size:
         raise LimitExceeded(
             f"ground size {n} exceeds the evolution work limit {max_ground_size}; "
             "raise max_ground_size explicitly to proceed"
@@ -481,7 +482,7 @@ def run(
     trace: Callable[[StepRecord], None] | None = None,
 ) -> Factorization:
     """Full evolution from the empty ground set to a verified-shape factorization."""
-    check_evolution_size(n, max_ground_size)
+    check_evolution_size(n, sum(solution.values()), max_ground_size)
     state = init_state(n, levels, solution)
     for _ in range(n):
         state = evolve_step(state)

@@ -122,13 +122,41 @@ def test_construct_work_limit(capsys):
 
 
 def test_construct_refuses_an_over_limit_lift_before_any_flow(capsys):
-    """(20, 7) plans a flow block on 20, then a lift to 21: the lift is built
-    first, so the work limit 20 refuses it before the other block's flow."""
-    start = time.perf_counter()
-    assert main(["construct", "--n", "20", "--k", "7", "--max-ground-size", "20"]) == 3
-    assert time.perf_counter() - start < 1.0
+    """(20, 7) plans a flow block on 20, then a lift to 21: the lift is the
+    widest block, so the work limit 19 or 20 names it before any flow."""
+    for limit in (19, 20):
+        start = time.perf_counter()
+        assert main(["construct", "--n", "20", "--k", "7", "--max-ground-size", str(limit)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"limit exceeded: ground size 21 exceeds the evolution work limit {limit}; "
+            "raise max_ground_size explicitly to proceed\n"
+        )
+
+
+def test_one_partition_blocks_skip_the_work_limit(capsys, tmp_path):
+    """Levels {n} and {1} route one partition, n one-arc steps at any n, so
+    the ground-size work limit lets them through; {1, n} routes two."""
+    for n in (64, 40):
+        path = str(tmp_path / f"whole_{n}.txt")
+        assert main(["construct", "--n", str(n), "--levels", str(n), "--out", path]) == 0
+        assert main(["verify", "--file", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"OK: valid factorization of n={n} levels={n} with 1 factors"
+        )
+        assert Path(path).read_text() == (
+            f"HYPERFACTOR v1\nn={n} levels={n}\n{{{','.join(map(str, range(1, n + 1)))}}}\n"
+        )
+
+    assert main(["construct", "--n", "64", "--k", "1", "--trace"]) == 0
+    steps = capsys.readouterr().err.splitlines()
+    assert [line.split()[:3] for line in steps] == [
+        ["step", f"{ell}:", "flow=1"] for ell in range(64)
+    ]
+
+    assert main(["construct", "--n", "19", "--levels", "1,19"]) == 3
     assert capsys.readouterr().err == (
-        "limit exceeded: ground size 21 exceeds the evolution work limit 20; "
+        "limit exceeded: ground size 19 exceeds the evolution work limit 18; "
         "raise max_ground_size explicitly to proceed\n"
     )
 
@@ -145,9 +173,10 @@ def test_construct_refuses_a_family_too_large_to_verify_before_any_flow(capsys):
 
 
 def test_complement_only_construct_is_refused_up_front(capsys):
-    """For k >= n-2 no block reaches the flow engine; the verification limit
-    refuses the complement pairs before any pair is built."""
-    for n, k, sets in [(64, 64, 2**64 - 2), (30, 28, 2**30 - 32), (23, 22, 2**23 - 2)]:
+    """For k >= n-2 the only flow block, if any, is one partition (the n
+    singletons or the whole set); the verification limit refuses the family,
+    all 2**64 - 1 sets of 64 elements for k = 64, before any pair is built."""
+    for n, k, sets in [(64, 64, 2**64 - 1), (30, 28, 2**30 - 32), (23, 22, 2**23 - 2)]:
         start = time.perf_counter()
         assert main(["construct", "--n", str(n), "--k", str(k)]) == 3
         assert time.perf_counter() - start < 1.0, (n, k)

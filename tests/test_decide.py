@@ -246,10 +246,9 @@ def test_plan_solves_every_factorable_range():
                 if block.realization is Realization.COMPLEMENT_PAIRS:
                     # sizes n-j..j for the top level j of the range it pairs off
                     assert levels == tuple(range(n - levels[-1], levels[-1] + 1)), (n, k)
-                elif block.realization is Realization.WHOLE_SET:
-                    assert levels == (n,)
-                elif block.realization is Realization.SINGLETONS:
-                    assert levels == (1,)
+                elif sum(block.solution.values()) == 1:
+                    # one partition: the n singletons or the whole set
+                    assert levels in ((1,), (n,)), (n, k)
             assert covered == Counter(range(1, k + 1)), (n, k)
     assert 65 in grounds
 

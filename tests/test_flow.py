@@ -153,14 +153,27 @@ def test_evolve_step_rejects_duplicated_partition():
         evolve_step(_with_classes(state, classes))
 
 
+def _singletons_and_whole_set(n):
+    """The two-partition solution on levels {1, n}: the n singletons, and {1..n}."""
+    return {(n,) + (0,) * (n - 1): 1, (0,) * (n - 1) + (1,): 1}
+
+
 def test_run_ground_size_limit():
     with pytest.raises(LimitExceeded):
-        run(19, LevelSet.of([1]), {(19,): 1})
+        run(19, LevelSet.of([1, 19]), _singletons_and_whole_set(19))
     with pytest.raises(LimitExceeded):
-        run(5, LevelSet.of([1]), {(5,): 1}, max_ground_size=4)
+        run(5, LevelSet.of([1, 5]), _singletons_and_whole_set(5), max_ground_size=4)
     # the override direction also works
-    fact = run(5, LevelSet.of([1]), {(5,): 1}, max_ground_size=5)
-    assert len(fact.factors) == 1 and len(fact.factors[0]) == 5
+    fact = run(5, LevelSet.of([1, 5]), _singletons_and_whole_set(5), max_ground_size=5)
+    assert sorted(map(len, fact.factors)) == [1, 5]
+    # one partition is n one-arc steps, so the work limit skips it
+    for n, levels, solution in [
+        (19, [1], {(19,): 1}),
+        (5, [1], {(5,): 1}),
+        (19, [19], {(0,) * 18 + (1,): 1}),
+    ]:
+        fact = run(n, LevelSet.of(levels), solution, max_ground_size=4)
+        assert len(fact.factors) == 1 and len(fact.factors[0]) == n // levels[0]
 
 
 def _first_census_error(state):
