@@ -14,8 +14,11 @@ element ell+1:
     occurrence(S,j) -> sink      capacity C(n-ell-1, j-1-|S|)
 
 where occurrence (S, j) stands for "some part currently equal to S with
-potential j".  A complete part (|S| = j) has sink capacity 0, so it gets no
-node.  The balanced-occurrence invariant (every (S, j) with j - |S| <= n - ell
+potential j".  A class arc holds as much as its source arc, so it is full
+only when all of the class's partitions grow that one part; it never limits
+a path, and only the source, sink and reverse arcs can run out.  A complete
+part (|S| = j) has sink capacity 0, so it gets no node.  The
+balanced-occurrence invariant (every (S, j) with j - |S| <= n - ell
 occurs in exactly C(n-ell, j-|S|) partitions) guarantees a max flow of value
 M = number of partitions that saturates every sink arc.  A flow of f units
 from a class to an occurrence becomes a class of multiplicity f whose part
@@ -180,14 +183,16 @@ def _later_phases(
     class arcs class by class, sink arcs), so the paths and amounts are Dinic's.
 
     Each phase labels the nodes by their residual distance to the sink, a
-    level at a time, up to the level of the source.  The walk takes an arc
-    only when it has room and its head is one step closer to the sink, and
-    drops a node that turns out a dead end.  On a shortest path from the
-    source these are exactly the arcs into the next level from the source
-    that still lead to the sink, in the same order, so the paths, the
-    amounts pushed and the residual left are those of the levels counted
-    from the source; the walk just never enters a branch that cannot reach
-    the sink.  Paths alternate class, occurrence, class, ..., so a node's
+    level at a time, up to the level of the source, over arcs with room.
+    The walk takes an arc whose head is one step closer to the sink, checks
+    room only on a reverse arc, and drops a node that turns out a dead end.
+    A class arc without room holds all of its class's units, so the walk
+    enters that class only back from the arc's occurrence, one step farther
+    from the sink, never closer.  On a shortest path from the source these
+    are exactly the arcs into the next level from the source that still
+    lead to the sink, in the same order, so the paths, the amounts pushed
+    and the residual left are those of the levels counted from the source;
+    the walk just never enters a branch that cannot reach the sink.  Paths alternate class, occurrence, class, ..., so a node's
     kind is the parity of its place on the path.
     """
     n_classes = len(sizes)
@@ -254,11 +259,11 @@ def _later_phases(
                 via.append(-1)
             elif depth & 1:
                 c = path[-1]
-                arcs, row, size = class_arcs[c], flows[c], sizes[c]
+                arcs = class_arcs[c]
                 closer = class_dist[c] - 1
                 n_arcs = len(arcs)
                 i = class_it[c]
-                while i < n_arcs and not (row[i] < size and occ_dist[arcs[i]] == closer):
+                while i < n_arcs and occ_dist[arcs[i]] != closer:
                     i += 1
                 class_it[c] = i
                 if i < n_arcs:
@@ -290,7 +295,7 @@ def _later_phases(
                         via.append(j)
                         continue
                 elif room[o]:
-                    total += _augment(sizes, flows, left_over, room, path, via)
+                    total += _augment(flows, left_over, room, path, via)
                     continue
                 occ_dist[o] = -1
                 path.pop()
@@ -299,7 +304,6 @@ def _later_phases(
 
 
 def _augment(
-    sizes: list[int],
     flows: list[list[int]],
     left_over: list[int],
     room: list[int],
@@ -307,32 +311,26 @@ def _augment(
     via: list[int],
 ) -> int:
     """Push the most the path from the source to the sink takes, and cut the
-    path before its first arc left without room; returns the amount."""
+    path before its first arc left without room; returns the amount.  A
+    class arc has room at least the class's left_over and the flow of each
+    of its other slots, so it never runs out before the arc into its class."""
     first, last = path[0], path[-1]
     aug = min(left_over[first], room[last])
-    for p in range(1, len(path)):
-        if p & 1:  # class path[p - 1] into occurrence path[p]
-            c = path[p - 1]
-            r = sizes[c] - flows[c][via[p]]
-        else:  # occurrence path[p - 1] back into class path[p]
-            r = flows[path[p]][via[p]]
+    for p in range(2, len(path), 2):
+        r = flows[path[p]][via[p]]
         if r < aug:
             aug = r
     left_over[first] -= aug
     room[last] -= aug
     cut = len(path) if left_over[first] else 0
     for p in range(1, len(path)):
-        if p & 1:
-            c = path[p - 1]
-            row = flows[c]
-            row[via[p]] += aug
-            full = row[via[p]] == sizes[c]
-        else:
+        if p & 1:  # class path[p - 1] into occurrence path[p]
+            flows[path[p - 1]][via[p]] += aug
+        else:  # occurrence path[p - 1] back into class path[p]
             row = flows[path[p]]
             row[via[p]] -= aug
-            full = not row[via[p]]
-        if full and p < cut:
-            cut = p
+            if not row[via[p]] and p < cut:
+                cut = p
     del path[cut:]
     del via[cut:]
     return aug

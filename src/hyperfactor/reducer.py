@@ -64,7 +64,7 @@ def repair_to_complement_paired(fact: Factorization) -> tuple[Factorization, Fac
     """
     n = fact.n
     k = max(fact.levels) if fact.levels else 0
-    if fact.levels != tuple(range(1, k + 1)) or not n / 2 <= k <= n - 1:
+    if fact.levels != tuple(range(1, k + 1)) or 2 * k < n or k >= n:
         raise ValueError(f"repair needs full levels 1..k with n/2 <= k <= n-1, got {fact.levels}")
     _check_valid(fact, "repair_to_complement_paired")
     full = full_mask(n)

@@ -572,20 +572,53 @@ def test_max_flow_reads_no_node_that_cannot_reach_the_sink(net):
     assert rows.read <= reach
 
 
-def test_the_walk_skips_a_dead_branch_at_the_source():
-    # class 1 has a unit left but only an arc into the full occurrence 0,
-    # which class 0 fills and has no other arc out of: a dead branch.  Class
-    # 3's unit reaches the sink through occurrence 1, back to class 2 and on
-    # to occurrence 2
-    net = StepNetwork(4, [(o, 1) for o in range(3)], [1, 1, 1], [1, 1, 1, 1],
-                      [[0], [0], [1, 2], [1]])
-    assert _pour(net)[1] == [0, 1, 0, 1]
-    rows = _ReadRows(net.class_arcs)
-    read_net = StepNetwork(net.m, net.occ_keys, net.occ_caps, net.class_sizes, rows)
-    result = max_flow_integral(read_net)
-    assert result == (3, [[1], [0], [0, 1], [1]], [1, 1, 1])
-    assert result == _reference_max_flow_integral(net)
-    assert rows.read == {2, 3}
+def test_the_walk_skips_a_dead_branch_at_the_source(monkeypatch):
+    """Two fixed networks whose one augmenting path enters a class back
+    through the slot that holds all of its units, so that class's arc there
+    is full; the walk looks up no class arc's room and never takes it.
+
+    First, multiplicity 1: class 1 has a unit left but only an arc into the
+    full occurrence 0, which class 0 fills and has no other arc out of: a
+    dead branch.  Class 3's unit reaches the sink through occurrence 1, back
+    to class 2 and on to occurrence 2.  Second, multiplicity 2: the pour
+    puts both units of class 0 into occurrence 0, and class 1's two units go
+    through occurrence 0, back to class 0 and on to occurrence 1."""
+    paths = []
+    augment = flow._augment
+
+    def seen(*args):
+        path, via = args[-2:]
+        paths.append((list(path), list(via)))
+        return augment(*args)
+
+    monkeypatch.setattr(flow, "_augment", seen)
+    cases = [
+        (
+            StepNetwork(4, [(o, 1) for o in range(3)], [1, 1, 1], [1, 1, 1, 1],
+                        [[0], [0], [1, 2], [1]]),
+            [0, 1, 0, 1],
+            (3, [[1], [0], [0, 1], [1]], [1, 1, 1]),
+            ([3, 1, 2, 2], [-1, 0, 0, 1]),
+            {2, 3},
+        ),
+        (
+            StepNetwork(4, [(0, 1), (1, 1)], [2, 2], [2, 2], [[0, 1], [0]]),
+            [0, 2],
+            (4, [[0, 2], [2]], [2, 2]),
+            ([1, 0, 0, 1], [-1, 0, 0, 1]),
+            {0, 1},
+        ),
+    ]
+    for net, left_over, expected, path, read in cases:
+        assert _pour(net)[1] == left_over
+        rows = _ReadRows(net.class_arcs)
+        read_net = StepNetwork(net.m, net.occ_keys, net.occ_caps, net.class_sizes, rows)
+        paths.clear()
+        result = max_flow_integral(read_net)
+        assert result == expected
+        assert result == _reference_max_flow_integral(net)
+        assert paths == [path]
+        assert rows.read == read
 
 
 def _reference_build_step_network(state):
@@ -657,9 +690,10 @@ def test_long_augmenting_paths_route_the_reference_flows(monkeypatch):
     longest = []
     augment = flow._augment
 
-    def measured(sizes, flows, left_over, room, path, via):
+    def measured(*args):
+        path = args[-2]
         longest.append(len(path) + 1)  # the arcs: one into each node, one to the sink
-        return augment(sizes, flows, left_over, room, path, via)
+        return augment(*args)
 
     monkeypatch.setattr(flow, "_augment", measured)
     (block,) = plan(15, LevelSet.of([1, 3, 5]))

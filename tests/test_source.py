@@ -6,12 +6,29 @@ from pathlib import Path
 import hyperfactor
 
 
-def test_no_assert_statements_in_src():
-    """Checks must survive `python -O`, so they are explicit raises."""
+def _src_nodes():
+    """(file name, node) for every syntax node of the package's modules."""
     package = Path(hyperfactor.__file__).parent
-    found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+            yield path.name, node
+
+
+def test_no_assert_statements_in_src():
+    """Checks must survive `python -O`, so they are explicit raises."""
+    found = [f"{name}:{node.lineno}" for name, node in _src_nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _is_floating_point(node):
+    return (
+        isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Name) and node.id == "float"
+    )
+
+
+def test_no_floating_point_in_src():
+    """Everything is exact: no float constant, no true division, no float()."""
+    found = [f"{name}:{node.lineno}" for name, node in _src_nodes() if _is_floating_point(node)]
     assert found == []
