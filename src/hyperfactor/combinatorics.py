@@ -120,8 +120,32 @@ def _byte_text_rows() -> tuple[tuple[str, ...], ...]:
     return tuple(rows)
 
 
+@functools.cache
+def _two_byte_text() -> tuple[tuple[str, ...], ...]:
+    """Four tables indexed by a byte value, `{low}`, `{high}`, `{low,` and
+    `high}`: a set within 1..16 is spelled by one entry when its elements lie
+    in one byte, and by two joined when they lie in both.  Built on first use."""
+    low, high = _byte_text_rows()[:2]
+    return (
+        tuple(f"{{{text}}}" for text in low),
+        tuple(f"{{{text}}}" for text in high),
+        tuple(f"{{{text}," for text in low),
+        tuple(f"{text}}}" for text in high),
+    )
+
+
 def set_text(mask: int) -> str:
-    """The set spelled as `{e1,e2,...}`, elements ascending; read a byte at a time."""
+    """The set spelled as `{e1,e2,...}`, elements ascending.  A non-empty set
+    within 1..16 is looked up in _two_byte_text; any other mask is read a
+    byte at a time."""
+    if 0 < mask <= 0xFFFF:
+        low_set, high_set, low_head, high_tail = _two_byte_text()
+        low, high = mask & 0xFF, mask >> 8
+        if not high:
+            return low_set[low]
+        if not low:
+            return high_set[high]
+        return low_head[low] + high_tail[high]
     chunks = []
     for row in _byte_text_rows():
         if not mask:

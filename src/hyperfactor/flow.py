@@ -27,6 +27,14 @@ order.  Two classes never grow into the same parts (dropping the new element
 gives back the parent), so the classes stay distinct.  The same invariant is
 re-checked after every step, so a broken step cannot propagate.
 
+Each class keeps its parts in ascending (S, j) order: the initial parts are
+empty, listed by potential, and the grown part, the only one holding
+element ell+1, is the largest, so it moves to the end.  Occurrences are
+numbered in the same order, so a class's arcs are read off its parts with
+no sort; a class whose parts are out of order, as in a hand-built state, is
+sorted instead.  The order of the parts never reaches the output, because
+Factorization.build sorts each factor.
+
 The max flow is Dinic's, with its first phase done without a graph, as a
 pour: each class, in order, puts its multiplicity into its occurrences in
 arc order, each taking what the class has left or what its sink arc has
@@ -70,7 +78,9 @@ class EvolutionState:
     levels: LevelSet
     ell: int
     #: classes of identical partitions as (parts, multiplicity); listing each
-    #: class's parts multiplicity times, in order, lists the partitions
+    #: class's parts multiplicity times, in order, lists the partitions.
+    #: init_state and evolve_step keep each class's parts ascending, the
+    #: grown part last, so build_step_network need not sort them
     classes: list[tuple[Parts, int]]
     last_step: "StepRecord | None" = field(default=None)
 
@@ -117,18 +127,34 @@ def _binomial_row(a: int) -> dict[int, int]:
 
 
 def build_step_network(state: EvolutionState) -> StepNetwork:
+    """The step-ell network of the state.  A class's arcs are the indices of
+    its open parts' occurrences, ascending and without repeats.  Occurrences
+    are numbered in (mask, potential) order, the order evolve_step keeps each
+    class's parts in, so the arcs are read off in part order with no sort.
+    A class whose parts are out of order, as in a hand-built state, is
+    sorted instead."""
     n, ell = state.n, state.ell
     # complete parts (|S| = j) have sink capacity 0 and get no node
     occ_keys: list[tuple[int, int]] = sorted(
         (mask, j) for mask, j in state.census if j > mask.bit_count()
     )
-    occ_index = {key: i for i, key in enumerate(occ_keys)}
+    index = {key: i for i, key in enumerate(occ_keys)}.get
     sink_cap = _binomial_row(n - ell - 1).get
     occ_caps = [sink_cap(j - 1 - mask.bit_count(), 0) for mask, j in occ_keys]
-    # a complete part looks up None
-    class_arcs = [
-        sorted(set(map(occ_index.get, parts)) - {None}) for parts, _ in state.classes
-    ]
+    class_arcs = []
+    for parts, _ in state.classes:
+        arcs = []
+        last = -1
+        # a complete part looks up None; equal parts (empty ones) repeat an index
+        for o in map(index, parts):
+            if o is None or o == last:
+                continue
+            if o < last:
+                arcs = sorted(set(map(index, parts)) - {None})
+                break
+            arcs.append(o)
+            last = o
+        class_arcs.append(arcs)
     sizes = [mult for _, mult in state.classes]
     return StepNetwork(sum(sizes), occ_keys, occ_caps, sizes, class_arcs)
 
@@ -427,11 +453,11 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
     value, flows, sink_flows = max_flow_integral(net)
     if value != net.m:
         raise InvariantViolation(f"step {ell}: max flow {value} < partition count {net.m}")
-    for o, flow in enumerate(sink_flows):
-        if flow != net.occ_caps[o]:
-            raise InvariantViolation(
-                f"step {ell}: sink arc of occurrence {net.occ_keys[o]} not saturated"
-            )
+    if sink_flows != net.occ_caps:
+        o = next(o for o, (f, cap) in enumerate(zip(sink_flows, net.occ_caps)) if f != cap)
+        raise InvariantViolation(
+            f"step {ell}: sink arc of occurrence {net.occ_keys[o]} not saturated"
+        )
     new_bit = 1 << ell
     classes: list[tuple[Parts, int]] = []
     for c, (parts, mult) in enumerate(state.classes):
@@ -448,8 +474,10 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
                 raise InvariantViolation(
                     f"step {ell}: class {c} would grow a full part {(mask, j)}"
                 )
+            # the grown part is the only one holding element ell+1, so it is
+            # the largest: moved to the end, the parts stay ascending
             i = parts.index((mask, j))
-            classes.append((parts[:i] + ((mask | new_bit, j),) + parts[i + 1:], f))
+            classes.append((parts[:i] + parts[i + 1:] + ((mask | new_bit, j),), f))
     new_state = EvolutionState(n, state.levels, ell + 1, classes)
     pairs = _check_occurrence_counts(new_state)
     new_state.last_step = StepRecord(ell, value, len(state.classes), len(net.occ_keys), pairs)

@@ -153,6 +153,26 @@ def test_evolve_step_rejects_duplicated_partition():
         evolve_step(_with_classes(state, classes))
 
 
+def test_evolve_step_names_the_first_unsaturated_sink_arc(monkeypatch):
+    """A max flow of full value that leaves a sink arc short is refused,
+    naming the first such occurrence in the network's order."""
+    state = evolve_step(init_state(6, LevelSet.of([2, 3]), {(0, 3, 0): 5, (0, 0, 2): 10}))
+    net = build_step_network(state)
+    assert len(net.occ_keys) > 3
+    max_flow = flow.max_flow_integral
+
+    def moved_a_unit(net):
+        value, flows, sink_flows = max_flow(net)
+        sink_flows[2] -= 1
+        sink_flows[3] += 1
+        return value, flows, sink_flows
+
+    monkeypatch.setattr(flow, "max_flow_integral", moved_a_unit)
+    with pytest.raises(InvariantViolation) as exc:
+        evolve_step(state)
+    assert str(exc.value) == f"step 1: sink arc of occurrence {net.occ_keys[2]} not saturated"
+
+
 def _singletons_and_whole_set(n):
     """The two-partition solution on levels {1, n}: the n singletons, and {1..n}."""
     return {(n,) + (0,) * (n - 1): 1, (0,) * (n - 1) + (1,): 1}
@@ -653,6 +673,40 @@ def test_step_network_matches_the_reference_build():
     tampered = list(_tampered_states())
     assert len(tampered) > 100
     for state in states + tampered:
+        assert build_step_network(state) == _reference_build_step_network(state)
+
+
+def _flow_block_states(n, levels):
+    """Every state of the one flow block of plan(n, levels), from the
+    initial state to the complete one."""
+    (block,) = [b for b in plan(n, levels) if b.realization == Realization.FLOW]
+    state = init_state(block.n, block.levels, block.solution)
+    states = [state]
+    for _ in range(block.n):
+        state = evolve_step(state)
+        states.append(state)
+    return states
+
+
+def test_evolution_keeps_each_class_s_parts_ascending():
+    """The evolution keeps every class's parts in (mask, potential) order,
+    so the network reads the arcs off in part order.  A hand-built state
+    whose classes list their parts the other way round gets the same
+    network through the sorting fallback."""
+    states = _flow_block_states(15, LevelSet.of([1, 3, 5]))
+    states += _flow_block_states(12, LevelSet.full(3))
+    for state in states:
+        for parts, _ in state.classes:
+            assert list(parts) == sorted(parts)
+    reversed_states = [
+        _with_classes(state, [(parts[::-1], mult) for parts, mult in state.classes])
+        for state in states
+    ]
+    # the fallback runs: some class has two open parts, now in descending order
+    assert any(
+        len(arcs) > 1 for state in reversed_states for arcs in build_step_network(state).class_arcs
+    )
+    for state in reversed_states:
         assert build_step_network(state) == _reference_build_step_network(state)
 
 
