@@ -115,7 +115,8 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     text = load_text(args.file)
-    first = text.split("\n", 1)[0]
+    # a CRLF file is refused by the parser, which names the carriage returns
+    first = text.split("\n", 1)[0].removesuffix("\r")
     if first == FACTORIZATION_MAGIC:
         fact = parse_factorization(text)
         problems = verify_factorization(fact)

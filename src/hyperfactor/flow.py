@@ -56,7 +56,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, canonical_key, factor_count
+from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, canonical_key
 from .errors import InvariantViolation, LimitExceeded
 from .factorization import Factorization
 from .linear_system import SolutionVector, solution_residual
@@ -367,7 +367,8 @@ def _augment(
 
 
 def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionState:
-    """One class of partitions of the empty ground set per type in use."""
+    """One class of partitions of the empty ground set per type in use.  A zero
+    residual makes M partitions: n * sum x_lam = sum_{j in L} j*C(n, j) = n * M."""
     levels.check_against_ground(n)
     res = solution_residual(n, levels, solution)
     if any(res):
@@ -377,10 +378,6 @@ def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionS
         for lam in sorted(solution, key=canonical_key)
         if solution[lam] > 0
     ]
-    m = sum(mult for _, mult in classes)
-    expected = factor_count(n, levels)
-    if m != expected:
-        raise InvariantViolation(f"{m} partitions != M = {expected}")
     state = EvolutionState(n, levels, 0, classes)
     _check_occurrence_counts(state)
     return state
@@ -391,10 +388,10 @@ def _check_occurrence_counts(state: EvolutionState) -> int:
 
     Every (mask, j) with mask a subset of {1..ell}, j in levels and
     0 <= j - |mask| <= n - ell must occur exactly C(n-ell, j-|mask|) times,
-    and no other pair may occur.  If every occurring pair is such a pair
-    with the right count and there are as many of them as such pairs exist,
-    the census is right.  Otherwise the first wrong pair in (mask, j) order
-    is named, found from the census alone, never from all 2^ell masks.
+    and no other pair may occur.  One scan of the census finds the pairs that
+    occur a wrong number of times; with none, and as many pairs as should
+    occur, the census is right.  Otherwise the first wrong pair in (mask, j)
+    order is named, found from the census alone, never from all 2^ell masks.
     """
     n, ell, levels = state.n, state.ell, state.levels
     remaining = n - ell
@@ -404,18 +401,13 @@ def _check_occurrence_counts(state: EvolutionState) -> int:
     # a pair (mask, j) must occur C(n-ell, j-|mask|) times; a difference
     # j - |mask| outside 0..n-ell looks up None, which no count equals
     target = _binomial_row(remaining).get
-    if len(occ) == required_pairs and all(
-        mask >> ell == 0 and j in sizes and have == target(j - mask.bit_count())
-        for (mask, j), have in occ.items()
-    ):
-        return required_pairs
-    # a wrong pair occurs with the wrong count, or is the least mask of some
-    # (j, size) that does not occur
     wrong = []
     for (mask, j), have in occ.items():
         want = target(j - mask.bit_count()) if mask >> ell == 0 and j in sizes else None
         if have != want:
             wrong.append(((mask, j), have, want or 0))
+    if not wrong and len(occ) == required_pairs:
+        return required_pairs
     for j in levels:
         for size in sizes[j]:
             mask = _least_absent(occ, j, size, ell)
@@ -470,10 +462,6 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
             if not f:
                 continue
             mask, j = net.occ_keys[o]
-            if j <= mask.bit_count():
-                raise InvariantViolation(
-                    f"step {ell}: class {c} would grow a full part {(mask, j)}"
-                )
             # the grown part is the only one holding element ell+1, so it is
             # the largest: moved to the end, the parts stay ascending
             i = parts.index((mask, j))
@@ -507,16 +495,12 @@ def run(
     max_ground_size: int = DEFAULT_MAX_GROUND,
     trace: Callable[[StepRecord], None] | None = None,
 ) -> Factorization:
-    """Full evolution from the empty ground set to a verified-shape factorization."""
+    """Full evolution to a factorization: at ell = n the audit admits only complete parts."""
     check_evolution_size(n, sum(solution.values()), max_ground_size)
     state = init_state(n, levels, solution)
     for _ in range(n):
         state = evolve_step(state)
-        if trace is not None and state.last_step is not None:
+        if trace is not None:
             trace(state.last_step)
-    factors = []
-    for parts, mult in state.classes:
-        if any(mask.bit_count() != j for mask, j in parts):
-            raise InvariantViolation(f"evolution ended with a part short of its size: {parts}")
-        factors += [[mask for mask, _ in parts]] * mult
+    factors = [[mask for mask, _ in parts] for parts, mult in state.classes for _ in range(mult)]
     return Factorization.build(n, levels, factors)

@@ -394,6 +394,20 @@ def test_verify_rejects_non_utf8_as_a_format_error(capsys, tmp_path, data, messa
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["HYPERFACTOR v1\nn=2 levels=1,2\n{1} | {2}\n{1,2}\n", CERT_7_3],
+    ids=["factorization", "certificate"],
+)
+def test_verify_names_the_carriage_returns_of_a_crlf_file(capsys, tmp_path, text):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert main(["verify", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "format error: carriage returns are not allowed (LF endings only)\n"
+    )
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("HYPERFACTOR v1\nn=3 levels=1,9\n{1} | {2} | {3}\n", "line 2: level 9 exceeds n=3"),

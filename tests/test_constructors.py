@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hyperfactor
-from hyperfactor.combinatorics import LevelSet, binomial
+from hyperfactor.combinatorics import LevelSet
 from hyperfactor.constructors import (
     Realization,
     certificate_with_branch,
@@ -165,35 +165,6 @@ def test_odd_tail_frozen_values():
     assert tail.a == (2907, 969)
     assert tail.b == (1938,)
     assert tail.top_levels() == LevelSet.of([4, 5, 6, 7])
-
-
-def test_odd_tail_identities():
-    """Re-derive the per-level identities independently of the constructor."""
-    for k in (7, 9, 11, 13):
-        for t in range(0, (k - 7) // 2 + 1):
-            tail = odd_tail_solution(k, t)
-            n, m = tail.n, tail.m
-            assert n == (k * k - k - 2) // 2 + t * k
-            assert m == (k - 5) // 2 - t
-            a, b = tail.a, tail.b
-            assert all(v >= 0 for v in (tail.x, tail.y, tail.A, tail.B))
-            assert all(v >= 0 for v in a) and all(v >= 0 for v in b)
-            # level k-1 and level k
-            assert tail.x + tail.A == binomial(n, k - 1)
-            assert ((k - 3) // 2 + t) * tail.x + t * tail.y + tail.B == binomial(n, k)
-            # weighted sums defining A and B
-            assert tail.A == sum(i * a[i] for i in range(1, m + 1))
-            assert tail.B == sum(i * b[i - 1] for i in range(1, m + 1))
-            # each shared lower level is split exactly
-            for i in range(1, m + 1):
-                assert a[i] + 2 * b[i - 1] == binomial(n, k - 2 - i)
-            # level k-2
-            lhs = (k + 1) // 2 * a[0]
-            lhs += sum(((k - 1) // 2 - i) * a[i] for i in range(1, m + 1))
-            lhs += sum(((k - 3) // 2 - i) * b[i - 1] for i in range(1, m + 1))
-            assert lhs == binomial(n, k - 2)
-            # partition count y
-            assert tail.y == sum(a) + sum(b)
 
 
 def test_odd_tail_rejects():

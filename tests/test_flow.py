@@ -1,5 +1,6 @@
 """Tests for the flow-based evolution engine."""
 
+import hashlib
 import time
 from itertools import chain
 
@@ -8,9 +9,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hyperfactor import flow
 from hyperfactor.combinatorics import LevelSet, binomial, factor_count
-from hyperfactor.constructors import Realization, construct_div
-from hyperfactor.decide import plan
+from hyperfactor.constructors import (
+    Realization,
+    certificate_with_branch,
+    construct_div,
+    construct_general_L_div,
+)
+from hyperfactor.decide import construct, plan
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
+from hyperfactor.fileformat import write_factorization
 from hyperfactor.flow import (
     EvolutionState,
     StepNetwork,
@@ -364,6 +371,24 @@ def test_census_audit_at_step_thirty_reads_only_the_census(first):
     with pytest.raises(InvariantViolation) as exc:
         _check_occurrence_counts(tampered)
     assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == expected
+
+
+def test_census_audit_refuses_a_short_part_of_a_complete_state():
+    """At ell = n the audit admits only complete parts, so a factor with a
+    part short of its size never leaves run."""
+    state = init_state(6, LevelSet.full(2), construct_div(6, 2))
+    for _ in range(6):
+        state = evolve_step(state)
+    (parts, mult), *rest = state.classes
+    a, (mask, j) = next((a, p) for a, p in enumerate(parts) if p[1] == 2)
+    assert mult == 1 and mask.bit_count() == 2
+    short = (mask & (mask - 1), j)
+    tampered = _with_classes(state, [(parts[:a] + (short,) + parts[a + 1:], 1), *rest])
+    expected = _first_census_error(tampered)
+    assert expected is not None
+    with pytest.raises(InvariantViolation) as exc:
+        _check_occurrence_counts(tampered)
     assert str(exc.value) == expected
 
 
@@ -813,3 +838,36 @@ def test_every_flow_block_up_to_13_verifies():
         fact = run(block.n, block.levels, block.solution)
         assert len(fact.factors) == factor_count(block.n, block.levels)
         assert verify_factorization(fact) == []
+
+
+def _pairing_sets():
+    """(n, levels) for n in 12..16 and each divisor k >= 2 of n: every level
+    set with top level k (lower levels as the bits of 0..2^(k-1)-1, ascending),
+    but the full range and families of more than 5,000 sets, that no
+    certificate refutes and the pairing pattern builds."""
+    for n in range(12, 17):
+        for k in (k for k in range(2, n + 1) if n % k == 0):
+            for bits in range(1 << (k - 1)):
+                levels = tuple(i + 1 for i in range(k - 1) if bits >> i & 1) + (k,)
+                if levels == tuple(range(1, k + 1)):
+                    continue
+                if sum(binomial(n, j) for j in levels) > 5000:
+                    continue
+                L = LevelSet.of(levels)
+                if certificate_with_branch(n, L) is not None:
+                    continue
+                if construct_general_L_div(n, L) is not None:
+                    yield n, L
+
+
+def test_pairing_set_factorizations_are_pinned():
+    """Any change to the flows shows in the factorizations of the pairing
+    sets; one digest over their files keeps them byte for byte."""
+    digest = hashlib.sha256()
+    sets = list(_pairing_sets())
+    for n, levels in sets:
+        digest.update(write_factorization(construct(n, levels=levels)).encode())
+    assert len(sets) == 109
+    assert digest.hexdigest() == (
+        "08d581d67055938617328f90b9c5ad5ccb3a9b5c423906564ab48284e7c0afac"
+    )

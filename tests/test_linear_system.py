@@ -15,7 +15,7 @@ from hyperfactor.combinatorics import (
     iter_types,
 )
 from hyperfactor import linear_system
-from hyperfactor.decide import decide_general
+from hyperfactor.decide import Status, decide, decide_general
 from hyperfactor.errors import InvariantViolation, SearchLimitExceeded
 from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative, phase_one
 from hyperfactor.linear_system import (
@@ -355,3 +355,16 @@ def test_lp_rechecks_its_certificate(monkeypatch):
     )
     with pytest.raises(InvariantViolation, match="failed validation"):
         lp_feasible(build_system(7, LevelSet.full(3)))
+
+
+def test_lp_feasibility_of_a_full_range_matches_decide():
+    """The paper's theorem by a second road: the exact LP knows no closed
+    form, yet the range {1..k} is LP-feasible exactly when decide calls it
+    factorable, for every n <= 64 and k <= 10."""
+    counts = {True: 0, False: 0}
+    for n in range(2, 65):
+        for k in range(1, min(n, 10) + 1):
+            feasible = lp_feasible(build_system(n, LevelSet.full(k))).feasible
+            assert feasible == (decide(n, k).status is Status.FACTORABLE), (n, k)
+            counts[feasible] += 1
+    assert counts == {True: 300, False: 294}
