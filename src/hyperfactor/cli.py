@@ -14,9 +14,9 @@ import sys
 import traceback
 from typing import Sequence
 
-from .combinatorics import LevelSet, canonical_key, iter_types
+from .combinatorics import LevelSet, canonical_key, check_range, iter_types
 from .decide import Status, Verdict, construct, decide_general, plan
-from .errors import FormatError, InvariantViolation, LimitExceeded, NotFactorableError
+from .errors import FormatError, LimitExceeded, NotFactorableError
 from .fileformat import (
     CERTIFICATE_MAGIC,
     FACTORIZATION_MAGIC,
@@ -47,6 +47,7 @@ def _parse_levels(text: str) -> LevelSet:
 
 def _levels_of(args: argparse.Namespace) -> LevelSet:
     if args.k is not None:
+        check_range(args.n, args.k)
         return LevelSet.full(args.k)
     return _parse_levels(args.levels)
 
@@ -55,8 +56,6 @@ def _print_verdict(verdict: Verdict) -> None:
     print(verdict.status.value)
     print(f"reason: {verdict.reason}")
     if verdict.certificate is not None:
-        if verdict.certificate_levels is None:
-            raise InvariantViolation("certificate verdict without certificate levels")
         print("certificate: " + " ".join(str(v) for v in verdict.certificate.y))
         print("certificate-levels: " + ",".join(map(str, verdict.certificate_levels)))
     if verdict.solution is not None:

@@ -33,6 +33,12 @@ def check_ground(n: int) -> None:
         raise ValueError(f"ground size must be an int in 1..{MAX_GROUND_SIZE}, got {n!r}")
 
 
+def check_range(n: int, k: int) -> None:
+    check_ground(n)
+    if not isinstance(k, int) or not 1 <= k <= n:
+        raise ValueError(f"k must be an int in 1..n={n}, got {k!r}")
+
+
 @dataclass(frozen=True)
 class LevelSet:
     """A non-empty, strictly increasing tuple of positive set sizes.
@@ -52,7 +58,7 @@ class LevelSet:
 
     @classmethod
     def of(cls, levels: Iterable[int]) -> "LevelSet":
-        return cls(tuple(sorted({int(l) for l in levels})))
+        return cls(tuple(sorted(set(levels))))
 
     @classmethod
     def full(cls, k: int) -> "LevelSet":

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .combinatorics import LevelSet, binomial, check_ground
+from .combinatorics import LevelSet, binomial, check_ground, check_range
 from .constructors import (
     Block,
     Realization,
@@ -76,9 +76,7 @@ class Verdict:
 
 def decide(n: int, k: int) -> Verdict:
     """Complete decision for the full level range {1..k}, 1 <= k <= n <= 64."""
-    check_ground(n)
-    if not isinstance(k, int) or not 1 <= k <= n:
-        raise ValueError(f"k must be an int in 1..n={n}, got {k!r}")
+    check_range(n, k)
     if k == 1:
         return Verdict(
             Status.FACTORABLE,
@@ -162,7 +160,6 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
     looks for a witness on the rest and raises SearchLimitExceeded at its limits."""
     if levels.is_full_range():
         return decide(n, levels.k)
-    levels.check_against_ground(n)
     found = certificate_with_branch(n, levels)
     if found is not None:
         name, cert = found
@@ -173,8 +170,6 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
     system = build_system(n, levels)
     outcome = lp_feasible(system)
     if not outcome.feasible:
-        if outcome.certificate is None:
-            raise InvariantViolation(f"LP infeasible without a certificate for n={n}")
         reason = "exact rational infeasibility (simplex-derived certificate)"
         return _refuted(reason, levels, "simplex-derived", outcome.certificate)
     try:
@@ -247,8 +242,7 @@ def construct(
     if (k is None) == (levels is None):
         raise ValueError("pass exactly one of k or levels")
     if levels is None:
-        if not isinstance(k, int) or not 1 <= k <= n:
-            raise ValueError(f"k must be an int in 1..n={n}, got {k!r}")
+        check_range(n, k)
         levels = LevelSet.full(k)
     blocks = plan(n, levels)
     flows = [b for b in blocks if b.realization is not Realization.COMPLEMENT_PAIRS]

@@ -81,14 +81,12 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
 
 
 def _decode_line(line: str, n: int) -> tuple[int, ...] | None:
-    """The masks of a factor line spelled as the writer spells one, else None.
+    """The masks of a factor line read as the writer spells one, else None.
 
-    A spelling is looked up whole, so `01` or `65` fails; summing the bits is
-    their union only for distinct elements, which the caller's re-write check
-    ensures.
+    A spelling is looked up whole, so `01` or `65` fails.  The outer braces go
+    unread, and summing the bits is the union only for distinct elements: the
+    caller's re-write check refuses any line the writer would not write.
     """
-    if not (line.startswith("{") and line.endswith("}")):
-        return None
     try:
         masks = [sum(map(_ELEMENT_BIT, piece.split(","))) for piece in line[1:-1].split("} | {")]
     except KeyError:

@@ -54,13 +54,15 @@ def build_system(n: int, levels: LevelSet) -> LinearSystem:
 
 
 def solution_residual(n: int, levels: LevelSet, solution: Mapping[TypeVector, int]) -> tuple[int, ...]:
-    """Residual (A^T x - b) per level, exact.  Non-type keys and negative
-    multiplicities are an error."""
+    """Residual (A^T x - b) per level, exact.  Non-type keys and multiplicities
+    that are not non-negative ints are an error."""
     k = levels.k
     res = [-(binomial(n, i) if i in levels else 0) for i in range(1, k + 1)]
     for lam, mult in solution.items():
         if not is_valid_type(lam, n, levels):
             raise ValueError(f"solution key is not an (n, levels)-type: {lam}")
+        if not isinstance(mult, int):
+            raise ValueError(f"multiplicity for type {lam} is not an int: {mult!r}")
         if mult < 0:
             raise ValueError(f"negative multiplicity for type {lam}: {mult}")
         for i in range(k):

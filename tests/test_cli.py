@@ -517,8 +517,9 @@ def test_value_errors_exit_two(capsys):
 
 
 def test_level_beyond_ground_errors_agree(capsys):
-    for command in ("decide", "solve", "construct", "certificate"):
-        assert main([command, "--n", "5", "--k", "7"]) == 2
-        assert capsys.readouterr().err == "error: k must be an int in 1..n=5, got 7\n"
+    for command in ("decide", "solve", "construct", "certificate", "types"):
+        for k in ("7", "0", "-1"):
+            assert main([command, "--n", "5", "--k", k]) == 2
+            assert capsys.readouterr().err == f"error: k must be an int in 1..n=5, got {k}\n"
         assert main([command, "--n", "5", "--levels", "2,7"]) == 2
         assert capsys.readouterr().err == "error: largest level 7 exceeds ground size 5\n"

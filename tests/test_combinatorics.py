@@ -81,6 +81,9 @@ def test_level_set_validation():
         LevelSet((2, 2))
     with pytest.raises(ValueError):
         LevelSet.of([3]).check_against_ground(2)
+    for not_ints in ([2.9, 4], ["2"]):
+        with pytest.raises(ValueError, match="levels must be positive integers"):
+            LevelSet.of(not_ints)
 
 
 def test_mask_round_trip():

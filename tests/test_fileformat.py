@@ -91,6 +91,9 @@ FACTORIZATION_REJECTS = {
     # trailing empty factor line
     K4_TEXT + "\n": "line 6: empty factor line",
     K4_TEXT.replace(" | ", "|"): "line 3: malformed set '{1,2}|{3,4}'",
+    # a factor line without its opening or its closing brace
+    K4_TEXT.replace("{1,2} | {3,4}", "1,2} | {3,4}"): "line 3: malformed set '1,2}'",
+    K4_TEXT.replace("{1,2} | {3,4}", "{1,2} | {3,4"): "line 3: malformed set '{3,4'",
     "HYPERFACTOR v1\n": "line 2: missing header",
     # level above n
     "HYPERFACTOR v1\nn=3 levels=1,9\n{1} | {2} | {3}\n": "line 2: level 9 exceeds n=3",

@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -15,7 +16,7 @@ from hyperfactor.constructors import (
     construct_div,
     construct_general_L_div,
 )
-from hyperfactor.decide import construct, plan
+from hyperfactor.decide import Status, construct, decide, plan
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
 from hyperfactor.fileformat import write_factorization
 from hyperfactor.flow import (
@@ -28,6 +29,7 @@ from hyperfactor.flow import (
     max_flow_integral,
     run,
 )
+from hyperfactor.linear_system import build_system, lp_feasible
 from hyperfactor.verifier import verify_factorization
 
 
@@ -871,3 +873,34 @@ def test_pairing_set_factorizations_are_pinned():
     assert digest.hexdigest() == (
         "08d581d67055938617328f90b9c5ad5ccb3a9b5c423906564ab48284e7c0afac"
     )
+
+
+def test_range_factorizations_are_pinned():
+    """The full ranges beside the pairing sets: for n = 12..16, every factorable
+    {1..k} with k >= 2 and 2k < n (small k) or n <= 15 (complement pairing)."""
+    pairs = [
+        (n, k)
+        for n in range(12, 17)
+        for k in range(2, n + 1)
+        if (2 * k < n or n <= 15) and decide(n, k).status is Status.FACTORABLE
+    ]
+    digest = hashlib.sha256()
+    for n, k in pairs:
+        digest.update(write_factorization(construct(n, k)).encode())
+    assert (len(pairs), sum(2 * k < n for n, k in pairs)) == (36, 13)
+    assert digest.hexdigest() == (
+        "036325721c2044a974c72acc3faa9af40fca947bdb727bc627773e2671cd26b7"
+    )
+
+
+def test_run_refuses_a_rational_solution():
+    """The LP's vertex for (10, {1, 2, 4, 6}) solves the counts with 35/2 and
+    5/2; the input check names the first multiplicity that is not an int."""
+    levels = LevelSet.of([1, 2, 4, 6])
+    solution = lp_feasible(build_system(10, levels)).solution
+    assert {Fraction(35, 2), Fraction(5, 2)} <= set(solution.values())
+    for j in range(1, 7):
+        covered = sum(lam[j - 1] * mult for lam, mult in solution.items())
+        assert covered == (binomial(10, j) if j in levels else 0)
+    with pytest.raises(ValueError, match=r"is not an int: Fraction\("):
+        run(10, levels, solution)

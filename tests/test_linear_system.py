@@ -64,6 +64,8 @@ def test_solution_residual():
         solution_residual(12, levels, {(1, 1, 1): 1})
     with pytest.raises(ValueError):
         solution_residual(12, levels, {(3, 0, 3): -1})
+    with pytest.raises(ValueError, match=r"is not an int: Fraction\(4, 1\)"):
+        solution_residual(12, levels, {(3, 0, 3): Fraction(4), (0, 3, 2): 22, (0, 0, 4): 41})
 
 
 def test_verify_certificate_examples():
