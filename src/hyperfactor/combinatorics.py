@@ -39,6 +39,11 @@ def check_range(n: int, k: int) -> None:
         raise ValueError(f"k must be an int in 1..n={n}, got {k!r}")
 
 
+def _is_int(value: object) -> bool:
+    """The level rule's test of a value's type: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LevelSet:
     """A non-empty, strictly increasing tuple of positive set sizes.
@@ -51,19 +56,21 @@ class LevelSet:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ValueError("level set must be non-empty")
-        if any(not isinstance(l, int) or l < 1 for l in self.levels):
+        if any(not _is_int(l) or l < 1 for l in self.levels):
             raise ValueError(f"levels must be positive integers: {self.levels!r}")
         if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError(f"levels must be strictly increasing: {self.levels!r}")
 
     @classmethod
     def of(cls, levels: Iterable[int]) -> "LevelSet":
-        return cls(tuple(sorted(set(levels))))
+        """The set of the levels; with a non-int, the levels as given, for the rule to refuse."""
+        levels = tuple(levels)
+        return cls(tuple(sorted(set(levels))) if all(map(_is_int, levels)) else levels)
 
     @classmethod
     def full(cls, k: int) -> "LevelSet":
-        """The full range {1, .., k}."""
-        return cls(tuple(range(1, k + 1)))
+        """The full range {1, .., k}; with a non-int k, (k,), for the rule to refuse."""
+        return cls(tuple(range(1, k + 1)) if _is_int(k) else (k,))
 
     @property
     def k(self) -> int:

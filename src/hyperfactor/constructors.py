@@ -193,8 +193,7 @@ def _lift_block(n: int, lift_levels: LevelSet) -> Block:
 
 
 def _abc_block(n: int, k: int) -> Block:
-    # reachable only for odd k >= 7 at the single point n = k^2 - 3k - 1
-    _require(n == k * k - 3 * k - 1, f"abc block needs n = k^2 - 3k - 1, got n={n} k={k}")
+    # construct_minus1 calls it only for odd k >= 7 at exact t = (k-5)/2: n = k^2 - 3k - 1
     c_k2 = binomial(n, k - 2)
     a = Fraction(3 * (k - 3), 2 * n) * c_k2
     b = Fraction(k - 5, 2 * n) * c_k2

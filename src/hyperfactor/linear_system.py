@@ -265,6 +265,10 @@ def integer_search_small(system: LinearSystem) -> SolutionVector | None:
             chosen.pop()
         return False
 
-    if dfs(0, [system.b[j - 1] for j in levels]):
-        return {lam: m for lam, m in chosen if m > 0}
-    return None
+    if not dfs(0, [system.b[j - 1] for j in levels]):
+        return None
+    witness = {lam: m for lam, m in chosen if m > 0}
+    res = solution_residual(system.n, levels, witness)
+    if any(res):
+        raise InvariantViolation(f"search residual {res} for n={system.n} levels={levels.levels}")
+    return witness

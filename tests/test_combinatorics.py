@@ -81,9 +81,12 @@ def test_level_set_validation():
         LevelSet((2, 2))
     with pytest.raises(ValueError):
         LevelSet.of([3]).check_against_ground(2)
-    for not_ints in ([2.9, 4], ["2"]):
+    for not_ints in ([2.9, 4], ["2"], ["2", 4], [True, 3]):
         with pytest.raises(ValueError, match="levels must be positive integers"):
             LevelSet.of(not_ints)
+    for not_int in (2.5, True):
+        with pytest.raises(ValueError, match="levels must be positive integers"):
+            LevelSet.full(not_int)
 
 
 def test_mask_round_trip():

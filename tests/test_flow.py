@@ -50,16 +50,15 @@ def test_init_state_rejects_unbalanced():
 def test_step_network_shape():
     state = init_state(4, LevelSet.of([2]), {(0, 2): 3})
     net = build_step_network(state)
-    assert net.m == 3
+    assert sum(net.class_sizes) == 3
     # the three perfect matchings start out identical: one class of 3
     assert net.class_sizes == [3]
     assert net.occ_keys == [(0, 2)]
     assert net.occ_caps == [3]  # C(3, 1) empty parts may receive element 1
     assert net.class_arcs == [[0]]
-    value, flows, sink_flows = max_flow_integral(net)
+    value, flows = max_flow_integral(net)
     assert value == 3
     assert flows == [[3]]
-    assert sink_flows == [3]
 
 
 def test_step_network_leaves_out_complete_parts():
@@ -162,24 +161,45 @@ def test_evolve_step_rejects_duplicated_partition():
         evolve_step(_with_classes(state, classes))
 
 
-def test_evolve_step_names_the_first_unsaturated_sink_arc(monkeypatch):
-    """A max flow of full value that leaves a sink arc short is refused,
-    naming the first such occurrence in the network's order."""
+def _refused_flow(monkeypatch, tamper):
+    """The audit's message when step 1 of (6, {2, 3}) grows its state by the
+    max flow that tamper(value, flows) returns.  There class 0, of 10
+    partitions, routes 6 units into (0x0, 3) and 4 into (0x1, 3)."""
     state = evolve_step(init_state(6, LevelSet.of([2, 3]), {(0, 3, 0): 5, (0, 0, 2): 10}))
     net = build_step_network(state)
-    assert len(net.occ_keys) > 3
+    assert [net.occ_keys[o] for o in net.class_arcs[0]] == [(0, 3), (1, 3)]
     max_flow = flow.max_flow_integral
-
-    def moved_a_unit(net):
-        value, flows, sink_flows = max_flow(net)
-        sink_flows[2] -= 1
-        sink_flows[3] += 1
-        return value, flows, sink_flows
-
-    monkeypatch.setattr(flow, "max_flow_integral", moved_a_unit)
+    monkeypatch.setattr(flow, "max_flow_integral", lambda net: tamper(*max_flow(net)))
     with pytest.raises(InvariantViolation) as exc:
         evolve_step(state)
-    assert str(exc.value) == f"step 1: sink arc of occurrence {net.occ_keys[2]} not saturated"
+    return str(exc.value)
+
+
+def test_the_audit_refuses_a_unit_moved_within_a_class(monkeypatch):
+    """A flow of full value whose class 0 sends one unit to its other slot
+    leaves both sink arcs of the class wrong: (0x0, 3) is kept in the 5
+    partitions where (0x1, 3) grew, one more than the 4 that must keep it."""
+
+    def moved_a_unit(value, flows):
+        assert flows[0] == [6, 4]
+        flows[0] = [5, 5]
+        return value, flows
+
+    message = _refused_flow(monkeypatch, moved_a_unit)
+    assert message == "step 2: occurrence (0x0, potential 3) appears 5 times, expected 4"
+
+
+def test_the_audit_refuses_a_flow_one_unit_short(monkeypatch):
+    """A flow of value M - 1 that drops one of class 0's units into (0x0, 3)
+    leaves that partition out: (0x1, 3), kept where (0x0, 3) grew, appears 5
+    times, one fewer than its 6."""
+
+    def dropped_a_unit(value, flows):
+        flows[0][0] -= 1
+        return value - 1, flows
+
+    message = _refused_flow(monkeypatch, dropped_a_unit)
+    assert message == "step 2: occurrence (0x1, potential 3) appears 5 times, expected 6"
 
 
 def _singletons_and_whole_set(n):
@@ -479,12 +499,11 @@ def _reference_max_flow_integral(net):
     for c, arcs in enumerate(net.class_arcs):
         arc_edges.append([2 * (len(edges) + i) for i in range(len(arcs))])
         edges += [(1 + c, 1 + n_classes + o, sizes[c]) for o in arcs]
-    sink_edges = [2 * (len(edges) + o) for o in range(n_occ)]
     edges += [(1 + n_classes + o, sink, net.occ_caps[o]) for o in range(n_occ)]
     adj, to, cap = _edge_pairs(sink + 1, edges)
     value = _reference_max_flow(adj, to, cap, source, sink)
     flows = [[cap[e ^ 1] for e in row] for row in arc_edges]
-    return value, flows, [cap[e ^ 1] for e in sink_edges]
+    return value, flows
 
 
 @st.composite
@@ -521,7 +540,7 @@ def _networks(draw, kind):
         sizes.append(sum(caps) - sum(sizes) + draw(st.integers(1, 3)))
         class_arcs.append(draw(arcs))
     keys = [(o, 1) for o in range(n_occ)]
-    return StepNetwork(sum(sizes), keys, caps, sizes, class_arcs)
+    return StepNetwork(keys, caps, sizes, class_arcs)
 
 
 @pytest.mark.parametrize("kind", ["random", "zero-sinks", "short", "late"])
@@ -532,9 +551,9 @@ def test_pour_matches_the_full_dinic_run(kind, data):
     result = max_flow_integral(net)
     assert result == _reference_max_flow_integral(net)
     if kind == "short":
-        assert result[0] < net.m
+        assert result[0] < sum(net.class_sizes)
     if kind == "late":
-        assert result[0] == net.m
+        assert result[0] == sum(net.class_sizes)
 
 
 def _pour(net):
@@ -614,7 +633,7 @@ def test_max_flow_reads_no_node_that_cannot_reach_the_sink(net):
     reach = _classes_reaching_the_sink(net)
     rows = _ReadRows(net.class_arcs)
     expected = _reference_max_flow_integral(net)
-    read_net = StepNetwork(net.m, net.occ_keys, net.occ_caps, net.class_sizes, rows)
+    read_net = StepNetwork(net.occ_keys, net.occ_caps, net.class_sizes, rows)
     assert max_flow_integral(read_net) == expected
     assert rows.read <= reach
 
@@ -641,17 +660,17 @@ def test_the_walk_skips_a_dead_branch_at_the_source(monkeypatch):
     monkeypatch.setattr(flow, "_augment", seen)
     cases = [
         (
-            StepNetwork(4, [(o, 1) for o in range(3)], [1, 1, 1], [1, 1, 1, 1],
+            StepNetwork([(o, 1) for o in range(3)], [1, 1, 1], [1, 1, 1, 1],
                         [[0], [0], [1, 2], [1]]),
             [0, 1, 0, 1],
-            (3, [[1], [0], [0, 1], [1]], [1, 1, 1]),
+            (3, [[1], [0], [0, 1], [1]]),
             ([3, 1, 2, 2], [-1, 0, 0, 1]),
             {2, 3},
         ),
         (
-            StepNetwork(4, [(0, 1), (1, 1)], [2, 2], [2, 2], [[0, 1], [0]]),
+            StepNetwork([(0, 1), (1, 1)], [2, 2], [2, 2], [[0, 1], [0]]),
             [0, 2],
-            (4, [[0, 2], [2]], [2, 2]),
+            (4, [[0, 2], [2]]),
             ([1, 0, 0, 1], [-1, 0, 0, 1]),
             {0, 1},
         ),
@@ -659,7 +678,7 @@ def test_the_walk_skips_a_dead_branch_at_the_source(monkeypatch):
     for net, left_over, expected, path, read in cases:
         assert _pour(net)[1] == left_over
         rows = _ReadRows(net.class_arcs)
-        read_net = StepNetwork(net.m, net.occ_keys, net.occ_caps, net.class_sizes, rows)
+        read_net = StepNetwork(net.occ_keys, net.occ_caps, net.class_sizes, rows)
         paths.clear()
         result = max_flow_integral(read_net)
         assert result == expected
@@ -685,7 +704,7 @@ def _reference_build_step_network(state):
     ]
     class_arcs = [sorted(occ_index[part] for part in parts) for parts in open_parts]
     sizes = [mult for _, mult in state.classes]
-    return StepNetwork(sum(sizes), occ_keys, occ_caps, sizes, class_arcs)
+    return StepNetwork(occ_keys, occ_caps, sizes, class_arcs)
 
 
 def test_step_network_matches_the_reference_build():
@@ -809,8 +828,12 @@ def test_max_flow_matches_networkx(n, levels):
             for o, cap in enumerate(net.occ_caps):
                 graph.add_edge(("o", o), "t", capacity=cap)
             nx_value, nx_flow = nx.maximum_flow(graph, "s", "t")
-            value, flows, sink_flows = max_flow_integral(net)
-            assert value == nx_value == net.m == factor_count(block.n, block.levels)
+            value, flows = max_flow_integral(net)
+            assert value == nx_value == sum(net.class_sizes) == factor_count(block.n, block.levels)
+            sink_flows = [0] * len(net.occ_caps)
+            for arcs, row in zip(net.class_arcs, flows):
+                for o, f in zip(arcs, row):
+                    sink_flows[o] += f
             assert sink_flows == net.occ_caps
             assert [nx_flow[("o", o)]["t"] for o in range(len(net.occ_caps))] == net.occ_caps
             assert [sum(row) for row in flows] == net.class_sizes

@@ -21,6 +21,7 @@ from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative, phase_o
 from hyperfactor.linear_system import (
     CertificateCheck,
     FarkasCertificate,
+    LinearSystem,
     build_system,
     check_certificate,
     first_negative_type,
@@ -176,6 +177,14 @@ def test_integer_search_finds_and_refutes():
     assert integer_search_small(build_system(7, LevelSet.full(3))) is None
     assert integer_search_small(build_system(18, LevelSet.full(6))) is None
     assert integer_search_small(build_system(10, LevelSet.full(4))) is None
+
+
+def test_integer_search_checks_its_witness():
+    """A hand-built system whose targets are all 0 is met by the empty
+    solution, which leaves (6, {1, 2}) short of all its sets."""
+    system = LinearSystem(6, LevelSet.full(2), (0, 0))
+    with pytest.raises(InvariantViolation, match=r"search residual \(-6, -15\) for n=6"):
+        integer_search_small(system)
 
 
 def _without_cone_prune(monkeypatch):
