@@ -28,20 +28,20 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def _is_int(value: object) -> bool:
+    """The one int rule for n, k, levels and multiplicities: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_ground(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_GROUND_SIZE:
+    if not _is_int(n) or not 1 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be an int in 1..{MAX_GROUND_SIZE}, got {n!r}")
 
 
 def check_range(n: int, k: int) -> None:
     check_ground(n)
-    if not isinstance(k, int) or not 1 <= k <= n:
+    if not _is_int(k) or not 1 <= k <= n:
         raise ValueError(f"k must be an int in 1..n={n}, got {k!r}")
-
-
-def _is_int(value: object) -> bool:
-    """The level rule's test of a value's type: an int, and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

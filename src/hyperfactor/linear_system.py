@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 from .combinatorics import (
     LevelSet,
     TypeVector,
+    _is_int,
     binomial,
     canonical_key,
     count_types,
@@ -61,7 +62,7 @@ def solution_residual(n: int, levels: LevelSet, solution: Mapping[TypeVector, in
     for lam, mult in solution.items():
         if not is_valid_type(lam, n, levels):
             raise ValueError(f"solution key is not an (n, levels)-type: {lam}")
-        if not isinstance(mult, int):
+        if not _is_int(mult):
             raise ValueError(f"multiplicity for type {lam} is not an int: {mult!r}")
         if mult < 0:
             raise ValueError(f"negative multiplicity for type {lam}: {mult}")

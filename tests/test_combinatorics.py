@@ -11,6 +11,7 @@ from hyperfactor.combinatorics import (
     binomial,
     canonical_key,
     check_ground,
+    check_range,
     count_types,
     elements_of,
     enumerate_types,
@@ -57,9 +58,18 @@ def test_binomial_pascal_identity():
 def test_check_ground():
     check_ground(1)
     check_ground(64)
-    for bad in (0, -1, 65, 3.0, "7"):
+    for bad in (0, -1, 65, 3.0, "7", True, False):
         with pytest.raises(ValueError):
             check_ground(bad)
+
+
+def test_check_range():
+    check_range(1, 1)
+    check_range(64, 64)
+    check_range(5, 3)
+    for n, k in [(5, 0), (5, 6), (5, 3.0), (5, True), (True, True), (5.0, 3)]:
+        with pytest.raises(ValueError):
+            check_range(n, k)
 
 
 def test_level_set_validation():

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import hyperfactor
+from hyperfactor.cli import main
 from hyperfactor.combinatorics import LevelSet
 from hyperfactor.constructors import (
+    OddTailSolution,
     Realization,
     certificate_with_branch,
     construct_div,
@@ -19,7 +21,7 @@ from hyperfactor.constructors import (
     odd_tail_solution,
 )
 from hyperfactor.decide import plan
-from hyperfactor.errors import NotFactorableError
+from hyperfactor.errors import InvariantViolation, NotFactorableError
 from hyperfactor.linear_system import (
     FarkasCertificate,
     build_system,
@@ -174,6 +176,57 @@ def test_odd_tail_rejects():
         odd_tail_solution(7, 1)
     with pytest.raises(ValueError):
         odd_tail_solution(5, 0)
+
+
+def test_closed_forms_solve_for_every_odd_k_to_63():
+    """Every odd tail (odd k in 7..63, every t) and the a/b/c block at n = k^2 - 3k - 1."""
+    built = 0
+    for k in range(7, 64, 2):
+        for t in range(0, (k - 7) // 2 + 1):
+            tail = odd_tail_solution(k, t)
+            assert not any(solution_residual(tail.n, tail.top_levels(), tail.solution())), (k, t)
+            built += 1
+        [block] = construct_minus1(k * k - 3 * k - 1, k)
+        assert block.levels == LevelSet.of([k - 2, k - 1, k])
+        assert not any(solution_residual(block.n, block.levels, block.solution)), k
+        built += 1
+    assert built == 464
+
+
+def _slip_odd_tail(monkeypatch, slip):
+    """Make OddTailSolution.solution put slip(x) in place of x, its first multiplicity."""
+    solution = OddTailSolution.solution
+
+    def slipped(self):
+        sol = solution(self)
+        x_type = next(iter(sol))
+        sol[x_type] = slip(sol[x_type])
+        return sol
+
+    monkeypatch.setattr(OddTailSolution, "solution", slipped)
+
+
+def test_a_closed_form_slip_is_named_by_its_residual(monkeypatch):
+    _slip_odd_tail(monkeypatch, lambda x: x + 1)
+    with pytest.raises(InvariantViolation) as exc:
+        odd_tail_solution(7, 0)
+    assert str(exc.value) == (
+        "construction residual (0, 0, 0, 0, 0, 1, 2) for n=20 levels=(4, 5, 6, 7)"
+    )
+
+
+def test_a_negative_closed_form_multiplicity_is_an_internal_error(monkeypatch, capsys):
+    _slip_odd_tail(monkeypatch, lambda x: -1)
+    with pytest.raises(InvariantViolation) as exc:
+        odd_tail_solution(7, 0)
+    assert str(exc.value) == (
+        "construction of n=20 levels=(4, 5, 6, 7): "
+        "negative multiplicity for type (0, 0, 0, 0, 0, 1, 2): -1"
+    )
+    assert main(["solve", "--n", "20", "--k", "7"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("internal error: construction of n=20")
 
 
 def test_certificate_values():

@@ -67,6 +67,9 @@ def test_solution_residual():
         solution_residual(12, levels, {(3, 0, 3): -1})
     with pytest.raises(ValueError, match=r"is not an int: Fraction\(4, 1\)"):
         solution_residual(12, levels, {(3, 0, 3): Fraction(4), (0, 3, 2): 22, (0, 0, 4): 41})
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=rf"\(0, 1\) is not an int: {flag}$"):
+            solution_residual(2, LevelSet.full(2), {(0, 1): flag})
 
 
 def test_verify_certificate_examples():
