@@ -117,28 +117,13 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _byte_text_rows() -> tuple[tuple[str, ...], ...]:
-    """Row i, entry b: the comma-joined elements of byte value b at bit offset 8i.
-
-    Built on first use, so a process that spells no set never holds it.
-    """
-    rows = []
-    for i in range(MAX_GROUND_SIZE // 8):
-        row = [""] * 256
-        for b in range(1, 256):
-            low = b & -b
-            head, rest = str(8 * i + low.bit_length()), row[b ^ low]
-            row[b] = f"{head},{rest}" if rest else head
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@functools.cache
 def _two_byte_text() -> tuple[tuple[str, ...], ...]:
     """Four tables indexed by a byte value, `{low}`, `{high}`, `{low,` and
     `high}`: a set within 1..16 is spelled by one entry when its elements lie
-    in one byte, and by two joined when they lie in both.  Built on first use."""
-    low, high = _byte_text_rows()[:2]
+    in one byte, and by two joined when they lie in both.  Built on first
+    use, so a process that spells no set never holds them."""
+    low = [",".join(map(str, elements_of(b))) for b in range(256)]
+    high = [",".join(map(str, elements_of(b << 8))) for b in range(256)]
     return (
         tuple(f"{{{text}}}" for text in low),
         tuple(f"{{{text}}}" for text in high),
@@ -149,8 +134,8 @@ def _two_byte_text() -> tuple[tuple[str, ...], ...]:
 
 def set_text(mask: int) -> str:
     """The set spelled as `{e1,e2,...}`, elements ascending.  A non-empty set
-    within 1..16 is looked up in _two_byte_text; any other mask is read a
-    byte at a time."""
+    within 1..16 is looked up in _two_byte_text; any other mask is spelled
+    element by element."""
     if 0 < mask <= 0xFFFF:
         low_set, high_set, low_head, high_tail = _two_byte_text()
         low, high = mask & 0xFF, mask >> 8
@@ -159,18 +144,9 @@ def set_text(mask: int) -> str:
         if not low:
             return high_set[high]
         return low_head[low] + high_tail[high]
-    chunks = []
-    for row in _byte_text_rows():
-        if not mask:
-            break
-        byte = mask & 0xFF
-        if byte:
-            chunks.append(row[byte])
-        mask >>= 8
-    else:
-        if mask:
-            raise ValueError(f"not a subset of 1..{MAX_GROUND_SIZE}: {mask}")
-    return "{" + ",".join(chunks) + "}"
+    if mask >> MAX_GROUND_SIZE:
+        raise ValueError(f"not a subset of 1..{MAX_GROUND_SIZE}: {mask >> MAX_GROUND_SIZE}")
+    return "{" + ",".join(map(str, elements_of(mask))) + "}"
 
 
 def full_mask(n: int) -> int:

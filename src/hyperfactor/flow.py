@@ -30,10 +30,10 @@ invariant after every step is the one check of the flow's outcome.
 Each class keeps its parts in ascending (S, j) order: the initial parts are
 empty, listed by potential, and the grown part, the only one holding
 element ell+1, is the largest, so it moves to the end.  Occurrences are
-numbered in the same order, so a class's arcs are read off its parts with
-no sort; a class whose parts are out of order, as in a hand-built state, is
-sorted instead.  The order of the parts never reaches the output, because
-Factorization.build sorts each factor.
+numbered in the same order, so a class's arcs are read off its parts,
+ascending, with no sort; a hand-built state with parts out of order gets
+its arcs in that order.  The order of the parts never reaches the output,
+because Factorization.build sorts each factor.
 
 The max flow is Dinic's, with its first phase done without a graph, as a
 pour: each class, in order, puts its multiplicity into its occurrences in
@@ -116,7 +116,7 @@ class StepNetwork:
     occ_caps: list[int]
     #: per class of the state, its multiplicity
     class_sizes: list[int]
-    #: per class, the sorted occurrence indices it points to
+    #: per class, the occurrence indices it points to, in part order
     class_arcs: list[list[int]]
 
 
@@ -127,11 +127,10 @@ def _binomial_row(a: int) -> dict[int, int]:
 
 def build_step_network(state: EvolutionState) -> StepNetwork:
     """The step-ell network of the state.  A class's arcs are the indices of
-    its open parts' occurrences, ascending and without repeats.  Occurrences
-    are numbered in (mask, potential) order, the order evolve_step keeps each
-    class's parts in, so the arcs are read off in part order with no sort.
-    A class whose parts are out of order, as in a hand-built state, is
-    sorted instead."""
+    its open parts' occurrences, in part order and without repeats.
+    Occurrences are numbered in (mask, potential) order, the order
+    init_state and evolve_step keep each class's parts in, so the arcs come
+    out ascending with no sort."""
     n, ell = state.n, state.ell
     # complete parts (|S| = j) have sink capacity 0 and get no node
     occ_keys: list[tuple[int, int]] = sorted(
@@ -148,9 +147,6 @@ def build_step_network(state: EvolutionState) -> StepNetwork:
         for o in map(index, parts):
             if o is None or o == last:
                 continue
-            if o < last:
-                arcs = sorted(set(map(index, parts)) - {None})
-                break
             arcs.append(o)
             last = o
         class_arcs.append(arcs)
@@ -367,7 +363,9 @@ def _augment(
 
 def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionState:
     """One class of partitions of the empty ground set per type in use.  A zero
-    residual makes M partitions: n * sum x_lam = sum_{j in L} j*C(n, j) = n * M."""
+    residual makes M partitions: n * sum x_lam = sum_{j in L} j*C(n, j) = n * M.
+    It also balances the state, so no audit runs: each empty part of potential
+    j occurs sum lam_j * x_lam = C(n, j) times, the |L| pairs ell = 0 needs."""
     levels.check_against_ground(n)
     res = solution_residual(n, levels, solution)
     if any(res):
@@ -377,9 +375,7 @@ def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionS
         for lam in sorted(solution, key=canonical_key)
         if solution[lam] > 0
     ]
-    state = EvolutionState(n, levels, 0, classes)
-    _check_occurrence_counts(state)
-    return state
+    return EvolutionState(n, levels, 0, classes)
 
 
 def _check_occurrence_counts(state: EvolutionState) -> int:

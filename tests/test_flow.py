@@ -707,19 +707,27 @@ def _reference_build_step_network(state):
     return StepNetwork(occ_keys, occ_caps, sizes, class_arcs)
 
 
+def _with_arcs_sorted(net):
+    arcs = [sorted(row) for row in net.class_arcs]
+    return StepNetwork(net.occ_keys, net.occ_caps, net.class_sizes, arcs)
+
+
 def test_step_network_matches_the_reference_build():
-    """Every step of construct(12, 3)'s flow block, and every tampered state
-    of the census tests, gets the network of the per-class build."""
+    """Every step of construct(12, 3)'s flow block gets the network of the
+    per-class build; every tampered state of the census tests, whose parts
+    may be out of order, gets it up to the order of each class's arcs, with
+    no arc repeated."""
     (block,) = [b for b in plan(12, LevelSet.full(3)) if b.realization == Realization.FLOW]
     state = init_state(block.n, block.levels, block.solution)
-    states = [state]
-    for _ in range(block.n - 1):
+    for _ in range(block.n):
+        assert build_step_network(state) == _reference_build_step_network(state)
         state = evolve_step(state)
-        states.append(state)
     tampered = list(_tampered_states())
     assert len(tampered) > 100
-    for state in states + tampered:
-        assert build_step_network(state) == _reference_build_step_network(state)
+    for state in tampered:
+        net = build_step_network(state)
+        assert all(len(set(arcs)) == len(arcs) for arcs in net.class_arcs)
+        assert _with_arcs_sorted(net) == _reference_build_step_network(state)
 
 
 def _flow_block_states(n, levels):
@@ -738,7 +746,8 @@ def test_evolution_keeps_each_class_s_parts_ascending():
     """The evolution keeps every class's parts in (mask, potential) order,
     so the network reads the arcs off in part order.  A hand-built state
     whose classes list their parts the other way round gets the same
-    network through the sorting fallback."""
+    network up to the order of each class's arcs, and evolves to a state
+    the audit passes."""
     states = _flow_block_states(15, LevelSet.of([1, 3, 5]))
     states += _flow_block_states(12, LevelSet.full(3))
     for state in states:
@@ -747,13 +756,20 @@ def test_evolution_keeps_each_class_s_parts_ascending():
     reversed_states = [
         _with_classes(state, [(parts[::-1], mult) for parts, mult in state.classes])
         for state in states
+        if state.ell < state.n
     ]
-    # the fallback runs: some class has two open parts, now in descending order
+    assert len(reversed_states) == 27
+    # some class has two open parts, now in descending order
     assert any(
-        len(arcs) > 1 for state in reversed_states for arcs in build_step_network(state).class_arcs
+        len(arcs) > 1 and arcs != sorted(arcs)
+        for state in reversed_states
+        for arcs in build_step_network(state).class_arcs
     )
     for state in reversed_states:
-        assert build_step_network(state) == _reference_build_step_network(state)
+        net = build_step_network(state)
+        assert _with_arcs_sorted(net) == _reference_build_step_network(state)
+        evolved = evolve_step(state)
+        assert _check_occurrence_counts(evolved) == evolved.last_step.pairs_checked
 
 
 def test_a_real_run_takes_both_paths(monkeypatch):
@@ -854,6 +870,25 @@ def _flow_blocks_of_full_ranges(max_n):
             for block in blocks:
                 if block.realization in (Realization.FLOW, Realization.LIFT):
                     yield block
+
+
+def test_a_zero_residual_makes_the_initial_state_balanced():
+    """init_state runs no audit: its zero-residual check already makes each
+    empty part of potential j occur C(n, j) times.  Every flow and lift
+    block of the factorable ranges with n <= 16, and every pairing solution
+    with n <= 16 and k <= 6, passes the audit at ell = 0 on its |L| pairs."""
+    solved = [(block.n, block.levels, block.solution) for block in _flow_blocks_of_full_ranges(16)]
+    ranges = len(solved)
+    for n in range(1, 17):
+        for k in range(1, min(n, 6) + 1):
+            for bits in range(1 << (k - 1)):
+                levels = LevelSet.of([i + 1 for i in range(k - 1) if bits >> i & 1] + [k])
+                solution = construct_general_L_div(n, levels)
+                if solution is not None:
+                    solved.append((n, levels, solution))
+    assert (ranges, len(solved) - ranges) == (92, 112)
+    for n, levels, solution in solved:
+        assert _check_occurrence_counts(init_state(n, levels, solution)) == len(levels)
 
 
 def test_every_flow_block_up_to_13_verifies():
