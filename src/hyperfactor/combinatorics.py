@@ -117,28 +117,28 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _two_byte_text() -> tuple[tuple[str, ...], ...]:
-    """Four tables indexed by a byte value, `{low}`, `{high}`, `{low,` and
-    `high}`: a set within 1..16 is spelled by one entry when its elements lie
-    in one byte, and by two joined when they lie in both.  Built on first
-    use, so a process that spells no set never holds them."""
-    low = [",".join(map(str, elements_of(b))) for b in range(256)]
-    high = [",".join(map(str, elements_of(b << 8))) for b in range(256)]
+def set_tables() -> tuple[tuple[str, ...], ...]:
+    """Four tables split at 9|10, `{low}` and `{low` indexed by mask & 0x1FF,
+    `{high}` and `,high}` by mask >> 9: a set within 1..16 is spelled by one
+    entry, or by a head and a tail.  Built on first use, so a process that
+    spells no set never holds them."""
+    low = [",".join(map(str, elements_of(b))) for b in range(1 << 9)]
+    high = [",".join(map(str, elements_of(b << 9))) for b in range(1 << 7)]
     return (
         tuple(f"{{{text}}}" for text in low),
         tuple(f"{{{text}}}" for text in high),
-        tuple(f"{{{text}," for text in low),
-        tuple(f"{text}}}" for text in high),
+        tuple(f"{{{text}" for text in low),
+        tuple(f",{text}}}" for text in high),
     )
 
 
 def set_text(mask: int) -> str:
     """The set spelled as `{e1,e2,...}`, elements ascending.  A non-empty set
-    within 1..16 is looked up in _two_byte_text; any other mask is spelled
+    within 1..16 is looked up in set_tables; any other mask is spelled
     element by element."""
     if 0 < mask <= 0xFFFF:
-        low_set, high_set, low_head, high_tail = _two_byte_text()
-        low, high = mask & 0xFF, mask >> 8
+        low_set, high_set, low_head, high_tail = set_tables()
+        low, high = mask & 0x1FF, mask >> 9
         if not high:
             return low_set[low]
         if not low:

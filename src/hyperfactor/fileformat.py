@@ -15,12 +15,14 @@ p/q p/q ...                      k exact rationals, space-separated
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
+from itertools import accumulate, chain
 from operator import lt
-from typing import NoReturn
+from typing import Callable, NoReturn
 
-from .combinatorics import MAX_GROUND_SIZE, LevelSet, set_text
+from .combinatorics import MAX_GROUND_SIZE, LevelSet, set_tables, set_text
 from .errors import FormatError
 from .factorization import Factorization
 from .linear_system import FarkasCertificate
@@ -80,25 +82,43 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
     return n, levels
 
 
-def _decode_line(line: str, n: int) -> tuple[int, ...] | None:
-    """The masks of a factor line read as the writer spells one, else None.
+@functools.cache
+def set_read_tables() -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+    """combinatorics.set_tables read backwards: the masks of the 638 whole
+    spellings `{low}` and `{high}`, of the 511 heads `{low` and of the 127
+    tails `,high}`.  Built on first use."""
+    low_set, high_set, low_head, high_tail = set_tables()
+    lows, highs = range(1, 1 << 9), range(1, 1 << 7)
+    whole = {low_set[b]: b for b in lows} | {high_set[b]: b << 9 for b in highs}
+    return whole, {low_head[b]: b for b in lows}, {high_tail[b]: b << 9 for b in highs}
 
-    A spelling is looked up whole, so `01` or `65` fails.  The outer braces go
-    unread, and summing the bits is the union only for distinct elements: the
-    caller's re-write check refuses any line the writer would not write.
-    """
-    try:
-        masks = [sum(map(_ELEMENT_BIT, piece.split(","))) for piece in line[1:-1].split("} | {")]
-    except KeyError:
-        return None
-    lows = [mask & -mask for mask in masks]
-    if max(masks) >> n or not all(map(lt, lows, lows[1:])):
-        return None
-    return tuple(masks)
+
+def set_decoder() -> Callable[[str], int]:
+    """set_mask(piece): the mask whose canonical spelling (set_text) is piece;
+    KeyError for any other piece.  A parse binds the tables once, here."""
+    whole, heads, tails = (table.get for table in set_read_tables())
+
+    def set_mask(piece: str) -> int:
+        mask = whole(piece)
+        if mask is not None:
+            return mask
+        # element 1 can only come first, so `,1` opens the first element in 10..16
+        cut = piece.find(",1")
+        head, tail = heads(piece[:cut]), tails(piece[cut:])
+        if head and tail:
+            return head | tail
+        # a set with an element beyond 16, or no canonical spelling at all;
+        # a repeated element can carry the sum past bit 64, which set_text refuses
+        mask = sum(map(_ELEMENT_BIT, piece[1:-1].split(",")))
+        if mask >> MAX_GROUND_SIZE or set_text(mask) != piece:
+            raise KeyError(piece)
+        return mask
+
+    return set_mask
 
 
 def _raise_first_error(lines: list[str], n: int) -> NoReturn:
-    """Name the first fault of factor lines that do not decode and re-write."""
+    """Name the first fault of a text whose factor lines or header the reader refused."""
     for no, line in enumerate(lines, start=3):
         if not line:
             raise FormatError(f"line {no}: empty factor line")
@@ -122,15 +142,26 @@ def _raise_first_error(lines: list[str], n: int) -> NoReturn:
 
 
 def parse_factorization(text: str) -> Factorization:
+    """The factorization a canonical text spells.  Each piece decodes only as
+    the canonical spelling of its mask, the header is compared with its own,
+    and _split_lines fixes the rest, so an accepted text is its re-write."""
     lines = _split_lines(text, FACTORIZATION_MAGIC)
     if len(lines) < 2:
         raise FormatError("line 2: missing header")
     n, levels = _parse_header(lines[1])
-    factors = [_decode_line(line, n) for line in lines[2:]]
-    if None not in factors:
-        fact = Factorization(n, levels, tuple(factors))
-        if write_factorization(fact) == text:
-            return fact
+    set_mask = set_decoder()
+    try:
+        factors = [tuple(map(set_mask, line.split(" | "))) for line in lines[2:]]
+    except KeyError:
+        _raise_first_error(lines[2:], n)
+    masks = list(chain.from_iterable(factors))
+    lows = [mask & -mask for mask in masks]
+    rises = list(map(lt, lows, lows[1:]))
+    for end in accumulate(map(len, factors[:-1])):
+        rises[end - 1] = True  # a line's first set may lie below the line before's last
+    header = f"n={n} levels={','.join(map(str, levels))}"
+    if all(rises) and not max(masks, default=0) >> n and lines[1] == header:
+        return Factorization(n, levels, tuple(factors))
     _raise_first_error(lines[2:], n)
 
 

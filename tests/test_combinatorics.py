@@ -139,12 +139,12 @@ def test_set_text_at_every_bit_and_the_extremes():
 
 
 def test_set_text_spells_every_set_within_sixteen_elements_and_the_byte_edges():
-    """Sets within 1..16 are looked up by byte in two-byte tables, all other
+    """Sets within 1..16 are looked up in tables split at 9|10, all other
     masks are spelled element by element: both agree with elements_of at and
     across the edges between them."""
     for mask in range(1, 0x10000):
         assert set_text(mask) == _spelled_by_elements(mask)
-    for mask in [0xFF, 0x100, 0x101, 0xFFFF, 1 << 16, 0x10001, 0x10000 | 0xFFFF, 1 << 63]:
+    for mask in [0xFF, 0x100, 0x101, 0x1FF, 0x200, 0x201, 0xFFFF, 1 << 16, 0x10001, 0x10000 | 0xFFFF, 1 << 63]:
         assert set_text(mask) == _spelled_by_elements(mask)
     assert set_text(0) == "{}"
     # the refusals name what is left past the 64th bit

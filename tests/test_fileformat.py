@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet, elements_of, mask_of, min_element
+from hyperfactor.combinatorics import LevelSet, elements_of, mask_of, min_element, set_tables, set_text
 from hyperfactor.decide import construct
 from hyperfactor.errors import FormatError
 from hyperfactor.factorization import Factorization
@@ -19,6 +19,8 @@ from hyperfactor.fileformat import (
     parse_certificate,
     parse_factorization,
     save_text,
+    set_decoder,
+    set_read_tables,
     write_certificate,
     write_factorization,
 )
@@ -68,6 +70,14 @@ def test_file_save_load(tmp_path):
     assert parse_factorization(load_text(path)) == K4
 
 
+#: a text whose pieces take every table path of the reader: whole, head and tail
+SIXTEEN_TEXT = (
+    "HYPERFACTOR v1\n"
+    "n=16 levels=8\n"
+    "{1,2,3,4,5,6,7,8} | {9,10,11,12,13,14,15,16}\n"
+    "{1,3,5,7,9,11,13,15} | {2,4,6,8,10,12,14,16}\n"
+)
+
 #: rejected factorization texts and the message each is rejected with
 FACTORIZATION_REJECTS = {
     K4_TEXT.replace("\n", "\r\n"): "carriage returns are not allowed (LF endings only)",
@@ -97,6 +107,21 @@ FACTORIZATION_REJECTS = {
     "HYPERFACTOR v1\n": "line 2: missing header",
     # level above n
     "HYPERFACTOR v1\nn=3 levels=1,9\n{1} | {2} | {3}\n": "line 2: level 9 exceeds n=3",
+    # pieces and headers that no table of the reader holds
+    SIXTEEN_TEXT.replace("n=16", "n=016"): "factorization text is not in canonical form",
+    SIXTEEN_TEXT.replace("{1,2,3,4,5,6,7,8}", "{01} | {2,3,4,5,6,7,8}"):
+        "factorization text is not in canonical form",
+    SIXTEEN_TEXT.replace("{1,2,3,4,5,6,7,8}", "{1,1} | {2,3,4,5,6,7,8}"):
+        "line 3: elements not strictly ascending in '{1,1}'",
+    SIXTEEN_TEXT.replace("{1,2,3,4,5,6,7,8}", "{2,1} | {3,4,5,6,7,8}"):
+        "line 3: elements not strictly ascending in '{2,1}'",
+    SIXTEEN_TEXT.replace("{1,2,3,4,5,6,7,8}", "{} | {1,2,3,4,5,6,7,8}"): "line 3: malformed set '{}'",
+    SIXTEEN_TEXT.replace("{9,10,11,12,13,14,15,16}", "{9,10"): "line 3: malformed set '{9,10'",
+    SIXTEEN_TEXT.replace("15,16}", "15,17}"): "line 3: element 17 exceeds n=16",
+    SIXTEEN_TEXT.replace(
+        "{1,3,5,7,9,11,13,15} | {2,4,6,8,10,12,14,16}", "{2,4,6,8,10,12,14,16} | {1,3,5,7,9,11,13,15}"
+    ): "line 4: sets not ordered by minimum element",
+    SIXTEEN_TEXT.replace("\n{1,3", "\n\n{1,3"): "line 4: empty factor line",
 }
 
 
@@ -129,6 +154,38 @@ def test_certificate_rejects(text):
         parse_certificate(text)
 
 
+def test_factorization_accepts_every_table_path_and_no_factor_lines():
+    fact = parse_factorization(SIXTEEN_TEXT)
+    assert write_factorization(fact) == SIXTEEN_TEXT
+    assert fact.factors == ((0xFF, 0xFF00), (0x5555, 0xAAAA))
+    assert parse_factorization("HYPERFACTOR v1\nn=16 levels=8\n") == Factorization(16, (8,), ())
+
+
+def test_set_tables_split_at_nine():
+    low_set, high_set, low_head, high_tail = set_tables()
+    assert list(map(len, set_tables())) == [512, 128, 512, 128]
+    assert (low_set[0x1FF], low_head[0x1FF]) == ("{1,2,3,4,5,6,7,8,9}", "{1,2,3,4,5,6,7,8,9")
+    assert (high_set[1], high_tail[0x7F]) == ("{10}", ",10,11,12,13,14,15,16}")
+    whole, heads, tails = set_read_tables()
+    assert (len(whole), len(heads), len(tails)) == (638, 511, 127)
+
+
+def test_set_decoder_inverts_set_text_within_sixteen_elements():
+    set_mask = set_decoder()
+    masks = list(range(1, 0x10000))
+    assert list(map(set_mask, map(set_text, masks))) == masks
+
+
+def test_set_decoder_reads_sets_beyond_sixteen_and_refuses_every_other_piece():
+    set_mask = set_decoder()
+    for mask in [1 << 16, 0x1FFFF, (1 << 64) - 1, 1 << 63, (1 << 63) | 1]:
+        assert set_mask(set_text(mask)) == mask
+    for piece in ["{01}", "{1,1}", "{2,1}", "{}", "", "{9,10", "9,10}", "{1,10,10}",
+                  "{10,9}", "{17,16}", "{64,64}", "{65}", "{1, 2}", ",10}", "{1,2}}"]:
+        with pytest.raises(KeyError):
+            set_mask(piece)
+
+
 def test_factorization_accepts_empty_levels():
     text = "HYPERFACTOR v1\nn=5 levels=\n"
     fact = parse_factorization(text)
@@ -146,19 +203,19 @@ def _header(draw, n: int, levels: list[int]) -> str:
     return f"n={_spelled(draw, n)} levels={','.join(_spelled(draw, l) for l in levels)}"
 
 
-#: elements on either side of a byte boundary of the set encoder's table
-BYTE_EDGES = (1, 8, 9, 16, 17, 56, 57, 64, 65)
+#: elements on either side of a split of the set codec's tables
+SPLIT_EDGES = (1, 8, 9, 10, 16, 17, 56, 57, 64, 65)
 
 
 @st.composite
 def _factorization_texts(draw):
     """Texts in the shape of the format, some spelled in non-canonical ways.
 
-    Ground sizes and elements cluster at the byte edges, where the set encoder
-    moves from one table row to the next; an element may be n + 1.
+    Ground sizes and elements cluster at the split edges, where the set codec
+    moves from one table to the next; an element may be n + 1.
     """
-    n = draw(st.one_of(st.integers(0, 9), st.sampled_from(BYTE_EDGES), st.integers(0, 64)))
-    edges = [e for e in BYTE_EDGES if e <= n + 1]
+    n = draw(st.one_of(st.integers(0, 9), st.sampled_from(SPLIT_EDGES), st.integers(0, 64)))
+    edges = [e for e in SPLIT_EDGES if e <= n + 1]
     ground = st.one_of(st.integers(1, max(n, 1)), st.sampled_from(edges or [1]))
     # half the texts are canonical but for the edits, so that many are accepted
     spell = str if draw(st.booleans()) else (lambda value: _spelled(draw, value))
