@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 #: Hard cap on the ground-set size; subsets must fit in a 64-bit word.
 MAX_GROUND_SIZE = 64
@@ -117,36 +117,55 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def set_tables() -> tuple[tuple[str, ...], ...]:
-    """Four tables split at 9|10, `{low}` and `{low` indexed by mask & 0x1FF,
-    `{high}` and `,high}` by mask >> 9: a set within 1..16 is spelled by one
-    entry, or by a head and a tail.  Built on first use, so a process that
-    spells no set never holds them."""
-    low = [",".join(map(str, elements_of(b))) for b in range(1 << 9)]
-    high = [",".join(map(str, elements_of(b << 9))) for b in range(1 << 7)]
-    return (
-        tuple(f"{{{text}}}" for text in low),
-        tuple(f"{{{text}}}" for text in high),
-        tuple(f"{{{text}" for text in low),
-        tuple(f",{text}}}" for text in high),
-    )
+def set_tables() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Heads `{low` indexed by mask & 0x1FF (elements 1..9) and tails
+    `,high}` by mask >> 9 (elements 10..16), tails[0] being `}`: a set
+    within 1..16 is spelled by a head and a tail.  Built on first use, so a
+    process that spells no set never holds them."""
+    heads = tuple("{" + ",".join(map(str, elements_of(b))) for b in range(1 << 9))
+    tails = tuple("".join(f",{e}" for e in elements_of(b << 9)) + "}" for b in range(1 << 7))
+    return heads, tails
 
 
 def set_text(mask: int) -> str:
     """The set spelled as `{e1,e2,...}`, elements ascending.  A non-empty set
-    within 1..16 is looked up in set_tables; any other mask is spelled
-    element by element."""
+    within 1..16 is a head and a tail of set_tables, or, with no element
+    below 10, `{` and its tail's elements; any other mask is spelled element
+    by element."""
     if 0 < mask <= 0xFFFF:
-        low_set, high_set, low_head, high_tail = set_tables()
-        low, high = mask & 0x1FF, mask >> 9
-        if not high:
-            return low_set[low]
-        if not low:
-            return high_set[high]
-        return low_head[low] + high_tail[high]
+        heads, tails = set_tables()
+        low, tail = mask & 0x1FF, tails[mask >> 9]
+        return heads[low] + tail if low else "{" + tail[1:]
     if mask >> MAX_GROUND_SIZE:
         raise ValueError(f"not a subset of 1..{MAX_GROUND_SIZE}: {mask >> MAX_GROUND_SIZE}")
     return "{" + ",".join(map(str, elements_of(mask))) + "}"
+
+
+@functools.cache
+def set_decoder() -> Callable[[str], int]:
+    """set_mask(piece): the mask whose canonical spelling (set_text) is piece;
+    KeyError for any other piece."""
+    heads, tails = set_tables()
+    head_of = {heads[b]: b for b in range(1, 1 << 9)}.get  # `{` alone is no head
+    tail_of = {tail: b << 9 for b, tail in enumerate(tails)}.get
+    element_bit = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND_SIZE + 1)}.__getitem__
+
+    def set_mask(piece: str) -> int:
+        # element 1 can only come first, so `,1` opens the first element in
+        # 10..16; with none, find gives -1 and the tail is `}`
+        cut = piece.find(",1")
+        head, tail = head_of(piece[:cut]), tail_of(piece[cut:])
+        # a hit is canonical: each half spells its elements ascending, and 1..9 precede 10..16
+        if head is not None and tail is not None:
+            return head | tail
+        # no element below 10, one beyond 16, or no canonical spelling at all;
+        # a repeated element can carry the sum past bit 64, which set_text refuses
+        mask = sum(map(element_bit, piece[1:-1].split(",")))
+        if mask >> MAX_GROUND_SIZE or set_text(mask) != piece:
+            raise KeyError(piece)
+        return mask
+
+    return set_mask
 
 
 def full_mask(n: int) -> int:

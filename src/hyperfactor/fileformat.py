@@ -15,14 +15,13 @@ p/q p/q ...                      k exact rationals, space-separated
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import lt
-from typing import Callable, NoReturn
+from typing import NoReturn
 
-from .combinatorics import MAX_GROUND_SIZE, LevelSet, set_tables, set_text
+from .combinatorics import MAX_GROUND_SIZE, LevelSet, set_decoder, set_text
 from .errors import FormatError
 from .factorization import Factorization
 from .linear_system import FarkasCertificate
@@ -30,17 +29,17 @@ from .linear_system import FarkasCertificate
 FACTORIZATION_MAGIC = "HYPERFACTOR v1"
 CERTIFICATE_MAGIC = "FARKAS v1"
 
-_HEADER_RE = re.compile(r"^n=(\d+) levels=((?:\d+(?:,\d+)*)?)$")
-_SET_RE = re.compile(r"^\{(\d+(?:,\d+)*)\}$")
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
+_HEADER_RE = re.compile(r"^n=(\d+) levels=((?:\d+(?:,\d+)*)?)$", re.ASCII)
+_SET_RE = re.compile(r"^\{(\d+(?:,\d+)*)\}$", re.ASCII)
+_RATIONAL_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$", re.ASCII)  # no zero denominator
 
 
-#: the bit of each element, looked up by its canonical spelling
-_ELEMENT_BIT = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND_SIZE + 1)}.__getitem__
+def _header(n: int, levels: tuple[int, ...]) -> str:
+    return f"n={n} levels={','.join(map(str, levels))}"
 
 
 def write_factorization(fact: Factorization) -> str:
-    lines = [FACTORIZATION_MAGIC, f"n={fact.n} levels={','.join(map(str, fact.levels))}"]
+    lines = [FACTORIZATION_MAGIC, _header(fact.n, fact.levels)]
     lines.extend(" | ".join(map(set_text, factor)) for factor in fact.factors)
     return "\n".join(lines) + "\n"
 
@@ -80,41 +79,6 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
     if levels and levels[-1] > n:
         raise FormatError(f"line 2: level {levels[-1]} exceeds n={n}")
     return n, levels
-
-
-@functools.cache
-def set_read_tables() -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
-    """combinatorics.set_tables read backwards: the masks of the 638 whole
-    spellings `{low}` and `{high}`, of the 511 heads `{low` and of the 127
-    tails `,high}`.  Built on first use."""
-    low_set, high_set, low_head, high_tail = set_tables()
-    lows, highs = range(1, 1 << 9), range(1, 1 << 7)
-    whole = {low_set[b]: b for b in lows} | {high_set[b]: b << 9 for b in highs}
-    return whole, {low_head[b]: b for b in lows}, {high_tail[b]: b << 9 for b in highs}
-
-
-def set_decoder() -> Callable[[str], int]:
-    """set_mask(piece): the mask whose canonical spelling (set_text) is piece;
-    KeyError for any other piece.  A parse binds the tables once, here."""
-    whole, heads, tails = (table.get for table in set_read_tables())
-
-    def set_mask(piece: str) -> int:
-        mask = whole(piece)
-        if mask is not None:
-            return mask
-        # element 1 can only come first, so `,1` opens the first element in 10..16
-        cut = piece.find(",1")
-        head, tail = heads(piece[:cut]), tails(piece[cut:])
-        if head and tail:
-            return head | tail
-        # a set with an element beyond 16, or no canonical spelling at all;
-        # a repeated element can carry the sum past bit 64, which set_text refuses
-        mask = sum(map(_ELEMENT_BIT, piece[1:-1].split(",")))
-        if mask >> MAX_GROUND_SIZE or set_text(mask) != piece:
-            raise KeyError(piece)
-        return mask
-
-    return set_mask
 
 
 def _raise_first_error(lines: list[str], n: int) -> NoReturn:
@@ -159,16 +123,14 @@ def parse_factorization(text: str) -> Factorization:
     rises = list(map(lt, lows, lows[1:]))
     for end in accumulate(map(len, factors[:-1])):
         rises[end - 1] = True  # a line's first set may lie below the line before's last
-    header = f"n={n} levels={','.join(map(str, levels))}"
-    if all(rises) and not max(masks, default=0) >> n and lines[1] == header:
+    if all(rises) and not max(masks, default=0) >> n and lines[1] == _header(n, levels):
         return Factorization(n, levels, tuple(factors))
     _raise_first_error(lines[2:], n)
 
 
 def write_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> str:
     values = " ".join(str(v) for v in cert.y)
-    header = f"n={n} levels={','.join(map(str, levels.levels))}"
-    return f"{CERTIFICATE_MAGIC}\n{header}\n{values}\n"
+    return f"{CERTIFICATE_MAGIC}\n{_header(n, levels.levels)}\n{values}\n"
 
 
 def parse_certificate(text: str) -> tuple[int, LevelSet, FarkasCertificate]:

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet, elements_of, mask_of, min_element, set_tables, set_text
+from hyperfactor.combinatorics import (
+    LevelSet,
+    elements_of,
+    mask_of,
+    min_element,
+    set_decoder,
+    set_tables,
+    set_text,
+)
 from hyperfactor.decide import construct
 from hyperfactor.errors import FormatError
 from hyperfactor.factorization import Factorization
@@ -19,8 +27,6 @@ from hyperfactor.fileformat import (
     parse_certificate,
     parse_factorization,
     save_text,
-    set_decoder,
-    set_read_tables,
     write_certificate,
     write_factorization,
 )
@@ -70,7 +76,7 @@ def test_file_save_load(tmp_path):
     assert parse_factorization(load_text(path)) == K4
 
 
-#: a text whose pieces take every table path of the reader: whole, head and tail
+#: a text whose pieces take the reader's table path with and without a tail
 SIXTEEN_TEXT = (
     "HYPERFACTOR v1\n"
     "n=16 levels=8\n"
@@ -122,7 +128,26 @@ FACTORIZATION_REJECTS = {
         "{1,3,5,7,9,11,13,15} | {2,4,6,8,10,12,14,16}", "{2,4,6,8,10,12,14,16} | {1,3,5,7,9,11,13,15}"
     ): "line 4: sets not ordered by minimum element",
     SIXTEEN_TEXT.replace("\n{1,3", "\n\n{1,3"): "line 4: empty factor line",
+    # digits outside ASCII
+    K4_TEXT.replace("n=4 levels=2", "n=\u0663 levels=1"): "line 2: malformed header 'n=\u0663 levels=1'",
+    "HYPERFACTOR v1\nn=3 levels=1\n{\u0661} | {2} | {3}\n": "line 3: malformed set '{\u0661}'",
 }
+
+#: pieces at the edges of the head/tail split, each refused as a lone factor line
+PIECE_REJECTS = {
+    "{": "line 3: malformed set '{'",
+    "}": "line 3: malformed set '}'",
+    "{,10}": "line 3: malformed set '{,10}'",
+    "{1,2,}": "line 3: malformed set '{1,2,}'",
+    "{10,}": "line 3: malformed set '{10,}'",
+    "{10,10}": "line 3: elements not strictly ascending in '{10,10}'",
+    "{11,10}": "line 3: elements not strictly ascending in '{11,10}'",
+    "{16,16}": "line 3: elements not strictly ascending in '{16,16}'",
+    "{010}": "factorization text is not in canonical form",
+}
+FACTORIZATION_REJECTS.update(
+    (f"HYPERFACTOR v1\nn=16 levels=8\n{piece}\n", message) for piece, message in PIECE_REJECTS.items()
+)
 
 
 @pytest.mark.parametrize("text", list(FACTORIZATION_REJECTS))
@@ -154,6 +179,19 @@ def test_certificate_rejects(text):
         parse_certificate(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (CERT_TEXT.replace("1/2", "\u0661"), "line 3: malformed rational '\u0661'"),
+        ("FARKAS v1\nn=\u0664 levels=2\n0 1\n", "line 2: malformed header 'n=\u0664 levels=2'"),
+    ],
+)
+def test_certificate_names_a_digit_outside_ascii(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_certificate(text)
+    assert str(info.value) == message
+
+
 def test_factorization_accepts_every_table_path_and_no_factor_lines():
     fact = parse_factorization(SIXTEEN_TEXT)
     assert write_factorization(fact) == SIXTEEN_TEXT
@@ -162,12 +200,10 @@ def test_factorization_accepts_every_table_path_and_no_factor_lines():
 
 
 def test_set_tables_split_at_nine():
-    low_set, high_set, low_head, high_tail = set_tables()
-    assert list(map(len, set_tables())) == [512, 128, 512, 128]
-    assert (low_set[0x1FF], low_head[0x1FF]) == ("{1,2,3,4,5,6,7,8,9}", "{1,2,3,4,5,6,7,8,9")
-    assert (high_set[1], high_tail[0x7F]) == ("{10}", ",10,11,12,13,14,15,16}")
-    whole, heads, tails = set_read_tables()
-    assert (len(whole), len(heads), len(tails)) == (638, 511, 127)
+    heads, tails = set_tables()
+    assert (len(heads), len(tails)) == (512, 128)
+    assert (heads[0x1FF], tails[0], tails[0x7F]) == ("{1,2,3,4,5,6,7,8,9", "}", ",10,11,12,13,14,15,16}")
+    assert (set_text(0x1FF), set_text(1 << 9)) == ("{1,2,3,4,5,6,7,8,9}", "{10}")
 
 
 def test_set_decoder_inverts_set_text_within_sixteen_elements():
@@ -181,7 +217,8 @@ def test_set_decoder_reads_sets_beyond_sixteen_and_refuses_every_other_piece():
     for mask in [1 << 16, 0x1FFFF, (1 << 64) - 1, 1 << 63, (1 << 63) | 1]:
         assert set_mask(set_text(mask)) == mask
     for piece in ["{01}", "{1,1}", "{2,1}", "{}", "", "{9,10", "9,10}", "{1,10,10}",
-                  "{10,9}", "{17,16}", "{64,64}", "{65}", "{1, 2}", ",10}", "{1,2}}"]:
+                  "{10,9}", "{17,16}", "{64,64}", "{65}", "{1, 2}", ",10}", "{1,2}}",
+                  *PIECE_REJECTS]:
         with pytest.raises(KeyError):
             set_mask(piece)
 
@@ -298,7 +335,7 @@ def _reference_parse_factorization(text):
             raise FormatError(f"line {no}: empty factor line")
         masks = []
         for piece in line.split(" | "):
-            m = re.match(r"^\{(\d+(?:,\d+)*)\}$", piece)
+            m = re.match(r"^\{(\d+(?:,\d+)*)\}$", piece, re.ASCII)
             if not m:
                 raise FormatError(f"line {no}: malformed set {piece!r}")
             elems = [int(v) for v in m.group(1).split(",")]
