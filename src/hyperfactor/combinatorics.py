@@ -98,15 +98,6 @@ class LevelSet:
 # bit-set subsets
 
 
-def mask_of(elements: Iterable[int]) -> int:
-    m = 0
-    for e in elements:
-        if not 1 <= e <= MAX_GROUND_SIZE:
-            raise ValueError(f"element out of range 1..{MAX_GROUND_SIZE}: {e}")
-        m |= 1 << (e - 1)
-    return m
-
-
 def elements_of(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -254,9 +245,3 @@ def count_types(n: int, levels: LevelSet) -> int:
         for rem in range(j, n + 1):
             ways[rem] += ways[rem - j]
     return ways[n]
-
-
-def factor_count(n: int, levels: LevelSet) -> int:
-    """Number of 1-factors in any 1-factorization: sum of C(n-1, j-1) over j in levels."""
-    levels.check_against_ground(n)
-    return sum(binomial(n - 1, j - 1) for j in levels)

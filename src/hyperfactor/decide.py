@@ -158,6 +158,8 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
     """Decision for an arbitrary level set.  The exact LP refutes every rationally
     infeasible set the closed forms leave open, with its certificate; the search
     looks for a witness on the rest and raises SearchLimitExceeded at its limits."""
+    if not isinstance(levels, LevelSet):
+        raise ValueError(f"levels must be a LevelSet, got {levels!r}")
     if levels.is_full_range():
         return decide(n, levels.k)
     found = certificate_with_branch(n, levels)
@@ -265,7 +267,7 @@ def _realize(
     fact = Factorization(n, (), ())
     for block in reversed(blocks):
         if block.realization is Realization.COMPLEMENT_PAIRS:
-            fact = extend_by_complements(fact)
+            fact = extend_by_complements(fact, block.levels)
             continue
         head = flow_run(
             block.n, block.levels, block.solution, max_ground_size=max_ground_size, trace=trace

@@ -23,7 +23,7 @@ from hyperfactor.fileformat import (
     save_text,
     write_factorization,
 )
-from hyperfactor import linear_system
+import hyperfactor.linear_system as linear_system
 from hyperfactor.flow import evolve_step, init_state, run as flow_run
 from hyperfactor.linear_system import (
     build_system,

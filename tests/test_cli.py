@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hyperfactor
-from hyperfactor import cli
+import hyperfactor.cli as cli
 from hyperfactor.cli import main
 from hyperfactor.errors import InvariantViolation
 from hyperfactor.combinatorics import LevelSet

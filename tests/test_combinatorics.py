@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import (
+    MAX_GROUND_SIZE,
     LevelSet,
     binomial,
     canonical_key,
@@ -15,16 +16,30 @@ from hyperfactor.combinatorics import (
     count_types,
     elements_of,
     enumerate_types,
-    factor_count,
     full_mask,
     is_valid_type,
     iter_types,
-    mask_of,
     masks_of_size,
     min_element,
     set_text,
     type_weight,
 )
+
+
+def mask_of(elements):
+    """The bit-set of the elements, each in 1..64: the inverse of elements_of."""
+    m = 0
+    for e in elements:
+        if not 1 <= e <= MAX_GROUND_SIZE:
+            raise ValueError(f"element out of range 1..{MAX_GROUND_SIZE}: {e}")
+        m |= 1 << (e - 1)
+    return m
+
+
+def factor_count(n, levels):
+    """Number of 1-factors in any 1-factorization: sum of C(n-1, j-1) over j in levels."""
+    levels.check_against_ground(n)
+    return sum(binomial(n - 1, j - 1) for j in levels)
 
 
 def test_binomial_zero_convention():

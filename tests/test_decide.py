@@ -1,7 +1,6 @@
 """Tests for the decision procedures and the construction pipeline."""
 
 import hashlib
-import importlib
 import time
 from collections import Counter
 
@@ -15,10 +14,12 @@ from hyperfactor.constructors import (
     construct_general_L_div,
     construct_minus1,
 )
+import hyperfactor.decide as decide_module
 from hyperfactor.decide import Status, _realize, construct, decide, decide_general, plan
 from hyperfactor.cli import main
-from hyperfactor.flow import DEFAULT_MAX_GROUND
-from hyperfactor import linear_system
+from hyperfactor.factorization import Factorization
+from hyperfactor.flow import DEFAULT_MAX_GROUND, run
+import hyperfactor.linear_system as linear_system
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
 from hyperfactor.fileformat import write_factorization
 from hyperfactor.linear_system import (
@@ -257,8 +258,6 @@ def test_near_divisible_remainder_must_be_factorable(monkeypatch, capsys):
     """A top block whose remainder range is infeasible is an internal error,
     not a usage error: (11, {1..5}) fails the residue test."""
     top = Block(11, LevelSet.of([6]), {}, Realization.FLOW)
-    # the package exports the function decide, which hides the module of that name
-    decide_module = importlib.import_module("hyperfactor.decide")
     monkeypatch.setattr(decide_module, "construct_minus1", lambda n, k: [top])
     with pytest.raises(InvariantViolation, match="near-divisible remainder infeasible"):
         decide(11, 3)
@@ -301,6 +300,28 @@ def test_construct_rejects_and_limits():
         construct(9)
     with pytest.raises(ValueError):
         construct(9, 2, LevelSet.of([2]))
+
+
+def test_levels_must_be_a_level_set():
+    """A plain tuple of levels is refused by name, not met by an AttributeError."""
+    refusal = r"levels must be a LevelSet, got \(1, 2\)"
+    for call in (decide_general, plan):
+        with pytest.raises(ValueError, match=refusal):
+            call(12, (1, 2))
+    with pytest.raises(ValueError, match=refusal):
+        construct(12, levels=(1, 2))
+
+
+def test_a_faulty_inner_block_fails_the_final_check(monkeypatch):
+    """Complement pairs check nothing of the factorization they extend:
+    construct's one verification of the whole result refuses a fault there."""
+    def short_run(*args, **kwargs):
+        fact = run(*args, **kwargs)
+        return Factorization(fact.n, fact.levels, fact.factors[1:])
+
+    monkeypatch.setattr(decide_module, "flow_run", short_run)
+    with pytest.raises(InvariantViolation, match="constructed factorization failed verification"):
+        construct(6, 3)
 
 
 def test_construct_twenty_up_to_seven():

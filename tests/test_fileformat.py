@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from hyperfactor.combinatorics import (
     LevelSet,
     elements_of,
-    mask_of,
     min_element,
     set_decoder,
     set_tables,
@@ -31,6 +30,8 @@ from hyperfactor.fileformat import (
     write_factorization,
 )
 from hyperfactor.linear_system import FarkasCertificate
+
+from test_combinatorics import mask_of
 
 K4 = Factorization(
     4, (2,), ((0b0011, 0b1100), (0b0101, 0b1010), (0b1001, 0b0110))

@@ -8,8 +8,8 @@ from itertools import chain
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hyperfactor import flow
-from hyperfactor.combinatorics import LevelSet, binomial, factor_count
+import hyperfactor.flow as flow
+from hyperfactor.combinatorics import LevelSet, binomial
 from hyperfactor.constructors import (
     Realization,
     certificate_with_branch,
@@ -31,6 +31,8 @@ from hyperfactor.flow import (
 )
 from hyperfactor.linear_system import build_system, lp_feasible
 from hyperfactor.verifier import verify_factorization
+
+from test_combinatorics import factor_count
 
 
 def test_init_state_perfect_matchings():

@@ -14,7 +14,7 @@ from hyperfactor.combinatorics import (
     enumerate_types,
     iter_types,
 )
-from hyperfactor import linear_system
+import hyperfactor.linear_system as linear_system
 from hyperfactor.decide import Status, decide, decide_general
 from hyperfactor.errors import InvariantViolation, SearchLimitExceeded
 from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative, phase_one

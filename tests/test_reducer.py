@@ -1,17 +1,60 @@
-"""Tests for complement-pair extension, repair, and lift projection."""
+"""Tests for complement-pair extension, its oracle the repair, and lift projection."""
 
 import pytest
 
-from hyperfactor.combinatorics import LevelSet, binomial, full_mask
+from hyperfactor.combinatorics import LevelSet, binomial, full_mask, masks_of_size
 from hyperfactor.constructors import construct_div
 from hyperfactor.factorization import Factorization, sort_factor
 from hyperfactor.flow import run
-from hyperfactor.reducer import (
-    extend_by_complements,
-    project_lift,
-    repair_to_complement_paired,
-)
+from hyperfactor.errors import InvariantViolation
+from hyperfactor.reducer import extend_by_complements, project_lift
 from hyperfactor.verifier import verify_factorization
+
+
+def repair_to_complement_paired(fact: Factorization) -> tuple[Factorization, Factorization]:
+    """Swap sets between factors until every middle-size set is complement-paired.
+
+    The oracle of the complement reduction, the converse of
+    extend_by_complements: fact must be a valid factorization on levels {1..k}
+    with n/2 <= k <= n-1.  Sizes are processed from k down to ceil(n/2), sets
+    within a size in ascending colex order (= ascending bit-set value).  For an
+    unpaired S in factor F, the rest of F unions to the complement U of S; U's
+    host factor swaps U against that rest, making F = {S, U}.  Earlier pairs are
+    never touched again.  Returns (paired factorization, stripped residue on
+    levels {1..n-k-1}).
+    """
+    n = fact.n
+    k = max(fact.levels) if fact.levels else 0
+    if fact.levels != tuple(range(1, k + 1)) or 2 * k < n or k >= n:
+        raise ValueError(f"repair needs full levels 1..k with n/2 <= k <= n-1, got {fact.levels}")
+    problems = verify_factorization(fact)
+    if problems:
+        raise ValueError(f"repair_to_complement_paired: input factorization invalid: {problems[0]}")
+    full = full_mask(n)
+    factors: list[list[int]] = [list(f) for f in fact.factors]
+    host = {mask: i for i, f in enumerate(factors) for mask in f}
+    for s in range(k, (n + 1) // 2 - 1, -1):
+        for mask in masks_of_size(n, s):
+            comp = full ^ mask
+            i = host[mask]
+            if len(factors[i]) == 2 and comp in factors[i]:
+                continue
+            rest = [m for m in factors[i] if m != mask]
+            union = 0
+            for m in rest:
+                union |= m
+            jf = host[comp]
+            if union != comp or jf == i:
+                raise InvariantViolation(f"set {mask:#x} cannot be paired with its complement")
+            factors[i] = [mask, comp]
+            factors[jf] = [m for m in factors[jf] if m != comp] + rest
+            host[comp] = i
+            for m in rest:
+                host[m] = jf
+    paired = Factorization.build(n, fact.levels, factors)
+    residue_factors = [f for f in factors if len(f) > 2]
+    residue = Factorization.build(n, tuple(range(1, n - k)), residue_factors)
+    return paired, residue
 
 
 def _inner_6() -> Factorization:
@@ -23,7 +66,7 @@ def _is_pair(n: int, factor: tuple[int, ...]) -> bool:
 
 
 def test_extend_by_complements_6_3():
-    ext = extend_by_complements(_inner_6())
+    ext = extend_by_complements(_inner_6(), LevelSet.of([3]))
     assert ext.n == 6 and ext.levels == (1, 2, 3)
     assert len(ext.factors) == 6 + 10
     assert sum(_is_pair(6, f) for f in ext.factors) == 10
@@ -32,7 +75,7 @@ def test_extend_by_complements_6_3():
 
 def test_extend_by_complements_from_empty():
     empty = Factorization(5, (), ())
-    ext = extend_by_complements(empty)
+    ext = extend_by_complements(empty, LevelSet.full(4))
     assert ext.levels == (1, 2, 3, 4)
     assert len(ext.factors) == 15
     assert all(_is_pair(5, f) for f in ext.factors)
@@ -41,24 +84,15 @@ def test_extend_by_complements_from_empty():
     # gives; the pairs follow the size of their smaller set, then its colex
     # order, and a middle pair counts the half holding element 1
     for n in range(2, 13):
-        factors = extend_by_complements(Factorization(n, (), ())).factors
+        factors = extend_by_complements(Factorization(n, (), ()), LevelSet.full(n - 1)).factors
         assert len(factors) == 2 ** (n - 1) - 1
         assert all(f == sort_factor(f) and f[0] & 1 for f in factors)
         smaller = [min(f, key=lambda mask: (mask.bit_count(), not mask & 1)) for f in factors]
         assert smaller == sorted(smaller, key=lambda mask: (mask.bit_count(), mask))
 
 
-def test_extend_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        extend_by_complements(Factorization(6, (1, 2, 3), ()))  # k = 2 below n/2
-    with pytest.raises(ValueError):
-        extend_by_complements(Factorization(6, (2,), ()))  # levels not 1..m
-    with pytest.raises(ValueError):
-        extend_by_complements(Factorization(6, (1, 2), ()))  # invalid inner
-
-
 def test_repair_fixed_point():
-    ext = extend_by_complements(_inner_6())
+    ext = extend_by_complements(_inner_6(), LevelSet.of([3]))
     paired, residue = repair_to_complement_paired(ext)
     assert paired == ext
     assert residue.levels == (1, 2)
@@ -67,7 +101,7 @@ def test_repair_fixed_point():
 
 
 def test_repair_empty_residue():
-    ext = extend_by_complements(Factorization(5, (), ()))
+    ext = extend_by_complements(Factorization(5, (), ()), LevelSet.full(4))
     paired, residue = repair_to_complement_paired(ext)
     assert paired == ext
     assert residue.factors == () and residue.levels == ()
@@ -95,7 +129,7 @@ def _unshuffle(fact: Factorization) -> Factorization:
 
 
 def test_repair_restores_broken_pair():
-    ext = extend_by_complements(_inner_6())
+    ext = extend_by_complements(_inner_6(), LevelSet.of([3]))
     broken = _unshuffle(ext)
     assert verify_factorization(broken) == []  # still a valid factorization
     assert sum(_is_pair(6, f) for f in broken.factors) == 9

@@ -1,6 +1,7 @@
 """Tests over the source text of the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import hyperfactor
@@ -32,3 +33,16 @@ def test_no_floating_point_in_src():
     """Everything is exact: no float constant, no true division, no float()."""
     found = [f"{name}:{node.lineno}" for name, node in _src_nodes() if _is_floating_point(node)]
     assert found == []
+
+
+def test_package_root_binds_no_names():
+    """Each name has one import path, its submodule: the root is only a docstring."""
+    root = ast.parse(Path(hyperfactor.__file__).read_text(encoding="utf-8"))
+    assert len(root.body) == 1 and ast.get_docstring(root)
+
+
+def test_a_submodule_path_binds_the_submodule():
+    """No root name hides a submodule of the same name, such as the function decide."""
+    import hyperfactor.decide as m
+
+    assert m is sys.modules["hyperfactor.decide"]
