@@ -15,7 +15,7 @@ import traceback
 from typing import Sequence
 
 from .combinatorics import LevelSet, canonical_key, check_range, iter_types
-from .decide import Status, Verdict, construct, decide_general, plan
+from .decide import DEFAULT_MAX_GROUND, Status, Verdict, construct, decide_general, plan
 from .errors import FormatError, LimitExceeded, NotFactorableError
 from .fileformat import (
     CERTIFICATE_MAGIC,
@@ -26,7 +26,7 @@ from .fileformat import (
     save_text,
     write_factorization,
 )
-from .flow import DEFAULT_MAX_GROUND, StepRecord
+from .flow import StepRecord
 from .linear_system import check_certificate
 from .verifier import verify_factorization
 

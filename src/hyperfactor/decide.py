@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .combinatorics import LevelSet, binomial, check_ground, check_range
+from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, check_ground, check_range
 from .constructors import (
     Block,
     Realization,
@@ -37,7 +37,7 @@ from .constructors import (
 )
 from .errors import InvariantViolation, LimitExceeded, NotFactorableError, SearchLimitExceeded
 from .factorization import Factorization
-from .flow import DEFAULT_MAX_GROUND, StepRecord, check_evolution_size, run as flow_run
+from .flow import StepRecord, run as flow_run
 from .linear_system import (
     FarkasCertificate,
     SolutionVector,
@@ -206,6 +206,12 @@ def _witnessed(n: int, levels: LevelSet, solution: SolutionVector, reason: str) 
 
 TraceFn = Callable[[StepRecord], None]
 
+#: Refuse evolutions beyond this ground size unless explicitly raised; each of
+#: the n steps routes all M = sum of C(n-1, j-1) partitions, and M grows quickly
+#: with n (construct(17, 6) routes 6,885 in each of 18 steps).  M = 1 (levels
+#: {1} or {n}) is n one-arc steps at any n, so the limit skips it.
+DEFAULT_MAX_GROUND = 18
+
 
 def plan(n: int, levels: LevelSet) -> list[Block]:
     """The blocks of the FACTORABLE verdict on (n, levels), in print order.
@@ -225,6 +231,21 @@ def plan(n: int, levels: LevelSet) -> list[Block]:
     return list(verdict.blocks)
 
 
+def check_evolution_size(n: int, partitions: int, max_ground_size: int) -> None:
+    """Refuse, with LimitExceeded, an evolution on n elements past the bit-mask
+    cap, or of more than one partition past the work limit max_ground_size."""
+    if n > MAX_GROUND_SIZE:
+        raise LimitExceeded(
+            f"ground size {n} exceeds the {MAX_GROUND_SIZE}-element bit-mask cap of the "
+            "evolution engine; no max_ground_size can lift it"
+        )
+    if partitions > 1 and n > max_ground_size:
+        raise LimitExceeded(
+            f"ground size {n} exceeds the evolution work limit {max_ground_size}; "
+            "raise max_ground_size explicitly to proceed"
+        )
+
+
 def construct(
     n: int,
     k: int | None = None,
@@ -236,9 +257,10 @@ def construct(
     """Build and fully verify a factorization, or raise NotFactorableError.
 
     Exactly one of k (full range {1..k}) and levels may be given.  Before any
-    flow runs, the widest flow or lift block (largest ground, then most
-    partitions) is checked against the evolution limits and the family
-    against the verifier's; either raises LimitExceeded.
+    flow runs, each flow and lift block, in the order they run, is checked
+    against the evolution limits, then the family against the verifier's;
+    either raises LimitExceeded.  The result is verified as a factorization
+    of the levels asked for, so a block the plan lost cannot pass.
     """
     check_ground(n)
     if (k is None) == (levels is None):
@@ -247,33 +269,29 @@ def construct(
         check_range(n, k)
         levels = LevelSet.full(k)
     blocks = plan(n, levels)
-    flows = [b for b in blocks if b.realization is not Realization.COMPLEMENT_PAIRS]
-    if flows:
-        check_evolution_size(*max((b.n, sum(b.solution.values())) for b in flows), max_ground_size)
+    for b in reversed(blocks):
+        if b.realization is not Realization.COMPLEMENT_PAIRS:
+            check_evolution_size(b.n, sum(b.solution.values()), max_ground_size)
     check_verify_size(n, levels.levels)
-    fact = _realize(n, blocks, max_ground_size, trace)
+    fact = Factorization(n, levels.levels, _realize(n, blocks, trace))
     problems = verify_factorization(fact)
     if problems:
         raise InvariantViolation(f"constructed factorization failed verification: {problems[:3]}")
     return fact
 
 
-def _realize(
-    n: int, blocks: list[Block], max_ground_size: int, trace: TraceFn | None
-) -> Factorization:
-    """Fold the blocks from the last one, the only one that may lift to n + 1.
-    Each block but complement pairs is a flow run (projected for a lift), and
-    its factors go before those of the later blocks; complement pairs go after."""
-    fact = Factorization(n, (), ())
+def _realize(n: int, blocks: list[Block], trace: TraceFn | None) -> tuple[tuple[int, ...], ...]:
+    """The factors of the blocks, folded from the last one, the only one that
+    may lift to n + 1.  Each block but complement pairs is a flow run
+    (projected for a lift), and its factors go before those of the later
+    blocks; complement pairs go after."""
+    factors: tuple[tuple[int, ...], ...] = ()
     for block in reversed(blocks):
         if block.realization is Realization.COMPLEMENT_PAIRS:
-            fact = extend_by_complements(fact, block.levels)
+            factors = extend_by_complements(Factorization(n, (), factors), block.levels).factors
             continue
-        head = flow_run(
-            block.n, block.levels, block.solution, max_ground_size=max_ground_size, trace=trace
-        )
+        head = flow_run(block.n, block.levels, block.solution, trace=trace)
         if block.realization is Realization.LIFT:
             head = project_lift(head)
-        levels = tuple(sorted(set(head.levels) | set(fact.levels)))
-        fact = Factorization(n, levels, head.factors + fact.factors)
-    return fact
+        factors = head.factors + factors
+    return factors

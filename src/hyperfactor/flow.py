@@ -56,17 +56,10 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, canonical_key
-from .errors import InvariantViolation, LimitExceeded
+from .combinatorics import LevelSet, binomial, canonical_key
+from .errors import InvariantViolation
 from .factorization import Factorization
 from .linear_system import SolutionVector, solution_residual
-
-#: Refuse evolutions beyond this ground size unless explicitly raised; each of
-#: the n steps routes all M = sum of C(n-1, j-1) partitions, and M grows quickly
-#: with n (construct(17, 6) routes 6,885 in each of 18 steps).  M = 1 (levels
-#: {1} or {n}) is n one-arc steps at any n, so the limit skips it.
-DEFAULT_MAX_GROUND = 18
-
 
 #: the parts of a partition as (bit-set, potential) pairs; potentials never change
 Parts = tuple[tuple[int, int], ...]
@@ -455,31 +448,16 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
     return new_state
 
 
-def check_evolution_size(n: int, partitions: int, max_ground_size: int) -> None:
-    """Refuse, with LimitExceeded, an evolution on n elements past the bit-mask
-    cap, or of more than one partition past the work limit max_ground_size."""
-    if n > MAX_GROUND_SIZE:
-        raise LimitExceeded(
-            f"ground size {n} exceeds the {MAX_GROUND_SIZE}-element bit-mask cap of the "
-            "evolution engine; no max_ground_size can lift it"
-        )
-    if partitions > 1 and n > max_ground_size:
-        raise LimitExceeded(
-            f"ground size {n} exceeds the evolution work limit {max_ground_size}; "
-            "raise max_ground_size explicitly to proceed"
-        )
-
-
 def run(
     n: int,
     levels: LevelSet,
     solution: SolutionVector,
     *,
-    max_ground_size: int = DEFAULT_MAX_GROUND,
     trace: Callable[[StepRecord], None] | None = None,
 ) -> Factorization:
-    """Full evolution to a factorization: at ell = n the audit admits only complete parts."""
-    check_evolution_size(n, sum(solution.values()), max_ground_size)
+    """Full evolution to a factorization: at ell = n the audit admits only
+    complete parts.  init_state checks the input; no size limit applies here,
+    construct checks its blocks against the work limit before any runs."""
     state = init_state(n, levels, solution)
     for _ in range(n):
         state = evolve_step(state)

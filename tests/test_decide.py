@@ -12,13 +12,21 @@ from hyperfactor.constructors import (
     Block,
     Realization,
     construct_general_L_div,
-    construct_minus1,
 )
 import hyperfactor.decide as decide_module
-from hyperfactor.decide import Status, _realize, construct, decide, decide_general, plan
+from hyperfactor.decide import (
+    DEFAULT_MAX_GROUND,
+    Status,
+    _realize,
+    check_evolution_size,
+    construct,
+    decide,
+    decide_general,
+    plan,
+)
 from hyperfactor.cli import main
 from hyperfactor.factorization import Factorization
-from hyperfactor.flow import DEFAULT_MAX_GROUND, run
+from hyperfactor.flow import run
 import hyperfactor.linear_system as linear_system
 from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
 from hyperfactor.fileformat import write_factorization
@@ -343,22 +351,49 @@ def test_realize_puts_a_top_block_before_its_sub_range():
     the same join runs here on a small top block: level 4 of [12] over 1..3."""
     four = LevelSet.of([4])
     top = Block(12, four, construct_general_L_div(12, four), Realization.FLOW)
-    fact = _realize(12, [top] + plan(12, LevelSet.full(3)), DEFAULT_MAX_GROUND, None)
-    assert fact.levels == (1, 2, 3, 4)
+    fact = Factorization(12, (1, 2, 3, 4), _realize(12, [top] + plan(12, LevelSet.full(3)), None))
     assert verify_factorization(fact) == []
     n_top = binomial(12, 4) // 3
     assert all(len(factor) == 3 for factor in fact.factors[:n_top])
     assert len(fact.factors) == n_top + len(construct(12, 3).factors)
 
 
-def test_realize_refuses_a_lift_before_any_flow():
-    """A flow block on 11 ahead of a lift to 12: the lift is built first, so
-    the work limit 11 refuses the blocks before any flow step runs."""
-    whole = Block(11, LevelSet.of([11]), {(0,) * 10 + (1,): 1}, Realization.FLOW)
+def test_construct_refuses_a_lift_before_any_flow():
+    """(11, {1..3}) is a flow block on 11 ahead of a lift to 12: the lift is
+    built first, so the work limit 11 refuses the blocks before any flow
+    step runs."""
+    assert [b.n for b in plan(11, LevelSet.full(3))][-1] == 12
     records = []
     with pytest.raises(LimitExceeded, match="ground size 12 exceeds the evolution work limit 11"):
-        _realize(11, [whole, *construct_minus1(11, 3)], 11, records.append)
+        construct(11, 3, max_ground_size=11, trace=records.append)
     assert records == []
+
+
+def test_check_evolution_size():
+    """The work limit refuses more than one partition past max_ground_size;
+    one partition is n one-arc steps, so the limit skips it, but never the
+    64-element bit-mask cap."""
+    with pytest.raises(LimitExceeded, match="ground size 19 exceeds the evolution work limit 18"):
+        check_evolution_size(19, 2, DEFAULT_MAX_GROUND)
+    with pytest.raises(LimitExceeded, match="ground size 5 exceeds the evolution work limit 4"):
+        check_evolution_size(5, 2, 4)
+    # the override direction also works
+    check_evolution_size(5, 2, 5)
+    for n in (19, 5):
+        check_evolution_size(n, 1, 4)
+    with pytest.raises(LimitExceeded, match="exceeds the 64-element bit-mask cap"):
+        check_evolution_size(65, 1, 64)
+
+
+def test_a_lost_block_fails_the_check_against_the_levels_asked(monkeypatch):
+    """The last block of (16, {1..14}) is the n singletons.  A plan that
+    loses it still makes a valid factorization of levels 2..14, so only a
+    check against the levels asked for refuses it."""
+    blocks = plan(16, LevelSet.full(14))
+    assert blocks[-1].levels.levels == (1,) and sum(blocks[-1].solution.values()) == 1
+    monkeypatch.setattr(decide_module, "plan", lambda n, levels: blocks[:-1])
+    with pytest.raises(InvariantViolation, match="level 1: 0 distinct sets appear, expected 16"):
+        construct(16, 14)
 
 
 def test_construct_sweep_small():

@@ -17,7 +17,7 @@ from hyperfactor.constructors import (
     construct_general_L_div,
 )
 from hyperfactor.decide import Status, construct, decide, plan
-from hyperfactor.errors import InvariantViolation, LimitExceeded, NotFactorableError
+from hyperfactor.errors import InvariantViolation, NotFactorableError
 from hyperfactor.fileformat import write_factorization
 from hyperfactor.flow import (
     EvolutionState,
@@ -202,29 +202,6 @@ def test_the_audit_refuses_a_flow_one_unit_short(monkeypatch):
 
     message = _refused_flow(monkeypatch, dropped_a_unit)
     assert message == "step 2: occurrence (0x1, potential 3) appears 5 times, expected 6"
-
-
-def _singletons_and_whole_set(n):
-    """The two-partition solution on levels {1, n}: the n singletons, and {1..n}."""
-    return {(n,) + (0,) * (n - 1): 1, (0,) * (n - 1) + (1,): 1}
-
-
-def test_run_ground_size_limit():
-    with pytest.raises(LimitExceeded):
-        run(19, LevelSet.of([1, 19]), _singletons_and_whole_set(19))
-    with pytest.raises(LimitExceeded):
-        run(5, LevelSet.of([1, 5]), _singletons_and_whole_set(5), max_ground_size=4)
-    # the override direction also works
-    fact = run(5, LevelSet.of([1, 5]), _singletons_and_whole_set(5), max_ground_size=5)
-    assert sorted(map(len, fact.factors)) == [1, 5]
-    # one partition is n one-arc steps, so the work limit skips it
-    for n, levels, solution in [
-        (19, [1], {(19,): 1}),
-        (5, [1], {(5,): 1}),
-        (19, [19], {(0,) * 18 + (1,): 1}),
-    ]:
-        fact = run(n, LevelSet.of(levels), solution, max_ground_size=4)
-        assert len(fact.factors) == 1 and len(fact.factors[0]) == n // levels[0]
 
 
 def _first_census_error(state):

@@ -3,7 +3,8 @@
 import pytest
 
 from hyperfactor.combinatorics import LevelSet, binomial, full_mask, masks_of_size
-from hyperfactor.constructors import construct_div
+from hyperfactor.constructors import Realization, construct_div
+from hyperfactor.decide import decide
 from hyperfactor.factorization import Factorization, sort_factor
 from hyperfactor.flow import run
 from hyperfactor.errors import InvariantViolation
@@ -163,14 +164,34 @@ def test_project_lift_odd_levels():
     assert verify_factorization(fact) == []
 
 
-def test_project_lift_rejects_consecutive_levels():
-    fact = _inner_6()
-    with pytest.raises(ValueError):
-        project_lift(fact)
+def _strip_top_then_build(lifted: Factorization) -> Factorization:
+    """The projection rebuilt from scratch: each factor's holder of the top
+    element n loses it and goes to the end, then Factorization.build sorts
+    every factor again."""
+    n = lifted.n
+    bit = 1 << (n - 1)
+    factors = []
+    for factor in lifted.factors:
+        (holder,) = [m for m in factor if m & bit]
+        rest = [m for m in factor if not m & bit]
+        if holder ^ bit:
+            rest.append(holder ^ bit)
+        factors.append(rest)
+    levels = sorted({*lifted.levels} | {s - 1 for s in lifted.levels if s > 1})
+    return Factorization.build(n - 1, levels, factors)
 
 
-def test_project_lift_rejects_missing_element():
-    # element 4 never appears: not a partition, caught per factor
-    bogus = Factorization(4, (2,), ((0b0011, 0b0110),))
-    with pytest.raises(ValueError):
-        project_lift(bogus)
+def test_project_lift_matches_a_rebuild_on_every_planned_lift():
+    """Every lift block in the plans of the factorable full ranges with
+    n <= 16: removing the top element in place gives the same factorization
+    as stripping it and sorting each factor again."""
+    lifts = 0
+    for n in range(1, 17):
+        for k in range(1, n + 1):
+            for block in decide(n, k).blocks or ():
+                if block.realization is not Realization.LIFT:
+                    continue
+                lifted = run(block.n, block.levels, block.solution)
+                assert project_lift(lifted) == _strip_top_then_build(lifted), (n, k)
+                lifts += 1
+    assert lifts == 23
