@@ -23,7 +23,7 @@ from .fileformat import (
     load_text,
     parse_certificate,
     parse_factorization,
-    save_text,
+    save_factorization,
     write_factorization,
 )
 from .flow import StepRecord
@@ -80,12 +80,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     levels = _levels_of(args)
     trace = _trace_printer if args.trace else None
     fact = construct(args.n, levels=levels, max_ground_size=args.max_ground_size, trace=trace)
-    text = write_factorization(fact)
     if args.out:
-        save_text(text, args.out)
+        save_factorization(fact, args.out)
         print(f"wrote {len(fact.factors)} factors to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(write_factorization(fact))
     return 0
 
 
@@ -114,10 +113,13 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     text = load_text(args.file)
-    # a CRLF file is refused by the parser, which names the carriage returns
-    first = text.split("\n", 1)[0].removesuffix("\r")
+    # line 1 without a copy of the rest; a CRLF file is refused by the
+    # parser, which names the carriage returns
+    end = text.find("\n")
+    first = (text[:end] if end >= 0 else text).removesuffix("\r")
     if first == FACTORIZATION_MAGIC:
         fact = parse_factorization(text)
+        del text  # the verifier needs only the factors
         problems = verify_factorization(fact)
         if problems:
             for p in problems:

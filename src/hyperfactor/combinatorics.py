@@ -138,17 +138,24 @@ def set_decoder() -> Callable[[str], int]:
     KeyError for any other piece."""
     heads, tails = set_tables()
     head_of = {heads[b]: b for b in range(1, 1 << 9)}.get  # `{` alone is no head
-    tail_of = {tail: b << 9 for b, tail in enumerate(tails)}.get
+    # every tail but `}` opens with `,1`, which the cut takes off
+    tail_of = {tails[b][2:]: b << 9 for b in range(1, 1 << 7)}.get
+    # a set with no element in 10..16: its head and `}`
+    whole_of = {heads[b] + "}": b for b in range(1, 1 << 9)}.get
     element_bit = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND_SIZE + 1)}.__getitem__
 
     def set_mask(piece: str) -> int:
-        # element 1 can only come first, so `,1` opens the first element in
-        # 10..16; with none, find gives -1 and the tail is `}`
-        cut = piece.find(",1")
-        head, tail = head_of(piece[:cut]), tail_of(piece[cut:])
+        # element 1 can only come first, so `,1` opens the first element in 10..16
+        head, cut, tail = piece.partition(",1")
         # a hit is canonical: each half spells its elements ascending, and 1..9 precede 10..16
-        if head is not None and tail is not None:
-            return head | tail
+        if cut:
+            low, high = head_of(head), tail_of(tail)
+            if low is not None and high is not None:
+                return low | high
+        else:
+            low = whole_of(head)
+            if low is not None:
+                return low
         # no element below 10, one beyond 16, or no canonical spelling at all;
         # a repeated element can carry the sum past bit 64, which set_text refuses
         mask = sum(map(element_bit, piece[1:-1].split(",")))

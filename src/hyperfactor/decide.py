@@ -288,7 +288,7 @@ def _realize(n: int, blocks: list[Block], trace: TraceFn | None) -> tuple[tuple[
     factors: tuple[tuple[int, ...], ...] = ()
     for block in reversed(blocks):
         if block.realization is Realization.COMPLEMENT_PAIRS:
-            factors = extend_by_complements(Factorization(n, (), factors), block.levels).factors
+            factors += extend_by_complements(n, block.levels)
             continue
         head = flow_run(block.n, block.levels, block.solution, trace=trace)
         if block.realization is Realization.LIFT:

@@ -11,6 +11,15 @@ n=<N> levels=<l1,l2,...>
 FARKAS v1
 n=<N> levels=<l1,l2,...>
 p/q p/q ...                      k exact rationals, space-separated
+
+A factorization file lists every set of its family, up to the verifier's cap
+of 5,000,000, so neither direction holds a whole-file list of lines.  The
+writer spells the text _WRITE_BATCH factor lines at a time: save_factorization
+writes each batch to the file as it comes, and write_factorization joins them.
+The reader holds the text and the factors it has decoded, plus one batch of
+about _READ_BATCH characters, cut at a newline, with that batch's lines and
+masks.  Only a text it refuses is split into all its lines, to name the
+first fault.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import lt
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .combinatorics import MAX_GROUND_SIZE, LevelSet, set_decoder, set_text
 from .errors import FormatError
@@ -33,15 +42,37 @@ _HEADER_RE = re.compile(r"^n=(\d+) levels=((?:\d+(?:,\d+)*)?)$", re.ASCII)
 _SET_RE = re.compile(r"^\{(\d+(?:,\d+)*)\}$", re.ASCII)
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$", re.ASCII)  # no zero denominator
 
+#: factor lines the writer spells per batch
+_WRITE_BATCH = 1024
+#: characters of factor lines the reader decodes per batch; a batch runs on
+#: to the end of the line it reaches this count in
+_READ_BATCH = 1 << 15
+
 
 def _header(n: int, levels: tuple[int, ...]) -> str:
     return f"n={n} levels={','.join(map(str, levels))}"
 
 
+def _factorization_batches(fact: Factorization) -> Iterator[str]:
+    """The text of fact in pieces that each end a line: the magic and the
+    header, then the factor lines, _WRITE_BATCH at a time."""
+    yield f"{FACTORIZATION_MAGIC}\n{_header(fact.n, fact.levels)}\n"
+    factors = fact.factors
+    for start in range(0, len(factors), _WRITE_BATCH):
+        batch = factors[start:start + _WRITE_BATCH]
+        lines = [" | ".join(map(set_text, factor)) for factor in batch]
+        lines.append("")  # the last line's newline
+        yield "\n".join(lines)
+
+
 def write_factorization(fact: Factorization) -> str:
-    lines = [FACTORIZATION_MAGIC, _header(fact.n, fact.levels)]
-    lines.extend(" | ".join(map(set_text, factor)) for factor in fact.factors)
-    return "\n".join(lines) + "\n"
+    return "".join(_factorization_batches(fact))
+
+
+def save_factorization(fact: Factorization, path: str) -> None:
+    """Write the text of fact to path a batch at a time; the whole text is never held."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_factorization_batches(fact))
 
 
 def _number(digits: str, no: int) -> int:
@@ -53,15 +84,22 @@ def _number(digits: str, no: int) -> int:
         raise FormatError(f"line {no}: number too long ({len(digits)} digits)") from None
 
 
-def _split_lines(text: str, magic: str) -> list[str]:
+def _after_magic(text: str, magic: str) -> int:
+    """The index just past line 1, once text has LF endings, a trailing
+    newline and magic as line 1."""
     if "\r" in text:
         raise FormatError("carriage returns are not allowed (LF endings only)")
     if not text.endswith("\n"):
         raise FormatError("missing trailing newline")
-    lines = text.split("\n")[:-1]
-    if not lines or lines[0] != magic:
+    end = text.find("\n")
+    if end != len(magic) or not text.startswith(magic):
         raise FormatError(f"line 1: expected {magic!r}")
-    return lines
+    return end + 1
+
+
+def _split_lines(text: str, magic: str) -> list[str]:
+    _after_magic(text, magic)
+    return text.split("\n")[:-1]
 
 
 def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
@@ -105,27 +143,54 @@ def _raise_first_error(lines: list[str], n: int) -> NoReturn:
     raise FormatError("factorization text is not in canonical form")
 
 
+def _line_batches(text: str, start: int) -> Iterator[list[str]]:
+    """The lines of text from index start, where a line begins, a list at a
+    time.  A batch ends at the first newline at least _READ_BATCH - 1
+    characters past its start (the text ends in one), so it holds one line
+    or more, and a _READ_BATCH of 1 gives one line per batch."""
+    last = len(text) - 1
+    while start <= last:
+        end = text.find("\n", min(start + _READ_BATCH - 1, last))
+        yield text[start:end].split("\n")
+        start = end + 1
+
+
+def _decode_factors(text: str, start: int, n: int) -> list[tuple[int, ...]] | None:
+    """The factors spelled by the lines of text from index start, or None
+    when a piece is not the canonical spelling of a mask, a line's sets are
+    not ordered by minimum element, or a set has an element beyond n."""
+    set_mask = set_decoder()
+    factors: list[tuple[int, ...]] = []
+    for lines in _line_batches(text, start):
+        try:
+            batch = [tuple(map(set_mask, line.split(" | "))) for line in lines]
+        except KeyError:
+            return None
+        masks = list(chain.from_iterable(batch))
+        lows = [mask & -mask for mask in masks]
+        rises = list(map(lt, lows, lows[1:]))
+        for end in accumulate(map(len, batch[:-1])):
+            rises[end - 1] = True  # a line's first set may lie below the line before's last
+        if not all(rises) or max(masks) >> n:
+            return None
+        factors.extend(batch)
+    return factors
+
+
 def parse_factorization(text: str) -> Factorization:
     """The factorization a canonical text spells.  Each piece decodes only as
     the canonical spelling of its mask, the header is compared with its own,
-    and _split_lines fixes the rest, so an accepted text is its re-write."""
-    lines = _split_lines(text, FACTORIZATION_MAGIC)
-    if len(lines) < 2:
+    and _after_magic fixes the rest, so an accepted text is its re-write."""
+    start = _after_magic(text, FACTORIZATION_MAGIC)
+    end = text.find("\n", start)
+    if end < 0:
         raise FormatError("line 2: missing header")
-    n, levels = _parse_header(lines[1])
-    set_mask = set_decoder()
-    try:
-        factors = [tuple(map(set_mask, line.split(" | "))) for line in lines[2:]]
-    except KeyError:
-        _raise_first_error(lines[2:], n)
-    masks = list(chain.from_iterable(factors))
-    lows = [mask & -mask for mask in masks]
-    rises = list(map(lt, lows, lows[1:]))
-    for end in accumulate(map(len, factors[:-1])):
-        rises[end - 1] = True  # a line's first set may lie below the line before's last
-    if all(rises) and not max(masks, default=0) >> n and lines[1] == _header(n, levels):
-        return Factorization(n, levels, tuple(factors))
-    _raise_first_error(lines[2:], n)
+    header = text[start:end]
+    n, levels = _parse_header(header)
+    factors = _decode_factors(text, end + 1, n) if header == _header(n, levels) else None
+    if factors is None:
+        _raise_first_error(text.split("\n")[2:-1], n)
+    return Factorization(n, levels, tuple(factors))
 
 
 def write_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> str:

@@ -2,11 +2,11 @@
 
 For n/2 <= k <= n-1 the instance on levels {1..k} splits: sizes n-k .. k are
 covered by the factors {S, complement(S)}, and what remains is exactly the
-full-range instance on levels {1..n-k-1}.  extend_by_complements appends
-those pairs to a factorization of the rest; the converse repair, which pairs
-off the middle sizes of any factorization, is the tests' oracle of the
-reduction.  project_lift removes the top element of a ground set, the inverse
-of solving on a one-larger ground set.
+full-range instance on levels {1..n-k-1}.  extend_by_complements spells
+those pairs, which go after a factorization of the rest; the converse
+repair, which pairs off the middle sizes of any factorization, is the tests'
+oracle of the reduction.  project_lift removes the top element of a ground
+set, the inverse of solving on a one-larger ground set.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ from .combinatorics import LevelSet, full_mask, masks_of_size
 from .factorization import Factorization
 
 
-def extend_by_complements(fact: Factorization, levels: LevelSet) -> Factorization:
-    """Append the factors {S, complement(S)} with |S| in levels.
+def extend_by_complements(n: int, levels: LevelSet) -> tuple[tuple[int, ...], ...]:
+    """The factors {S, complement(S)} with |S| in levels, over {1..n}.
 
     levels must hold n - s for each of its sizes s; a pair with 2s < n comes
-    from its size s, and a middle pair once.  The result covers fact's levels
-    and levels.  Nothing is checked here: construct checks the family's size
-    before any block is realized and verifies the whole result at the end.
+    from its size s, and a middle pair once.  Nothing is checked here:
+    construct checks the family's size before any block is realized and
+    verifies the whole result at the end.
     """
-    n = fact.n
     full = full_mask(n)
     pairs: list[tuple[int, ...]] = []
     # the set holding element 1 has the smaller minimum, so it comes first
@@ -36,8 +35,7 @@ def extend_by_complements(fact: Factorization, levels: LevelSet) -> Factorizatio
         for mask in masks_of_size(n, n // 2):
             if mask & 1:
                 pairs.append((mask, full ^ mask))
-    covered = tuple(sorted({*fact.levels, *levels}))
-    return Factorization(n, covered, fact.factors + tuple(pairs))
+    return tuple(pairs)
 
 
 def project_lift(fact: Factorization) -> Factorization:

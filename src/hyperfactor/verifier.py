@@ -4,10 +4,18 @@ verify_factorization re-derives every property from scratch: each factor must
 partition the ground set into sets of allowed sizes, and across all factors
 each allowed-size subset must appear exactly once.  It returns a list of
 human-readable violations, empty when the factorization is genuine.
+
+A genuine factorization is accepted by a few passes that run in C and hold
+one list of the masks, sorted in place (see _is_factorization).  Only a
+factorization that fails them goes through _violations, which keeps a dict
+from each set to its factor to name every fault.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, islice
+from operator import lt
 from typing import Iterable
 
 from .combinatorics import MAX_GROUND_SIZE, binomial, full_mask, masks_of_size, set_text
@@ -28,9 +36,38 @@ def check_verify_size(n: int, levels: Iterable[int]) -> None:
 
 def verify_factorization(fact: Factorization) -> list[str]:
     """Check every defining property; return all violations found (max ~20)."""
+    check_verify_size(fact.n, fact.levels)
+    return [] if _is_factorization(fact) else _violations(fact)
+
+
+def _is_factorization(fact: Factorization) -> bool:
+    """Whether fact is genuine.  The masks, all positive and distinct, count
+    C(n, j) sets of each size j in the levels and none of any other size, so
+    they are every set of the family if they are subsets of {1..n}; they
+    are, since each factor sums to the full mask.  Their sizes then add up
+    to at most n times the factor count (less only if a level is listed
+    twice), while each factor's sizes add up to at least n, the size of its
+    sum, with equality only when its sets are disjoint; so each factor is a
+    partition of {1..n}."""
+    n, factors = fact.n, fact.factors
+    if len(factors) != sum(binomial(n - 1, j - 1) for j in fact.levels):
+        return False
+    full = full_mask(n)
+    if not all(map(full.__eq__, map(sum, factors))):
+        return False
+    masks = list(chain.from_iterable(factors))
+    masks.sort()
+    return (
+        (not masks or masks[0] > 0)
+        and all(map(lt, masks, islice(masks, 1, None)))
+        and Counter(map(int.bit_count, masks)) == {j: binomial(n, j) for j in fact.levels}
+    )
+
+
+def _violations(fact: Factorization) -> list[str]:
+    """Every violation of fact, found set by set (max ~20)."""
     n = fact.n
     levels = set(fact.levels)
-    check_verify_size(n, fact.levels)
     problems: list[str] = []
     full = full_mask(n)
     seen: dict[int, int] = {}

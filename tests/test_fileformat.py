@@ -14,6 +14,7 @@ from hyperfactor.combinatorics import (
     set_tables,
     set_text,
 )
+from hyperfactor import fileformat
 from hyperfactor.decide import construct
 from hyperfactor.errors import FormatError
 from hyperfactor.factorization import Factorization
@@ -25,6 +26,7 @@ from hyperfactor.fileformat import (
     load_text,
     parse_certificate,
     parse_factorization,
+    save_factorization,
     save_text,
     write_certificate,
     write_factorization,
@@ -373,6 +375,36 @@ def _outcome(parse, text):
 @given(_edited(_factorization_texts()))
 def test_parser_matches_the_reference(text):
     assert _outcome(parse_factorization, text) == _outcome(_reference_parse_factorization, text)
+
+
+#: read batch sizes of one line and of a few characters, whose batches end
+#: inside a line and run on to its end, beside the reader's own
+READ_BATCHES = (1, 2, 7, fileformat._READ_BATCH)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_edited(_factorization_texts()))
+def test_reader_outcome_does_not_depend_on_the_batch_size(text):
+    outcomes = set()
+    for size in READ_BATCHES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileformat, "_READ_BATCH", size)
+            outcomes.add(repr(_outcome(parse_factorization, text)))
+    assert len(outcomes) == 1, outcomes
+
+
+def test_batches_of_any_size_write_and_read_the_same_text(tmp_path):
+    fact = construct(14, 13)  # 8,191 factors: eight whole write batches and part of a ninth
+    text = write_factorization(fact)
+    path = str(tmp_path / "f.txt")
+    save_factorization(fact, path)
+    assert load_text(path) == text
+    for size in (1, 2, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileformat, "_WRITE_BATCH", size)
+            mp.setattr(fileformat, "_READ_BATCH", size)
+            assert write_factorization(fact) == text
+            assert parse_factorization(text) == fact
 
 
 def test_round_trip_through_every_table_row():

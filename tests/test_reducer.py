@@ -66,8 +66,14 @@ def _is_pair(n: int, factor: tuple[int, ...]) -> bool:
     return len(factor) == 2 and factor[0] ^ factor[1] == full_mask(n)
 
 
+def _extended(fact: Factorization, levels: LevelSet) -> Factorization:
+    """fact followed by the complement pairs of levels, on the levels of both."""
+    covered = tuple(sorted({*fact.levels, *levels}))
+    return Factorization(fact.n, covered, fact.factors + extend_by_complements(fact.n, levels))
+
+
 def test_extend_by_complements_6_3():
-    ext = extend_by_complements(_inner_6(), LevelSet.of([3]))
+    ext = _extended(_inner_6(), LevelSet.of([3]))
     assert ext.n == 6 and ext.levels == (1, 2, 3)
     assert len(ext.factors) == 6 + 10
     assert sum(_is_pair(6, f) for f in ext.factors) == 10
@@ -76,7 +82,7 @@ def test_extend_by_complements_6_3():
 
 def test_extend_by_complements_from_empty():
     empty = Factorization(5, (), ())
-    ext = extend_by_complements(empty, LevelSet.full(4))
+    ext = _extended(empty, LevelSet.full(4))
     assert ext.levels == (1, 2, 3, 4)
     assert len(ext.factors) == 15
     assert all(_is_pair(5, f) for f in ext.factors)
@@ -85,7 +91,7 @@ def test_extend_by_complements_from_empty():
     # gives; the pairs follow the size of their smaller set, then its colex
     # order, and a middle pair counts the half holding element 1
     for n in range(2, 13):
-        factors = extend_by_complements(Factorization(n, (), ()), LevelSet.full(n - 1)).factors
+        factors = extend_by_complements(n, LevelSet.full(n - 1))
         assert len(factors) == 2 ** (n - 1) - 1
         assert all(f == sort_factor(f) and f[0] & 1 for f in factors)
         smaller = [min(f, key=lambda mask: (mask.bit_count(), not mask & 1)) for f in factors]
@@ -93,7 +99,7 @@ def test_extend_by_complements_from_empty():
 
 
 def test_repair_fixed_point():
-    ext = extend_by_complements(_inner_6(), LevelSet.of([3]))
+    ext = _extended(_inner_6(), LevelSet.of([3]))
     paired, residue = repair_to_complement_paired(ext)
     assert paired == ext
     assert residue.levels == (1, 2)
@@ -102,7 +108,7 @@ def test_repair_fixed_point():
 
 
 def test_repair_empty_residue():
-    ext = extend_by_complements(Factorization(5, (), ()), LevelSet.full(4))
+    ext = _extended(Factorization(5, (), ()), LevelSet.full(4))
     paired, residue = repair_to_complement_paired(ext)
     assert paired == ext
     assert residue.factors == () and residue.levels == ()
@@ -130,7 +136,7 @@ def _unshuffle(fact: Factorization) -> Factorization:
 
 
 def test_repair_restores_broken_pair():
-    ext = extend_by_complements(_inner_6(), LevelSet.of([3]))
+    ext = _extended(_inner_6(), LevelSet.of([3]))
     broken = _unshuffle(ext)
     assert verify_factorization(broken) == []  # still a valid factorization
     assert sum(_is_pair(6, f) for f in broken.factors) == 9

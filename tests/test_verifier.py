@@ -5,12 +5,12 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet
+from hyperfactor.combinatorics import LevelSet, elements_of
 from hyperfactor.decide import construct
 from hyperfactor.errors import LimitExceeded
 from hyperfactor.factorization import Factorization
 from hyperfactor.flow import run
-from hyperfactor.verifier import verify_factorization
+from hyperfactor.verifier import _violations, verify_factorization
 
 K4 = Factorization(
     4, (2,), ((0b0011, 0b1100), (0b0101, 0b1010), (0b1001, 0b0110))
@@ -129,3 +129,73 @@ def test_swapping_sets_between_factors_is_reported(data):
     fi, fj = list(fact.factors[i]), list(fact.factors[j])
     fi[a], fj[b] = fj[b], fi[a]
     assert verify_factorization(_replace(fact, {i: tuple(fi), j: tuple(fj)}))
+
+
+MUTATIONS = ("drop", "duplicate", "move", "swap", "empty", "beyond", "negative", "size", "level",
+             "copy", "repeat", "zero")
+
+
+def _mutated(data, fact: Factorization) -> Factorization:
+    """fact with one fault of a kind the data draws."""
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    n, levels = fact.n, fact.levels
+    factors = [list(f) for f in fact.factors]
+    i = data.draw(st.integers(0, len(factors) - 1))
+    j = data.draw(st.integers(0, len(factors[i]) - 1))
+    k = data.draw(st.integers(0, len(factors) - 1))
+    other = data.draw(st.integers(0, len(factors[k]) - 1))
+    mask = factors[i][j]
+    if kind == "drop":
+        del factors[i][j]
+    elif kind == "duplicate":
+        factors[i].append(factors[k][other])
+    elif kind == "move":  # an element of one set goes to another set, or to a new set
+        # a set that an earlier mutation emptied or negated gives element 1
+        bit = 1 << data.draw(st.sampled_from(elements_of(mask))) - 1 if mask > 0 else 1
+        factors[i][j] ^= bit
+        if (k, other) == (i, j):
+            factors[i].append(bit)
+        else:
+            factors[k][other] |= bit
+    elif kind == "swap":
+        factors[i][j], factors[k][other] = factors[k][other], mask
+    elif kind == "empty":
+        factors[i] = []
+    elif kind == "beyond":
+        factors[i][j] |= 1 << data.draw(st.integers(n, n + 70))
+    elif kind == "negative":
+        factors[i][j] = -mask
+    elif kind == "size":  # split a set in two, or merge it with the next one
+        low = mask & -mask
+        if mask != low:
+            factors[i][j:j + 1] = [low, mask ^ low]
+        elif j + 1 < len(factors[i]):
+            factors[i][j:j + 2] = [mask | factors[i][j + 1]]
+        else:
+            factors[i].append(mask)
+    elif kind == "level":
+        levels = levels + (data.draw(st.integers(n + 1, n + 3)),)
+    # each fault below keeps every factor a partition with the right sizes
+    elif kind == "copy":  # the sets of one factor twice, those of another not at all
+        factors[i] = list(factors[k])
+    elif kind == "repeat":  # a level listed twice
+        levels = levels + (levels[j % len(levels)],)
+    else:  # level 0 and the empty set in a factor
+        levels = (0,) + levels
+        factors[i].append(0)
+    return Factorization(n, levels, tuple(map(tuple, factors)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_verifier_says_what_the_fault_naming_loop_says(data):
+    """The passes that accept a genuine factorization let no fault through:
+    on a mutated one, verify_factorization returns the loop's list, empty
+    exactly when the loop finds nothing."""
+    fact = _valid(data.draw(st.integers(0, len(MUTATION_CASES) - 1)))
+    assert verify_factorization(fact) == _violations(fact) == []
+    for _ in range(data.draw(st.integers(1, 2))):
+        fact = _mutated(data, fact)
+        if not all(fact.factors):
+            break  # an emptied factor offers no set to mutate
+    assert verify_factorization(fact) == _violations(fact)
