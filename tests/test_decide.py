@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet, binomial, count_types
+from hyperfactor.combinatorics import LevelSet, binomial, canonical_key, count_types
 from hyperfactor.constructors import (
     Block,
     Realization,
@@ -260,6 +260,32 @@ def test_plan_solves_every_factorable_range():
                     assert levels in ((1,), (n,)), (n, k)
             assert covered == Counter(range(1, k + 1)), (n, k)
     assert 65 in grounds
+
+
+def test_every_factorable_range_has_pinned_blocks():
+    """The blocks of each FACTORABLE range (n, k), n <= 64, hashed one line per
+    block: range, ground, levels, realization and every type's multiplicity in
+    canonical order.  Any change to a closed form or the dispatch moves it."""
+    digest = hashlib.sha256()
+    ranges = 0
+    for n in range(1, 65):
+        for k in range(1, n + 1):
+            verdict = decide(n, k)
+            if verdict.status is not Status.FACTORABLE:
+                continue
+            ranges += 1
+            for b in verdict.blocks:
+                levels = ",".join(map(str, b.levels.levels))
+                line = f"{n} {k}|{b.n}|{levels}|{b.realization.value}|"
+                line += ";".join(
+                    ",".join(map(str, lam)) + f":{b.solution[lam]}"
+                    for lam in sorted(b.solution, key=canonical_key)
+                )
+                digest.update((line + "\n").encode())
+    assert ranges == 635
+    assert digest.hexdigest() == (
+        "8e7faa4834712fda8bea5249b017763482933de84d544bedb7447c87c3f91414"
+    )
 
 
 def test_near_divisible_remainder_must_be_factorable(monkeypatch, capsys):
