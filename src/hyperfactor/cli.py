@@ -20,11 +20,11 @@ from .errors import FormatError, LimitExceeded, NotFactorableError
 from .fileformat import (
     CERTIFICATE_MAGIC,
     FACTORIZATION_MAGIC,
+    dump_factorization,
     load_text,
     parse_certificate,
     parse_factorization,
     save_factorization,
-    write_factorization,
 )
 from .flow import StepRecord
 from .linear_system import check_certificate
@@ -79,12 +79,12 @@ def _trace_printer(record: StepRecord) -> None:
 def _cmd_construct(args: argparse.Namespace) -> int:
     levels = _levels_of(args)
     trace = _trace_printer if args.trace else None
-    fact = construct(args.n, levels=levels, max_ground_size=args.max_ground_size, trace=trace)
+    fact = construct(args.n, levels, max_ground_size=args.max_ground_size, trace=trace)
     if args.out:
         save_factorization(fact, args.out)
         print(f"wrote {len(fact.factors)} factors to {args.out}")
     else:
-        sys.stdout.write(write_factorization(fact))
+        dump_factorization(fact, sys.stdout)
     return 0
 
 

@@ -160,11 +160,11 @@ def construct_general_L_div(n: int, levels: LevelSet) -> SolutionVector | None:
 # residue k-1, full range
 
 
-def construct_minus1(n: int, k: int) -> list[Block]:
-    """Blocks for levels {1..k} when n = -1 (mod k), 2k < n, above threshold.
+def construct_minus1(n: int, k: int) -> Block:
+    """The top block for levels {1..k} when n = -1 (mod k), 2k < n, above threshold.
 
     Even k, and odd k well above the threshold, lift to n + 1 and cover the
-    whole range.  Otherwise (odd k, small offset t) one block covers the top
+    whole range.  Otherwise (odd k, small offset t) the block covers the top
     levels; the full range below its lowest level is left to the caller.
     """
     if k < 2 or 2 * k >= n or not _minus_one_ok(n, k):
@@ -172,14 +172,13 @@ def construct_minus1(n: int, k: int) -> list[Block]:
             f"(n={n}, k={k}) needs 2 <= k < n/2, n = -1 (mod k) and n above the threshold"
         )
     if k % 2 == 0:
-        return [_lift_block(n, LevelSet.of(range(2, k + 1, 2)))]
+        return _lift_block(n, LevelSet.of(range(2, k + 1, 2)))
     t = (n - (k * k - k - 2) // 2) // k
     if t >= (k - 3) // 2:
-        return [_lift_block(n, LevelSet.of(range(1, k + 1, 2)))]
+        return _lift_block(n, LevelSet.of(range(1, k + 1, 2)))
     if t == (k - 5) // 2:
-        return [_abc_block(n, k)]
-    tail = odd_tail_solution(k, t)
-    return [Block(n, tail.top_levels(), tail.solution(), Realization.FLOW)]
+        return _abc_block(n, k)
+    return _odd_tail_block(n, k, t)
 
 
 def _lift_block(n: int, lift_levels: LevelSet) -> Block:
@@ -209,56 +208,15 @@ def _abc_block(n: int, k: int) -> Block:
     return Block(n, top_levels, solution, Realization.FLOW)
 
 
-@dataclass(frozen=True)
-class OddTailSolution:
-    """Exact multiplicities for the top-level block, odd k, small offset t.
+def _odd_tail_block(n: int, k: int, t: int) -> Block:
+    """The top block for odd k, 0 <= t <= (k-7)/2 and n = (k^2-k-2)/2 + t*k.
 
-    Covers levels (k+2t+1)/2 .. k of the ground set of size
-    n = (k^2-k-2)/2 + t*k with four type shapes; the levels below form a
-    full-range sub-problem on the same ground set.  All the
-    bookkeeping quantities are exposed for auditing: x and y are the two
-    top-type multiplicities, a_i/b_i split the budgets of the shared lower
-    levels, and A, B are their index-weighted sums.
+    It covers levels (k+2t+1)/2 .. k with four type shapes; the levels below
+    form a full-range sub-problem on the same ground set.  x and y are the
+    two top-type multiplicities, a_i and b_i split the budgets of the shared
+    lower levels, and A, B are their index-weighted sums.
     """
-
-    n: int
-    k: int
-    t: int
-    m: int
-    x: int
-    y: int
-    A: int
-    B: int
-    a: tuple[int, ...]  # a_0 .. a_m
-    b: tuple[int, ...]  # b_1 .. b_m
-
-    def top_levels(self) -> LevelSet:
-        return LevelSet.of(range((self.k + 2 * self.t + 1) // 2, self.k + 1))
-
-    def solution(self) -> SolutionVector:
-        k, t, m = self.k, self.t, self.m
-        solution: SolutionVector = {}
-        if self.x:
-            solution[_unit_type(k, {k - 1: 1, k: (k - 3) // 2 + t})] = self.x
-        if self.a[0]:
-            solution[_unit_type(k, {k - 2: (k + 1) // 2, k: t})] = self.a[0]
-        for i in range(1, m + 1):
-            if self.a[i]:
-                solution[
-                    _unit_type(k, {k - 2 - i: 1, k - 2: (k - 1) // 2 - i, k - 1: i, k: t})
-                ] = self.a[i]
-            if self.b[i - 1]:
-                solution[
-                    _unit_type(k, {k - 2 - i: 2, k - 2: (k - 3) // 2 - i, k: t + i})
-                ] = self.b[i - 1]
-        return solution
-
-
-def odd_tail_solution(k: int, t: int) -> OddTailSolution:
-    """Compute the top-level block for odd k, 0 <= t <= (k-7)/2; its residual checks it."""
-    if k % 2 == 0 or k < 7 or not 0 <= t <= (k - 7) // 2:
-        raise ValueError(f"tail family needs odd k >= 7 and 0 <= t <= (k-7)/2, got k={k} t={t}")
-    n = (k * k - k - 2) // 2 + t * k
+    # construct_minus1 calls it only for odd k >= 7 and such t, n exact
     m = (k - 5) // 2 - t
     half = (k - 1) // 2 + t
 
@@ -278,22 +236,21 @@ def odd_tail_solution(k: int, t: int) -> OddTailSolution:
 
     a[1] = big_a - sum(i * a[i] for i in range(2, m + 1))
     b[1] = big_b - sum(i * b[i] for i in range(2, m + 1))
-    a0 = y - sum(a[i] + b[i] for i in range(1, m + 1))
+    a[0] = y - sum(a[i] + b[i] for i in range(1, m + 1))
 
-    tail = OddTailSolution(
-        n,
-        k,
-        t,
-        m,
-        x,
-        y,
-        big_a,
-        big_b,
-        (a0,) + tuple(a[i] for i in range(1, m + 1)),
-        tuple(b[i] for i in range(1, m + 1)),
-    )
-    _assert_solves(n, tail.top_levels(), tail.solution())
-    return tail
+    solution: SolutionVector = {}
+    if x:
+        solution[_unit_type(k, {k - 1: 1, k: (k - 3) // 2 + t})] = x
+    if a[0]:
+        solution[_unit_type(k, {k - 2: (k + 1) // 2, k: t})] = a[0]
+    for i in range(1, m + 1):
+        if a[i]:
+            solution[_unit_type(k, {k - 2 - i: 1, k - 2: (k - 1) // 2 - i, k - 1: i, k: t})] = a[i]
+        if b[i]:
+            solution[_unit_type(k, {k - 2 - i: 2, k - 2: (k - 3) // 2 - i, k: t + i})] = b[i]
+    top_levels = LevelSet.of(range((k + 2 * t + 1) // 2, k + 1))
+    _assert_solves(n, top_levels, solution)
+    return Block(n, top_levels, solution, Realization.FLOW)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, check_ground, check_range
+from .combinatorics import MAX_GROUND_SIZE, LevelSet, binomial, check_range
 from .constructors import (
     Block,
     Realization,
@@ -97,17 +97,18 @@ def decide(n: int, k: int) -> Verdict:
                 blocks=(Block(n, LevelSet.full(k), construct_div(n, k), Realization.FLOW),),
             )
         if _minus_one_ok(n, k):
-            blocks = construct_minus1(n, k)
-            if blocks[-1].realization is not Realization.LIFT:
+            top = construct_minus1(n, k)
+            blocks: tuple[Block, ...] = (top,)
+            if top.realization is not Realization.LIFT:
                 # the top block leaves the full range below its lowest level
-                rest = decide(n, blocks[-1].levels.levels[0] - 1).blocks
+                rest = decide(n, top.levels.levels[0] - 1).blocks
                 if rest is None:
                     raise InvariantViolation(f"(n={n}, k={k}): near-divisible remainder infeasible")
                 blocks += rest
             return Verdict(
                 Status.FACTORABLE,
                 f"near-divisible case: n = -1 (mod {k}) and n = {n} >= {_minus_one_threshold(k)}",
-                blocks=tuple(blocks),
+                blocks=blocks,
             )
         if n % k == 0:
             why = f"below the divisible threshold: n = {n} < k(k-2) = {k * (k - 2)}"
@@ -248,26 +249,20 @@ def check_evolution_size(n: int, partitions: int, max_ground_size: int) -> None:
 
 def construct(
     n: int,
-    k: int | None = None,
-    levels: LevelSet | None = None,
+    levels: LevelSet,
     *,
     max_ground_size: int = DEFAULT_MAX_GROUND,
     trace: TraceFn | None = None,
 ) -> Factorization:
-    """Build and fully verify a factorization, or raise NotFactorableError.
+    """Build and fully verify a factorization of (n, levels), or raise
+    NotFactorableError; LevelSet.full(k) asks for the range {1..k}.
 
-    Exactly one of k (full range {1..k}) and levels may be given.  Before any
-    flow runs, each flow and lift block, in the order they run, is checked
-    against the evolution limits, then the family against the verifier's;
-    either raises LimitExceeded.  The result is verified as a factorization
-    of the levels asked for, so a block the plan lost cannot pass.
+    plan checks n and levels.  Before any flow runs, each flow and lift
+    block, in the order they run, is checked against the evolution limits,
+    then the family against the verifier's; either raises LimitExceeded.
+    The result is verified as a factorization of the levels asked for, so a
+    block the plan lost cannot pass.
     """
-    check_ground(n)
-    if (k is None) == (levels is None):
-        raise ValueError("pass exactly one of k or levels")
-    if levels is None:
-        check_range(n, k)
-        levels = LevelSet.full(k)
     blocks = plan(n, levels)
     for b in reversed(blocks):
         if b.realization is not Realization.COMPLEMENT_PAIRS:

@@ -4,13 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import min_element
-
-
-def sort_factor(masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical in-factor order: by minimum element (masks are disjoint)."""
-    return tuple(sorted(masks, key=min_element))
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -25,6 +18,3 @@ class Factorization:
     levels: tuple[int, ...]
     factors: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def build(n: int, levels, factors) -> "Factorization":
-        return Factorization(n, tuple(levels), tuple(sort_factor(f) for f in factors))

@@ -14,8 +14,9 @@ p/q p/q ...                      k exact rationals, space-separated
 
 A factorization file lists every set of its family, up to the verifier's cap
 of 5,000,000, so neither direction holds a whole-file list of lines.  The
-writer spells the text _WRITE_BATCH factor lines at a time: save_factorization
-writes each batch to the file as it comes, and write_factorization joins them.
+writer spells the text _WRITE_BATCH factor lines at a time: dump_factorization
+writes each batch to a stream as it comes, save_factorization to a file, and
+write_factorization joins them.
 The reader holds the text and the factors it has decoded, plus one batch of
 about _READ_BATCH characters, cut at a newline, with that batch's lines and
 masks.  Only a text it refuses is split into all its lines, to name the
@@ -28,7 +29,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import lt
-from typing import Iterator, NoReturn
+from typing import Iterator, NoReturn, TextIO
 
 from .combinatorics import MAX_GROUND_SIZE, LevelSet, set_decoder, set_text
 from .errors import FormatError
@@ -69,10 +70,14 @@ def write_factorization(fact: Factorization) -> str:
     return "".join(_factorization_batches(fact))
 
 
+def dump_factorization(fact: Factorization, fh: TextIO) -> None:
+    """Write the text of fact to fh a batch at a time; the whole text is never held."""
+    fh.writelines(_factorization_batches(fact))
+
+
 def save_factorization(fact: Factorization, path: str) -> None:
-    """Write the text of fact to path a batch at a time; the whole text is never held."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_factorization_batches(fact))
+        dump_factorization(fact, fh)
 
 
 def _number(digits: str, no: int) -> int:
@@ -221,11 +226,6 @@ def parse_certificate(text: str) -> tuple[int, LevelSet, FarkasCertificate]:
     if write_certificate(n, levels, cert) != text:
         raise FormatError("certificate text is not in canonical form")
     return n, levels, cert
-
-
-def save_text(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def load_text(path: str) -> str:

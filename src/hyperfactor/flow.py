@@ -33,7 +33,7 @@ element ell+1, is the largest, so it moves to the end.  Occurrences are
 numbered in the same order, so a class's arcs are read off its parts,
 ascending, with no sort; a hand-built state with parts out of order gets
 its arcs in that order.  The order of the parts never reaches the output,
-because Factorization.build sorts each factor.
+because run sorts each factor by minimum element.
 
 The max flow is Dinic's, with its first phase done without a graph, as a
 pour: each class, in order, puts its multiplicity into its occurrences in
@@ -56,7 +56,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .combinatorics import LevelSet, binomial, canonical_key
+from .combinatorics import LevelSet, binomial, canonical_key, min_element
 from .errors import InvariantViolation
 from .factorization import Factorization
 from .linear_system import SolutionVector, solution_residual
@@ -463,5 +463,10 @@ def run(
         state = evolve_step(state)
         if trace is not None:
             trace(state.last_step)
-    factors = [[mask for mask, _ in parts] for parts, mult in state.classes for _ in range(mult)]
-    return Factorization.build(n, levels, factors)
+    # each factor in canonical order: its sets by minimum element
+    factors = tuple(
+        tuple(sorted([mask for mask, _ in parts], key=min_element))
+        for parts, mult in state.classes
+        for _ in range(mult)
+    )
+    return Factorization(n, levels.levels, factors)

@@ -8,19 +8,18 @@ import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from hyperfactor.combinatorics import LevelSet, binomial, enumerate_types
 from hyperfactor.constructors import (
     certificate_with_branch,
     construct_div,
     construct_minus1,
-    odd_tail_solution,
 )
 from hyperfactor.decide import Status, construct, decide
 from hyperfactor.fileformat import (
     load_text,
     parse_factorization,
-    save_text,
     write_factorization,
 )
 import hyperfactor.linear_system as linear_system
@@ -119,7 +118,7 @@ def test_c04_end_to_end_constructions():
     assert len(fact.factors) == binomial(3, 1)
 
     for n, k in [(6, 2), (12, 3), (11, 3), (6, 3), (8, 4), (5, 4)]:
-        fact = construct(n, k)
+        fact = construct(n, LevelSet.full(k))
         assert verify_factorization(fact) == [], (n, k)
         expected_m = sum(binomial(n - 1, j - 1) for j in range(1, k + 1))
         assert len(fact.factors) == expected_m, (n, k)
@@ -154,34 +153,56 @@ def test_c05_evolution_invariant_every_step():
 
     # the exact systems the pipeline solves for these two instances
     audit(12, LevelSet.full(3), construct_div(12, 3))
-    [lifted] = construct_minus1(11, 3)
+    lifted = construct_minus1(11, 3)
     audit(lifted.n, lifted.levels, lifted.solution)
     # and the pipeline itself completes on both
-    assert verify_factorization(construct(12, 3)) == []
-    assert verify_factorization(construct(11, 3)) == []
+    assert verify_factorization(construct(12, LevelSet.full(3))) == []
+    assert verify_factorization(construct(11, LevelSet.full(3))) == []
+
+
+def _type_of(k: int, entries: dict[int, int]) -> tuple[int, ...]:
+    """The type vector with entries[j] sets of size j."""
+    lam = [0] * k
+    for level, count in entries.items():
+        lam[level - 1] = count
+    return tuple(lam)
 
 
 def test_c06_odd_tail_identity_suite():
     """Criterion 6: for odd k in {7,9,11,13} and all 0 <= t <= (k-7)/2, the
-    tail-block quantities are non-negative integers satisfying the per-level
-    counting identities, re-derived here in exact arithmetic. < 10 s."""
+    tail-block quantities, read off the block by type shape, are non-negative
+    integers satisfying the per-level counting identities, re-derived here in
+    exact arithmetic. < 10 s."""
     start = time.perf_counter()
     for k in (7, 9, 11, 13):
         for t in range(0, (k - 7) // 2 + 1):
-            tail = odd_tail_solution(k, t)
-            n, m = tail.n, tail.m
-            assert n == (k * k - k - 2) // 2 + t * k
-            assert m == (k - 5) // 2 - t
-            values = (tail.x, tail.y, tail.A, tail.B) + tail.a + tail.b
-            assert all(isinstance(v, int) and v >= 0 for v in values)
-            a, b = tail.a, tail.b
+            n = (k * k - k - 2) // 2 + t * k
+            m = (k - 5) // 2 - t
+            block = construct_minus1(n, k)
+            assert block.n == n
+            assert block.levels == LevelSet.of(range((k + 2 * t + 1) // 2, k + 1))
+            x_shape = _type_of(k, {k - 1: 1, k: (k - 3) // 2 + t})
+            a_shapes = [_type_of(k, {k - 2: (k + 1) // 2, k: t})] + [
+                _type_of(k, {k - 2 - i: 1, k - 2: (k - 1) // 2 - i, k - 1: i, k: t})
+                for i in range(1, m + 1)
+            ]
+            b_shapes = [
+                _type_of(k, {k - 2 - i: 2, k - 2: (k - 3) // 2 - i, k: t + i})
+                for i in range(1, m + 1)
+            ]
+            # the four shapes and nothing else; a shape left out has multiplicity 0
+            assert set(block.solution) <= {x_shape, *a_shapes, *b_shapes}
+            x = block.solution.get(x_shape, 0)
+            a = tuple(block.solution.get(lam, 0) for lam in a_shapes)  # a_0 .. a_m
+            b = tuple(block.solution.get(lam, 0) for lam in b_shapes)  # b_1 .. b_m
+            assert all(isinstance(v, int) and v >= 0 for v in (x, *a, *b))
+            y = sum(a) + sum(b)
+            big_a = sum(i * a[i] for i in range(1, m + 1))
+            big_b = sum(i * b[i - 1] for i in range(1, m + 1))
             # level k-1: each partition of the x-shape holds one such set
-            assert tail.x + tail.A == binomial(n, k - 1)
+            assert x + big_a == binomial(n, k - 1)
             # level k
-            assert ((k - 3) // 2 + t) * tail.x + t * tail.y + tail.B == binomial(n, k)
-            # weighted sums defining A and B
-            assert tail.A == sum(i * a[i] for i in range(1, m + 1))
-            assert tail.B == sum(i * b[i - 1] for i in range(1, m + 1))
+            assert ((k - 3) // 2 + t) * x + t * y + big_b == binomial(n, k)
             # each shared lower level splits exactly between the two shapes
             for i in range(1, m + 1):
                 assert a[i] + 2 * b[i - 1] == binomial(n, k - 2 - i)
@@ -190,16 +211,15 @@ def test_c06_odd_tail_identity_suite():
             lhs += sum(((k - 1) // 2 - i) * a[i] for i in range(1, m + 1))
             lhs += sum(((k - 3) // 2 - i) * b[i - 1] for i in range(1, m + 1))
             assert lhs == binomial(n, k - 2)
-            # partition count, twice: as the shape total and in closed form
-            assert tail.y == sum(a) + sum(b)
+            # the partition count y of the shapes but x, in closed form
             half = (k - 1) // 2 + t
             closed = sum(
                 Fraction(k - 2 + 2 * t + i * half, n) * binomial(n, k - 2 - i)
                 for i in range(m + 1)
             )
-            assert closed == tail.y
+            assert closed == y
             # the whole block solves its level system exactly
-            assert solution_residual(n, tail.top_levels(), tail.solution()) == (0,) * k
+            assert solution_residual(n, block.levels, block.solution) == (0,) * k
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.1f} s (pin: 10 s)"
 
@@ -298,14 +318,14 @@ def test_c10_round_trip_file_format(tmp_path):
     """Criterion 10: construct -> write -> read -> verify OK, and
     re-serialization is byte-identical."""
     cases = [
-        construct(6, 3),
-        construct(11, 3),
+        construct(6, LevelSet.full(3)),
+        construct(11, LevelSet.full(3)),
         construct(12, levels=LevelSet.of([2, 4])),
     ]
     for idx, fact in enumerate(cases):
         text = write_factorization(fact)
         path = str(tmp_path / f"fact_{idx}.txt")
-        save_text(text, path)
+        Path(path).write_bytes(text.encode())
         loaded = load_text(path)
         assert loaded == text
         again = parse_factorization(loaded)

@@ -17,7 +17,7 @@ import hyperfactor.cli as cli
 from hyperfactor.cli import main
 from hyperfactor.errors import InvariantViolation
 from hyperfactor.combinatorics import LevelSet
-from hyperfactor.fileformat import parse_factorization, save_text
+from hyperfactor.fileformat import parse_factorization
 from hyperfactor.linear_system import FarkasCertificate, check_certificate
 from hyperfactor.verifier import verify_factorization
 
@@ -298,7 +298,7 @@ def test_types_streams_without_listing():
 
 def test_verify_certificate_file(capsys, tmp_path):
     path = str(tmp_path / "cert.txt")
-    save_text(CERT_7_3, path)
+    Path(path).write_bytes(CERT_7_3.encode())
     assert main(["verify", "--file", path]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "OK: certificate separates n=7 levels=1,2,3 (b . y = -21/2)"
@@ -316,7 +316,7 @@ def test_large_negative_verdicts_are_fast(capsys, tmp_path):
         y = capsys.readouterr().out
         path = str(tmp_path / f"cert_{n}.txt")
         levels = ",".join(map(str, range(1, k + 1)))
-        save_text(f"FARKAS v1\nn={n} levels={levels}\n{y}", path)
+        Path(path).write_bytes(f"FARKAS v1\nn={n} levels={levels}\n{y}".encode())
         assert main(["verify", "--file", path]) == 0
         assert capsys.readouterr().out.startswith(f"OK: certificate separates n={n} ")
     assert time.perf_counter() - start < 5
@@ -324,12 +324,12 @@ def test_large_negative_verdicts_are_fast(capsys, tmp_path):
 
 def test_verify_rejects_bad_certificates(capsys, tmp_path):
     row_bad = str(tmp_path / "row_bad.txt")
-    save_text(CERT_7_3.replace("2 1/2 -1", "2 1/2 -2"), row_bad)
+    Path(row_bad).write_bytes(CERT_7_3.replace("2 1/2 -1", "2 1/2 -2").encode())
     assert main(["verify", "--file", row_bad]) == 1
     assert "negative product with y" in capsys.readouterr().out
 
     sep_bad = str(tmp_path / "sep_bad.txt")
-    save_text(CERT_7_3.replace("2 1/2 -1", "0 0 0"), sep_bad)
+    Path(sep_bad).write_bytes(CERT_7_3.replace("2 1/2 -1", "0 0 0").encode())
     assert main(["verify", "--file", sep_bad]) == 1
     assert "b . y = 0 is not negative" in capsys.readouterr().out
 
@@ -344,15 +344,29 @@ def test_verify_detects_corruption(capsys, tmp_path):
         "{1,3} | {2,4}\n"
         "{1,3} | {2,4}\n"
     )
-    save_text(text, path)
+    Path(path).write_bytes(text.encode())
     assert main(["verify", "--file", path]) == 1
     out = capsys.readouterr().out
     assert "violation:" in out and "appears in factors" in out
 
 
+@pytest.mark.parametrize(
+    "data, magic",
+    [(b"", "''"), (b"XYZ\nn=3 levels=1\n", "'XYZ'")],
+    ids=["empty", "unknown"],
+)
+def test_verify_refuses_a_file_of_neither_magic(capsys, tmp_path, data, magic):
+    path = tmp_path / "magic.txt"
+    path.write_bytes(data)
+    assert main(["verify", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"format error: unrecognized file magic {magic}\n"
+
+
 def test_verify_format_error_exit_code(capsys, tmp_path):
     path = str(tmp_path / "garbage.txt")
-    save_text("garbage\n", path)
+    Path(path).write_bytes(b"garbage\n")
     assert main(["verify", "--file", path]) == 2
     assert "format error" in capsys.readouterr().err
 
@@ -371,7 +385,7 @@ def test_verify_format_error_exit_code(capsys, tmp_path):
 )
 def test_verify_rejects_zero_as_a_format_error(capsys, tmp_path, text, message):
     path = str(tmp_path / "zero.txt")
-    save_text(text, path)
+    Path(path).write_bytes(text.encode())
     assert main(["verify", "--file", path]) == 2
     assert capsys.readouterr().err.startswith(message)
 
@@ -416,7 +430,7 @@ def test_verify_names_the_carriage_returns_of_a_crlf_file(capsys, tmp_path, text
 )
 def test_verify_rejects_a_level_above_n(capsys, tmp_path, text, message):
     path = str(tmp_path / "level.txt")
-    save_text(text, path)
+    Path(path).write_bytes(text.encode())
     assert main(["verify", "--file", path]) == 2
     assert capsys.readouterr().err == f"format error: {message}\n"
 
@@ -447,7 +461,7 @@ def test_verify_rejects_a_number_past_the_int_digit_limit(
     capsys, tmp_path, default_int_digit_limit, text, message
 ):
     path = str(tmp_path / "long.txt")
-    save_text(text, path)
+    Path(path).write_bytes(text.encode())
     assert main(["verify", "--file", path]) == 2
     assert capsys.readouterr().err == f"format error: {message}\n"
 

@@ -11,14 +11,13 @@ import pytest
 import hyperfactor
 from hyperfactor.cli import main
 from hyperfactor.combinatorics import LevelSet
+import hyperfactor.constructors as constructors
 from hyperfactor.constructors import (
-    OddTailSolution,
     Realization,
     certificate_with_branch,
     construct_div,
     construct_general_L_div,
     construct_minus1,
-    odd_tail_solution,
 )
 from hyperfactor.decide import plan
 from hyperfactor.errors import InvariantViolation, NotFactorableError
@@ -112,24 +111,24 @@ def test_construct_general_L_div():
 
 
 def test_construct_minus1_lifts():
-    [block] = construct_minus1(11, 3)
+    block = construct_minus1(11, 3)
     assert block.realization is Realization.LIFT
     assert block.n == 12 and block.levels == LevelSet.of([1, 3])
     assert block.solution == {(3, 0, 3): 4, (0, 0, 4): 52}
 
-    [block] = construct_minus1(9, 2)
+    block = construct_minus1(9, 2)
     assert block.realization is Realization.LIFT
     assert block.n == 10 and block.levels == LevelSet.of([2])
     assert block.solution == {(0, 5): 9}
 
-    [block] = construct_minus1(15, 4)
+    block = construct_minus1(15, 4)
     assert block.realization is Realization.LIFT
     assert block.n == 16 and block.levels == LevelSet.of([2, 4])
     assert solution_residual(16, LevelSet.of([2, 4]), block.solution) == (0,) * 4
 
 
 def test_construct_minus1_abc():
-    [block] = construct_minus1(27, 7)
+    block = construct_minus1(27, 7)
     assert block.realization is Realization.FLOW
     assert block.n == 27
     assert block.levels == LevelSet.of([5, 6, 7])
@@ -140,42 +139,26 @@ def test_construct_minus1_abc():
     }
     assert solution_residual(27, block.levels, block.solution) == (0,) * 7
     # k = 9 instance is also exactly integral; the rest is the range 1..6
-    [block9] = construct_minus1(53, 9)
+    block9 = construct_minus1(53, 9)
     assert block9.levels.levels[0] - 1 == 6
     assert solution_residual(53, block9.levels, block9.solution) == (0,) * 9
 
 
 def test_construct_minus1_rst():
-    [block] = construct_minus1(20, 7)
+    block = construct_minus1(20, 7)
     assert block.realization is Realization.FLOW
     assert block.levels.levels[0] - 1 == 3
     assert block.levels == LevelSet.of([4, 5, 6, 7])
+    # x, then a_0, a_1 = A and b_1 = B, which make up y
     assert block.solution == {
         (0, 0, 0, 0, 0, 1, 2): 37791,
         (0, 0, 0, 0, 4, 0, 0): 2907,
         (0, 0, 0, 1, 2, 1, 0): 969,
         (0, 0, 0, 2, 1, 0, 1): 1938,
     }
+    x, *y_shapes = block.solution.values()
+    assert (x, sum(y_shapes)) == (37791, 5814)
     assert solution_residual(20, block.levels, block.solution) == (0,) * 7
-
-
-def test_odd_tail_frozen_values():
-    tail = odd_tail_solution(7, 0)
-    assert (tail.n, tail.m) == (20, 1)
-    assert (tail.x, tail.y) == (37791, 5814)
-    assert (tail.A, tail.B) == (969, 1938)
-    assert tail.a == (2907, 969)
-    assert tail.b == (1938,)
-    assert tail.top_levels() == LevelSet.of([4, 5, 6, 7])
-
-
-def test_odd_tail_rejects():
-    with pytest.raises(ValueError):
-        odd_tail_solution(8, 0)
-    with pytest.raises(ValueError):
-        odd_tail_solution(7, 1)
-    with pytest.raises(ValueError):
-        odd_tail_solution(5, 0)
 
 
 def test_closed_forms_solve_for_every_odd_k_to_63():
@@ -183,42 +166,44 @@ def test_closed_forms_solve_for_every_odd_k_to_63():
     built = 0
     for k in range(7, 64, 2):
         for t in range(0, (k - 7) // 2 + 1):
-            tail = odd_tail_solution(k, t)
-            assert not any(solution_residual(tail.n, tail.top_levels(), tail.solution())), (k, t)
+            block = construct_minus1((k * k - k - 2) // 2 + t * k, k)
+            assert block.levels == LevelSet.of(range((k + 2 * t + 1) // 2, k + 1)), (k, t)
+            assert not any(solution_residual(block.n, block.levels, block.solution)), (k, t)
             built += 1
-        [block] = construct_minus1(k * k - 3 * k - 1, k)
+        block = construct_minus1(k * k - 3 * k - 1, k)
         assert block.levels == LevelSet.of([k - 2, k - 1, k])
         assert not any(solution_residual(block.n, block.levels, block.solution)), k
         built += 1
     assert built == 464
 
 
-def _slip_odd_tail(monkeypatch, slip):
-    """Make OddTailSolution.solution put slip(x) in place of x, its first multiplicity."""
-    solution = OddTailSolution.solution
+def _slip_first_multiplicity(monkeypatch, slip):
+    """Make every closed form hand its check slip(x) in place of x, its first
+    multiplicity; construct_minus1(20, 7) checks one form, the odd tail."""
+    check = constructors._assert_solves
 
-    def slipped(self):
-        sol = solution(self)
-        x_type = next(iter(sol))
-        sol[x_type] = slip(sol[x_type])
-        return sol
+    def slipped(n, levels, solution):
+        solution = dict(solution)
+        first = next(iter(solution))
+        solution[first] = slip(solution[first])
+        check(n, levels, solution)
 
-    monkeypatch.setattr(OddTailSolution, "solution", slipped)
+    monkeypatch.setattr(constructors, "_assert_solves", slipped)
 
 
 def test_a_closed_form_slip_is_named_by_its_residual(monkeypatch):
-    _slip_odd_tail(monkeypatch, lambda x: x + 1)
+    _slip_first_multiplicity(monkeypatch, lambda x: x + 1)
     with pytest.raises(InvariantViolation) as exc:
-        odd_tail_solution(7, 0)
+        construct_minus1(20, 7)
     assert str(exc.value) == (
         "construction residual (0, 0, 0, 0, 0, 1, 2) for n=20 levels=(4, 5, 6, 7)"
     )
 
 
 def test_a_negative_closed_form_multiplicity_is_an_internal_error(monkeypatch, capsys):
-    _slip_odd_tail(monkeypatch, lambda x: -1)
+    _slip_first_multiplicity(monkeypatch, lambda x: -1)
     with pytest.raises(InvariantViolation) as exc:
-        odd_tail_solution(7, 0)
+        construct_minus1(20, 7)
     assert str(exc.value) == (
         "construction of n=20 levels=(4, 5, 6, 7): "
         "negative multiplicity for type (0, 0, 0, 0, 0, 1, 2): -1"

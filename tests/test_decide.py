@@ -292,7 +292,7 @@ def test_near_divisible_remainder_must_be_factorable(monkeypatch, capsys):
     """A top block whose remainder range is infeasible is an internal error,
     not a usage error: (11, {1..5}) fails the residue test."""
     top = Block(11, LevelSet.of([6]), {}, Realization.FLOW)
-    monkeypatch.setattr(decide_module, "construct_minus1", lambda n, k: [top])
+    monkeypatch.setattr(decide_module, "construct_minus1", lambda n, k: top)
     with pytest.raises(InvariantViolation, match="near-divisible remainder infeasible"):
         decide(11, 3)
     assert main(["decide", "--n", "11", "--k", "3"]) == 4
@@ -302,7 +302,7 @@ def test_near_divisible_remainder_must_be_factorable(monkeypatch, capsys):
 
 
 def test_construct_full_range_small():
-    fact = construct(6, 3)
+    fact = construct(6, LevelSet.full(3))
     assert fact.levels == (1, 2, 3)
     assert len(fact.factors) == sum(binomial(5, j - 1) for j in (1, 2, 3))
     assert verify_factorization(fact) == []
@@ -323,17 +323,18 @@ def test_construct_full_range_via_levels_argument():
 
 def test_construct_rejects_and_limits():
     with pytest.raises(NotFactorableError):
-        construct(18, 6)
+        construct(18, LevelSet.full(6))
     with pytest.raises(NotFactorableError):
-        construct(7, 3)
+        construct(7, LevelSet.full(3))
     with pytest.raises(NotFactorableError):
         construct(11, levels=LevelSet.of([2, 3, 4]))
     with pytest.raises(LimitExceeded):
-        construct(20, 4)  # factorable, but the evolution cap is 18 by default
-    with pytest.raises(ValueError):
-        construct(9)
-    with pytest.raises(ValueError):
-        construct(9, 2, LevelSet.of([2]))
+        construct(20, LevelSet.full(4))  # factorable, but the evolution cap is 18 by default
+    # a k where the levels go is refused by name, and plan checks the ground
+    with pytest.raises(ValueError, match="levels must be a LevelSet, got 2"):
+        construct(9, 2)
+    with pytest.raises(ValueError, match="ground size must be an int in 1..64, got 0"):
+        construct(0, LevelSet.full(1))
 
 
 def test_levels_must_be_a_level_set():
@@ -355,14 +356,14 @@ def test_a_faulty_inner_block_fails_the_final_check(monkeypatch):
 
     monkeypatch.setattr(decide_module, "flow_run", short_run)
     with pytest.raises(InvariantViolation, match="constructed factorization failed verification"):
-        construct(6, 3)
+        construct(6, LevelSet.full(3))
 
 
 def test_construct_twenty_up_to_seven():
     """(20, {1..7}) lifts to a flow on 21 elements: 43,796 factors, a clean
     verifier pass and fixed bytes, well inside two minutes."""
     start = time.perf_counter()
-    fact = construct(20, 7, max_ground_size=21)
+    fact = construct(20, LevelSet.full(7), max_ground_size=21)
     elapsed = time.perf_counter() - start
     assert len(fact.factors) == 43_796
     assert verify_factorization(fact) == []
@@ -381,7 +382,7 @@ def test_realize_puts_a_top_block_before_its_sub_range():
     assert verify_factorization(fact) == []
     n_top = binomial(12, 4) // 3
     assert all(len(factor) == 3 for factor in fact.factors[:n_top])
-    assert len(fact.factors) == n_top + len(construct(12, 3).factors)
+    assert len(fact.factors) == n_top + len(construct(12, LevelSet.full(3)).factors)
 
 
 def test_construct_refuses_a_lift_before_any_flow():
@@ -391,7 +392,7 @@ def test_construct_refuses_a_lift_before_any_flow():
     assert [b.n for b in plan(11, LevelSet.full(3))][-1] == 12
     records = []
     with pytest.raises(LimitExceeded, match="ground size 12 exceeds the evolution work limit 11"):
-        construct(11, 3, max_ground_size=11, trace=records.append)
+        construct(11, LevelSet.full(3), max_ground_size=11, trace=records.append)
     assert records == []
 
 
@@ -419,7 +420,7 @@ def test_a_lost_block_fails_the_check_against_the_levels_asked(monkeypatch):
     assert blocks[-1].levels.levels == (1,) and sum(blocks[-1].solution.values()) == 1
     monkeypatch.setattr(decide_module, "plan", lambda n, levels: blocks[:-1])
     with pytest.raises(InvariantViolation, match="level 1: 0 distinct sets appear, expected 16"):
-        construct(16, 14)
+        construct(16, LevelSet.full(14))
 
 
 def test_construct_sweep_small():
@@ -429,12 +430,12 @@ def test_construct_sweep_small():
         for k in range(1, n + 1):
             v = decide(n, k)
             if v.status is Status.FACTORABLE:
-                fact = construct(n, k)
+                fact = construct(n, LevelSet.full(k))
                 assert verify_factorization(fact) == []
                 built += 1
             else:
                 with pytest.raises(NotFactorableError):
-                    construct(n, k)
+                    construct(n, LevelSet.full(k))
     assert built >= 30
 
 

@@ -27,7 +27,6 @@ from hyperfactor.fileformat import (
     parse_certificate,
     parse_factorization,
     save_factorization,
-    save_text,
     write_certificate,
     write_factorization,
 )
@@ -56,7 +55,7 @@ def test_factorization_golden_text():
 
 
 def test_factorization_round_trip_byte_identical():
-    fact = construct(7, 2)
+    fact = construct(7, LevelSet.full(2))
     text = write_factorization(fact)
     again = parse_factorization(text)
     assert again == fact
@@ -74,7 +73,7 @@ def test_certificate_golden_text():
 
 def test_file_save_load(tmp_path):
     path = str(tmp_path / "fact.txt")
-    save_text(K4_TEXT, path)
+    save_factorization(K4, path)
     assert load_text(path) == K4_TEXT
     assert parse_factorization(load_text(path)) == K4
 
@@ -394,7 +393,8 @@ def test_reader_outcome_does_not_depend_on_the_batch_size(text):
 
 
 def test_batches_of_any_size_write_and_read_the_same_text(tmp_path):
-    fact = construct(14, 13)  # 8,191 factors: eight whole write batches and part of a ninth
+    # 8,191 factors: eight whole write batches and part of a ninth
+    fact = construct(14, LevelSet.full(13))
     text = write_factorization(fact)
     path = str(tmp_path / "f.txt")
     save_factorization(fact, path)
@@ -408,7 +408,7 @@ def test_batches_of_any_size_write_and_read_the_same_text(tmp_path):
 
 
 def test_round_trip_through_every_table_row():
-    fact = construct(64, 1)
+    fact = construct(64, LevelSet.full(1))
     text = write_factorization(fact)
     assert text == "HYPERFACTOR v1\nn=64 levels=1\n" + " | ".join(f"{{{e}}}" for e in range(1, 65)) + "\n"
     assert parse_factorization(text) == fact == _reference_parse_factorization(text)

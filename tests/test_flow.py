@@ -923,7 +923,7 @@ def test_range_factorizations_are_pinned():
     ]
     digest = hashlib.sha256()
     for n, k in pairs:
-        digest.update(write_factorization(construct(n, k)).encode())
+        digest.update(write_factorization(construct(n, LevelSet.full(k))).encode())
     assert (len(pairs), sum(2 * k < n for n, k in pairs)) == (36, 13)
     assert digest.hexdigest() == (
         "036325721c2044a974c72acc3faa9af40fca947bdb727bc627773e2671cd26b7"

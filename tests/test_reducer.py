@@ -2,14 +2,24 @@
 
 import pytest
 
-from hyperfactor.combinatorics import LevelSet, binomial, full_mask, masks_of_size
+from hyperfactor.combinatorics import LevelSet, binomial, full_mask, masks_of_size, min_element
 from hyperfactor.constructors import Realization, construct_div
 from hyperfactor.decide import decide
-from hyperfactor.factorization import Factorization, sort_factor
+from hyperfactor.factorization import Factorization
 from hyperfactor.flow import run
 from hyperfactor.errors import InvariantViolation
 from hyperfactor.reducer import extend_by_complements, project_lift
 from hyperfactor.verifier import verify_factorization
+
+
+def sort_factor(masks) -> tuple[int, ...]:
+    """Canonical in-factor order: by minimum element (masks are disjoint)."""
+    return tuple(sorted(masks, key=min_element))
+
+
+def _build(n: int, levels, factors) -> Factorization:
+    """The factorization of factors, each sorted into canonical order."""
+    return Factorization(n, tuple(levels), tuple(sort_factor(f) for f in factors))
 
 
 def repair_to_complement_paired(fact: Factorization) -> tuple[Factorization, Factorization]:
@@ -52,9 +62,9 @@ def repair_to_complement_paired(fact: Factorization) -> tuple[Factorization, Fac
             host[comp] = i
             for m in rest:
                 host[m] = jf
-    paired = Factorization.build(n, fact.levels, factors)
+    paired = _build(n, fact.levels, factors)
     residue_factors = [f for f in factors if len(f) > 2]
-    residue = Factorization.build(n, tuple(range(1, n - k)), residue_factors)
+    residue = _build(n, tuple(range(1, n - k)), residue_factors)
     return paired, residue
 
 
@@ -131,7 +141,7 @@ def _unshuffle(fact: Factorization) -> Factorization:
             if len(inside_s) + len(inside_c) == len(g) and inside_s and inside_c:
                 factors[i] = [s] + inside_c
                 factors[g_idx] = inside_s + [comp]
-                return Factorization.build(n, fact.levels, factors)
+                return _build(n, fact.levels, factors)
     raise AssertionError("no unshufflable pair found")
 
 
@@ -172,7 +182,7 @@ def test_project_lift_odd_levels():
 
 def _strip_top_then_build(lifted: Factorization) -> Factorization:
     """The projection rebuilt from scratch: each factor's holder of the top
-    element n loses it and goes to the end, then Factorization.build sorts
+    element n loses it and goes to the end, then _build sorts
     every factor again."""
     n = lifted.n
     bit = 1 << (n - 1)
@@ -184,7 +194,7 @@ def _strip_top_then_build(lifted: Factorization) -> Factorization:
             rest.append(holder ^ bit)
         factors.append(rest)
     levels = sorted({*lifted.levels} | {s - 1 for s in lifted.levels if s > 1})
-    return Factorization.build(n - 1, levels, factors)
+    return _build(n - 1, levels, factors)
 
 
 def test_project_lift_matches_a_rebuild_on_every_planned_lift():

@@ -90,9 +90,9 @@ def test_large_instances_raise_limit():
 #: valid factorizations the mutation tests start from, built on first use
 MUTATION_CASES = [
     lambda: K4,
-    lambda: construct(6, 2),
-    lambda: construct(8, 4),
-    lambda: construct(7, 7),
+    lambda: construct(6, LevelSet.full(2)),
+    lambda: construct(8, LevelSet.full(4)),
+    lambda: construct(7, LevelSet.full(7)),
     lambda: construct(12, levels=LevelSet.of([2, 4])),
 ]
 
