@@ -149,16 +149,28 @@ def test_construct_minus1_rst():
     assert block.realization is Realization.FLOW
     assert block.levels.levels[0] - 1 == 3
     assert block.levels == LevelSet.of([4, 5, 6, 7])
-    # x, then a_0, a_1 = A and b_1 = B, which make up y
     assert block.solution == {
         (0, 0, 0, 0, 0, 1, 2): 37791,
         (0, 0, 0, 0, 4, 0, 0): 2907,
         (0, 0, 0, 1, 2, 1, 0): 969,
         (0, 0, 0, 2, 1, 0, 1): 1938,
     }
-    x, *y_shapes = block.solution.values()
-    assert (x, sum(y_shapes)) == (37791, 5814)
     assert solution_residual(20, block.levels, block.solution) == (0,) * 7
+
+
+def test_odd_tail_frozen_values():
+    # k = 7, t = 0: n = 20 and m = 1, so the tail has a_0, a_1 = A and b_1 = B
+    tail = constructors._odd_tail_block(20, 7, 0)
+    assert tail.realization is Realization.FLOW
+    assert (tail.n, tail.levels) == (20, LevelSet.of([4, 5, 6, 7]))
+    x_type, a0_type, a1_type, b1_type = tail.solution
+    # x is the one top type of the tail, with a part of size 7
+    assert x_type == (0, 0, 0, 0, 0, 1, 2)
+    x, a0, big_a, big_b = (tail.solution[t] for t in (x_type, a0_type, a1_type, b1_type))
+    assert (x, a0 + big_a + big_b) == (37791, 5814)  # (x, y)
+    assert (big_a, big_b) == (969, 1938)
+    assert (a0, big_a) == (2907, 969)  # a; b is (big_b,)
+    assert tail == construct_minus1(20, 7)
 
 
 def test_closed_forms_solve_for_every_odd_k_to_63():
