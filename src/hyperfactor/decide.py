@@ -9,8 +9,9 @@ factorization is built from, made as each branch returns.
 
 decide_general(n, L) handles arbitrary level sets: certificate families, the
 divisible pairing, the exact LP (no type list; refutes with a simplex-derived
-certificate), then bounded integer search for a witness.  Undecided means an LP
-solution without a search witness (RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL).
+certificate), the LP's vertex as the witness when it is integral, then bounded
+integer search for a witness.  Undecided means a fractional LP vertex without
+a search witness (RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL).
 
 plan reads the blocks off a FACTORABLE verdict; construct realizes them as
 an explicit factorization and verifies it from scratch before returning, and
@@ -44,6 +45,7 @@ from .linear_system import (
     build_system,
     integer_search_small,
     lp_feasible,
+    solution_residual,
 )
 from .reducer import extend_by_complements, project_lift
 from .verifier import check_verify_size, verify_factorization
@@ -157,8 +159,10 @@ def _complement_pairs(n: int, k: int) -> Block:
 
 def decide_general(n: int, levels: LevelSet) -> Verdict:
     """Decision for an arbitrary level set.  The exact LP refutes every rationally
-    infeasible set the closed forms leave open, with its certificate; the search
-    looks for a witness on the rest and raises SearchLimitExceeded at its limits."""
+    infeasible set the closed forms leave open, with its certificate.  A
+    feasible LP's vertex, when integral, is the witness, checked to a zero
+    residual; only a fractional vertex goes to the search, whose limits leave
+    the set undecided with a reason that names the limit."""
     if not isinstance(levels, LevelSet):
         raise ValueError(f"levels must be a LevelSet, got {levels!r}")
     if levels.is_full_range():
@@ -175,12 +179,19 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
     if not outcome.feasible:
         reason = "exact rational infeasibility (simplex-derived certificate)"
         return _refuted(reason, levels, "simplex-derived", outcome.certificate)
+    if all(v.denominator == 1 for v in outcome.solution.values()):
+        # solution_residual takes int multiplicities only, not Fraction(190)
+        solution = {lam: int(v) for lam, v in outcome.solution.items()}
+        res = solution_residual(n, levels, solution)
+        if any(res):
+            raise InvariantViolation(f"LP vertex residual {res} for n={n} levels={levels.levels}")
+        return _witnessed(n, levels, solution, "integral vertex of the exact LP")
     try:
         solution = integer_search_small(system)
-    except SearchLimitExceeded:
+    except SearchLimitExceeded as exc:
         return Verdict(
             Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL,
-            "rationally feasible, but no integral witness within search limits",
+            f"rationally feasible, but no integral witness within search limits: {exc}",
         )
     if solution is not None:
         return _witnessed(n, levels, solution, "bounded exhaustive integer search found a witness")

@@ -70,7 +70,8 @@ def test_decide_undecided_statuses(capsys):
         "certificate-levels: 2,3,4,5,6,7,8,9\n"
     )
     assert _printed_certificate_holds(54, out)
-    assert main(["decide", "--n", "48", "--levels", "2,3,4,5,6,7,8"]) == 3
+    # a fractional LP vertex and 753 types: beyond the search
+    assert main(["decide", "--n", "31", "--levels", "1,3,4,5,6,7,8"]) == 3
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL"
 
@@ -237,8 +238,8 @@ def test_solve_not_factorable(capsys):
 
 
 def test_solve_undecided_is_a_limit_not_a_refusal(capsys):
-    assert main(["solve", "--n", "48", "--levels", "2,3,4,5,6,7,8"]) == 3
-    assert capsys.readouterr().err.startswith("limit exceeded: (n=48, levels=(2, 3, 4, 5, 6, 7, 8)) undecided:")
+    assert main(["solve", "--n", "31", "--levels", "1,3,4,5,6,7,8"]) == 3
+    assert capsys.readouterr().err.startswith("limit exceeded: (n=31, levels=(1, 3, 4, 5, 6, 7, 8)) undecided:")
 
 
 def test_certificate_success(capsys):
@@ -255,7 +256,7 @@ def test_certificate_factorable_instance(capsys):
 
 def test_certificate_no_family(capsys):
     # undecided and rationally feasible: no Farkas certificate can exist
-    assert main(["certificate", "--n", "20", "--levels", "1,2,3,4,6,7"]) == 3
+    assert main(["certificate", "--n", "31", "--levels", "1,3,4,5,6,7,8"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "no Farkas certificate exists: the rational relaxation is feasible\n"

@@ -3,6 +3,8 @@
 import hashlib
 import time
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,9 @@ from hyperfactor.linear_system import (
     verify_certificate,
 )
 from hyperfactor.verifier import verify_factorization
+
+#: the reason of a verdict witnessed by the exact LP's integral vertex
+VERTEX = "integral vertex of the exact LP"
 
 
 def test_decide_divisible():
@@ -164,21 +169,26 @@ def test_decide_general_search_outcomes():
 
 
 def test_decide_general_limit_overrides(monkeypatch):
-    lv = LevelSet.of([2, 3])
+    # the LP's vertex is fractional here, so the search runs
+    lv = LevelSet.of([1, 2, 4, 6])
     with monkeypatch.context() as m:
         m.setattr(linear_system, "SEARCH_TYPE_LIMIT", 0)
-        v = decide_general(11, lv)
+        v = decide_general(10, lv)
         assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
+        assert v.reason.endswith("within search limits: 16 types exceed the search limit 0")
     # the search's node limit leaves an LP-feasible set undecided
     monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 1)
-    v = decide_general(11, lv)
+    v = decide_general(10, lv)
     assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
+    assert v.reason.endswith("within search limits: integer search exceeded 1 nodes")
 
 
 def test_decide_general_past_the_old_type_limit():
     """Every non-range set with k <= 8, n <= 64 and more than 5,000 types: the
-    LP lists no types, so it runs on all 40 of them that reach it."""
+    LP lists no types, so it runs on all 40 of them that reach it, and its
+    vertex witnesses every one of them that is integral."""
     reached = Counter()
+    undecided = []
     swept = 0
     for n in range(9, 65):
         for k in range(2, 9):
@@ -190,10 +200,21 @@ def test_decide_general_past_the_old_type_limit():
                 v = decide_general(n, levels)
                 if v.certificate is not None:
                     assert check_certificate(n, levels, v.certificate).ok, (n, levels)
-                if v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL or v.family == "simplex-derived":
+                if v.reason == VERTEX:
+                    assert not any(solution_residual(n, levels, v.solution)), (n, levels)
+                    reached[v.status] += 1
+                elif v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL:
+                    undecided.append((n, levels.levels))
+                    reached[v.status] += 1
+                elif v.family == "simplex-derived":
                     reached[v.status] += 1
     assert swept == 392
-    assert reached == {Status.NOT_FACTORABLE: 13, Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL: 27}
+    assert reached == {
+        Status.NOT_FACTORABLE: 13,
+        Status.FACTORABLE: 25,
+        Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL: 2,
+    }
+    assert undecided == [(55, (1, 3, 4, 5, 6, 7, 8)), (63, (1, 3, 4, 5, 6, 7, 8))]
 
 
 def test_decide_general_search_faults_propagate(monkeypatch):
@@ -209,7 +230,59 @@ def test_decide_general_search_faults_propagate(monkeypatch):
 
     monkeypatch.setattr(linear_system, "feasible_nonnegative", faulty_once)
     with pytest.raises(InvariantViolation, match="simulated simplex fault"):
+        decide_general(10, LevelSet.of([1, 2, 4, 6]))
+
+
+def test_an_integral_vertex_is_checked_before_it_is_a_witness(monkeypatch, capsys):
+    """A vertex with one multiplicity off by one is an error, never FACTORABLE."""
+    real = linear_system.lp_feasible
+
+    def off_by_one(system):
+        outcome = real(system)
+        lam = next(iter(outcome.solution))
+        return replace(outcome, solution={**outcome.solution, lam: outcome.solution[lam] + 1})
+
+    monkeypatch.setattr(decide_module, "lp_feasible", off_by_one)
+    with pytest.raises(InvariantViolation, match=r"LP vertex residual \(0, 1, 3\) for n=11"):
         decide_general(11, LevelSet.of([2, 3]))
+    assert main(["decide", "--n", "11", "--levels", "2,3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\ninternal error: LP vertex residual (0, 1, 3) for n=11 levels=(2, 3)\n")
+
+
+def test_a_vertex_of_whole_fractions_gives_int_multiplicities():
+    levels = LevelSet.of([2, 3])
+    vertex = lp_feasible(build_system(11, levels)).solution
+    assert vertex == {(0, 1, 3): Fraction(55)}
+    v = decide_general(11, levels)
+    assert v.reason == VERTEX
+    assert v.solution == {(0, 1, 3): 55}
+    assert all(type(m) is int for m in v.solution.values())
+    assert v.blocks[0].solution is v.solution
+
+
+def test_every_small_vertex_witness_builds():
+    """Every non-range level set with 3 <= n <= 10: each set that the LP's
+    vertex witnesses goes through the flow to a verified factorization."""
+    reasons = Counter()
+    factors = 0
+    for n in range(3, 11):
+        for bits in range(1, 2 ** n):
+            levels = LevelSet.of(j for j in range(1, n + 1) if bits >> (j - 1) & 1)
+            if levels.is_full_range():
+                continue
+            v = decide_general(n, levels)
+            reasons[v.reason] += 1
+            if v.reason != VERTEX:
+                continue
+            fact = construct(n, levels)
+            assert verify_factorization(fact) == [], (n, levels)
+            factors += len(fact.factors)
+    assert sum(reasons.values()) == 1980
+    assert reasons[VERTEX] == 304
+    assert reasons["bounded exhaustive integer search found a witness"] == 2
+    assert factors == 47104
 
 
 def _range_factorable(n: int, k: int) -> bool:

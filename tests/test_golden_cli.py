@@ -3,7 +3,9 @@
 The grid reaches every branch of the construction (divisible, divisible
 edge, even and odd lifts, the odd-k top blocks, complement pairing, k = 1,
 k = n), every certificate path, and `decide` on a certificate family, the
-pairing, a search witness, a simplex-derived certificate and an undecided set.
+pairing, the LP's integral vertex and a simplex-derived certificate.  The
+undecided output, a fractional vertex beyond the search, is pinned in
+test_cli.py.
 `verify` runs on the files that `construct` prints and on certificate files
 assembled from `certificate`'s output and its `certificate-levels` line, the
 way a user saves them.
