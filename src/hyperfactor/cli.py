@@ -9,6 +9,7 @@ work-limit exceeded, 4 internal error, 141 the reader closed the output pipe
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -157,6 +158,8 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--levels", type=str, help="comma-separated level set, e.g. 2,4")
 
 
+# one parser per process, built by the first main call; parse_args keeps no state in it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperfactor",

@@ -15,6 +15,7 @@ import pytest
 import hyperfactor
 import hyperfactor.cli as cli
 from hyperfactor.cli import main
+from hyperfactor.decide import DEFAULT_MAX_GROUND, decide_general
 from hyperfactor.errors import InvariantViolation
 from hyperfactor.combinatorics import LevelSet
 from hyperfactor.fileformat import parse_factorization
@@ -484,6 +485,99 @@ def test_a_usage_error_does_not_break_the_next_call(capsys):
     capsys.readouterr()
     assert main(["decide", "--n", "12", "--k", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "FACTORABLE"
+
+
+def test_the_parser_is_reused_and_keeps_no_state_between_calls(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+
+    assert main(["construct", "--n", "12", "--k", "3", "--trace"]) == 0
+    assert capsys.readouterr().err.startswith("step 0: ")
+    assert main(["construct", "--n", "12", "--k", "3"]) == 0
+    assert "step" not in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--n", "12", "--k", "3", "--max-ground-size", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["construct", "--n", "20", "--k", "4"]) == 3
+    assert f"work limit {DEFAULT_MAX_GROUND};" in capsys.readouterr().err
+
+    # the mutually exclusive group starts empty on every call
+    for argv in (["--levels", "2,4"], ["--k", "3"], ["--levels", "2,4"]):
+        assert main(["decide", "--n", "12", *argv]) == 0
+        assert capsys.readouterr().out.startswith("FACTORABLE\n")
+
+    # the handlers look decide_general up at call time, not when the parser was built
+    seen = []
+
+    def recording(n, levels):
+        seen.append((n, levels.levels))
+        return decide_general(n, levels)
+
+    monkeypatch.setattr(cli, "decide_general", recording)
+    assert main(["decide", "--n", "12", "--k", "3"]) == 0
+    assert seen == [(12, (1, 2, 3))]
+
+
+_ROOT_USAGE = "usage: hyperfactor [-h] {decide,construct,solve,certificate,verify,types} ...\n"
+_DECIDE_USAGE = "usage: hyperfactor decide [-h] --n N (--k K | --levels LEVELS)\n"
+# argparse spells the choices with repr on Python 3.11 and with str in later releases
+_CHOICES = ("'decide', 'construct', 'solve', 'certificate', 'verify', 'types'",
+            "decide, construct, solve, certificate, verify, types")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, errs",
+    [
+        (["decide", "--n", "7"], 2, "", [
+            _DECIDE_USAGE + "hyperfactor decide: error: one of the arguments --k --levels is required\n"
+        ]),
+        (["decide", "--n", "7", "--k", "3", "--levels", "2"], 2, "", [
+            _DECIDE_USAGE
+            + "hyperfactor decide: error: argument --levels: not allowed with argument --k\n"
+        ]),
+        (["bogus"], 2, "", [
+            _ROOT_USAGE
+            + f"hyperfactor: error: argument command: invalid choice: 'bogus' (choose from {c})\n"
+            for c in _CHOICES
+        ]),
+        (["construct", "--n", "12", "--k", "3", "--max-ground-size", "0"], 2, "", [
+            _ROOT_USAGE + "hyperfactor: error: argument --max-ground-size: must be at least 1, got 0\n"
+        ]),
+        (["--help"], 0, _ROOT_USAGE + """
+Decide and construct 1-factorizations of level-restricted subset families.
+
+positional arguments:
+  {decide,construct,solve,certificate,verify,types}
+    decide              decide factorability
+    construct           build and verify an explicit factorization
+    solve               print witness multiplicity vectors
+    certificate         print a Farkas infeasibility certificate
+    verify              validate a factorization or certificate file
+    types               enumerate level types in canonical order
+
+options:
+  -h, --help            show this help message and exit
+""", [""]),
+        (["decide", "--help"], 0, _DECIDE_USAGE + """
+options:
+  -h, --help       show this help message and exit
+  --n N            ground set size (1..64)
+  --k K            full level range 1..k
+  --levels LEVELS  comma-separated level set, e.g. 2,4
+""", [""]),
+    ],
+)
+def test_usage_and_help_texts_are_pinned(monkeypatch, capsys, argv, code, out, errs):
+    """Each text twice in one process: a reused parser prints the same bytes."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err in errs
 
 
 def test_max_ground_size_below_one_is_a_usage_error(capsys):
