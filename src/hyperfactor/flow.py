@@ -53,6 +53,7 @@ Dinic run.
 from __future__ import annotations
 
 import functools
+import gc
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -206,15 +207,22 @@ def _later_phases(
     are exactly the arcs into the next level from the source that still
     lead to the sink, in the same order, so the paths, the amounts pushed
     and the residual left are those of the levels counted from the source;
-    the walk just never enters a branch that cannot reach the sink.  Paths alternate class, occurrence, class, ..., so a node's
-    kind is the parity of its place on the path.
+    the walk just never enters a branch that cannot reach the sink.  Paths
+    alternate class, occurrence, class, ..., so a node's kind is the parity
+    of its place on the path.  A class with one arc and no units left after
+    the pour is on no path (one starts only where units are left, which only
+    fall, and passes through a class by a reverse arc in and a second arc
+    out), so the reverse-arc lists leave it out.  Room only falls, so each
+    phase's distance-1 list is the last one's filtered by room.
     """
     n_classes = len(sizes)
     # per occurrence, the (class, slot) of each arc into it, in class order
     into: list[list[tuple[int, int]]] = [[] for _ in room]
-    for c, arcs in enumerate(class_arcs):
-        for i, o in enumerate(arcs):
-            into[o].append((c, i))
+    for c, (arcs, left) in enumerate(zip(class_arcs, left_over)):
+        if left or len(arcs) > 1:
+            for i, o in enumerate(arcs):
+                into[o].append((c, i))
+    ones = range(len(room))
     total = 0
     while True:
         # occurrences with sink room are at distance 1; a class is one
@@ -222,7 +230,7 @@ def _later_phases(
         # one farther than a class that holds flow in it
         class_dist = [-1] * n_classes
         occ_dist = [-1] * len(room)
-        level = [o for o, r in enumerate(room) if r]
+        ones = level = [o for o in ones if room[o]]
         for o in level:
             occ_dist[o] = 1
         d = 1
@@ -425,23 +433,24 @@ def _least_absent(occ: dict[tuple[int, int], int], j: int, size: int, ell: int) 
 
 
 def evolve_step(state: EvolutionState) -> EvolutionState:
-    """Insert element ell+1 into every partition; returns the evolved state."""
+    """Insert element ell+1 into every partition; returns the evolved state.
+    Each occurrence's grown part is built once, shared by the classes growing it."""
     n, ell = state.n, state.ell
     if ell >= n:
         raise ValueError(f"state is already complete (ell = n = {n})")
     net = build_step_network(state)
     value, flows = max_flow_integral(net)
-    new_bit = 1 << ell
+    keys, new_bit = net.occ_keys, 1 << ell
+    grown = [((mask | new_bit, j),) for mask, j in keys]
     classes: list[tuple[Parts, int]] = []
     for (parts, _), arcs, row in zip(state.classes, net.class_arcs, flows):
         for o, f in zip(arcs, row):
             if not f:
                 continue
-            mask, j = net.occ_keys[o]
             # the grown part is the only one holding element ell+1, so it is
             # the largest: moved to the end, the parts stay ascending
-            i = parts.index((mask, j))
-            classes.append((parts[:i] + parts[i + 1:] + ((mask | new_bit, j),), f))
+            i = parts.index(keys[o])
+            classes.append((parts[:i] + parts[i + 1:] + grown[o], f))
     new_state = EvolutionState(n, state.levels, ell + 1, classes)
     pairs = _check_occurrence_counts(new_state)
     new_state.last_step = StepRecord(ell, value, len(state.classes), len(net.occ_keys), pairs)
@@ -457,16 +466,27 @@ def run(
 ) -> Factorization:
     """Full evolution to a factorization: at ell = n the audit admits only
     complete parts.  init_state checks the input; no size limit applies here,
-    construct checks its blocks against the work limit before any runs."""
-    state = init_state(n, levels, solution)
-    for _ in range(n):
-        state = evolve_step(state)
-        if trace is not None:
-            trace(state.last_step)
-    # each factor in canonical order: its sets by minimum element
-    factors = tuple(
-        tuple(sorted([mask for mask, _ in parts], key=min_element))
-        for parts, mult in state.classes
-        for _ in range(mult)
-    )
+    construct checks its blocks against the work limit before any runs.
+
+    The evolution's tuples, lists, dicts and records form no cycle, so the
+    cyclic collector would free nothing: it is paused until the factors are
+    built and the last state dropped, and resumed only if it was on."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        state = init_state(n, levels, solution)
+        for _ in range(n):
+            state = evolve_step(state)
+            if trace is not None:
+                trace(state.last_step)
+        # each factor in canonical order: its sets by minimum element
+        factors = tuple(
+            tuple(sorted([mask for mask, _ in parts], key=min_element))
+            for parts, mult in state.classes
+            for _ in range(mult)
+        )
+        del state
+    finally:
+        if collecting:
+            gc.enable()
     return Factorization(n, levels.levels, factors)

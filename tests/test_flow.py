@@ -1,5 +1,6 @@
 """Tests for the flow-based evolution engine."""
 
+import gc
 import hashlib
 import time
 from fractions import Fraction
@@ -202,6 +203,69 @@ def test_the_audit_refuses_a_flow_one_unit_short(monkeypatch):
 
     message = _refused_flow(monkeypatch, dropped_a_unit)
     assert message == "step 2: occurrence (0x1, potential 3) appears 5 times, expected 6"
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's on/off state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(collector, enabled):
+    """run pauses the cyclic collector for the evolution, then turns it back
+    on only if it was on; its thresholds and frozen objects stay as they were."""
+    (gc.enable if enabled else gc.disable)()
+    thresholds, frozen = gc.get_threshold(), gc.get_freeze_count()
+    during = []
+    run(12, LevelSet.full(3), {(3, 0, 3): 4, (0, 3, 2): 22, (0, 0, 4): 41},
+        trace=lambda record: during.append(gc.isenabled()))
+    assert during == [False] * 12
+    assert gc.isenabled() is enabled
+    assert (gc.get_threshold(), gc.get_freeze_count()) == (thresholds, frozen)
+
+
+def test_a_refused_step_leaves_the_collector_on(collector, monkeypatch):
+    """The tamper of test_the_audit_refuses_a_unit_moved_within_a_class,
+    driven through run: the audit's raise at step 2 still turns the
+    collector back on."""
+    max_flow = flow.max_flow_integral
+    steps = []
+
+    def moved_a_unit_at_step_one(net):
+        value, flows = max_flow(net)
+        steps.append(gc.isenabled())
+        if len(steps) == 2:
+            assert flows[0] == [6, 4]
+            flows[0] = [5, 5]
+        return value, flows
+
+    monkeypatch.setattr(flow, "max_flow_integral", moved_a_unit_at_step_one)
+    gc.enable()
+    with pytest.raises(InvariantViolation) as exc:
+        run(6, LevelSet.of([2, 3]), {(0, 3, 0): 5, (0, 0, 2): 10})
+    assert str(exc.value) == "step 2: occurrence (0x0, potential 3) appears 5 times, expected 4"
+    assert steps == [False, False]
+    assert gc.isenabled()
+
+
+def test_the_evolution_leaves_the_collector_nothing_to_free(collector):
+    """Why run may pause the collector: the flow blocks of (15, {1, 3, 5}),
+    whose augmenting paths are the longest, and of construct(12, 3), run
+    with the collector off, leave no unreachable object behind."""
+    blocks = [
+        b for levels in ((15, LevelSet.of([1, 3, 5])), (12, LevelSet.full(3)))
+        for b in plan(*levels) if b.realization == Realization.FLOW
+    ]
+    assert len(blocks) == 2
+    gc.collect()
+    gc.disable()
+    for block in blocks:
+        run(block.n, block.levels, block.solution)
+    assert not gc.isenabled()
+    assert gc.collect() == 0
 
 
 def _first_census_error(state):
@@ -664,6 +728,23 @@ def test_the_walk_skips_a_dead_branch_at_the_source(monkeypatch):
         assert result == _reference_max_flow_integral(net)
         assert paths == [path]
         assert rows.read == read
+
+
+@settings(max_examples=500, deadline=None)
+@given(net=_any_network)
+def test_later_phases_read_no_flow_row_of_a_spent_one_arc_class(net):
+    """A class with one arc and no units left after the pour is on no
+    augmenting path, so the later phases, run on the pour's rows, never look
+    up its flow row, and still route the reference's flows."""
+    flows, left_over, room = _pour(net)
+    assume(any(left_over))
+    spent = {c for c, (arcs, left) in enumerate(zip(net.class_arcs, left_over))
+             if len(arcs) == 1 and not left}
+    poured = sum(net.class_sizes) - sum(left_over)
+    rows = _ReadRows(flows)
+    routed = flow._later_phases(net.class_sizes, net.class_arcs, rows, left_over, room)
+    assert (poured + routed, list(rows)) == _reference_max_flow_integral(net)
+    assert not rows.read & spent
 
 
 def _reference_build_step_network(state):
