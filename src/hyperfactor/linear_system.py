@@ -98,68 +98,83 @@ class CertificateCheck:
     b_dot_y: Fraction
 
 
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, [v * den for v in values]) in ints, den the lcm of the
+    denominators; ints pass through with den 1."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def first_negative_type(n: int, levels: LevelSet, w: Sequence[Fraction]) -> TypeVector | None:
     """The first type lam in canonical order with sum of lam_j * w_j < 0, or
-    None; w has one entry per level, in order.
+    None; w has one entry per level, in order, ints or Fractions.
 
     The least such sum over all types is an unbounded knapsack over the ground
     size (Gilmore & Gomory 1961), solved exactly in O(n * |levels|) on w
-    scaled to integers.
+    scaled to integers by the lcm of its denominators (ints pass unscaled).
     """
-    scale = math.lcm(*(v.denominator for v in w))
-    weight = {j: int(v * scale) for j, v in zip(levels, w)}
-    desc = sorted(levels, reverse=True)
-    # best[idx][rem]: least sum of c_j * weight[j] over the levels desc[idx:]
-    # with sum of j * c_j == rem; None when no such multiplicities exist
-    best: list[list[int | None]] = [[None] * (n + 1) for _ in range(len(desc) + 1)]
-    best[len(desc)][0] = 0
-    for idx in range(len(desc) - 1, -1, -1):
-        j = desc[idx]
-        row, below = best[idx], best[idx + 1]
-        for rem in range(n + 1):
-            cell = below[rem]
-            if rem >= j and row[rem - j] is not None:
-                more = row[rem - j] + weight[j]
+    _, weight = _clear_denominators(w)
+    # best[i][rem]: least sum of c_j * w_j over the i smallest levels with
+    # sum of j * c_j == rem; None when no such multiplicities exist.  Each
+    # row starts as the row below and takes the new level where it improves.
+    below: list[int | None] = [0] + [None] * n
+    best = [below]
+    for j, wj in zip(levels.levels[:-1], weight):
+        row = below.copy()
+        for rem in range(j, n + 1):
+            prev = row[rem - j]
+            if prev is not None:
+                more = prev + wj
+                cell = row[rem]
                 if cell is None or more < cell:
-                    cell = more
-            row[rem] = cell
-    least = best[0][n]
-    if least is None or least >= 0:
+                    row[rem] = more
+        best.append(row)
+        below = row
+    # the walk reads the largest level's row only at n, so only that cell is
+    # evaluated: some type is negative when some below[n - c * k] + c * w_k is
+    wk = weight[-1]
+    for c, tail in enumerate(below[n :: -levels.k]):
+        if tail is not None and tail + c * wk < 0:
+            break
+    else:
         return None
     # canonical order takes the most parts of the largest level first, so the
     # first negative type takes, level by level, the largest multiplicity
     # whose best completion is still negative
     lam = [0] * levels.k
     rem, acc = n, 0
-    for idx, j in enumerate(desc):
-        below = best[idx + 1]
+    for below, j, wj in zip(reversed(best), reversed(levels.levels), reversed(weight)):
         for c in range(rem // j, -1, -1):
             tail = below[rem - c * j]
-            if tail is not None and acc + c * weight[j] + tail < 0:
+            if tail is not None and acc + c * wj + tail < 0:
                 break
         else:
             raise InvariantViolation(f"knapsack walk found no negative type for n={n}")
         lam[j - 1] = c
         rem -= c * j
-        acc += c * weight[j]
+        acc += c * wj
     return tuple(lam)
 
 
 def check_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> CertificateCheck:
     """Exact check of the two Farkas conditions in O(n * |levels|).
 
-    A violation is reported as the first violating type in canonical order,
-    the one streaming iter_types would meet first.
+    The entries of y on the levels are cleared of denominators once, by their
+    lcm den; the DP and b . y run on those integers, and b . y is returned as
+    the Fraction (integer sum) / den.  A violation is reported as the first
+    violating type in canonical order, the one streaming iter_types would
+    meet first.
     """
     y = cert.y
     if len(y) != levels.k:
         raise ValueError(f"certificate length {len(y)} != k={levels.k}")
     levels.check_against_ground(n)
-    lam = first_negative_type(n, levels, [y[j - 1] for j in levels])
+    den, w = _clear_denominators([y[j - 1] for j in levels])
+    lam = first_negative_type(n, levels, w)
     if lam is not None:
         return CertificateCheck(False, lam, Fraction(0))
-    b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
-    return CertificateCheck(b_dot < 0, None, b_dot)
+    b_dot = sum(binomial(n, j) * wj for j, wj in zip(levels, w))
+    return CertificateCheck(b_dot < 0, None, Fraction(b_dot, den))
 
 
 def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> CertificateCheck:

@@ -145,6 +145,127 @@ def test_check_certificate_edge_cases():
         check_certificate(7, levels, FarkasCertificate((1, 1, 1)))
 
 
+def _reference_first_negative_type(n, levels, w):
+    """first_negative_type as it was before its DP was tightened: weights
+    scaled through a dict, every row built over every remainder."""
+    scale = math.lcm(*(v.denominator for v in w))
+    weight = {j: int(v * scale) for j, v in zip(levels, w)}
+    desc = sorted(levels, reverse=True)
+    # best[idx][rem]: least sum of c_j * weight[j] over the levels desc[idx:]
+    # with sum of j * c_j == rem; None when no such multiplicities exist
+    best: list[list[int | None]] = [[None] * (n + 1) for _ in range(len(desc) + 1)]
+    best[len(desc)][0] = 0
+    for idx in range(len(desc) - 1, -1, -1):
+        j = desc[idx]
+        row, below = best[idx], best[idx + 1]
+        for rem in range(n + 1):
+            cell = below[rem]
+            if rem >= j and row[rem - j] is not None:
+                more = row[rem - j] + weight[j]
+                if cell is None or more < cell:
+                    cell = more
+            row[rem] = cell
+    least = best[0][n]
+    if least is None or least >= 0:
+        return None
+    # canonical order takes the most parts of the largest level first, so the
+    # first negative type takes, level by level, the largest multiplicity
+    # whose best completion is still negative
+    lam = [0] * levels.k
+    rem, acc = n, 0
+    for idx, j in enumerate(desc):
+        below = best[idx + 1]
+        for c in range(rem // j, -1, -1):
+            tail = below[rem - c * j]
+            if tail is not None and acc + c * weight[j] + tail < 0:
+                break
+        else:
+            raise InvariantViolation(f"knapsack walk found no negative type for n={n}")
+        lam[j - 1] = c
+        rem -= c * j
+        acc += c * weight[j]
+    return tuple(lam)
+
+
+def _reference_check_certificate(n, levels, cert):
+    """check_certificate as it was before it cleared denominators: the DP on
+    the Fraction entries, and b . y as a sum of Fraction products."""
+    y = cert.y
+    if len(y) != levels.k:
+        raise ValueError(f"certificate length {len(y)} != k={levels.k}")
+    levels.check_against_ground(n)
+    lam = _reference_first_negative_type(n, levels, [y[j - 1] for j in levels])
+    if lam is not None:
+        return CertificateCheck(False, lam, Fraction(0))
+    b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
+    return CertificateCheck(b_dot < 0, None, b_dot)
+
+
+@st.composite
+def _knapsack_levels(draw):
+    """(n, levels) with n <= 64: one level, dividing n or not; a smallest
+    level of at least 2 that does not divide n; a full range; or any set."""
+    kind = draw(st.sampled_from(["single", "coarse", "range", "any"]))
+    if kind == "coarse":
+        low = draw(st.integers(2, 32))
+        r = draw(st.integers(1, low - 1))
+        n = draw(st.integers(1, (64 - r) // low)) * low + r
+        higher = draw(st.sets(st.integers(low + 1, n))) if n > low else set()
+        return n, LevelSet.of(higher | {low})
+    n = draw(st.integers(1, 64))
+    if kind == "single":
+        divides = [j for j in range(1, n + 1) if n % j == 0]
+        other = [j for j in range(1, n + 1) if n % j]
+        pool = draw(st.sampled_from([p for p in (divides, other) if p]))
+        return n, LevelSet.of([draw(st.sampled_from(pool))])
+    k = draw(st.integers(1, n))
+    if kind == "range":
+        return n, LevelSet.full(k)
+    lower = draw(st.sets(st.integers(1, k - 1))) if k > 1 else set()
+    return n, LevelSet.of(lower | {k})
+
+
+def _knapsack_weights(count):
+    """count weights, all of one kind: small ints, Fractions with mixed
+    denominators, both mixed, large ints, or non-negative Fractions; the
+    small kinds include zeros."""
+    small = st.integers(-3, 4)
+    fraction = st.builds(Fraction, small, st.sampled_from([1, 2, 3, 4, 6, 7]))
+    entry = st.sampled_from(
+        [
+            small,
+            fraction,
+            st.one_of(small, fraction),
+            st.integers(-(10**20), 10**20),
+            st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2, 3, 5])),
+        ]
+    )
+    return entry.flatmap(lambda e: st.lists(e, min_size=count, max_size=count))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_first_negative_type_matches_the_reference(data):
+    n, levels = data.draw(_knapsack_levels())
+    w = data.draw(_knapsack_weights(len(levels.levels)))
+    expected = _reference_first_negative_type(n, levels, w)
+    assert first_negative_type(n, levels, w) == expected
+    assert first_negative_type(n, levels, tuple(w)) == expected
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_check_certificate_matches_the_reference(data):
+    """The whole CertificateCheck, b . y included, equals the Fraction
+    check's, also when y's entries off the levels carry denominators."""
+    n, levels = data.draw(_knapsack_levels())
+    on_levels = dict(zip(levels, data.draw(_knapsack_weights(len(levels.levels)))))
+    off = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 5]))
+    y = [on_levels[i] if i in on_levels else data.draw(off) for i in range(1, levels.k + 1)]
+    cert = FarkasCertificate(tuple(y))
+    assert check_certificate(n, levels, cert) == _reference_check_certificate(n, levels, cert)
+
+
 def test_lp_feasible_outcomes():
     feasible_cases = [(12, 3), (11, 3), (6, 2), (9, 2)]
     for n, k in feasible_cases:
