@@ -27,6 +27,11 @@ order.  Two classes never grow into the same parts (dropping the new element
 gives back the parent), so the classes stay distinct.  The audit of this
 invariant after every step is the one check of the flow's outcome.
 
+The last step is forced: at ell = n - 1 each open (S, j) is one element
+short and occurs in one partition, so every class has multiplicity 1 and
+one open part.  That step builds no network and pours nothing: each class
+grows its open part, and the audit runs on the result as after any step.
+
 Each class keeps its parts in ascending (S, j) order: the initial parts are
 empty, listed by potential, and the grown part, the only one holding
 element ell+1, is the largest, so it moves to the end.  Occurrences are
@@ -34,6 +39,13 @@ numbered in the same order, so a class's arcs are read off its parts,
 ascending, with no sort; a hand-built state with parts out of order gets
 its arcs in that order.  The order of the parts never reaches the output,
 because run sorts each factor by minimum element.
+
+Nor does a step sort the occurrences: evolve_step hands the next state its
+open keys.  They are this step's keys with j - |S| <= n - ell - 1, then the
+grown keys (S + {ell+1}, j) with j - |S| >= 2, both in this step's order;
+every grown mask holds element ell+1, above every kept mask.  The audit that
+passes on the new state makes them exactly its census's open parts.  The
+initial state, or one built by hand, reads them off its census.
 
 The max flow is Dinic's, with its first phase done without a graph, as a
 pour: each class, in order, puts its multiplicity into its occurrences in
@@ -90,6 +102,13 @@ class EvolutionState:
                 occ[part] = count(part, 0) + mult
         return occ
 
+    @functools.cached_property
+    def open_keys(self) -> list[tuple[int, int]]:
+        """The open parts (|S| < j) of the census in (mask, potential)
+        order: the step network's occurrences.  evolve_step sets them from
+        the last step's keys; any other state reads them off its census."""
+        return sorted((mask, j) for mask, j in self.census if j > mask.bit_count())
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -127,9 +146,7 @@ def build_step_network(state: EvolutionState) -> StepNetwork:
     out ascending with no sort."""
     n, ell = state.n, state.ell
     # complete parts (|S| = j) have sink capacity 0 and get no node
-    occ_keys: list[tuple[int, int]] = sorted(
-        (mask, j) for mask, j in state.census if j > mask.bit_count()
-    )
+    occ_keys = state.open_keys
     index = {key: i for i, key in enumerate(occ_keys)}.get
     sink_cap = _binomial_row(n - ell - 1).get
     occ_caps = [sink_cap(j - 1 - mask.bit_count(), 0) for mask, j in occ_keys]
@@ -434,26 +451,48 @@ def _least_absent(occ: dict[tuple[int, int], int], j: int, size: int, ell: int) 
 
 def evolve_step(state: EvolutionState) -> EvolutionState:
     """Insert element ell+1 into every partition; returns the evolved state.
-    Each occurrence's grown part is built once, shared by the classes growing it."""
+    Each occurrence's grown part is built once, shared by the classes growing it.
+
+    At ell = n - 1 the flow is forced, so no network is built: each class
+    grows its first open part, and a class with none routes nothing and is
+    dropped, as in the flow.  An unbalanced state leaves a part open, doubled
+    or missing, which the audit refuses."""
     n, ell = state.n, state.ell
     if ell >= n:
         raise ValueError(f"state is already complete (ell = n = {n})")
-    net = build_step_network(state)
-    value, flows = max_flow_integral(net)
-    keys, new_bit = net.occ_keys, 1 << ell
-    grown = [((mask | new_bit, j),) for mask, j in keys]
+    new_bit = 1 << ell
     classes: list[tuple[Parts, int]] = []
-    for (parts, _), arcs, row in zip(state.classes, net.class_arcs, flows):
-        for o, f in zip(arcs, row):
-            if not f:
-                continue
-            # the grown part is the only one holding element ell+1, so it is
-            # the largest: moved to the end, the parts stay ascending
-            i = parts.index(keys[o])
-            classes.append((parts[:i] + parts[i + 1:] + grown[o], f))
+    if ell == n - 1:
+        keys = state.open_keys
+        for parts, mult in state.classes:
+            for i, (mask, j) in enumerate(parts):
+                if j > mask.bit_count():
+                    classes.append((parts[:i] + parts[i + 1:] + ((mask | new_bit, j),), mult))
+                    break
+        value = sum(mult for _, mult in classes)
+    else:
+        net = build_step_network(state)
+        value, flows = max_flow_integral(net)
+        keys = net.occ_keys
+        grown = [((mask | new_bit, j),) for mask, j in keys]
+        for (parts, _), arcs, row in zip(state.classes, net.class_arcs, flows):
+            for o, f in zip(arcs, row):
+                if not f:
+                    continue
+                # the grown part is the only one holding element ell+1, so it is
+                # the largest: moved to the end, the parts stay ascending
+                i = parts.index(keys[o])
+                classes.append((parts[:i] + parts[i + 1:] + grown[o], f))
     new_state = EvolutionState(n, state.levels, ell + 1, classes)
     pairs = _check_occurrence_counts(new_state)
-    new_state.last_step = StepRecord(ell, value, len(state.classes), len(net.occ_keys), pairs)
+    new_state.last_step = StepRecord(ell, value, len(state.classes), len(keys), pairs)
+    # the audit makes these the census's open keys: the kept parts still
+    # short of more than element ell+1, then the grown parts still short;
+    # each grown mask holds bit ell, above every kept mask
+    last = n - ell - 1
+    new_state.open_keys = [key for key in keys if key[1] - key[0].bit_count() <= last] + [
+        (mask | new_bit, j) for mask, j in keys if j - mask.bit_count() >= 2
+    ]
     return new_state
 
 

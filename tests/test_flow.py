@@ -30,7 +30,7 @@ from hyperfactor.flow import (
     max_flow_integral,
     run,
 )
-from hyperfactor.linear_system import build_system, lp_feasible
+from hyperfactor.linear_system import build_system, lp_feasible, solution_residual
 from hyperfactor.verifier import verify_factorization
 
 from test_combinatorics import factor_count
@@ -203,6 +203,51 @@ def test_the_audit_refuses_a_flow_one_unit_short(monkeypatch):
 
     message = _refused_flow(monkeypatch, dropped_a_unit)
     assert message == "step 2: occurrence (0x1, potential 3) appears 5 times, expected 6"
+
+
+def _last_state(n, levels, solution):
+    """The state at ell = n - 1, where the flow is forced."""
+    state = init_state(n, levels, solution)
+    for _ in range(n - 1):
+        state = evolve_step(state)
+    return state
+
+
+def _tampered_last_states():
+    """At ell = 5 of (6, {2, 3}) each of the 15 classes is one partition with
+    one open part, short of one element.  Three tampers: class 0 loses its
+    open part; class 0 takes class 1's open part, which leaves the census as
+    it was; class 0 counts twice."""
+    state = _last_state(6, LevelSet.of([2, 3]), {(0, 3, 0): 5, (0, 0, 2): 10})
+    (parts0, mult0), (parts1, mult1), *rest = state.classes
+    assert (parts0, mult0, parts1, mult1) == (((0b1010, 3), (0b10101, 3)), 1,
+                                              ((0b101, 3), (0b11010, 3)), 1)
+    moved = ((0b101, 3), (0b1010, 3), (0b10101, 3)), ((0b11010, 3),)
+    return {
+        "no-open-part": [(parts0[1:], 1), (parts1, 1), *rest],
+        "two-open-parts": [(moved[0], 1), (moved[1], 1), *rest],
+        "multiplicity-two": [(parts0, 2), (parts1, 1), *rest],
+    }, state
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        ("no-open-part", "step 6: occurrence (0x15, potential 3) appears 0 times, expected 1"),
+        ("two-open-parts", "step 6: occurrence (0xa, potential 3) appears 1 times, expected 0"),
+        ("multiplicity-two", "step 6: occurrence (0x15, potential 3) appears 2 times, expected 1"),
+    ],
+    ids=["no-open-part", "two-open-parts", "multiplicity-two"],
+)
+def test_the_forced_last_step_refuses_an_unbalanced_state(tamper, message):
+    """The last step grows each class's one open part without a network,
+    so only the audit stands between a tampered state and the factors: a
+    class left with no open part is dropped, one with two keeps the second
+    open, and one of multiplicity 2 doubles its parts."""
+    tampered, state = _tampered_last_states()
+    with pytest.raises(InvariantViolation) as exc:
+        evolve_step(_with_classes(state, tampered[tamper]))
+    assert str(exc.value) == message
 
 
 @pytest.fixture
@@ -960,6 +1005,53 @@ def test_every_flow_block_up_to_13_verifies():
         assert verify_factorization(fact) == []
 
 
+def _step_by_the_network(state):
+    """The classes and StepRecord of a step routed by build_step_network and
+    max_flow_integral, as evolve_step routes every step before the last."""
+    net = build_step_network(state)
+    value, flows = max_flow_integral(net)
+    bit = 1 << state.ell
+    classes = []
+    for (parts, _), arcs, row in zip(state.classes, net.class_arcs, flows):
+        for o, f in zip(arcs, row):
+            if f:
+                mask, j = net.occ_keys[o]
+                i = parts.index((mask, j))
+                classes.append((parts[:i] + parts[i + 1:] + ((mask | bit, j),), f))
+    pairs = _check_occurrence_counts(EvolutionState(state.n, state.levels, state.ell + 1, classes))
+    record = flow.StepRecord(state.ell, value, len(state.classes), len(net.occ_keys), pairs)
+    return classes, record
+
+
+def test_carried_open_keys_match_the_census(monkeypatch):
+    """Every step of the flow and lift blocks of the factorable ranges with
+    n <= 13 hands the next state its open keys, equal to the sorted open
+    parts of its census.  The last step builds no network, and its classes
+    and record are those the network and max flow give on the same state."""
+    blocks = list(_flow_blocks_of_full_ranges(13))
+    assert {1, 2} <= {block.n for block in blocks}
+    assert any(block.realization == Realization.LIFT for block in blocks)
+    networks = []  # n - ell of each network built
+    build = flow.build_step_network
+    monkeypatch.setattr(
+        flow, "build_step_network", lambda state: networks.append(state.n - state.ell) or build(state)
+    )
+    steps = 0
+    for block in blocks:
+        state = init_state(block.n, block.levels, block.solution)
+        for _ in range(block.n):
+            if state.ell == state.n - 1:
+                forced = _step_by_the_network(state)
+            state = evolve_step(state)
+            assert "open_keys" in vars(state)  # handed over, not read off the census
+            assert state.open_keys == sorted(
+                (mask, j) for mask, j in state.census if j > mask.bit_count()
+            )
+            steps += 1
+        assert (state.classes, state.last_step) == forced
+    assert len(networks) == steps - len(blocks) and 1 not in networks
+
+
 def _pairing_sets():
     """(n, levels) for n in 12..16 and each divisor k >= 2 of n: every level
     set with top level k (lower levels as the bits of 0..2^(k-1)-1, ascending),
@@ -1022,3 +1114,16 @@ def test_run_refuses_a_rational_solution():
         assert covered == (binomial(10, j) if j in levels else 0)
     with pytest.raises(ValueError, match=r"is not an int: Fraction\("):
         run(10, levels, solution)
+
+
+def test_a_type_at_multiplicity_zero_changes_nothing():
+    """A witness may list a type it does not use.  Type (1, 1, 3) of
+    (12, {1..3}) at multiplicity 0 leaves the residual zero, and run builds
+    the same factors, byte for byte, as without it."""
+    levels = LevelSet.full(3)
+    solution = {(3, 0, 3): 4, (0, 3, 2): 22, (0, 0, 4): 41}
+    padded = {(1, 1, 3): 0, **solution}
+    assert solution_residual(12, levels, padded) == (0, 0, 0)
+    assert write_factorization(run(12, levels, padded)) == write_factorization(
+        run(12, levels, solution)
+    )
