@@ -25,6 +25,7 @@ from .fileformat import (
     load_text,
     parse_certificate,
     parse_factorization,
+    rational_text,
     save_factorization,
 )
 from .flow import StepRecord
@@ -57,7 +58,7 @@ def _print_verdict(verdict: Verdict) -> None:
     print(verdict.status.value)
     print(f"reason: {verdict.reason}")
     if verdict.certificate is not None:
-        print("certificate: " + " ".join(str(v) for v in verdict.certificate.y))
+        print("certificate: " + rational_text(verdict.certificate.y, verdict.certificate.den))
         print("certificate-levels: " + ",".join(map(str, verdict.certificate_levels)))
     if verdict.solution is not None:
         print("solution-types: " + str(len(verdict.solution)))
@@ -104,7 +105,7 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
         print("instance is factorable; no certificate exists", file=sys.stderr)
         return 1
     if verdict.certificate is not None:
-        print(" ".join(str(v) for v in verdict.certificate.y))
+        print(rational_text(verdict.certificate.y, verdict.certificate.den))
         levels = ",".join(map(str, verdict.certificate_levels))
         print(f"family: {verdict.family}\ncertificate-levels: {levels}", file=sys.stderr)
         return 0
@@ -135,11 +136,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if check.violating_type is not None:
             print(f"violation: type {check.violating_type} has negative product with y")
             return 1
+        b_dot_y = rational_text((check.b_dot_y,), cert.den)
         if not check.ok:
-            print(f"violation: b . y = {check.b_dot_y} is not negative")
+            print(f"violation: b . y = {b_dot_y} is not negative")
             return 1
         print(f"OK: certificate separates n={n} levels={','.join(map(str, levels.levels))} "
-              f"(b . y = {check.b_dot_y})")
+              f"(b . y = {b_dot_y})")
         return 0
     raise FormatError(f"unrecognized file magic {first!r}")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .combinatorics import LevelSet, TypeVector, binomial
@@ -257,42 +256,38 @@ def _odd_tail_block(n: int, k: int, t: int) -> Block:
 # Farkas certificate families
 
 
-def _candidate_certificates(n: int, levels: LevelSet) -> tuple[str, list[Fraction]] | None:
-    """The one certificate family that applies to (n, levels), not yet validated."""
+def _candidate_certificates(n: int, levels: LevelSet) -> tuple[str, list[int]] | None:
+    """The one certificate family that applies to (n, levels), as 2 * y in
+    ints (every family's denominators divide 2), not yet validated."""
     k = levels.k
     if k < 2 or n <= 2 * k:
         return None
     r = n % k
     j = n // k  # n > 2k, so j >= 2
-    F = Fraction
     if not levels.is_full_range():
         if r not in (0, k - 1):
-            y = [F(j, 2)] * (r - 1) + [F(j)] + [F(j, 2)] * (k - r - 1) + [F(-1)]
-            return "sparse-residue-mid", y
+            return "sparse-residue-mid", [j] * (r - 1) + [2 * j] + [j] * (k - r - 1) + [-2]
         if r == k - 1 and (k - 1) not in levels:
-            y = [F(j, 2) if l in levels else F(0) for l in range(1, k)] + [F(-1)]
-            return "sparse-minus-one-gap", y
+            return "sparse-minus-one-gap", [j if l in levels else 0 for l in range(1, k)] + [-2]
         if r == k - 1 and levels.levels == (2, 3, 4):
-            return "sparse-2-3-4-minus-one", [F(0), F(-1, 2), F((n + 1) // 4 - 1), F(-1)]
+            return "sparse-2-3-4-minus-one", [0, -1, 2 * ((n + 1) // 4 - 1), -2]
         return None
     if r == 0:
         if _divisible_ok(n, k):
             return None
-        y = [F(j)] * j + [F(j - 1, 2)] * (k - j - 2) + [F(-1), F(0)]
-        return "divisible-below-threshold", y
+        return "divisible-below-threshold", [2 * j] * j + [j - 1] * (k - j - 2) + [-2, 0]
     if r == k - 1:
         if _minus_one_ok(n, k):
             return None
-        y = [F(j + 1)] * (2 * j + 1) + [F(j, 2)] * (k - 2 * j - 4) + [F(-1), F(j), F(-1)]
+        y = [2 * j + 2] * (2 * j + 1) + [j] * (k - 2 * j - 4) + [-2, 2 * j, -2]
         return "minus-one-below-threshold", y
     if j >= 3:
-        y = [F(j, 2)] * (r - 1) + [F(j)] + [F(j - 1, 2)] * (k - r - 1) + [F(-1)]
-        return "residue-mid-large", y
+        return "residue-mid-large", [j] * (r - 1) + [2 * j] + [j - 1] * (k - r - 1) + [-2]
     # j = 2: ones up to the middle level (k + r) // 2, a half there when k - r is even
     mid = (r + k) // 2
-    half = [] if (k - r) % 2 else [F(1, 2)]
-    y = [F(1)] * (r - 1) + [F(2)] + [F(1)] * (mid - r - len(half)) + half
-    return "residue-mid-tight", y + [F(0)] * (k - 1 - mid) + [F(-1)]
+    half = [] if (k - r) % 2 else [1]
+    y = [2] * (r - 1) + [4] + [2] * (mid - r - len(half)) + half
+    return "residue-mid-tight", y + [0] * (k - 1 - mid) + [-2]
 
 
 def certificate_with_branch(n: int, levels: LevelSet) -> tuple[str, FarkasCertificate] | None:
@@ -301,5 +296,5 @@ def certificate_with_branch(n: int, levels: LevelSet) -> tuple[str, FarkasCertif
     found = _candidate_certificates(n, levels)
     if found is None:
         return None
-    cert = FarkasCertificate(tuple(found[1]))
+    cert = FarkasCertificate(tuple(found[1]), 2)
     return (found[0], cert) if check_certificate(n, levels, cert).ok else None

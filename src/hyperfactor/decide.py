@@ -179,9 +179,9 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
     if not outcome.feasible:
         reason = "exact rational infeasibility (simplex-derived certificate)"
         return _refuted(reason, levels, "simplex-derived", outcome.certificate)
-    if all(v.denominator == 1 for v in outcome.solution.values()):
-        # solution_residual takes int multiplicities only, not Fraction(190)
-        solution = {lam: int(v) for lam, v in outcome.solution.items()}
+    det = outcome.det
+    if all(v % det == 0 for v in outcome.solution.values()):
+        solution = {lam: v // det for lam, v in outcome.solution.items()}
         res = solution_residual(n, levels, solution)
         if any(res):
             raise InvariantViolation(f"LP vertex residual {res} for n={n} levels={levels.levels}")

@@ -11,15 +11,14 @@ integer arithmetic.  Bland's rule, with artificial columns after every real
 one in both the entering choice and the ratio-test ties, guarantees
 termination.  At a positive phase-1 optimum y is a Farkas witness:
 y . col >= 0 for every column and y . rhs < 0.  It is returned with its
-denominators cleared, as integers; Fractions appear only in the solution
-values.
+denominators cleared, and a feasible vertex as its values times det: every
+number that leaves the kernel is an integer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import mul
 from typing import Any, Callable, Sequence
@@ -43,14 +42,14 @@ def _integers(values: Sequence[Any], what: str) -> list[int]:
 
 def phase_one(
     rhs: Sequence[int], price: Callable[[tuple[int, ...]], tuple[Any, Sequence[int]] | None]
-) -> tuple[dict[Any, Fraction], None] | tuple[None, tuple[int, ...]]:
+) -> tuple[dict[Any, int], int, None] | tuple[None, None, tuple[int, ...]]:
     """Decide {x >= 0 : sum_j x_j * col_j == rhs} != {} over the columns that
     price(y) returns as (key, col); keys compare in the caller's order.  rhs
     and every column are integers; y is the separator times the (positive)
     basis determinant, so it has the separator's signs.
 
-    Returns (the non-zero basic values by key, None) or (None, y // gcd(det,
-    *y)), the separator with its denominators cleared; each self-checked.
+    Returns (the non-zero basic values times det by key, det, None), or
+    (None, None, y // gcd(det, *y)) the cleared separator; each self-checked.
     """
     rhs = _integers(rhs, "rhs")
     m = len(rhs)
@@ -108,9 +107,7 @@ def phase_one(
         basis[leave] = enter
 
     if sum(value[r] for r in range(m) if basis[r][0]) == 0:
-        solution = {
-            basis[r][1]: Fraction(value[r], det) for r in range(m) if not basis[r][0] and value[r]
-        }
+        solution = {basis[r][1]: value[r] for r in range(m) if not basis[r][0] and value[r]}
         # self-check: non-negative and exactly solves the original system
         if any(v < 0 for v in solution.values()):
             raise InvariantViolation("simplex returned a negative solution")
@@ -118,11 +115,11 @@ def phase_one(
             total = sum(value[r] * col[i] for r, (art, _, col) in enumerate(basis) if not art)
             if total != rhs[i] * det:
                 raise InvariantViolation("simplex returned a non-solution")
-        return solution, None
+        return solution, det, None
     if sum(a * b for a, b in zip(y, rhs)) >= 0:
         raise InvariantViolation("separator fails the rhs")
     g = math.gcd(det, *y)
-    return None, tuple(v // g for v in y)
+    return None, None, tuple(v // g for v in y)
 
 
 def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> FeasibilityResult:
@@ -141,5 +138,5 @@ def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -
                 return j, col
         return None
 
-    _, separator = phase_one(rhs, first_below)
+    *_, separator = phase_one(rhs, first_below)
     return FeasibilityResult(separator is None, separator)

@@ -10,7 +10,7 @@ n=<N> levels=<l1,l2,...>
 
 FARKAS v1
 n=<N> levels=<l1,l2,...>
-p/q p/q ...                      k exact rationals, space-separated
+p/q p/q ...                      k exact rationals in lowest terms, space-separated
 
 A factorization file lists every set of its family, up to the verifier's cap
 of 5,000,000, so neither direction holds a whole-file list of lines.  The
@@ -25,11 +25,12 @@ first fault.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import lt
-from typing import Iterator, NoReturn, TextIO
+from typing import Iterator, NoReturn, Sequence, TextIO
 
 from .combinatorics import MAX_GROUND_SIZE, LevelSet, set_decoder, set_text
 from .errors import FormatError
@@ -198,9 +199,14 @@ def parse_factorization(text: str) -> Factorization:
     return Factorization(n, levels, tuple(factors))
 
 
+def rational_text(values: Sequence[int], den: int) -> str:
+    """The ints values over den, each in lowest terms as p or p/q, one space
+    apart: the one spelling of a certificate and of its b . y."""
+    return " ".join(str(Fraction(v, den)) for v in values)
+
+
 def write_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> str:
-    values = " ".join(str(v) for v in cert.y)
-    return f"{CERTIFICATE_MAGIC}\n{_header(n, levels.levels)}\n{values}\n"
+    return f"{CERTIFICATE_MAGIC}\n{_header(n, levels.levels)}\n{rational_text(cert.y, cert.den)}\n"
 
 
 def parse_certificate(text: str) -> tuple[int, LevelSet, FarkasCertificate]:
@@ -222,7 +228,8 @@ def parse_certificate(text: str) -> tuple[int, LevelSet, FarkasCertificate]:
             values.append(Fraction(f))
         except ValueError:  # the pattern leaves only int()'s digit limit
             raise FormatError(f"line 3: rational too long ({len(f)} characters)") from None
-    cert = FarkasCertificate(tuple(values))
+    den = math.lcm(*(v.denominator for v in values))
+    cert = FarkasCertificate(tuple(v.numerator * (den // v.denominator) for v in values), den)
     if write_certificate(n, levels, cert) != text:
         raise FormatError("certificate text is not in canonical form")
     return n, levels, cert

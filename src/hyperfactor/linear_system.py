@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .combinatorics import (
@@ -78,16 +77,23 @@ def solution_residual(n: int, levels: LevelSet, solution: Mapping[TypeVector, in
 
 @dataclass(frozen=True)
 class FarkasCertificate:
-    """A vector y with lam . y >= 0 for every type lam and b . y < 0.
+    """Ints y over den >= 1, divided by their gcd (so equal vectors y / den
+    are equal), with lam . y >= 0 for every type lam and b . y < 0.
 
     Such a y proves the counting system has no non-negative solution at all
     (rational or integer), hence no 1-factorization exists.
     """
 
-    y: tuple[Fraction, ...]
+    y: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "y", tuple(Fraction(v) for v in self.y))
+        y = tuple(self.y)
+        if not all(map(_is_int, (*y, self.den))) or self.den < 1:
+            raise ValueError(f"certificate is not ints over a den >= 1: {y!r} / {self.den!r}")
+        g = math.gcd(self.den, *y)
+        object.__setattr__(self, "y", tuple(v // g for v in y))
+        object.__setattr__(self, "den", self.den // g)
 
 
 @dataclass(frozen=True)
@@ -95,31 +101,23 @@ class CertificateCheck:
     ok: bool
     #: first type with lam . y < 0, when any
     violating_type: TypeVector | None
-    b_dot_y: Fraction
+    #: b . y over the certificate's den (0 when a type violates)
+    b_dot_y: int
 
 
-def _clear_denominators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(den, [v * den for v in values]) in ints, den the lcm of the
-    denominators; ints pass through with den 1."""
-    den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
-def first_negative_type(n: int, levels: LevelSet, w: Sequence[Fraction]) -> TypeVector | None:
+def first_negative_type(n: int, levels: LevelSet, w: Sequence[int]) -> TypeVector | None:
     """The first type lam in canonical order with sum of lam_j * w_j < 0, or
-    None; w has one entry per level, in order, ints or Fractions.
+    None; w has one int entry per level, in order.
 
     The least such sum over all types is an unbounded knapsack over the ground
-    size (Gilmore & Gomory 1961), solved exactly in O(n * |levels|) on w
-    scaled to integers by the lcm of its denominators (ints pass unscaled).
+    size (Gilmore & Gomory 1961), solved exactly in O(n * |levels|).
     """
-    _, weight = _clear_denominators(w)
     # best[i][rem]: least sum of c_j * w_j over the i smallest levels with
     # sum of j * c_j == rem; None when no such multiplicities exist.  Each
     # row starts as the row below and takes the new level where it improves.
     below: list[int | None] = [0] + [None] * n
     best = [below]
-    for j, wj in zip(levels.levels[:-1], weight):
+    for j, wj in zip(levels.levels[:-1], w):
         row = below.copy()
         for rem in range(j, n + 1):
             prev = row[rem - j]
@@ -132,7 +130,7 @@ def first_negative_type(n: int, levels: LevelSet, w: Sequence[Fraction]) -> Type
         below = row
     # the walk reads the largest level's row only at n, so only that cell is
     # evaluated: some type is negative when some below[n - c * k] + c * w_k is
-    wk = weight[-1]
+    wk = w[-1]
     for c, tail in enumerate(below[n :: -levels.k]):
         if tail is not None and tail + c * wk < 0:
             break
@@ -143,7 +141,7 @@ def first_negative_type(n: int, levels: LevelSet, w: Sequence[Fraction]) -> Type
     # whose best completion is still negative
     lam = [0] * levels.k
     rem, acc = n, 0
-    for below, j, wj in zip(reversed(best), reversed(levels.levels), reversed(weight)):
+    for below, j, wj in zip(reversed(best), reversed(levels.levels), reversed(w)):
         for c in range(rem // j, -1, -1):
             tail = below[rem - c * j]
             if tail is not None and acc + c * wj + tail < 0:
@@ -159,22 +157,21 @@ def first_negative_type(n: int, levels: LevelSet, w: Sequence[Fraction]) -> Type
 def check_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> CertificateCheck:
     """Exact check of the two Farkas conditions in O(n * |levels|).
 
-    The entries of y on the levels are cleared of denominators once, by their
-    lcm den; the DP and b . y run on those integers, and b . y is returned as
-    the Fraction (integer sum) / den.  A violation is reported as the first
-    violating type in canonical order, the one streaming iter_types would
-    meet first.
+    The DP and b . y run on the int entries of y on the levels; den > 0
+    changes no sign, and b . y is returned over it.  A violation is reported
+    as the first violating type in canonical order, the one streaming
+    iter_types would meet first.
     """
     y = cert.y
     if len(y) != levels.k:
         raise ValueError(f"certificate length {len(y)} != k={levels.k}")
     levels.check_against_ground(n)
-    den, w = _clear_denominators([y[j - 1] for j in levels])
+    w = [y[j - 1] for j in levels]
     lam = first_negative_type(n, levels, w)
     if lam is not None:
-        return CertificateCheck(False, lam, Fraction(0))
+        return CertificateCheck(False, lam, 0)
     b_dot = sum(binomial(n, j) * wj for j, wj in zip(levels, w))
-    return CertificateCheck(b_dot < 0, None, Fraction(b_dot, den))
+    return CertificateCheck(b_dot < 0, None, b_dot)
 
 
 def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> CertificateCheck:
@@ -185,9 +182,10 @@ def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> Certifi
 @dataclass(frozen=True)
 class LpOutcome:
     feasible: bool
-    #: exact rational solution keyed by type, when feasible
-    solution: dict[TypeVector, Fraction] | None
-    #: integer-scaled certificate, when infeasible
+    #: the basic values by type, times the basis determinant det > 0, when feasible
+    solution: dict[TypeVector, int] | None
+    det: int | None
+    #: the simplex's separator, over den 1, when infeasible
     certificate: FarkasCertificate | None
 
 
@@ -197,9 +195,9 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
     The simplex has one row per level (the other rows are zero in every type
     and in b) and prices all types with first_negative_type, so Bland's
     entering column is the first negative type in canonical order and no type
-    is listed.  Infeasible outcomes carry the simplex's separator, already
-    cleared of denominators, on its levels; both outcomes are self-validated
-    before being returned.
+    is listed.  A feasible outcome carries the vertex as ints over det, an
+    infeasible one the simplex's separator, in ints, on its levels; both
+    outcomes are self-validated before being returned.
     """
     n, levels = system.n, system.levels
 
@@ -209,14 +207,14 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
             return None
         return (canonical_key(lam), lam), [lam[j - 1] for j in levels]
 
-    solution, separator = phase_one([system.b[j - 1] for j in levels], price)
+    solution, det, separator = phase_one([system.b[j - 1] for j in levels], price)
     if separator is None:
-        return LpOutcome(True, {lam: v for (_key, lam), v in sorted(solution.items())}, None)
+        return LpOutcome(True, {lam: v for (_key, lam), v in sorted(solution.items())}, det, None)
     by_level = dict(zip(levels, separator))
     cert = FarkasCertificate(tuple(by_level.get(j, 0) for j in range(1, levels.k + 1)))
     if not check_certificate(n, levels, cert).ok:
         raise InvariantViolation("extracted certificate failed validation")
-    return LpOutcome(False, None, cert)
+    return LpOutcome(False, None, None, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_c02_negative_instance_with_certificate():
     verdict = decide(18, 6)
     assert verdict.status is Status.NOT_FACTORABLE
     assert verdict.certificate is not None
-    assert verdict.certificate.y == tuple(Fraction(c) for c in (3, 3, 3, 1, -1, 0))
+    assert (verdict.certificate.y, verdict.certificate.den) == ((3, 3, 3, 1, -1, 0), 1)
     check = verify_certificate(build_system(18, LevelSet.full(6)), verdict.certificate)
     assert check.ok and check.violating_type is None
     assert check.b_dot_y == -2547
@@ -301,8 +301,9 @@ def test_c09_lp_farkas_dichotomy():
             outcome = lp_feasible(system)
             if outcome.feasible:
                 assert outcome.solution is not None and outcome.certificate is None
-                assert all(v >= 0 for v in outcome.solution.values())
-                residual = list(system.b)
+                assert all(v >= 0 for v in outcome.solution.values()) and outcome.det > 0
+                # the solution is over det
+                residual = [b * outcome.det for b in system.b]
                 for lam, mult in outcome.solution.items():
                     for i, c in enumerate(lam):
                         residual[i] -= c * mult

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,8 +17,8 @@ from hyperfactor.cli import main
 from hyperfactor.decide import DEFAULT_MAX_GROUND, decide_general
 from hyperfactor.errors import InvariantViolation
 from hyperfactor.combinatorics import LevelSet
-from hyperfactor.fileformat import parse_factorization
-from hyperfactor.linear_system import FarkasCertificate, check_certificate
+from hyperfactor.fileformat import parse_certificate, parse_factorization
+from hyperfactor.linear_system import check_certificate
 from hyperfactor.verifier import verify_factorization
 
 CERT_7_3 = "FARKAS v1\nn=7 levels=1,2,3\n2 1/2 -1\n"
@@ -53,11 +52,12 @@ def test_decide_sparse_levels(capsys):
 
 
 def _printed_certificate_holds(n: int, out: str) -> bool:
-    """check_certificate on the certificate lines of a decide output."""
+    """check_certificate on the certificate lines of a decide output, read
+    back as a FARKAS v1 file."""
     fields = dict(line.split(": ", 1) for line in out.splitlines()[1:])
-    y = tuple(Fraction(v) for v in fields["certificate"].split())
-    levels = LevelSet.of(int(v) for v in fields["certificate-levels"].split(","))
-    return check_certificate(n, levels, FarkasCertificate(y)).ok
+    text = f"FARKAS v1\nn={n} levels={fields['certificate-levels']}\n{fields['certificate']}\n"
+    _, levels, cert = parse_certificate(text)
+    return check_certificate(n, levels, cert).ok
 
 
 def test_decide_undecided_statuses(capsys):

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -227,22 +226,21 @@ def test_a_negative_closed_form_multiplicity_is_an_internal_error(monkeypatch, c
 
 
 def test_certificate_values():
-    F = Fraction
     cases = [
-        (18, LevelSet.full(6), (F(3), F(3), F(3), F(1), F(-1), F(0))),
-        (7, LevelSet.full(3), (F(2), F(1, 2), F(-1))),
-        (10, LevelSet.full(3), (F(3), F(1), F(-1))),
-        (9, LevelSet.full(4), (F(2), F(1), F(0), F(-1))),
-        (10, LevelSet.full(4), (F(1), F(2), F(1, 2), F(-1))),
-        (26, LevelSet.full(9), (F(3),) * 5 + (F(1), F(-1), F(2), F(-1))),
-        (11, LevelSet.of([2, 3, 4]), (F(0), F(-1, 2), F(2), F(-1))),
-        (7, LevelSet.of([2]), (F(0), F(-1))),
+        (18, LevelSet.full(6), (3, 3, 3, 1, -1, 0), 1),
+        (7, LevelSet.full(3), (4, 1, -2), 2),  # (2, 1/2, -1)
+        (10, LevelSet.full(3), (3, 1, -1), 1),
+        (9, LevelSet.full(4), (2, 1, 0, -1), 1),
+        (10, LevelSet.full(4), (2, 4, 1, -2), 2),  # (1, 2, 1/2, -1)
+        (26, LevelSet.full(9), (3,) * 5 + (1, -1, 2, -1), 1),
+        (11, LevelSet.of([2, 3, 4]), (0, -1, 4, -2), 2),  # (0, -1/2, 2, -1)
+        (7, LevelSet.of([2]), (0, -1), 1),
     ]
-    for n, L, expected in cases:
+    for n, L, y, den in cases:
         found = certificate_with_branch(n, L)
         assert found is not None, (n, L.levels)
         cert = found[1]
-        assert cert.y == expected, (n, L.levels, cert.y)
+        assert (cert.y, cert.den) == (y, den), (n, L.levels, cert)
         assert verify_certificate(build_system(n, L), cert).ok
 
 
@@ -274,7 +272,7 @@ def test_full_range_families_raw_validity():
             found = _candidate_certificates(n, L)
             if found is not None:
                 name, y = found
-                cert = FarkasCertificate(tuple(y))
+                cert = FarkasCertificate(tuple(y), 2)
                 assert verify_certificate(build_system(n, L), cert).ok, (n, k, name)
 
 

@@ -4,7 +4,6 @@ import hashlib
 import time
 from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,7 +239,9 @@ def test_an_integral_vertex_is_checked_before_it_is_a_witness(monkeypatch, capsy
     def off_by_one(system):
         outcome = real(system)
         lam = next(iter(outcome.solution))
-        return replace(outcome, solution={**outcome.solution, lam: outcome.solution[lam] + 1})
+        # one more unit of the multiplicity, which is over det
+        bumped = outcome.solution[lam] + outcome.det
+        return replace(outcome, solution={**outcome.solution, lam: bumped})
 
     monkeypatch.setattr(decide_module, "lp_feasible", off_by_one)
     with pytest.raises(InvariantViolation, match=r"LP vertex residual \(0, 1, 3\) for n=11"):
@@ -253,8 +254,8 @@ def test_an_integral_vertex_is_checked_before_it_is_a_witness(monkeypatch, capsy
 
 def test_a_vertex_of_whole_fractions_gives_int_multiplicities():
     levels = LevelSet.of([2, 3])
-    vertex = lp_feasible(build_system(11, levels)).solution
-    assert vertex == {(0, 1, 3): Fraction(55)}
+    outcome = lp_feasible(build_system(11, levels))
+    assert outcome.solution == {(0, 1, 3): 55 * outcome.det}
     v = decide_general(11, levels)
     assert v.reason == VERTEX
     assert v.solution == {(0, 1, 3): 55}

@@ -12,15 +12,16 @@ from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative, phase_o
 
 
 def _recheck(columns, rhs, result):
-    """A feasible result must have a solution, which phase_one finds and this
-    checks; an infeasible one an integer separator, which this checks."""
+    """A feasible result must have a solution, which phase_one finds as ints
+    over det and this checks; an infeasible one an integer separator, which
+    this checks."""
     if result.feasible:
-        solution, separator = phase_one(rhs, _scanning(columns))
-        assert separator is None
-        x = [solution.get(j, Fraction(0)) for j in range(len(columns))]
-        assert all(v >= 0 for v in x)
+        solution, det, separator = phase_one(rhs, _scanning(columns))
+        assert separator is None and type(det) is int and det > 0
+        x = [solution.get(j, 0) for j in range(len(columns))]
+        assert all(type(v) is int and v >= 0 for v in x)
         for i in range(len(rhs)):
-            assert sum(x[j] * columns[j][i] for j in range(len(columns))) == rhs[i]
+            assert sum(x[j] * columns[j][i] for j in range(len(columns))) == rhs[i] * det
     else:
         y = result.separator
         assert all(isinstance(v, int) for v in y)
@@ -80,7 +81,15 @@ def test_requires_mixing():
     columns = [[2, 1], [1, 2]]
     rhs = [4, 5]
     assert feasible_nonnegative(columns, rhs).feasible
-    assert phase_one(rhs, _scanning(columns)) == ({0: 1, 1: 2}, None)
+    # over det = 3, the determinant of the two columns
+    assert phase_one(rhs, _scanning(columns)) == ({0: 3, 1: 6}, 3, None)
+
+
+def test_phase_one_returns_a_fractional_vertex_as_ints_over_det():
+    """x = 1/2 solves 2x = 1: phase_one returns the value 1 over det 2."""
+    solution, det, separator = phase_one([1], _scanning([[2]]))
+    assert (solution, det, separator) == ({0: 1}, 2, None)
+    assert all(type(v) is int for v in (*solution.values(), det))
 
 
 def test_exhaustive_tiny_systems():
@@ -194,12 +203,15 @@ def _integer_systems(draw):
 @settings(max_examples=400, deadline=None)
 @given(_integer_systems())
 def test_phase_one_matches_the_fraction_reference(system):
-    """The same solution as the Fraction tableau, and its separator times the
-    lcm of the separator's denominators."""
+    """The same solution as the Fraction tableau, once divided by det, and its
+    separator times the lcm of the separator's denominators."""
     columns, rhs = system
-    solution, separator = phase_one(rhs, _scanning(columns))
+    solution, det, separator = phase_one(rhs, _scanning(columns))
     ref_solution, ref_separator = _reference_phase_one(rhs, _scanning(columns))
-    assert solution == ref_solution
+    if ref_solution is None:
+        assert solution is None and det is None
+    else:
+        assert {j: Fraction(v, det) for j, v in solution.items()} == ref_solution
     if ref_separator is None:
         assert separator is None
     else:

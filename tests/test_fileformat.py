@@ -1,7 +1,6 @@
 """Tests for the strict text formats and their round-trip guarantees."""
 
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,12 +62,20 @@ def test_factorization_round_trip_byte_identical():
 
 
 def test_certificate_golden_text():
-    cert = FarkasCertificate((Fraction(2), Fraction(1, 2), Fraction(-1)))
+    cert = FarkasCertificate((4, 1, -2), 2)  # (2, 1/2, -1)
     assert write_certificate(7, LevelSet.full(3), cert) == CERT_TEXT
     n, levels, parsed = parse_certificate(CERT_TEXT)
     assert (n, levels.levels) == (7, (1, 2, 3))
-    assert parsed.y == cert.y
+    assert (parsed.y, parsed.den) == (cert.y, cert.den)
     assert write_certificate(n, levels, parsed) == CERT_TEXT
+
+
+def test_certificate_reader_clears_mixed_denominators_once():
+    """1/2, -1/3 and -1 are read as ints over their lcm 6, and spelled back."""
+    text = "FARKAS v1\nn=7 levels=1,2,3\n1/2 -1/3 -1\n"
+    _, levels, cert = parse_certificate(text)
+    assert (cert.y, cert.den) == ((3, -2, -6), 6)
+    assert write_certificate(7, levels, cert) == text
 
 
 def test_file_save_load(tmp_path):

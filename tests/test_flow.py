@@ -1107,7 +1107,8 @@ def test_run_refuses_a_rational_solution():
     """The LP's vertex for (10, {1, 2, 4, 6}) solves the counts with 35/2 and
     5/2; the input check names the first multiplicity that is not an int."""
     levels = LevelSet.of([1, 2, 4, 6])
-    solution = lp_feasible(build_system(10, levels)).solution
+    outcome = lp_feasible(build_system(10, levels))
+    solution = {lam: Fraction(v, outcome.det) for lam, v in outcome.solution.items()}
     assert {Fraction(35, 2), Fraction(5, 2)} <= set(solution.values())
     for j in range(1, 7):
         covered = sum(lam[j - 1] * mult for lam, mult in solution.items())

@@ -72,11 +72,18 @@ def test_solution_residual():
             solution_residual(2, LevelSet.full(2), {(0, 1): flag})
 
 
+def _over_one_den(values):
+    """Rational values as (ints, den), over the lcm den of their denominators."""
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    return tuple(int(v * den) for v in values), den
+
+
 def test_verify_certificate_examples():
     system = build_system(7, LevelSet.full(3))
-    check = verify_certificate(system, FarkasCertificate((2, Fraction(1, 2), -1)))
+    cert = FarkasCertificate((4, 1, -2), 2)  # (2, 1/2, -1)
+    check = verify_certificate(system, cert)
     assert check.ok
-    assert check.b_dot_y == Fraction(-21, 2)
+    assert Fraction(check.b_dot_y, cert.den) == Fraction(-21, 2)
 
     system18 = build_system(18, LevelSet.full(6))
     check = verify_certificate(system18, FarkasCertificate((3, 3, 3, 1, -1, 0)))
@@ -86,7 +93,7 @@ def test_verify_certificate_examples():
 
 def test_verify_certificate_rejects():
     system = build_system(7, LevelSet.full(3))
-    check = verify_certificate(system, FarkasCertificate((2, Fraction(1, 2), -2)))
+    check = verify_certificate(system, FarkasCertificate((4, 1, -4), 2))
     assert not check.ok
     assert check.violating_type == (1, 0, 2)
     # non-separating vector: all rows fine but b.y >= 0
@@ -98,6 +105,33 @@ def test_verify_certificate_rejects():
         verify_certificate(system, FarkasCertificate((1, 1)))
 
 
+@pytest.mark.parametrize(
+    "y, den",
+    [
+        ((Fraction(1, 2), -1), 1),
+        ((Fraction(2), -1), 1),  # integral, yet not an int
+        ((2.0, -1), 1),
+        ((True, -1), 1),
+        ((2, -1), 0),
+        ((2, -1), -2),
+        ((2, -1), True),
+        ((2, -1), 2.0),
+    ],
+)
+def test_certificate_refuses_a_non_int_entry_or_den(y, den):
+    with pytest.raises(ValueError, match="certificate is not ints over a den >= 1"):
+        FarkasCertificate(y, den)
+
+
+def test_certificate_is_reduced_by_the_gcd():
+    """Equal rational vectors give equal certificates, as Fractions would."""
+    assert FarkasCertificate((2, -2), 2) == FarkasCertificate((1, -1))
+    assert FarkasCertificate((6, 3, 0), 9) == FarkasCertificate([2, 1, 0], 3)
+    cert = FarkasCertificate((4, 1, -2), 2)
+    assert (cert.y, cert.den) == ((4, 1, -2), 2)
+    assert FarkasCertificate((0, 0), 5) == FarkasCertificate((0, 0))
+
+
 def _streamed_check(n, levels, cert):
     """Reference Farkas check: stream the type rows in canonical order."""
     y = cert.y
@@ -105,7 +139,7 @@ def _streamed_check(n, levels, cert):
         raise ValueError(f"certificate length {len(y)} != k={levels.k}")
     for lam in iter_types(n, levels):
         if sum(c * y[i] for i, c in enumerate(lam)) < 0:
-            return CertificateCheck(False, lam, Fraction(0))
+            return CertificateCheck(False, lam, 0)
     b_dot = sum(binomial(n, i) * y[i - 1] for i in levels)
     return CertificateCheck(b_dot < 0, None, b_dot)
 
@@ -120,7 +154,7 @@ def _certificate_instances(draw):
     # failure occur
     entry = st.builds(Fraction, st.integers(-2, 4), st.sampled_from([1, 2, 3]))
     y = draw(st.lists(entry, min_size=k, max_size=k))
-    return n, levels, FarkasCertificate(tuple(y))
+    return n, levels, FarkasCertificate(*_over_one_den(y))
 
 
 @settings(max_examples=400, deadline=None)
@@ -134,11 +168,11 @@ def test_check_certificate_edge_cases():
     # no (7, {2, 4})-type exists: every y satisfies the row condition
     levels = LevelSet.of([2, 4])
     check = check_certificate(7, levels, FarkasCertificate((0, 1, 0, -1)))
-    assert check == CertificateCheck(True, None, Fraction(-14))
+    assert check == CertificateCheck(True, None, -14)
     check = check_certificate(7, levels, FarkasCertificate((0, -1, 0, -1)))
-    assert check == CertificateCheck(True, None, Fraction(-56))
+    assert check == CertificateCheck(True, None, -56)
     check = check_certificate(7, levels, FarkasCertificate((0, 1, 0, 1)))
-    assert check == CertificateCheck(False, None, Fraction(56))
+    assert check == CertificateCheck(False, None, 56)
     with pytest.raises(ValueError, match="exceeds ground size"):
         check_certificate(3, LevelSet.full(4), FarkasCertificate((1, 1, 1, 1)))
     with pytest.raises(ValueError, match="certificate length"):
@@ -189,8 +223,8 @@ def _reference_first_negative_type(n, levels, w):
 
 def _reference_check_certificate(n, levels, cert):
     """check_certificate as it was before it cleared denominators: the DP on
-    the Fraction entries, and b . y as a sum of Fraction products."""
-    y = cert.y
+    the Fraction entries y_i / den, and b . y as a sum of Fraction products."""
+    y = [Fraction(v, cert.den) for v in cert.y]
     if len(y) != levels.k:
         raise ValueError(f"certificate length {len(y)} != k={levels.k}")
     levels.check_against_ground(n)
@@ -249,21 +283,26 @@ def test_first_negative_type_matches_the_reference(data):
     n, levels = data.draw(_knapsack_levels())
     w = data.draw(_knapsack_weights(len(levels.levels)))
     expected = _reference_first_negative_type(n, levels, w)
-    assert first_negative_type(n, levels, w) == expected
-    assert first_negative_type(n, levels, tuple(w)) == expected
+    ints, _ = _over_one_den(w)
+    assert first_negative_type(n, levels, list(ints)) == expected
+    assert first_negative_type(n, levels, ints) == expected
 
 
 @settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_check_certificate_matches_the_reference(data):
-    """The whole CertificateCheck, b . y included, equals the Fraction
-    check's, also when y's entries off the levels carry denominators."""
+    """The whole CertificateCheck, b . y over den included, equals the
+    Fraction check's, also when y's entries off the levels carry
+    denominators."""
     n, levels = data.draw(_knapsack_levels())
     on_levels = dict(zip(levels, data.draw(_knapsack_weights(len(levels.levels)))))
     off = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 5]))
     y = [on_levels[i] if i in on_levels else data.draw(off) for i in range(1, levels.k + 1)]
-    cert = FarkasCertificate(tuple(y))
-    assert check_certificate(n, levels, cert) == _reference_check_certificate(n, levels, cert)
+    cert = FarkasCertificate(*_over_one_den(y))
+    check = check_certificate(n, levels, cert)
+    assert type(check.b_dot_y) is int
+    check = CertificateCheck(check.ok, check.violating_type, Fraction(check.b_dot_y, cert.den))
+    assert check == _reference_check_certificate(n, levels, cert)
 
 
 def test_lp_feasible_outcomes():
@@ -278,13 +317,13 @@ def test_lp_feasible_outcomes():
         assert not out.feasible and out.certificate is not None
         assert verify_certificate(system, out.certificate).ok
         # certificates are scaled to integers
-        assert all(v.denominator == 1 for v in out.certificate.y)
+        assert out.certificate.den == 1
 
 
 def test_lp_solution_is_exact():
     system = build_system(12, LevelSet.full(3))
     out = lp_feasible(system)
-    res = [-b for b in system.b]
+    res = [-b * out.det for b in system.b]
     for lam, v in out.solution.items():
         assert v >= 0
         for i, c in enumerate(lam):
@@ -408,8 +447,9 @@ def test_dp_pricing_matches_scan_pricing():
         out = lp_feasible(system)
         assert out.feasible == scan.feasible, (n, levels)
         if scan.feasible:
-            solution, _ = phase_one(rhs, _scanning(columns))
+            solution, det, _ = phase_one(rhs, _scanning(columns))
             assert out.solution == {types[j]: v for j, v in solution.items()}, (n, levels)
+            assert out.det == det, (n, levels)
         else:
             y = [0] * levels.k
             for pos, i in enumerate(rows):
@@ -426,7 +466,7 @@ def _fraction_lcm_certificate(n, levels):
     denominators."""
 
     def price(y):
-        lam = first_negative_type(n, levels, y)
+        lam = first_negative_type(n, levels, _over_one_den(y)[0])
         if lam is None:
             return None
         return (canonical_key(lam), lam), [lam[j - 1] for j in levels]
@@ -434,8 +474,7 @@ def _fraction_lcm_certificate(n, levels):
     _, separator = _reference_phase_one([binomial(n, j) for j in levels], price)
     by_level = dict(zip(levels, separator))
     y = [by_level.get(j, Fraction(0)) for j in range(1, levels.k + 1)]
-    scale = math.lcm(*(v.denominator for v in y))
-    return FarkasCertificate(tuple(v * scale for v in y))
+    return FarkasCertificate(_over_one_den(y)[0])
 
 
 def test_lp_certificate_matches_the_fraction_lcm_construction():
@@ -478,7 +517,7 @@ def test_lp_outcomes_pin_blands_pivots():
         out = lp_feasible(build_system(n, LevelSet.of(levels)))
         assert out.certificate == FarkasCertificate(y), (n, levels)
     out = lp_feasible(build_system(10, LevelSet.of([1, 2, 4, 6])))
-    assert out.solution == {
+    assert {lam: Fraction(v, out.det) for lam, v in out.solution.items()} == {
         (0, 0, 0, 1, 0, 1): 190, (0, 2, 0, 0, 0, 1): Fraction(35, 2),
         (4, 0, 0, 0, 0, 1): Fraction(5, 2), (0, 1, 0, 2, 0, 0): 10,
     }
@@ -486,7 +525,7 @@ def test_lp_outcomes_pin_blands_pivots():
 
 def test_lp_rechecks_its_certificate(monkeypatch):
     monkeypatch.setattr(
-        linear_system, "check_certificate", lambda n, levels, cert: CertificateCheck(False, None, Fraction(0))
+        linear_system, "check_certificate", lambda n, levels, cert: CertificateCheck(False, None, 0)
     )
     with pytest.raises(InvariantViolation, match="failed validation"):
         lp_feasible(build_system(7, LevelSet.full(3)))

@@ -46,3 +46,16 @@ def test_a_submodule_path_binds_the_submodule():
     import hyperfactor.decide as m
 
     assert m is sys.modules["hyperfactor.decide"]
+
+
+def _imports_fractions(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions"
+
+
+def test_only_the_text_modules_import_fractions():
+    """The Farkas path runs on ints over one denominator: a Fraction is built
+    only where a certificate is read or printed as text."""
+    found = {name for name, node in _src_nodes() if _imports_fractions(node)}
+    assert found <= {"cli.py", "fileformat.py"}
