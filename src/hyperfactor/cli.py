@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 factorable / operation OK, 1 not factorable / invalid input
-object, 2 usage or format error, 3 undecided (beyond search limits) or
-work-limit exceeded, 4 internal error, 141 the reader closed the output pipe
-(128 + SIGPIPE, as a shell reports for a writer killed by that signal).
+object, 2 usage or format error, 3 undecided (the LP vertex's floor was not
+completed) or work-limit exceeded, 4 internal error, 141 the reader closed
+the output pipe (128 + SIGPIPE, as a shell reports for a writer killed by
+that signal).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 #: Hard cap on the ground-set size; subsets must fit in a 64-bit word.
 MAX_GROUND_SIZE = 64
@@ -201,8 +201,9 @@ def is_valid_type(lam: TypeVector, n: int, levels: LevelSet) -> bool:
     return type_weight(lam) == n
 
 
-def iter_types(n: int, levels: LevelSet) -> Iterator[TypeVector]:
-    """Yield all (n, levels)-types in canonical order.
+def iter_types(n: int, levels: LevelSet, cap: Sequence[int] | None = None) -> Iterator[TypeVector]:
+    """Yield all (n, levels)-types in canonical order; with cap (one entry
+    per size 1..k), only those with lambda_j <= cap[j-1] for every j.
 
     Canonical order is lexicographically decreasing on the reversed vector
     (lambda_k, lambda_{k-1}, .., lambda_1); it is produced directly by
@@ -215,14 +216,15 @@ def iter_types(n: int, levels: LevelSet) -> Iterator[TypeVector]:
 
     def rec(idx: int, rem: int) -> Iterator[TypeVector]:
         j = desc[idx]
+        most = rem // j if cap is None else min(rem // j, cap[j - 1])
         if idx == len(desc) - 1:
             # last level: multiplicity is forced by divisibility
-            if rem % j == 0:
+            if rem % j == 0 and rem // j <= most:
                 lam[j - 1] = rem // j
                 yield tuple(lam)
                 lam[j - 1] = 0
             return
-        for c in range(rem // j, -1, -1):
+        for c in range(most, -1, -1):
             lam[j - 1] = c
             yield from rec(idx + 1, rem - c * j)
         lam[j - 1] = 0
@@ -239,16 +241,3 @@ def canonical_key(lam: TypeVector) -> TypeVector:
 def enumerate_types(n: int, levels: LevelSet) -> list[TypeVector]:
     """All (n, levels)-types, canonically ordered (see iter_types)."""
     return list(iter_types(n, levels))
-
-
-def count_types(n: int, levels: LevelSet) -> int:
-    """len(enumerate_types(n, levels)) without listing them, in O(n * |levels|).
-
-    The number of partitions of n into parts from levels, one level at a time.
-    """
-    levels.check_against_ground(n)
-    ways = [1] + [0] * n
-    for j in levels:
-        for rem in range(j, n + 1):
-            ways[rem] += ways[rem - j]
-    return ways[n]

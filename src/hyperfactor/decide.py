@@ -9,9 +9,11 @@ factorization is built from, made as each branch returns.
 
 decide_general(n, L) handles arbitrary level sets: certificate families, the
 divisible pairing, the exact LP (no type list; refutes with a simplex-derived
-certificate), the LP's vertex as the witness when it is integral, then bounded
-integer search for a witness.  Undecided means a fractional LP vertex without
-a search witness (RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL).
+certificate), then one integer stage on the LP's vertex: its floor, completed
+by a small exact search (nothing to complete when the vertex is integral).
+So every NOT_FACTORABLE verdict carries a checked certificate, and undecided
+(RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL) means the completion failed or hit its
+node limit.
 
 plan reads the blocks off a FACTORABLE verdict; construct realizes them as
 an explicit factorization and verifies it from scratch before returning, and
@@ -45,7 +47,6 @@ from .linear_system import (
     build_system,
     integer_search_small,
     lp_feasible,
-    solution_residual,
 )
 from .reducer import extend_by_complements, project_lift
 from .verifier import check_verify_size, verify_factorization
@@ -70,7 +71,8 @@ class Verdict:
     family: str | None = None
     #: zero-residual multiplicity witness, when one backs the verdict
     solution: SolutionVector | None = None
-    #: True when NOT_FACTORABLE rests on an exhausted integer search
+    #: always False: no verdict rests on an exhausted search (perfbench's
+    #: manifest generator still reads the field)
     search_exhausted: bool = False
     #: the blocks a factorization is built from, in print order, when FACTORABLE
     blocks: tuple[Block, ...] | None = None
@@ -160,9 +162,9 @@ def _complement_pairs(n: int, k: int) -> Block:
 def decide_general(n: int, levels: LevelSet) -> Verdict:
     """Decision for an arbitrary level set.  The exact LP refutes every rationally
     infeasible set the closed forms leave open, with its certificate.  A
-    feasible LP's vertex, when integral, is the witness, checked to a zero
-    residual; only a fractional vertex goes to the search, whose limits leave
-    the set undecided with a reason that names the limit."""
+    feasible LP goes to the integer stage, whose witness is checked to a zero
+    residual; a failed completion or the stage's node limit leaves the set
+    undecided with a reason that names which."""
     if not isinstance(levels, LevelSet):
         raise ValueError(f"levels must be a LevelSet, got {levels!r}")
     if levels.is_full_range():
@@ -179,27 +181,16 @@ def decide_general(n: int, levels: LevelSet) -> Verdict:
     if not outcome.feasible:
         reason = "exact rational infeasibility (simplex-derived certificate)"
         return _refuted(reason, levels, "simplex-derived", outcome.certificate)
-    det = outcome.det
-    if all(v % det == 0 for v in outcome.solution.values()):
-        solution = {lam: v // det for lam, v in outcome.solution.items()}
-        res = solution_residual(n, levels, solution)
-        if any(res):
-            raise InvariantViolation(f"LP vertex residual {res} for n={n} levels={levels.levels}")
-        return _witnessed(n, levels, solution, "integral vertex of the exact LP")
     try:
-        solution = integer_search_small(system)
+        solution = integer_search_small(system, outcome)
     except SearchLimitExceeded as exc:
         return Verdict(
             Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL,
-            f"rationally feasible, but no integral witness within search limits: {exc}",
+            f"rationally feasible, but no integral witness: {exc}",
         )
-    if solution is not None:
-        return _witnessed(n, levels, solution, "bounded exhaustive integer search found a witness")
-    return Verdict(
-        Status.NOT_FACTORABLE,
-        "exhaustive search over all non-negative integer multiplicities",
-        search_exhausted=True,
-    )
+    if all(v % outcome.det == 0 for v in outcome.solution.values()):
+        return _witnessed(n, levels, solution, "integral vertex of the exact LP")
+    return _witnessed(n, levels, solution, "floor of the LP vertex, completed by an exact search")
 
 
 def _refuted(reason: str, levels: LevelSet, family: str, cert: FarkasCertificate) -> Verdict:

@@ -12,7 +12,8 @@ class LimitExceeded(RuntimeError):
 
 
 class SearchLimitExceeded(LimitExceeded):
-    """The exhaustive integer search hit its type or node limit before settling."""
+    """The integer stage left the floor of the LP vertex uncompleted: no multiset
+    of types covers its residual, or the search hit its node limit."""
 
 
 class NotFactorableError(ValueError):

@@ -126,7 +126,8 @@ def feasible_nonnegative(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -
     """Decide {x >= 0 : sum_j x_j * columns[j] == rhs} != {} exactly.
 
     columns are given column-wise and must be integers; pricing scans them
-    in order.
+    in order.  No decision path calls it: it is the cone test of the tests'
+    exhaustive search oracle.
     """
     if any(len(col) != len(rhs) for col in columns):
         raise ValueError("column length does not match rhs length")

@@ -13,6 +13,8 @@ decision pipeline reduces everything to it.
 
 There can be millions of types, so a LinearSystem holds only b; one knapsack
 DP over the ground size both checks certificates and prices the exact LP.
+The integer stage rounds the LP's vertex down and completes it with a search
+over the few types that fit in the residual, so it lists no type beyond those.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from .combinatorics import (
     _is_int,
     binomial,
     canonical_key,
-    count_types,
-    enumerate_types,
     is_valid_type,
+    iter_types,
 )
 from .errors import InvariantViolation, SearchLimitExceeded
-from .exactlp import feasible_nonnegative, phase_one
+from .exactlp import phase_one
 
 
 @dataclass(frozen=True)
@@ -218,71 +219,67 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
 
 
 # ---------------------------------------------------------------------------
-# bounded exhaustive integer search (the desk-scale oracle)
+# the integer stage: the floor of the LP's vertex, completed exactly
 
-#: The search gives up on systems with more types than this.
-SEARCH_TYPE_LIMIT = 200
-#: Node budget of the search, read at call time.
+#: Node budget of the completion search, read at call time.
 SEARCH_NODE_LIMIT = 200_000
 
 
-def integer_search_small(system: LinearSystem) -> SolutionVector | None:
-    """Exhaustive search for a non-negative integer solution of the system.
+def integer_search_small(system: LinearSystem, outcome: LpOutcome) -> SolutionVector:
+    """A non-negative integer solution built on a feasible LP outcome: the
+    cutting-stock repair of rounding the basic solution down and solving the
+    small residual instance exactly (Waescher & Gau 1996).
 
-    Depth-first over types in canonical order on the |L| level rows, choosing
-    each multiplicity from its budget maximum down to zero.  A branch dies
-    when its budget leaves the rational cone of the remaining types (checked
-    exactly), or when a type is the last chance to pay a level and its forced
-    multiplicity is fractional.
+    z = floor(x*) keeps the vertex's entries of at least 1.  A depth-first
+    search covers the residual r = b - A.z with types lam <= r, in canonical
+    order, most copies first, memoised on (first type, residual).  x* has at
+    most |levels| fractional entries, so r is less than |levels| partitions
+    and the search is shallow.  An integral vertex is r = 0, which takes no
+    node.  The witness, z plus what the search finds, has no zero
+    multiplicity and is checked to a zero residual.
 
-    Returns a solution dict or None (= proof of integer infeasibility).
-    Raises SearchLimitExceeded above SEARCH_TYPE_LIMIT types (counted, not
-    listed) or above SEARCH_NODE_LIMIT nodes.
+    Raises SearchLimitExceeded when no multiset of those types covers r (no
+    proof of anything) or past SEARCH_NODE_LIMIT nodes.
     """
-    levels = system.levels
-    ntypes = count_types(system.n, levels)
-    if ntypes > SEARCH_TYPE_LIMIT:
-        raise SearchLimitExceeded(f"{ntypes} types exceed the search limit {SEARCH_TYPE_LIMIT}")
-    types = enumerate_types(system.n, levels)
-    columns = [[lam[j - 1] for j in levels] for lam in types]
-    rows = range(len(levels))
-    # last[r]: the last position whose column pays row r (-1 when none does)
-    last = [max((idx for idx, col in enumerate(columns) if col[r]), default=-1) for r in rows]
-
+    n, levels, det = system.n, system.levels, outcome.det
+    floor = {lam: v // det for lam, v in outcome.solution.items() if v >= det}
+    over = solution_residual(n, levels, floor)
+    # z <= x* and A.x* = b, so z never covers a level past b
+    if any(v > 0 for v in over):
+        raise InvariantViolation(f"LP vertex residual {over} for n={n} levels={levels.levels}")
+    r = tuple(-v for v in over)
+    types = list(iter_types(n, levels, cap=r))
     nodes = 0
+    dead: set[tuple[int, tuple[int, ...]]] = set()
     chosen: list[tuple[TypeVector, int]] = []
 
-    def dfs(idx: int, budget: list[int]) -> bool:
+    def dfs(start: int, rest: tuple[int, ...]) -> bool:
         nonlocal nodes
+        if not any(rest):
+            return True
+        if (start, rest) in dead:
+            return False
         nodes += 1
         if nodes > SEARCH_NODE_LIMIT:
-            raise SearchLimitExceeded(f"integer search exceeded {SEARCH_NODE_LIMIT} nodes")
-        if not any(budget):
-            return True
-        if idx == ntypes or not feasible_nonnegative(columns[idx:], budget).feasible:
-            return False
-        col = columns[idx]
-        # idx is the last chance to pay a level: inside the cone, every such
-        # level forces the same multiplicity, and it fits every other level
-        forcing = next((r for r in rows if last[r] == idx and budget[r] > 0), None)
-        if forcing is not None:
-            if budget[forcing] % col[forcing]:
-                return False
-            choices = (budget[forcing] // col[forcing],)
-        else:
-            choices = range(min(budget[r] // col[r] for r in rows if col[r]), -1, -1)
-        for m in choices:
-            nb = budget if m == 0 else [budget[r] - m * col[r] for r in rows]
-            chosen.append((types[idx], m))
-            if dfs(idx + 1, nb):
-                return True
-            chosen.pop()
+            raise SearchLimitExceeded(f"the completion search exceeded {SEARCH_NODE_LIMIT} nodes")
+        for idx in range(start, len(types)):
+            lam = types[idx]
+            for m in range(min(x // c for x, c in zip(rest, lam) if c), 0, -1):
+                chosen.append((lam, m))
+                if dfs(idx + 1, tuple(x - m * c for x, c in zip(rest, lam))):
+                    return True
+                chosen.pop()
+        dead.add((start, rest))
         return False
 
-    if not dfs(0, [system.b[j - 1] for j in levels]):
-        return None
-    witness = {lam: m for lam, m in chosen if m > 0}
-    res = solution_residual(system.n, levels, witness)
+    if not dfs(0, r):
+        raise SearchLimitExceeded(
+            f"no multiset of types completes the floor of the LP vertex (a residual of {sum(r)} sets)"
+        )
+    witness = dict(floor)
+    for lam, m in chosen:
+        witness[lam] = witness.get(lam, 0) + m
+    res = solution_residual(n, levels, witness)
     if any(res):
-        raise InvariantViolation(f"search residual {res} for n={system.n} levels={levels.levels}")
+        raise InvariantViolation(f"witness residual {res} for n={n} levels={levels.levels}")
     return witness

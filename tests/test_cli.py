@@ -13,6 +13,7 @@ import pytest
 
 import hyperfactor
 import hyperfactor.cli as cli
+import hyperfactor.linear_system as linear_system
 from hyperfactor.cli import main
 from hyperfactor.decide import DEFAULT_MAX_GROUND, decide_general
 from hyperfactor.errors import InvariantViolation
@@ -60,7 +61,7 @@ def _printed_certificate_holds(n: int, out: str) -> bool:
     return check_certificate(n, levels, cert).ok
 
 
-def test_decide_undecided_statuses(capsys):
+def test_decide_undecided_statuses(capsys, monkeypatch):
     # 7,347 types: beyond the search; the LP, which lists none, refutes it
     assert main(["decide", "--n", "54", "--levels", "2,3,4,5,6,7,8,9"]) == 1
     out = capsys.readouterr().out
@@ -71,8 +72,9 @@ def test_decide_undecided_statuses(capsys):
         "certificate-levels: 2,3,4,5,6,7,8,9\n"
     )
     assert _printed_certificate_holds(54, out)
-    # a fractional LP vertex and 753 types: beyond the search
-    assert main(["decide", "--n", "31", "--levels", "1,3,4,5,6,7,8"]) == 3
+    # a fractional LP vertex whose floor needs a completion, with no node to spend
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
+    assert main(["decide", "--n", "10", "--levels", "1,2,4,6"]) == 3
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL"
 
@@ -238,9 +240,10 @@ def test_solve_not_factorable(capsys):
     assert capsys.readouterr().err.startswith("not factorable:")
 
 
-def test_solve_undecided_is_a_limit_not_a_refusal(capsys):
-    assert main(["solve", "--n", "31", "--levels", "1,3,4,5,6,7,8"]) == 3
-    assert capsys.readouterr().err.startswith("limit exceeded: (n=31, levels=(1, 3, 4, 5, 6, 7, 8)) undecided:")
+def test_solve_undecided_is_a_limit_not_a_refusal(capsys, monkeypatch):
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
+    assert main(["solve", "--n", "10", "--levels", "1,2,4,6"]) == 3
+    assert capsys.readouterr().err.startswith("limit exceeded: (n=10, levels=(1, 2, 4, 6)) undecided:")
 
 
 def test_certificate_success(capsys):
@@ -255,9 +258,10 @@ def test_certificate_factorable_instance(capsys):
     assert "no certificate exists" in capsys.readouterr().err
 
 
-def test_certificate_no_family(capsys):
+def test_certificate_no_family(capsys, monkeypatch):
     # undecided and rationally feasible: no Farkas certificate can exist
-    assert main(["certificate", "--n", "31", "--levels", "1,3,4,5,6,7,8"]) == 3
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
+    assert main(["certificate", "--n", "10", "--levels", "1,2,4,6"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "no Farkas certificate exists: the rational relaxation is feasible\n"

@@ -13,7 +13,6 @@ from hyperfactor.combinatorics import (
     canonical_key,
     check_ground,
     check_range,
-    count_types,
     elements_of,
     enumerate_types,
     full_mask,
@@ -24,6 +23,19 @@ from hyperfactor.combinatorics import (
     set_text,
     type_weight,
 )
+
+
+def count_types(n, levels):
+    """len(enumerate_types(n, levels)) without listing them, in O(n * |levels|).
+
+    The number of partitions of n into parts from levels, one level at a time.
+    """
+    levels.check_against_ground(n)
+    ways = [1] + [0] * n
+    for j in levels:
+        for rem in range(j, n + 1):
+            ways[rem] += ways[rem - j]
+    return ways[n]
 
 
 def mask_of(elements):
@@ -276,6 +288,19 @@ def test_count_types_matches_enumeration(n, levels):
             count_types(n, L)
         return
     assert count_types(n, L) == len(enumerate_types(n, L))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.sets(st.integers(1, 12), min_size=1),
+       st.lists(st.integers(0, 6), min_size=12, max_size=12))
+def test_a_capped_enumeration_is_the_filtered_one(n, levels, cap):
+    """iter_types with a cap yields, in canonical order, exactly the types
+    with lambda_j <= cap[j-1]."""
+    L = LevelSet.of(levels)
+    if L.k > n:
+        return
+    want = [lam for lam in iter_types(n, L) if all(c <= m for c, m in zip(lam, cap))]
+    assert list(iter_types(n, L, cap[: L.k])) == want
 
 
 @settings(max_examples=300, deadline=None)

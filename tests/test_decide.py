@@ -1,6 +1,7 @@
 """Tests for the decision procedures and the construction pipeline."""
 
 import hashlib
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
@@ -8,7 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfactor.combinatorics import LevelSet, binomial, canonical_key, count_types
+from hyperfactor.combinatorics import LevelSet, binomial, canonical_key
 from hyperfactor.constructors import (
     Block,
     Realization,
@@ -34,15 +35,18 @@ from hyperfactor.fileformat import write_factorization
 from hyperfactor.linear_system import (
     build_system,
     check_certificate,
-    integer_search_small,
     lp_feasible,
     solution_residual,
     verify_certificate,
 )
 from hyperfactor.verifier import verify_factorization
+from test_combinatorics import count_types
+from test_linear_system import exhaustive_search
 
 #: the reason of a verdict witnessed by the exact LP's integral vertex
 VERTEX = "integral vertex of the exact LP"
+#: the reason of a verdict witnessed by the floor of a fractional vertex, completed
+COMPLETED = "floor of the LP vertex, completed by an exact search"
 
 
 def test_decide_divisible():
@@ -168,24 +172,43 @@ def test_decide_general_search_outcomes():
 
 
 def test_decide_general_limit_overrides(monkeypatch):
-    # the LP's vertex is fractional here, so the search runs
-    lv = LevelSet.of([1, 2, 4, 6])
-    with monkeypatch.context() as m:
-        m.setattr(linear_system, "SEARCH_TYPE_LIMIT", 0)
-        v = decide_general(10, lv)
-        assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
-        assert v.reason.endswith("within search limits: 16 types exceed the search limit 0")
-    # the search's node limit leaves an LP-feasible set undecided
-    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 1)
-    v = decide_general(10, lv)
+    # the LP's vertex is fractional here, so its floor needs a completion, and
+    # the completion's node limit leaves the LP-feasible set undecided
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
+    v = decide_general(10, LevelSet.of([1, 2, 4, 6]))
     assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
-    assert v.reason.endswith("within search limits: integer search exceeded 1 nodes")
+    assert v.reason == "rationally feasible, but no integral witness: the completion search exceeded 0 nodes"
+    assert v.certificate is None and v.solution is None
+
+
+def test_a_node_limit_of_zero_leaves_no_integral_vertex_undecided(monkeypatch):
+    """Every non-range level set with 3 <= n <= 10 under a node limit of 0:
+    an integral vertex takes no node, so only the completed sets turn
+    undecided, and every other verdict stays as it is."""
+    sets = [
+        (n, LevelSet.of(j for j in range(1, n + 1) if bits >> (j - 1) & 1))
+        for n in range(3, 11)
+        for bits in range(1, 2 ** n)
+    ]
+    sets = [(n, levels) for n, levels in sets if not levels.is_full_range()]
+    before = [decide_general(n, levels) for n, levels in sets]
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
+    moved = []
+    for (n, levels), v in zip(sets, before):
+        after = decide_general(n, levels)
+        if v.reason == COMPLETED:
+            assert after.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL, (n, levels)
+            moved.append((n, levels.levels))
+        else:
+            assert after == v, (n, levels)
+    assert sum(v.reason == VERTEX for v in before) == 304
+    assert moved == [(10, (1, 2, 4, 6)), (10, (1, 2, 4, 6, 10))]
 
 
 def test_decide_general_past_the_old_type_limit():
     """Every non-range set with k <= 8, n <= 64 and more than 5,000 types: the
-    LP lists no types, so it runs on all 40 of them that reach it, and its
-    vertex witnesses every one of them that is integral."""
+    LP lists no types, so it runs on all 40 of them that reach it, and the
+    integer stage on its vertex witnesses every one of them that is feasible."""
     reached = Counter()
     undecided = []
     swept = 0
@@ -199,8 +222,9 @@ def test_decide_general_past_the_old_type_limit():
                 v = decide_general(n, levels)
                 if v.certificate is not None:
                     assert check_certificate(n, levels, v.certificate).ok, (n, levels)
-                if v.reason == VERTEX:
+                if v.reason in (VERTEX, COMPLETED):
                     assert not any(solution_residual(n, levels, v.solution)), (n, levels)
+                    assert min(v.solution.values()) >= 1, (n, levels)
                     reached[v.status] += 1
                 elif v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL:
                     undecided.append((n, levels.levels))
@@ -208,27 +232,36 @@ def test_decide_general_past_the_old_type_limit():
                 elif v.family == "simplex-derived":
                     reached[v.status] += 1
     assert swept == 392
-    assert reached == {
-        Status.NOT_FACTORABLE: 13,
-        Status.FACTORABLE: 25,
-        Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL: 2,
-    }
-    assert undecided == [(55, (1, 3, 4, 5, 6, 7, 8)), (63, (1, 3, 4, 5, 6, 7, 8))]
+    assert reached == {Status.NOT_FACTORABLE: 13, Status.FACTORABLE: 27}
+    assert undecided == []
+
+
+#: The sets the integer stage witnesses from a fractional vertex among the
+#: 14,298 non-range sets with k <= 8 and n <= 64: five the cone-pruned search
+#: witnessed, and five it left undecided past its 200-type limit.
+_COMPLETED_SETS = [
+    (10, (1, 2, 4, 6)), (14, (1, 2, 6, 8)), (15, (1, 3, 4, 5, 7, 8)),
+    (15, (1, 2, 3, 4, 5, 7, 8)), (27, (2, 3, 4, 6, 7)),
+] + [(n, (1, 3, 4, 5, 6, 7, 8)) for n in (31, 39, 47, 55, 63)]
+
+
+def test_every_fractional_vertex_up_to_k_8_is_completed():
+    for n, levels in _COMPLETED_SETS:
+        v = decide_general(n, LevelSet(levels))
+        assert (v.status, v.reason) == (Status.FACTORABLE, COMPLETED), (n, levels)
+        assert not any(solution_residual(n, LevelSet(levels), v.solution)), (n, levels)
+        assert min(v.solution.values()) >= 1, (n, levels)
+        assert v.blocks[0].solution is v.solution
 
 
 def test_decide_general_search_faults_propagate(monkeypatch):
-    """A fault inside the search is an error, not an undecided verdict."""
-    real = linear_system.feasible_nonnegative
-    calls = []
+    """A fault inside the integer stage is an error, not an undecided verdict."""
 
-    def faulty_once(columns, rhs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise InvariantViolation("simulated simplex fault")
-        return real(columns, rhs)
+    def faulty(*args, **kwargs):
+        raise InvariantViolation("simulated enumeration fault")
 
-    monkeypatch.setattr(linear_system, "feasible_nonnegative", faulty_once)
-    with pytest.raises(InvariantViolation, match="simulated simplex fault"):
+    monkeypatch.setattr(linear_system, "iter_types", faulty)
+    with pytest.raises(InvariantViolation, match="simulated enumeration fault"):
         decide_general(10, LevelSet.of([1, 2, 4, 6]))
 
 
@@ -267,7 +300,7 @@ def test_every_small_vertex_witness_builds():
     """Every non-range level set with 3 <= n <= 10: each set that the LP's
     vertex witnesses goes through the flow to a verified factorization."""
     reasons = Counter()
-    factors = 0
+    factors = Counter()
     for n in range(3, 11):
         for bits in range(1, 2 ** n):
             levels = LevelSet.of(j for j in range(1, n + 1) if bits >> (j - 1) & 1)
@@ -275,15 +308,15 @@ def test_every_small_vertex_witness_builds():
                 continue
             v = decide_general(n, levels)
             reasons[v.reason] += 1
-            if v.reason != VERTEX:
+            if v.reason not in (VERTEX, COMPLETED):
                 continue
             fact = construct(n, levels)
             assert verify_factorization(fact) == [], (n, levels)
-            factors += len(fact.factors)
+            factors[v.reason] += len(fact.factors)
     assert sum(reasons.values()) == 1980
     assert reasons[VERTEX] == 304
-    assert reasons["bounded exhaustive integer search found a witness"] == 2
-    assert factors == 47104
+    assert reasons[COMPLETED] == 2
+    assert factors[VERTEX] == 47104
 
 
 def _range_factorable(n: int, k: int) -> bool:
@@ -513,14 +546,13 @@ def test_construct_sweep_small():
     assert built >= 30
 
 
-def test_decide_matches_exhaustive_search_small(monkeypatch):
+def test_decide_matches_exhaustive_search_small():
     """Arithmetic verdicts agree with brute-force integer search, n <= 11."""
-    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 2_000_000)
     for n in range(2, 12):
         for k in range(2, n + 1):
             v = decide(n, k)
             system = build_system(n, LevelSet.full(k))
-            witness = integer_search_small(system)
+            witness = exhaustive_search(system, 2_000_000)
             assert (witness is not None) == (v.status is Status.FACTORABLE), (n, k)
 
 
@@ -538,9 +570,7 @@ def test_decide_general_agrees_with_exhaustive_search(instance):
     certificate, and its status matches a search with a larger node budget."""
     n, levels = instance
     verdict = decide_general(n, levels)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(linear_system, "SEARCH_NODE_LIMIT", 2_000_000)
-        witness = integer_search_small(build_system(n, levels))
+    witness = exhaustive_search(build_system(n, levels), 2_000_000)
     if witness is None:
         assert verdict.status is Status.NOT_FACTORABLE, (n, levels)
     else:
@@ -553,6 +583,41 @@ def test_decide_general_agrees_with_exhaustive_search(instance):
         assert verdict.search_exhausted, (n, levels)
     if verdict.search_exhausted:
         assert lp_feasible(build_system(n, levels)).feasible, (n, levels)
+
+
+def test_census_of_every_level_set_up_to_n_12(monkeypatch):
+    """Every non-range level set with 2 <= n <= 12, with the cone test
+    unbound everywhere in the package: none is undecided, every
+    NOT_FACTORABLE verdict carries a certificate that passes
+    check_certificate, and every witness has a zero residual and no zero
+    multiplicity.  The digest pins (n, L, status, family) of all of them."""
+
+    def no_cone_test(*args):
+        raise AssertionError("a decide path ran a cone test")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hyperfactor.") and hasattr(module, "feasible_nonnegative"):
+            monkeypatch.setattr(module, "feasible_nonnegative", no_cone_test)
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for n in range(2, 13):
+        for bits in range(1, 2 ** n):
+            levels = LevelSet.of(j for j in range(1, n + 1) if bits >> (j - 1) & 1)
+            if levels.is_full_range():
+                continue
+            v = decide_general(n, levels)
+            statuses[v.status] += 1
+            if v.status is Status.NOT_FACTORABLE:
+                assert v.certificate is not None, (n, levels)
+                cert_levels = LevelSet(v.certificate_levels)
+                assert check_certificate(n, cert_levels, v.certificate).ok, (n, levels)
+            else:
+                assert v.status is Status.FACTORABLE, (n, levels)
+                assert not any(solution_residual(n, levels, v.solution)), (n, levels)
+                assert min(v.solution.values()) >= 1, (n, levels)
+            digest.update(f"{n} {levels.levels} {v.status.value} {v.family}\n".encode())
+    assert statuses == {Status.FACTORABLE: 1153, Status.NOT_FACTORABLE: 6947}
+    assert digest.hexdigest() == "a483f992d3f4997ca359b267b6293d88dc8af290c14d38145c560cd6a24df501"
 
 
 def test_every_small_negative_verdict_is_certified():

@@ -1,6 +1,7 @@
-"""Tests for the level-counting system, LP dichotomy and integer search."""
+"""Tests for the level-counting system, LP dichotomy and integer stage."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from hyperfactor.combinatorics import (
     LevelSet,
     binomial,
     canonical_key,
-    count_types,
     enumerate_types,
     iter_types,
 )
@@ -21,7 +21,7 @@ from hyperfactor.exactlp import FeasibilityResult, feasible_nonnegative, phase_o
 from hyperfactor.linear_system import (
     CertificateCheck,
     FarkasCertificate,
-    LinearSystem,
+    LpOutcome,
     build_system,
     check_certificate,
     first_negative_type,
@@ -30,7 +30,65 @@ from hyperfactor.linear_system import (
     solution_residual,
     verify_certificate,
 )
+from test_combinatorics import count_types
 from test_exactlp import _reference_phase_one, _scanning
+
+
+def exhaustive_search(system, node_limit=200_000):
+    """Exhaustive search for a non-negative integer solution of the system:
+    the brute-force oracle the decision procedures are compared against.
+
+    Depth-first over types in canonical order on the |L| level rows, choosing
+    each multiplicity from its budget maximum down to zero.  A branch dies
+    when its budget leaves the rational cone of the remaining types (checked
+    exactly), or when a type is the last chance to pay a level and its forced
+    multiplicity is fractional.
+
+    Returns a solution dict or None (= proof of integer infeasibility).
+    Raises SearchLimitExceeded above node_limit nodes.
+    """
+    levels = system.levels
+    types = enumerate_types(system.n, levels)
+    columns = [[lam[j - 1] for j in levels] for lam in types]
+    rows = range(len(levels))
+    # last[r]: the last position whose column pays row r (-1 when none does)
+    last = [max((idx for idx, col in enumerate(columns) if col[r]), default=-1) for r in rows]
+
+    nodes = 0
+    chosen = []
+
+    def dfs(idx, budget):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise SearchLimitExceeded(f"integer search exceeded {node_limit} nodes")
+        if not any(budget):
+            return True
+        if idx == len(types) or not feasible_nonnegative(columns[idx:], budget).feasible:
+            return False
+        col = columns[idx]
+        # idx is the last chance to pay a level: inside the cone, every such
+        # level forces the same multiplicity, and it fits every other level
+        forcing = next((r for r in rows if last[r] == idx and budget[r] > 0), None)
+        if forcing is not None:
+            if budget[forcing] % col[forcing]:
+                return False
+            choices = (budget[forcing] // col[forcing],)
+        else:
+            choices = range(min(budget[r] // col[r] for r in rows if col[r]), -1, -1)
+        for m in choices:
+            nb = budget if m == 0 else [budget[r] - m * col[r] for r in rows]
+            chosen.append((types[idx], m))
+            if dfs(idx + 1, nb):
+                return True
+            chosen.pop()
+        return False
+
+    if not dfs(0, [system.b[j - 1] for j in levels]):
+        return None
+    witness = {lam: m for lam, m in chosen if m > 0}
+    assert not any(solution_residual(system.n, levels, witness))
+    return witness
 
 
 def test_build_system_uniform_pairs():
@@ -333,37 +391,101 @@ def test_lp_solution_is_exact():
 
 def test_integer_search_finds_and_refutes():
     system = build_system(12, LevelSet.full(3))
-    sol = integer_search_small(system)
+    sol = exhaustive_search(system)
     assert sol is not None
     assert not any(solution_residual(system.n, system.levels, sol))
 
-    assert integer_search_small(build_system(7, LevelSet.full(3))) is None
-    assert integer_search_small(build_system(18, LevelSet.full(6))) is None
-    assert integer_search_small(build_system(10, LevelSet.full(4))) is None
+    assert exhaustive_search(build_system(7, LevelSet.full(3))) is None
+    assert exhaustive_search(build_system(18, LevelSet.full(6))) is None
+    assert exhaustive_search(build_system(10, LevelSet.full(4))) is None
 
 
 def test_integer_search_checks_its_witness():
-    """A hand-built system whose targets are all 0 is met by the empty
-    solution, which leaves (6, {1, 2}) short of all its sets."""
-    system = LinearSystem(6, LevelSet.full(2), (0, 0))
-    with pytest.raises(InvariantViolation, match=r"search residual \(-6, -15\) for n=6"):
-        integer_search_small(system)
+    """A floor that covers some level past b is no vertex of the LP: the
+    stage refuses it instead of searching below it."""
+    system = build_system(6, LevelSet.full(2))
+    outcome = LpOutcome(True, {(6, 0): 2}, 1, None)
+    with pytest.raises(InvariantViolation, match=r"LP vertex residual \(6, -15\) for n=6"):
+        integer_search_small(system, outcome)
+
+
+def _stage(n, levels):
+    system = build_system(n, LevelSet(levels))
+    return system, lp_feasible(system)
+
+
+@pytest.mark.parametrize(
+    "n, levels, nodes",
+    [
+        (10, (1, 2, 4, 6), 1),
+        (15, (1, 2, 3, 4, 5, 7, 8), 2),
+        (27, (2, 3, 4, 6, 7), 2),
+        (31, (1, 3, 4, 5, 6, 7, 8), 2),
+        (63, (1, 3, 4, 5, 6, 7, 8), 1),
+    ],
+)
+def test_the_integer_stage_completes_the_floor(monkeypatch, n, levels, nodes):
+    """A fractional vertex: the witness is the floor plus a few types, with
+    no zero multiplicity and a zero residual, found in exactly `nodes` nodes;
+    one fewer raises, naming the limit."""
+    system, outcome = _stage(n, levels)
+    assert any(v % outcome.det for v in outcome.solution.values())
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", nodes)
+    witness = integer_search_small(system, outcome)
+    assert min(witness.values()) >= 1
+    assert not any(solution_residual(n, system.levels, witness))
+    for lam, v in outcome.solution.items():
+        assert witness.get(lam, 0) >= v // outcome.det
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", nodes - 1)
+    with pytest.raises(SearchLimitExceeded, match=f"^the completion search exceeded {nodes - 1} nodes$"):
+        integer_search_small(system, outcome)
+
+
+def test_an_integral_vertex_takes_no_node(monkeypatch):
+    system, outcome = _stage(11, (2, 3))
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
+    assert integer_search_small(system, outcome) == {(0, 1, 3): 55}
+
+
+def test_a_failed_completion_is_named_and_proves_nothing():
+    """(5, {1, 2}) is factorable, but a floor of one (3, 1) partition leaves
+    2 singletons and 9 pairs, which no multiset of (1, 2) partitions covers."""
+    system = build_system(5, LevelSet.full(2))
+    outcome = LpOutcome(True, {(3, 1): 1}, 1, None)
+    with pytest.raises(SearchLimitExceeded, match=r"^no multiset of types completes the floor of the LP "
+                       r"vertex \(a residual of 11 sets\)$"):
+        integer_search_small(system, outcome)
+
+
+def test_the_completion_search_is_memoised(monkeypatch):
+    """From an empty floor the residual is all of (7, {1, 2, 3}), which is
+    not factorable: the search fails in exactly 702 nodes (996 without its
+    memo of dead (first type, residual) pairs), and one fewer is the node
+    limit instead."""
+    system = build_system(7, LevelSet.full(3))
+    outcome = LpOutcome(True, {}, 1, None)
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 702)
+    with pytest.raises(SearchLimitExceeded, match=r"^no multiset of types completes .* of 63 sets\)$"):
+        integer_search_small(system, outcome)
+    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 701)
+    with pytest.raises(SearchLimitExceeded, match="^the completion search exceeded 701 nodes$"):
+        integer_search_small(system, outcome)
 
 
 def _without_cone_prune(monkeypatch):
-    """Answer every cone test of the search with "contained", which turns
+    """Answer every cone test of the oracle with "contained", which turns
     the exact rational prune off."""
     contained = FeasibilityResult(True, None)
-    monkeypatch.setattr(linear_system, "feasible_nonnegative", lambda columns, rhs: contained)
+    monkeypatch.setattr(sys.modules[__name__], "feasible_nonnegative", lambda columns, rhs: contained)
 
 
 def test_integer_search_with_and_without_relaxation_prune(monkeypatch):
     for n, k in [(7, 3), (9, 3), (9, 4), (11, 3), (12, 3), (12, 4)]:
         system = build_system(n, LevelSet.full(k))
-        a = integer_search_small(system)
+        a = exhaustive_search(system)
         with monkeypatch.context() as m:
             _without_cone_prune(m)
-            b = integer_search_small(system)
+            b = exhaustive_search(system)
         assert (a is None) == (b is None), (n, k)
         if a is not None:
             assert not any(solution_residual(system.n, system.levels, a))
@@ -374,17 +496,10 @@ def test_relaxation_prune_is_load_bearing(monkeypatch):
     """Refuting (10, {1..4}) by budgets alone needs millions of nodes; the
     exact rational cone prune collapses it to a handful."""
     system = build_system(10, LevelSet.full(4))
-    assert integer_search_small(system) is None
+    assert exhaustive_search(system) is None
     _without_cone_prune(monkeypatch)
     with pytest.raises(SearchLimitExceeded):
-        integer_search_small(system)
-
-
-def test_integer_search_type_limit(monkeypatch):
-    system = build_system(18, LevelSet.full(6))
-    monkeypatch.setattr(linear_system, "SEARCH_TYPE_LIMIT", 10)
-    with pytest.raises(SearchLimitExceeded):
-        integer_search_small(system)
+        exhaustive_search(system)
 
 
 @pytest.mark.parametrize(
@@ -398,18 +513,16 @@ def test_integer_search_type_limit(monkeypatch):
         (21, (1, 2, 4, 5, 6, 7), 1, False),
     ],
 )
-def test_integer_search_node_counts(monkeypatch, n, levels, nodes, found):
-    """The search settles in exactly `nodes` nodes: one fewer raises."""
+def test_integer_search_node_counts(n, levels, nodes, found):
+    """The oracle settles in exactly `nodes` nodes: one fewer raises."""
     system = build_system(n, LevelSet(levels))
-    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", nodes)
-    solution = integer_search_small(system)
+    solution = exhaustive_search(system, nodes)
     if found:
         assert not any(solution_residual(n, system.levels, solution))
     else:
         assert solution is None
-    monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", nodes - 1)
     with pytest.raises(SearchLimitExceeded):
-        integer_search_small(system)
+        exhaustive_search(system, nodes - 1)
 
 
 #: Non-range sets the manifest records as settled by the LP, half of them
