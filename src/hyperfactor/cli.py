@@ -161,9 +161,10 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--levels", type=str, help="comma-separated level set, e.g. 2,4")
 
 
-# one parser per process, built by the first main call; parse_args keeps no state in it
+# one parser per process, built by the first main call, with the map from each
+# command word to that command's own parser; parsing keeps no state in either
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="hyperfactor",
         description="Decide and construct 1-factorizations of level-restricted subset families.",
@@ -202,12 +203,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.set_defaults(fn=_cmd_types)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """parser.parse_args(argv), with a command word first sent straight to
+    its own parser: the top-level pass would only find that word and hand
+    it the rest.  Any other argv (no arguments, help, an unknown command,
+    an option before the command) goes through the top-level parser, the
+    one that prints the top-level help and usage errors."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     if getattr(args, "max_ground_size", 1) < 1:
         parser.error(f"argument --max-ground-size: must be at least 1, got {args.max_ground_size}")
     try:

@@ -570,6 +570,12 @@ options:
   --k K            full level range 1..k
   --levels LEVELS  comma-separated level set, e.g. 2,4
 """, [""]),
+        ([], 2, "", [
+            _ROOT_USAGE + "hyperfactor: error: the following arguments are required: command\n"
+        ]),
+        (["decide", "--n", "12", "--k", "3", "extra"], 2, "", [
+            _ROOT_USAGE + "hyperfactor: error: unrecognized arguments: extra\n"
+        ]),
     ],
 )
 def test_usage_and_help_texts_are_pinned(monkeypatch, capsys, argv, code, out, errs):
@@ -582,6 +588,95 @@ def test_usage_and_help_texts_are_pinned(monkeypatch, capsys, argv, code, out, e
         captured = capsys.readouterr()
         assert captured.out == out
         assert captured.err in errs
+
+
+_VALID = [
+    ["decide", "--n", "12", "--k", "3"],
+    ["construct", "--n", "12", "--levels", "1,3", "--out", "f.txt", "--trace",
+     "--max-ground-size", "20"],
+    ["solve", "--n", "10", "--levels", "1,2,4,6"],
+    ["certificate", "--n", "10", "--levels", "2,3,4"],
+    ["verify", "--file", "cert.txt"],
+    ["types", "--n", "5", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID + [
+    # --opt=value forms and abbreviated options
+    ["decide", "--n=12", "--k=3"],
+    ["decide", "--n=12", "--lev", "2,4"],
+    ["decide", "--k", "3", "--n", "12"],
+    ["construct", "--n", "12", "--k", "3", "--max", "5", "--tr", "--o=f.txt"],
+    ["types", "--n", "-5", "--k", "2"],
+    # usage errors of a command's own parser
+    ["decide", "--n", "7"],
+    ["decide", "--n", "7", "--k", "3", "--levels", "2"],
+    ["decide", "--n", "x", "--k", "3"],
+    ["decide", "--k", "3"],
+    ["decide", "--n"],
+    ["verify"],
+    # parsed as given: main refuses it after parsing
+    ["construct", "--n", "12", "--k", "3", "--max-ground-size", "0"],
+    # help at both levels
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["decide", "-h"],
+    ["construct", "--help"],
+    ["decide", "--h"],
+    ["decide", "--n", "12", "--help", "--k", "3"],
+    # no arguments, and an unknown command
+    [],
+    ["bogus"],
+    ["decid", "--n", "12", "--k", "3"],
+    ["Decide"],
+    [""],
+    # options before the command
+    ["--n", "12", "decide", "--k", "3"],
+    ["-h", "decide"],
+    ["--bogus", "decide", "--n", "12", "--k", "3"],
+    # extras after a valid command
+    ["decide", "--n", "12", "--k", "3", "extra"],
+    ["decide", "--n", "12", "--k", "3", "extra", "--more", "-x"],
+    ["types", "--n", "5", "--k", "2", "--bogus=1"],
+    ["decide", "--n", "12", "--k", "3", ""],
+    # -- before and after the command
+    ["--", "decide", "--n", "12", "--k", "3"],
+    ["--", "--help"],
+    ["decide", "--n", "12", "--k", "3", "--"],
+    ["decide", "--n", "12", "--k", "3", "--", "x"],
+    ["decide", "--", "--n", "12", "--k", "3"],
+    ["decide", "--n", "--", "12", "--k", "3"],
+    ["decide", "--n", "12", "--", "--k", "3"],
+])
+def test_dispatch_parses_as_the_top_level_parser(monkeypatch, capsys, argv):
+    """Sending a command word straight to its own parser gives the Namespace
+    the top-level parser gives, or exits with the same code and the same
+    bytes on stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, capsys.readouterr()
+
+    reference = outcome(cli.build_parser().parse_args)
+    assert outcome(cli._parse) == reference
+    if argv in _VALID:
+        assert reference[0].command == argv[0]
+
+
+def test_main_without_argv_parses_the_process_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hyperfactor", "decide", "--n", "12", "--k", "3"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("FACTORABLE\n")
+    monkeypatch.setattr(sys, "argv", ["hyperfactor", "decide", "--n", "12", "--k", "3", "extra"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("hyperfactor: error: unrecognized arguments: extra\n")
 
 
 def test_max_ground_size_below_one_is_a_usage_error(capsys):

@@ -585,12 +585,34 @@ def test_decide_general_agrees_with_exhaustive_search(instance):
         assert lp_feasible(build_system(n, levels)).feasible, (n, levels)
 
 
+def _census(instances):
+    """Decide every (n, levels) given that is not a full range: none is
+    undecided, every NOT_FACTORABLE verdict carries a certificate that
+    passes check_certificate, and every witness has a zero residual and no
+    zero multiplicity.  Returns the status counts and a sha256 over
+    (n, L, status, family) of all of them."""
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for n, levels in instances:
+        if levels.is_full_range():
+            continue
+        v = decide_general(n, levels)
+        statuses[v.status] += 1
+        if v.status is Status.NOT_FACTORABLE:
+            assert v.certificate is not None, (n, levels)
+            cert_levels = LevelSet(v.certificate_levels)
+            assert check_certificate(n, cert_levels, v.certificate).ok, (n, levels)
+        else:
+            assert v.status is Status.FACTORABLE, (n, levels)
+            assert not any(solution_residual(n, levels, v.solution)), (n, levels)
+            assert min(v.solution.values()) >= 1, (n, levels)
+        digest.update(f"{n} {levels.levels} {v.status.value} {v.family}\n".encode())
+    return statuses, digest.hexdigest()
+
+
 def test_census_of_every_level_set_up_to_n_12(monkeypatch):
     """Every non-range level set with 2 <= n <= 12, with the cone test
-    unbound everywhere in the package: none is undecided, every
-    NOT_FACTORABLE verdict carries a certificate that passes
-    check_certificate, and every witness has a zero residual and no zero
-    multiplicity.  The digest pins (n, L, status, family) of all of them."""
+    unbound everywhere in the package, passes _census's checks."""
 
     def no_cone_test(*args):
         raise AssertionError("a decide path ran a cone test")
@@ -598,26 +620,26 @@ def test_census_of_every_level_set_up_to_n_12(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("hyperfactor.") and hasattr(module, "feasible_nonnegative"):
             monkeypatch.setattr(module, "feasible_nonnegative", no_cone_test)
-    digest = hashlib.sha256()
-    statuses = Counter()
-    for n in range(2, 13):
-        for bits in range(1, 2 ** n):
-            levels = LevelSet.of(j for j in range(1, n + 1) if bits >> (j - 1) & 1)
-            if levels.is_full_range():
-                continue
-            v = decide_general(n, levels)
-            statuses[v.status] += 1
-            if v.status is Status.NOT_FACTORABLE:
-                assert v.certificate is not None, (n, levels)
-                cert_levels = LevelSet(v.certificate_levels)
-                assert check_certificate(n, cert_levels, v.certificate).ok, (n, levels)
-            else:
-                assert v.status is Status.FACTORABLE, (n, levels)
-                assert not any(solution_residual(n, levels, v.solution)), (n, levels)
-                assert min(v.solution.values()) >= 1, (n, levels)
-            digest.update(f"{n} {levels.levels} {v.status.value} {v.family}\n".encode())
+    statuses, digest = _census(
+        (n, LevelSet.of(j for j in range(1, n + 1) if bits >> (j - 1) & 1))
+        for n in range(2, 13)
+        for bits in range(1, 2 ** n)
+    )
     assert statuses == {Status.FACTORABLE: 1153, Status.NOT_FACTORABLE: 6947}
-    assert digest.hexdigest() == "a483f992d3f4997ca359b267b6293d88dc8af290c14d38145c560cd6a24df501"
+    assert digest == "a483f992d3f4997ca359b267b6293d88dc8af290c14d38145c560cd6a24df501"
+
+
+def test_census_of_every_level_set_of_at_most_two_levels_up_to_n_64():
+    """Every non-range level set L with |L| <= 2 and 2 <= n <= 64 passes
+    _census's checks."""
+    statuses, digest = _census(
+        (n, LevelSet.of({low, high}))
+        for n in range(2, 65)
+        for low in range(1, n + 1)
+        for high in range(low, n + 1)
+    )
+    assert statuses == {Status.FACTORABLE: 2038, Status.NOT_FACTORABLE: 43595}
+    assert digest == "270c5c7862596994b89b6a95675765fbcac925f48847779b9cbc1789e57b0f41"
 
 
 def test_every_small_negative_verdict_is_certified():
