@@ -188,19 +188,6 @@ def masks_of_size(n: int, s: int) -> list[int]:
 # types
 
 
-def type_weight(lam: TypeVector) -> int:
-    """Total number of covered elements: sum of j * lambda_j."""
-    return sum(j * c for j, c in enumerate(lam, start=1))
-
-
-def is_valid_type(lam: TypeVector, n: int, levels: LevelSet) -> bool:
-    if len(lam) != levels.k or any(c < 0 for c in lam):
-        return False
-    if any(c and (j not in levels) for j, c in enumerate(lam, start=1)):
-        return False
-    return type_weight(lam) == n
-
-
 def iter_types(n: int, levels: LevelSet, cap: Sequence[int] | None = None) -> Iterator[TypeVector]:
     """Yield all (n, levels)-types in canonical order; with cap (one entry
     per size 1..k), only those with lambda_j <= cap[j-1] for every j.

@@ -7,8 +7,9 @@ system a family solves, its multiplicities, and how the factors are made
 from them.  Infeasible ones carry an explicit separating vector.  Every
 certificate produced here passes the exact Farkas check of
 linear_system.check_certificate (a knapsack DP over the ground size) before
-it is surfaced.  Every solution family is checked once, for non-negative int
-multiplicities and a zero residual, so a formula slip is an internal error.
+it is surfaced.  Solution families are not checked here: a Block checks
+its vector as it is built, so a formula slip is an internal error whichever
+form made it.
 """
 
 from __future__ import annotations
@@ -36,17 +37,6 @@ def _unit_type(k: int, entries: dict[int, int]) -> TypeVector:
     return tuple(lam)
 
 
-def _assert_solves(n: int, levels: LevelSet, solution: SolutionVector) -> None:
-    """The one check of a family, kept under python -O: its types are valid, its
-    multiplicities non-negative ints, and its residual zero."""
-    try:
-        res = solution_residual(n, levels, solution)
-    except ValueError as exc:
-        raise InvariantViolation(f"construction of n={n} levels={levels.levels}: {exc}") from exc
-    if any(res):
-        raise InvariantViolation(f"construction residual {res} for n={n} levels={levels.levels}")
-
-
 # ---------------------------------------------------------------------------
 # blocks
 
@@ -65,12 +55,29 @@ class Realization(enum.Enum):
 
 @dataclass(frozen=True)
 class Block:
-    """One (ground, levels) system of a construction and its witness solution."""
+    """One (ground, levels) system of a construction and its witness solution.
+
+    A flow or lift block is checked as it is built, with an explicit raise
+    that python -O keeps: its keys are types, its multiplicities non-negative
+    ints and its residual zero, so a formula slip is an internal error.
+    Complement pairs are one formula, never flowed, and construct verifies
+    their factors."""
 
     n: int
     levels: LevelSet
     solution: SolutionVector
     realization: Realization
+
+    def __post_init__(self) -> None:
+        if self.realization is Realization.COMPLEMENT_PAIRS:
+            return
+        where = f"n={self.n} levels={self.levels.levels}"
+        try:
+            res = solution_residual(self.n, self.levels, self.solution)
+        except ValueError as exc:
+            raise InvariantViolation(f"construction of {where}: {exc}") from exc
+        if any(res):
+            raise InvariantViolation(f"construction residual {res} for {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +102,13 @@ def _minus_one_ok(n: int, k: int) -> bool:
 
 
 def _pairing(n: int, levels: LevelSet) -> SolutionVector | None:
-    """The divisible pairing pattern for k | n, or None where it goes negative.
+    """The divisible pairing pattern for k | n, or None where a pairing type
+    would need a negative number of size-k sets.
 
     One type per lower level l pairs k/gcd(k,l) sets of size l with enough
     size-k sets to use exactly n elements; a pure size-k type absorbs the
     remaining level-k budget.  The ground size is not capped: a lift solves
-    on n + 1.  Callers check the residual.
+    on n + 1.  The Block built on it checks the residual.
     """
     k = levels.k
     solution: SolutionVector = {}
@@ -113,9 +121,9 @@ def _pairing(n: int, levels: LevelSet) -> SolutionVector | None:
         mult = binomial(n, l) // (k // g)
         solution[_unit_type(k, {l: k // g, k: lam_k})] = mult
         covered_k += lam_k * mult
+    # never negative: each level adds a term >= 0, and with every admissible
+    # level below k the remainder is still >= 1 for each k | n <= 65 (a test sweeps them)
     remainder = binomial(n, k) - covered_k
-    if remainder < 0:
-        return None
     if remainder:
         solution[_unit_type(k, {k: n // k})] = remainder // (n // k)
     return solution
@@ -137,22 +145,17 @@ def construct_div(n: int, k: int) -> SolutionVector:
     if edge:
         # one type pays for both level k-2 and level k-1
         solution[_unit_type(k, {k - 2: 1, k - 1: k - 2})] = binomial(n, k - 2)
-    _assert_solves(n, LevelSet.full(k), solution)
     return solution
 
 
 def construct_general_L_div(n: int, levels: LevelSet) -> SolutionVector | None:
     """The pairing pattern for an arbitrary level set when k | n.
 
-    Returns None (not applicable) when k does not divide n, when some pairing
-    type would need a negative number of size-k sets, or when the level-k
-    remainder would go negative.
+    Returns None (not applicable) when k does not divide n, or when some
+    pairing type would need a negative number of size-k sets.
     """
     levels.check_against_ground(n)
-    solution = None if n % levels.k else _pairing(n, levels)
-    if solution is not None:
-        _assert_solves(n, levels, solution)
-    return solution
+    return None if n % levels.k else _pairing(n, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +188,6 @@ def _lift_block(n: int, lift_levels: LevelSet) -> Block:
     solution = _pairing(n + 1, lift_levels)
     if solution is None:
         raise InvariantViolation(f"lift solution missing for n={n} levels={lift_levels.levels}")
-    _assert_solves(n + 1, lift_levels, solution)
     return Block(n + 1, lift_levels, solution, Realization.LIFT)
 
 
@@ -202,9 +204,7 @@ def _abc_block(n: int, k: int) -> Block:
         solution[_unit_type(k, {k - 2: (k - 1) // 2, k - 1: 2, k: (k - 7) // 2})] = b
     if c:
         solution[_unit_type(k, {k - 1: 1, k: k - 4})] = c
-    top_levels = LevelSet.of([k - 2, k - 1, k])
-    _assert_solves(n, top_levels, solution)
-    return Block(n, top_levels, solution, Realization.FLOW)
+    return Block(n, LevelSet.of([k - 2, k - 1, k]), solution, Realization.FLOW)
 
 
 def _odd_tail_block(n: int, k: int, t: int) -> Block:
@@ -247,9 +247,7 @@ def _odd_tail_block(n: int, k: int, t: int) -> Block:
             solution[_unit_type(k, {k - 2 - i: 1, k - 2: (k - 1) // 2 - i, k - 1: i, k: t})] = a[i]
         if b[i]:
             solution[_unit_type(k, {k - 2 - i: 2, k - 2: (k - 3) // 2 - i, k: t + i})] = b[i]
-    top_levels = LevelSet.of(range((k + 2 * t + 1) // 2, k + 1))
-    _assert_solves(n, top_levels, solution)
-    return Block(n, top_levels, solution, Realization.FLOW)
+    return Block(n, LevelSet.of(range((k + 2 * t + 1) // 2, k + 1)), solution, Realization.FLOW)
 
 
 # ---------------------------------------------------------------------------

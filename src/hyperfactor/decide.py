@@ -5,7 +5,8 @@ arithmetic: for k < n/2 a congruence-plus-threshold test, for n/2 <= k <= n-1
 a reduction to the complementary range {1..n-k-1} (complement pairing covers
 the middle sizes), with k = 1 and k = n handled by convention.  Negative
 verdicts carry a validated Farkas certificate, positive ones the blocks a
-factorization is built from, made as each branch returns.
+factorization is built from, made as each branch returns; each flow or lift
+block checks its vector to a zero residual as it is built.
 
 decide_general(n, L) handles arbitrary level sets: certificate families, the
 divisible pairing, the exact LP (no type list; refutes with a simplex-derived
@@ -162,9 +163,10 @@ def _complement_pairs(n: int, k: int) -> Block:
 def decide_general(n: int, levels: LevelSet) -> Verdict:
     """Decision for an arbitrary level set.  The exact LP refutes every rationally
     infeasible set the closed forms leave open, with its certificate.  A
-    feasible LP goes to the integer stage, whose witness is checked to a zero
-    residual; a failed completion or the stage's node limit leaves the set
-    undecided with a reason that names which."""
+    feasible LP goes to the integer stage; its witness, like the pairing's,
+    becomes a Block, which checks it to a zero residual.  A failed completion
+    or the stage's node limit leaves the set undecided with a reason that
+    names which."""
     if not isinstance(levels, LevelSet):
         raise ValueError(f"levels must be a LevelSet, got {levels!r}")
     if levels.is_full_range():

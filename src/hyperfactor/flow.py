@@ -36,16 +36,15 @@ Each class keeps its parts in ascending (S, j) order: the initial parts are
 empty, listed by potential, and the grown part, the only one holding
 element ell+1, is the largest, so it moves to the end.  Occurrences are
 numbered in the same order, so a class's arcs are read off its parts,
-ascending, with no sort; a hand-built state with parts out of order gets
-its arcs in that order.  The order of the parts never reaches the output,
+ascending, with no sort.  The order of the parts never reaches the output,
 because run sorts each factor by minimum element.
 
-Nor does a step sort the occurrences: evolve_step hands the next state its
-open keys.  They are this step's keys with j - |S| <= n - ell - 1, then the
+Nor does a step sort the occurrences: a state is built with its open keys.
+The initial state's are (0, j) for each level j, ascending.  evolve_step
+hands the next state this step's keys with j - |S| <= n - ell - 1, then the
 grown keys (S + {ell+1}, j) with j - |S| >= 2, both in this step's order;
 every grown mask holds element ell+1, above every kept mask.  The audit that
-passes on the new state makes them exactly its census's open parts.  The
-initial state, or one built by hand, reads them off its census.
+passes on the new state makes them exactly its census's open parts.
 
 The max flow is Dinic's, with its first phase done without a graph, as a
 pour: each class, in order, puts its multiplicity into its occurrences in
@@ -88,6 +87,10 @@ class EvolutionState:
     #: init_state and evolve_step keep each class's parts ascending, the
     #: grown part last, so build_step_network need not sort them
     classes: list[tuple[Parts, int]]
+    #: the open parts (|S| < j) of the census in (mask, potential) order: the
+    #: step network's occurrences.  init_state seeds them, evolve_step carries
+    #: them from the last step's keys
+    open_keys: list[tuple[int, int]]
     last_step: "StepRecord | None" = field(default=None)
 
     @functools.cached_property
@@ -101,13 +104,6 @@ class EvolutionState:
             for part in parts:
                 occ[part] = count(part, 0) + mult
         return occ
-
-    @functools.cached_property
-    def open_keys(self) -> list[tuple[int, int]]:
-        """The open parts (|S| < j) of the census in (mask, potential)
-        order: the step network's occurrences.  evolve_step sets them from
-        the last step's keys; any other state reads them off its census."""
-        return sorted((mask, j) for mask, j in self.census if j > mask.bit_count())
 
 
 @dataclass(frozen=True)
@@ -383,7 +379,8 @@ def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionS
     """One class of partitions of the empty ground set per type in use.  A zero
     residual makes M partitions: n * sum x_lam = sum_{j in L} j*C(n, j) = n * M.
     It also balances the state, so no audit runs: each empty part of potential
-    j occurs sum lam_j * x_lam = C(n, j) times, the |L| pairs ell = 0 needs."""
+    j occurs sum lam_j * x_lam = C(n, j) times, the |L| pairs ell = 0 needs.
+    Since C(n, j) > 0, every (0, j) occurs: they are the open keys."""
     levels.check_against_ground(n)
     res = solution_residual(n, levels, solution)
     if any(res):
@@ -393,7 +390,7 @@ def init_state(n: int, levels: LevelSet, solution: SolutionVector) -> EvolutionS
         for lam in sorted(solution, key=canonical_key)
         if solution[lam] > 0
     ]
-    return EvolutionState(n, levels, 0, classes)
+    return EvolutionState(n, levels, 0, classes, [(0, j) for j in levels])
 
 
 def _check_occurrence_counts(state: EvolutionState) -> int:
@@ -483,16 +480,16 @@ def evolve_step(state: EvolutionState) -> EvolutionState:
                 # the largest: moved to the end, the parts stay ascending
                 i = parts.index(keys[o])
                 classes.append((parts[:i] + parts[i + 1:] + grown[o], f))
-    new_state = EvolutionState(n, state.levels, ell + 1, classes)
-    pairs = _check_occurrence_counts(new_state)
-    new_state.last_step = StepRecord(ell, value, len(state.classes), len(keys), pairs)
     # the audit makes these the census's open keys: the kept parts still
     # short of more than element ell+1, then the grown parts still short;
     # each grown mask holds bit ell, above every kept mask
     last = n - ell - 1
-    new_state.open_keys = [key for key in keys if key[1] - key[0].bit_count() <= last] + [
+    open_keys = [key for key in keys if key[1] - key[0].bit_count() <= last] + [
         (mask | new_bit, j) for mask, j in keys if j - mask.bit_count() >= 2
     ]
+    new_state = EvolutionState(n, state.levels, ell + 1, classes, open_keys)
+    pairs = _check_occurrence_counts(new_state)
+    new_state.last_step = StepRecord(ell, value, len(state.classes), len(keys), pairs)
     return new_state
 
 

@@ -1,6 +1,7 @@
 """Tests for exact combinatorial primitives."""
 
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -16,13 +17,12 @@ from hyperfactor.combinatorics import (
     elements_of,
     enumerate_types,
     full_mask,
-    is_valid_type,
     iter_types,
     masks_of_size,
     min_element,
     set_text,
-    type_weight,
 )
+from hyperfactor.linear_system import solution_residual
 
 
 def count_types(n, levels):
@@ -209,13 +209,21 @@ def test_masks_of_size():
 
 
 def test_type_helpers():
-    assert type_weight((1, 0, 2)) == 1 + 6
+    """solution_residual takes a key as a type when its length is k, its
+    support lies in L, its entries are non-negative and sum j * lam_j is n."""
     L = LevelSet.of([1, 3])
-    assert is_valid_type((1, 0, 2), 7, L)
-    assert not is_valid_type((0, 2, 1), 7, L)  # level 2 not allowed
-    assert not is_valid_type((1, 0, 2), 8, L)  # weight mismatch
-    assert not is_valid_type((1, 2), 7, L)  # wrong length
-    assert not is_valid_type((-1, 0, 2), 5, L)
+    # weight 1 + 6 = 7: the column (1, 0, 2) against b = (7, 0, 35)
+    assert solution_residual(7, L, {(1, 0, 2): 1}) == (-6, 0, -33)
+    not_types = [
+        ((0, 2, 1), 7),  # level 2 not allowed
+        ((1, 0, 2), 8),  # weight mismatch
+        ((1, 2), 7),  # wrong length
+        ((1, 0, 2, 0), 7),  # wrong length, weight right
+        ((-1, 0, 2), 5),  # negative entry, weight right
+    ]
+    for lam, n in not_types:
+        with pytest.raises(ValueError, match=rf"^solution key is not an \(n, levels\)-type: {re.escape(str(lam))}$"):
+            solution_residual(n, L, {lam: 1})
 
 
 def test_enumerate_types_example_rows():
@@ -252,8 +260,9 @@ def test_types_are_valid_and_canonically_ordered():
             rows = enumerate_types(n, L)
             assert rows == list(iter_types(n, L))
             for lam in rows:
-                assert type_weight(lam) == n
-                assert is_valid_type(lam, n, L)
+                assert sum(j * c for j, c in enumerate(lam, start=1)) == n
+                # a type: the residual takes it as a key
+                solution_residual(n, L, {lam: 1})
             rev = [tuple(reversed(lam)) for lam in rows]
             assert rev == sorted(rev, reverse=True)
 

@@ -3,13 +3,14 @@
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import hyperfactor
 from hyperfactor.cli import main
-from hyperfactor.combinatorics import LevelSet
+from hyperfactor.combinatorics import LevelSet, binomial
 import hyperfactor.constructors as constructors
 from hyperfactor.constructors import (
     Realization,
@@ -109,6 +110,54 @@ def test_construct_general_L_div():
     assert construct_general_L_div(13, LevelSet.of([2, 4])) is None
 
 
+def test_pairing_leaves_a_positive_level_k_remainder():
+    """_pairing's level-k remainder C(n, k) - sum of lam_k * mult is never
+    negative.  Each level l < k with lam_k = n/k - l/gcd(k, l) >= 0 adds a
+    term >= 0 (a negative lam_k returns None first), so the remainder is
+    least when L holds every such level; for every k | n <= 65, the grounds
+    a pairing or its lift takes, that least remainder is still >= 1."""
+    least = []
+    for n in range(1, 66):
+        for k in (k for k in range(1, n + 1) if n % k == 0):
+            every = [l for l in range(1, k) if n // k - l // gcd(k, l) >= 0]
+            covered = sum(
+                (n // k - l // gcd(k, l)) * (binomial(n, l) // (k // gcd(k, l))) for l in every
+            )
+            least.append((binomial(n, k) - covered, n, k))
+            assert constructors._pairing(n, LevelSet.of([*every, k])) is not None
+    assert len(least) == 284
+    assert min(least) == (1, 1, 1)
+    assert sorted(least)[:2] == [(1, 1, 1), (1, 2, 2)]
+
+
+def test_a_block_checks_its_solution_when_built():
+    """A flow or lift Block refuses a vector that does not solve its system,
+    naming the residual, or the residual's ValueError; complement pairs are
+    not checked."""
+    levels = LevelSet.full(3)
+    good = construct_div(12, 3)
+    assert constructors.Block(12, levels, good, Realization.FLOW).solution is good
+    for realization in (Realization.FLOW, Realization.LIFT):
+        with pytest.raises(InvariantViolation) as exc:
+            constructors.Block(12, levels, {**good, (0, 0, 4): 42}, realization)
+        assert str(exc.value) == "construction residual (0, 0, 4) for n=12 levels=(1, 2, 3)"
+        with pytest.raises(InvariantViolation) as exc:
+            constructors.Block(12, levels, {**good, (0, 0, 3): 1}, realization)
+        assert str(exc.value) == (
+            "construction of n=12 levels=(1, 2, 3): "
+            "solution key is not an (n, levels)-type: (0, 0, 3)"
+        )
+        assert isinstance(exc.value.__cause__, ValueError)
+    # a lift's ground may be 65
+    lift = construct_minus1(64, 5)
+    assert (lift.n, lift.realization) == (65, Realization.LIFT)
+    top = (0, 0, 0, 0, 13)
+    with pytest.raises(InvariantViolation, match=r"^construction residual \(0, 0, 0, 0, 13\) for n=65 "):
+        constructors.Block(65, lift.levels, {**lift.solution, top: lift.solution[top] + 1}, Realization.LIFT)
+    pairs = constructors.Block(12, LevelSet.of([1]), {}, Realization.COMPLEMENT_PAIRS)
+    assert pairs.solution == {}
+
+
 def test_construct_minus1_lifts():
     block = construct_minus1(11, 3)
     assert block.realization is Realization.LIFT
@@ -189,17 +238,17 @@ def test_closed_forms_solve_for_every_odd_k_to_63():
 
 
 def _slip_first_multiplicity(monkeypatch, slip):
-    """Make every closed form hand its check slip(x) in place of x, its first
-    multiplicity; construct_minus1(20, 7) checks one form, the odd tail."""
-    check = constructors._assert_solves
+    """Make every closed form hand its Block slip(x) in place of x, its first
+    multiplicity; construct_minus1(20, 7) builds one form, the odd tail."""
+    block = constructors.Block
 
-    def slipped(n, levels, solution):
+    def slipped(n, levels, solution, realization):
         solution = dict(solution)
         first = next(iter(solution))
         solution[first] = slip(solution[first])
-        check(n, levels, solution)
+        return block(n, levels, solution, realization)
 
-    monkeypatch.setattr(constructors, "_assert_solves", slipped)
+    monkeypatch.setattr(constructors, "Block", slipped)
 
 
 def test_a_closed_form_slip_is_named_by_its_residual(monkeypatch):
@@ -277,15 +326,16 @@ def test_full_range_families_raw_validity():
 
 
 def test_residual_check_survives_python_O():
-    """The zero-residual check is an explicit raise, so `python -O` keeps it."""
+    """The Block's zero-residual check is an explicit raise, so `python -O` keeps it."""
     code = (
         "import sys\n"
         "assert sys.flags.optimize\n"
         "import hyperfactor.constructors as c\n"
+        "from hyperfactor.decide import decide\n"
         "from hyperfactor.errors import InvariantViolation\n"
         "c.solution_residual = lambda n, levels, solution: (1,) + (0,) * (levels.k - 1)\n"
         "try:\n"
-        "    c.construct_div(12, 3)\n"
+        "    decide(12, 3)\n"
         "except InvariantViolation as exc:\n"
         "    print(f'raised: {exc}')\n"
     )

@@ -297,26 +297,40 @@ def test_a_vertex_of_whole_fractions_gives_int_multiplicities():
 
 
 def test_every_small_vertex_witness_builds():
-    """Every non-range level set with 3 <= n <= 10: each set that the LP's
-    vertex witnesses goes through the flow to a verified factorization."""
+    """Every level set with n <= 10: each FACTORABLE verdict, ranges, pairings
+    and LP witnesses alike, goes through construct, which verifies the
+    factorization it returns.  The counts and the digest of the factors were
+    measured before the Block took over the producers' residual checks."""
     reasons = Counter()
     factors = Counter()
-    for n in range(3, 11):
+    digest = hashlib.sha256()
+    for n in range(1, 11):
         for bits in range(1, 2 ** n):
             levels = LevelSet.of(j for j in range(1, n + 1) if bits >> (j - 1) & 1)
-            if levels.is_full_range():
-                continue
             v = decide_general(n, levels)
-            reasons[v.reason] += 1
-            if v.reason not in (VERTEX, COMPLETED):
+            reason = "range" if levels.is_full_range() else v.reason
+            reasons[reason if v.status is Status.FACTORABLE else v.status] += 1
+            if v.status is not Status.FACTORABLE:
                 continue
             fact = construct(n, levels)
-            assert verify_factorization(fact) == [], (n, levels)
-            factors[v.reason] += len(fact.factors)
-    assert sum(reasons.values()) == 1980
-    assert reasons[VERTEX] == 304
-    assert reasons[COMPLETED] == 2
-    assert factors[VERTEX] == 47104
+            factors[reason] += len(fact.factors)
+            digest.update(repr((n, levels.levels, fact.factors)).encode())
+    assert reasons == {
+        Status.NOT_FACTORABLE: 1624,
+        "range": 49,
+        "divisible level-pairing construction": 57,
+        VERTEX: 304,
+        COMPLETED: 2,
+    }
+    assert factors == {
+        "range": 4191,
+        "divisible level-pairing construction": 1721,
+        VERTEX: 47104,
+        COMPLETED: 441,
+    }
+    assert digest.hexdigest() == (
+        "663b9125aaa745893a1fa0c6747cd9838410725fed3d46b71afb7d481a1b8cc4"
+    )
 
 
 def _range_factorable(n: int, k: int) -> bool:
@@ -397,13 +411,14 @@ def test_every_factorable_range_has_pinned_blocks():
 
 def test_near_divisible_remainder_must_be_factorable(monkeypatch, capsys):
     """A top block whose remainder range is infeasible is an internal error,
-    not a usage error: (11, {1..5}) fails the residue test."""
-    top = Block(11, LevelSet.of([6]), {}, Realization.FLOW)
+    not a usage error: the pairs of 7-sets of 14 solve their own block, and
+    (14, {1..6}) fails the residue test."""
+    top = Block(14, LevelSet.of([7]), {(0,) * 6 + (2,): binomial(14, 7) // 2}, Realization.FLOW)
     monkeypatch.setattr(decide_module, "construct_minus1", lambda n, k: top)
     with pytest.raises(InvariantViolation, match="near-divisible remainder infeasible"):
-        decide(11, 3)
-    assert main(["decide", "--n", "11", "--k", "3"]) == 4
-    assert "internal error: (n=11, k=3): near-divisible remainder infeasible" in (
+        decide(14, 3)
+    assert main(["decide", "--n", "14", "--k", "3"]) == 4
+    assert "internal error: (n=14, k=3): near-divisible remainder infeasible" in (
         capsys.readouterr().err
     )
 

@@ -122,10 +122,16 @@ def test_run_full_range_three():
     assert by_size == {1: 12, 2: 66, 3: 220}
 
 
+def _open_keys(classes):
+    """The open parts (|S| < j) of the classes, in (mask, potential) order:
+    the keys a state is built with."""
+    return sorted({(mask, j) for parts, _ in classes for mask, j in parts if j > mask.bit_count()})
+
+
 def _with_classes(state, classes):
     """A fresh state with the given classes: a state counts its census on
     first use, so a tampered state is a new one, never an edited one."""
-    return EvolutionState(state.n, state.levels, state.ell, classes)
+    return EvolutionState(state.n, state.levels, state.ell, classes, _open_keys(classes))
 
 
 def test_census_counts_each_part_once_per_partition():
@@ -393,7 +399,7 @@ def _tampered_states():
                     # one partition of the class is tampered, the rest stay
                     split = [(parts, mult - 1)] if mult > 1 else []
                     classes = base.classes[:c] + split + [(changed, 1)] + base.classes[c + 1:]
-                    yield EvolutionState(base.n, base.levels, base.ell, classes)
+                    yield _with_classes(base, classes)
 
 
 def test_census_errors_match_a_full_recount():
@@ -421,7 +427,7 @@ def _replace_a_complete_pair(state, new_part):
                 assert mult == 1
                 classes = list(state.classes)
                 classes[c] = (parts[:a] + (new_part,) + parts[a + 1:], 1)
-                return EvolutionState(state.n, state.levels, state.ell, classes)
+                return _with_classes(state, classes)
     raise AssertionError("no complete pair of size 2")
 
 
@@ -1018,16 +1024,19 @@ def _step_by_the_network(state):
                 mask, j = net.occ_keys[o]
                 i = parts.index((mask, j))
                 classes.append((parts[:i] + parts[i + 1:] + ((mask | bit, j),), f))
-    pairs = _check_occurrence_counts(EvolutionState(state.n, state.levels, state.ell + 1, classes))
+    pairs = _check_occurrence_counts(
+        EvolutionState(state.n, state.levels, state.ell + 1, classes, _open_keys(classes))
+    )
     record = flow.StepRecord(state.ell, value, len(state.classes), len(net.occ_keys), pairs)
     return classes, record
 
 
 def test_carried_open_keys_match_the_census(monkeypatch):
-    """Every step of the flow and lift blocks of the factorable ranges with
-    n <= 13 hands the next state its open keys, equal to the sorted open
-    parts of its census.  The last step builds no network, and its classes
-    and record are those the network and max flow give on the same state."""
+    """Every state of the flow and lift blocks of the factorable ranges with
+    n <= 13, the initial one included, is built with its open keys, equal to
+    the sorted open parts of its census.  The last step builds no network,
+    and its classes and record are those the network and max flow give on
+    the same state."""
     blocks = list(_flow_blocks_of_full_ranges(13))
     assert {1, 2} <= {block.n for block in blocks}
     assert any(block.realization == Realization.LIFT for block in blocks)
@@ -1039,14 +1048,15 @@ def test_carried_open_keys_match_the_census(monkeypatch):
     steps = 0
     for block in blocks:
         state = init_state(block.n, block.levels, block.solution)
-        for _ in range(block.n):
-            if state.ell == state.n - 1:
-                forced = _step_by_the_network(state)
-            state = evolve_step(state)
-            assert "open_keys" in vars(state)  # handed over, not read off the census
+        while True:
             assert state.open_keys == sorted(
                 (mask, j) for mask, j in state.census if j > mask.bit_count()
             )
+            if state.ell == state.n:
+                break
+            if state.ell == state.n - 1:
+                forced = _step_by_the_network(state)
+            state = evolve_step(state)
             steps += 1
         assert (state.classes, state.last_step) == forced
     assert len(networks) == steps - len(blocks) and 1 not in networks
