@@ -29,7 +29,8 @@ def binomial(a: int, b: int) -> int:
 
 
 def _is_int(value: object) -> bool:
-    """The one int rule for n, k, levels and multiplicities: an int, and not a bool."""
+    """The one int rule for n, k, levels, multiplicities and the simplex's
+    data: an int, and not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

@@ -23,6 +23,7 @@ from itertools import chain
 from operator import mul
 from typing import Any, Callable, Sequence
 
+from .combinatorics import _is_int
 from .errors import InvariantViolation
 
 
@@ -34,8 +35,8 @@ class FeasibilityResult:
 
 
 def _integers(values: Sequence[Any], what: str) -> list[int]:
-    ints = list(map(int, values))
-    if ints != [*values]:
+    ints = [*values]
+    if not all(map(_is_int, ints)):
         raise ValueError(f"{what} has a non-integer entry")
     return ints
 
@@ -44,9 +45,10 @@ def phase_one(
     rhs: Sequence[int], price: Callable[[tuple[int, ...]], tuple[Any, Sequence[int]] | None]
 ) -> tuple[dict[Any, int], int, None] | tuple[None, None, tuple[int, ...]]:
     """Decide {x >= 0 : sum_j x_j * col_j == rhs} != {} over the columns that
-    price(y) returns as (key, col); keys compare in the caller's order.  rhs
-    and every column are integers; y is the separator times the (positive)
-    basis determinant, so it has the separator's signs.
+    price(y) returns as (key, col); keys compare in the caller's order.  Each
+    entry of rhs and of every column is an int by combinatorics._is_int, or
+    a ValueError; y is the separator times the (positive) basis determinant,
+    so it has the separator's signs.
 
     Returns (the non-zero basic values times det by key, det, None), or
     (None, None, y // gcd(det, *y)) the cleared separator; each self-checked.

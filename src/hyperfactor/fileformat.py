@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import lt
 from typing import Iterator, NoReturn, Sequence, TextIO
 
@@ -202,7 +201,8 @@ def parse_factorization(text: str) -> Factorization:
 def rational_text(values: Sequence[int], den: int) -> str:
     """The ints values over den, each in lowest terms as p or p/q, one space
     apart: the one spelling of a certificate and of its b . y."""
-    return " ".join(str(Fraction(v, den)) for v in values)
+    pairs = ((v // g, den // g) for v, g in zip(values, map(math.gcd, values, repeat(den))))
+    return " ".join(f"{p}/{q}" if q > 1 else str(p) for p, q in pairs)
 
 
 def write_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> str:
@@ -220,16 +220,17 @@ def parse_certificate(text: str) -> tuple[int, LevelSet, FarkasCertificate]:
     fields = lines[2].split(" ")
     if len(fields) != levels.k:
         raise FormatError(f"line 3: expected k={levels.k} rationals, got {len(fields)}")
-    values = []
+    pairs = []
     for f in fields:
         if not _RATIONAL_RE.match(f):
             raise FormatError(f"line 3: malformed rational {f!r}")
+        p, _, q = f.partition("/")
         try:
-            values.append(Fraction(f))
+            pairs.append((int(p), int(q or 1)))
         except ValueError:  # the pattern leaves only int()'s digit limit
             raise FormatError(f"line 3: rational too long ({len(f)} characters)") from None
-    den = math.lcm(*(v.denominator for v in values))
-    cert = FarkasCertificate(tuple(v.numerator * (den // v.denominator) for v in values), den)
+    den = math.lcm(*(q for _, q in pairs))
+    cert = FarkasCertificate(tuple(p * (den // q) for p, q in pairs), den)
     if write_certificate(n, levels, cert) != text:
         raise FormatError("certificate text is not in canonical form")
     return n, levels, cert

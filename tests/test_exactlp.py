@@ -63,7 +63,7 @@ def test_empty_columns():
 
 
 def test_fractional_data():
-    """The kernel takes integer data only; a non-integer column is refused
+    """The kernel takes ints only; a column with any other entry is refused
     before any pivot, even one that would never enter the basis."""
     columns = [[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(1)]]
     with pytest.raises(ValueError, match="column has a non-integer entry"):
@@ -72,8 +72,12 @@ def test_fractional_data():
         feasible_nonnegative([[1], [Fraction(1, 3)]], [1])
     with pytest.raises(ValueError, match="rhs has a non-integer entry"):
         feasible_nonnegative([[1, 2]], [Fraction(1, 4), 1])
-    # integral Fractions are integers
-    assert feasible_nonnegative([[Fraction(2)]], [4]).feasible
+    # the package's one int rule: an integral Fraction, a float or a bool is no int
+    for entry in (Fraction(2), 2.0, True):
+        with pytest.raises(ValueError, match="column has a non-integer entry"):
+            feasible_nonnegative([[entry]], [4])
+        with pytest.raises(ValueError, match="rhs has a non-integer entry"):
+            feasible_nonnegative([[2]], [entry])
 
 
 def test_requires_mixing():

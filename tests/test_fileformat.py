@@ -1,6 +1,9 @@
 """Tests for the strict text formats and their round-trip guarantees."""
 
+import math
+import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,7 @@ from hyperfactor.fileformat import (
     load_text,
     parse_certificate,
     parse_factorization,
+    rational_text,
     save_factorization,
     write_certificate,
     write_factorization,
@@ -164,6 +168,28 @@ def test_factorization_rejects(text):
     with pytest.raises(FormatError) as info:
         parse_factorization(text)
     assert str(info.value) == FACTORIZATION_REJECTS[text]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_factorization_rejects_at_every_batch_size(size, monkeypatch):
+    """Each rejected text, with the reader's batches cut at other places: a
+    batch of one line ends just before a trailing empty line."""
+    monkeypatch.setattr(fileformat, "_READ_BATCH", size)
+    for text, message in FACTORIZATION_REJECTS.items():
+        with pytest.raises(FormatError) as info:
+            parse_factorization(text)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "HYPERFACTOR v1\nn=1 levels=1\n{1}\n",  # the least ground size
+        "HYPERFACTOR v1\nn=2 levels=1,2\n{1} | {2}\n{1,2}\n",  # a level equal to n
+    ],
+)
+def test_factorization_accepts_the_edges_of_the_header(text):
+    assert write_factorization(parse_factorization(text)) == text
 
 
 @pytest.mark.parametrize(
@@ -424,3 +450,74 @@ def test_round_trip_through_every_table_row():
 def test_certificate_rejects_a_zero_denominator():
     with pytest.raises(FormatError, match="malformed rational"):
         parse_certificate(CERT_TEXT.replace("1/2", "1/0"))
+
+
+def _reference_rational_text(values, den):
+    return " ".join(str(Fraction(v, den)) for v in values)
+
+
+def _rational_cases(rng):
+    """(values, den) with den from 1 to 10**30 and entries that are 0,
+    small, negative, multiples of den or 40 to 45 digits long."""
+    den = rng.choice([1, 1, 2, rng.randint(1, 12), rng.randint(1, 10**6), rng.randint(1, 10**30)])
+    values = []
+    for _ in range(rng.randint(1, 4)):
+        values.append(rng.choice([
+            0,
+            rng.randint(-12, 12),
+            rng.randint(-10**6, 10**6) * den,
+            rng.choice([-1, 1]) * rng.randint(10**39, 10**45),
+        ]))
+    return values, den
+
+
+def test_rational_text_matches_the_fraction_reference():
+    """The int spelling of a certificate against str(Fraction(v, den)),
+    over 100,000 seeded cases."""
+    rng = random.Random(47)
+    for _ in range(100_000):
+        values, den = _rational_cases(rng)
+        assert rational_text(values, den) == _reference_rational_text(values, den), (values, den)
+
+
+def _reference_parse_certificate(text):
+    """The Fraction reader the int one replaced: the differential oracle for
+    its accept/reject decisions, its messages and the certificate it reads."""
+    lines = _split_lines(text, CERTIFICATE_MAGIC)
+    if len(lines) != 3:
+        raise FormatError(f"expected exactly 3 lines, got {len(lines)}")
+    n, level_tuple = _parse_header(lines[1])
+    if not level_tuple:
+        raise FormatError("line 2: certificate needs a non-empty level set")
+    levels = LevelSet(level_tuple)
+    fields = lines[2].split(" ")
+    if len(fields) != levels.k:
+        raise FormatError(f"line 3: expected k={levels.k} rationals, got {len(fields)}")
+    values = []
+    for f in fields:
+        if not re.match(r"^-?\d+(?:/0*[1-9]\d*)?$", f, re.ASCII):
+            raise FormatError(f"line 3: malformed rational {f!r}")
+        try:
+            values.append(Fraction(f))
+        except ValueError:
+            raise FormatError(f"line 3: rational too long ({len(f)} characters)") from None
+    den = math.lcm(*(v.denominator for v in values))
+    cert = FarkasCertificate(tuple(v.numerator * (den // v.denominator) for v in values), den)
+    spelled = _reference_rational_text(cert.y, cert.den)
+    if f"{CERTIFICATE_MAGIC}\n{fileformat._header(n, level_tuple)}\n{spelled}\n" != text:
+        raise FormatError("certificate text is not in canonical form")
+    return n, levels, cert
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_edited(_certificate_texts()))
+def test_certificate_reader_matches_the_fraction_reference(text):
+    assert _outcome(parse_certificate, text) == _outcome(_reference_parse_certificate, text)
+
+
+@pytest.mark.parametrize("field", ["-" + "9" * 5000, "1/" + "7" * 5000, "-1/02", "4/6", "-0"])
+def test_certificate_reader_matches_the_fraction_reference_at_the_edges(field):
+    """A numerator or a denominator past int()'s digit limit, a denominator
+    with a leading zero, an unreduced entry and a negative zero."""
+    text = f"FARKAS v1\nn=3 levels=1,2\n1 {field}\n"
+    assert _outcome(parse_certificate, text) == _outcome(_reference_parse_certificate, text)

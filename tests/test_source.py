@@ -54,8 +54,8 @@ def _imports_fractions(node):
     return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions"
 
 
-def test_only_the_text_modules_import_fractions():
-    """The Farkas path runs on ints over one denominator: a Fraction is built
-    only where a certificate is read or printed as text."""
+def test_no_module_imports_fractions():
+    """The Farkas path runs on ints over one denominator, and a certificate
+    is spelled and read as those ints: no module builds a Fraction."""
     found = {name for name, node in _src_nodes() if _imports_fractions(node)}
-    assert found <= {"cli.py", "fileformat.py"}
+    assert found == set()

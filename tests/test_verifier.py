@@ -10,6 +10,7 @@ from hyperfactor.decide import construct
 from hyperfactor.errors import LimitExceeded
 from hyperfactor.factorization import Factorization
 from hyperfactor.flow import run
+import hyperfactor.verifier as verifier
 from hyperfactor.verifier import _violations, verify_factorization
 
 K4 = Factorization(
@@ -85,6 +86,28 @@ def test_large_instances_raise_limit():
     huge = Factorization(64, (32,), ())
     with pytest.raises(LimitExceeded):
         verify_factorization(huge)
+
+
+def test_the_limit_admits_a_family_of_exactly_its_size(monkeypatch):
+    """K4's family has 6 sets: a limit of 6 verifies it, a limit of 5 refuses it."""
+    monkeypatch.setattr(verifier, "MAX_VERIFY_SETS", 6)
+    assert verify_factorization(K4) == []
+    monkeypatch.setattr(verifier, "MAX_VERIFY_SETS", 5)
+    with pytest.raises(LimitExceeded, match="verification would track 6 sets"):
+        verify_factorization(K4)
+
+
+def test_the_empty_level_set_has_the_empty_factorization():
+    assert verify_factorization(Factorization(5, (), ())) == []
+
+
+def test_a_level_listed_twice_is_refused():
+    """The 10 factors of level 3 on 6 elements, with the level listed twice:
+    two copies of level 3 would need 2 * C(5, 2) = 20 factors, while
+    2 * C(5, 4) = 10 is exactly the count the sets make."""
+    fact = construct(6, LevelSet.of([3]))
+    doubled = Factorization(6, (3, 3), fact.factors)
+    assert verify_factorization(doubled) == ["10 factors present, expected 20"]
 
 
 #: valid factorizations the mutation tests start from, built on first use
