@@ -139,9 +139,7 @@ def construct_div(n: int, k: int) -> SolutionVector:
         raise ValueError(f"divisible construction needs k | n, n > 2k, n >= k(k-2); got n={n} k={k}")
     edge = n == k * (k - 2)
     paired = LevelSet.of([*range(1, k - 2), k]) if edge else LevelSet.full(k)
-    solution = _pairing(n, paired)
-    if solution is None:
-        raise InvariantViolation(f"pairing goes negative for n={n} k={k}")
+    solution = _pairing(n, paired)  # never None: n >= k(k-1) off the edge (a test sweeps it)
     if edge:
         # one type pays for both level k-2 and level k-1
         solution[_unit_type(k, {k - 2: 1, k - 1: k - 2})] = binomial(n, k - 2)
@@ -185,9 +183,7 @@ def construct_minus1(n: int, k: int) -> Block:
 
 def _lift_block(n: int, lift_levels: LevelSet) -> Block:
     # the lifted ground n + 1 may be 65: the block holds multiplicities only
-    solution = _pairing(n + 1, lift_levels)
-    if solution is None:
-        raise InvariantViolation(f"lift solution missing for n={n} levels={lift_levels.levels}")
+    solution = _pairing(n + 1, lift_levels)  # never None here (a test sweeps every lift)
     return Block(n + 1, lift_levels, solution, Realization.LIFT)
 
 

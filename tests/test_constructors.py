@@ -19,7 +19,7 @@ from hyperfactor.constructors import (
     construct_general_L_div,
     construct_minus1,
 )
-from hyperfactor.decide import plan
+from hyperfactor.decide import decide, plan
 from hyperfactor.errors import InvariantViolation, NotFactorableError
 from hyperfactor.linear_system import (
     FarkasCertificate,
@@ -128,6 +128,32 @@ def test_pairing_leaves_a_positive_level_k_remainder():
     assert len(least) == 284
     assert min(least) == (1, 1, 1)
     assert sorted(least)[:2] == [(1, 1, 1), (1, 2, 2)]
+
+
+def test_every_pairing_a_range_builds_is_a_vector(monkeypatch):
+    """construct_div and _lift_block use _pairing's vector unchecked: each
+    lam_k = n/k - l/gcd(k, l) it needs is >= 0.  Off the divisible edge point,
+    n >= k(k-1) > l for every level l < k; the edge's lower levels stop at
+    k-3 < n/k = k-2.  A lift's ground is n+1 = k((k-1)/2 + t) with
+    t >= (k-3)/2, so (n+1)/k >= k-2 >= l for its odd levels, or k and its
+    levels are even, so l/gcd(k, l) <= l/2 <= k/2 - 1 <= (n+1)/k by the
+    threshold.  decide over every range with n <= 64 builds 89 divisible
+    pairings and 98 lifts, on grounds up to 65, and each is a vector."""
+    pairing = constructors._pairing
+    built = set()
+
+    def recorded(n, levels):
+        solution = pairing(n, levels)
+        assert solution is not None, (n, levels)
+        built.add((n, levels.levels))
+        return solution
+
+    monkeypatch.setattr(constructors, "_pairing", recorded)
+    for n in range(1, 65):
+        for k in range(1, n + 1):
+            decide(n, k)
+    assert len(built) == 89 + 98
+    assert max(n for n, _ in built) == 65
 
 
 def test_a_block_checks_its_solution_when_built():

@@ -39,7 +39,7 @@ from hyperfactor.linear_system import (
     solution_residual,
     verify_certificate,
 )
-from hyperfactor.verifier import verify_factorization
+from hyperfactor.verifier import check_verify_size, verify_factorization
 from test_combinatorics import count_types
 from test_linear_system import exhaustive_search
 
@@ -620,12 +620,13 @@ def test_decide_general_agrees_with_exhaustive_search(instance):
         assert lp_feasible(build_system(n, levels)).feasible, (n, levels)
 
 
-def _census(instances):
+def _census(instances, factorable=None):
     """Decide every (n, levels) given that is not a full range: none is
     undecided, every NOT_FACTORABLE verdict carries a certificate that
     passes check_certificate, and every witness has a zero residual and no
     zero multiplicity.  Returns the status counts and a sha256 over
-    (n, L, status, family) of all of them."""
+    (n, L, status, family) of all of them.  A list passed as factorable
+    gets (n, levels, blocks) of each FACTORABLE verdict."""
     digest = hashlib.sha256()
     statuses = Counter()
     for n, levels in instances:
@@ -641,6 +642,8 @@ def _census(instances):
             assert v.status is Status.FACTORABLE, (n, levels)
             assert not any(solution_residual(n, levels, v.solution)), (n, levels)
             assert min(v.solution.values()) >= 1, (n, levels)
+            if factorable is not None:
+                factorable.append((n, levels, v.blocks))
         digest.update(f"{n} {levels.levels} {v.status.value} {v.family}\n".encode())
     return statuses, digest.hexdigest()
 
@@ -664,17 +667,47 @@ def test_census_of_every_level_set_up_to_n_12(monkeypatch):
     assert digest == "a483f992d3f4997ca359b267b6293d88dc8af290c14d38145c560cd6a24df501"
 
 
+def _refusals(n, levels, blocks):
+    """Which of construct's limits refuse the plan `blocks` of (n, levels),
+    by construct's own checks and with no flow run: the evolution limits on
+    each flow and lift block at the default work limit, and the verifier's
+    cap, each checked whatever the other says."""
+    refused = set()
+    try:
+        for b in reversed(blocks):
+            if b.realization is not Realization.COMPLEMENT_PAIRS:
+                check_evolution_size(b.n, sum(b.solution.values()), DEFAULT_MAX_GROUND)
+    except LimitExceeded:
+        refused.add("work limit")
+    try:
+        check_verify_size(n, levels.levels)
+    except LimitExceeded:
+        refused.add("verifier cap")
+    return frozenset(refused)
+
+
 def test_census_of_every_level_set_of_at_most_two_levels_up_to_n_64():
     """Every non-range level set L with |L| <= 2 and 2 <= n <= 64 passes
-    _census's checks."""
+    _census's checks.  Of its FACTORABLE sets, 244 build at the default
+    limits, and every set past the verifier's cap is also past the work
+    limit."""
+    factorable = []
     statuses, digest = _census(
-        (n, LevelSet.of({low, high}))
-        for n in range(2, 65)
-        for low in range(1, n + 1)
-        for high in range(low, n + 1)
+        (
+            (n, LevelSet.of({low, high}))
+            for n in range(2, 65)
+            for low in range(1, n + 1)
+            for high in range(low, n + 1)
+        ),
+        factorable,
     )
     assert statuses == {Status.FACTORABLE: 2038, Status.NOT_FACTORABLE: 43595}
     assert digest == "270c5c7862596994b89b6a95675765fbcac925f48847779b9cbc1789e57b0f41"
+    assert Counter(_refusals(n, levels, blocks) for n, levels, blocks in factorable) == {
+        frozenset(): 244,
+        frozenset({"work limit"}): 634,
+        frozenset({"work limit", "verifier cap"}): 1160,
+    }
 
 
 def test_every_small_negative_verdict_is_certified():
