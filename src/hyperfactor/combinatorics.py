@@ -202,6 +202,14 @@ def iter_types(n: int, levels: LevelSet, cap: Sequence[int] | None = None) -> It
     desc = sorted(levels, reverse=True)
     lam = [0] * k
 
+    # room[idx]: the most elements the levels desc[idx:] hold within the cap
+    # (n without one), so a branch that leaves more than its room stops
+    room = [n] * (len(desc) + 1)
+    if cap is not None:
+        room[-1] = 0
+        for idx in range(len(desc) - 1, -1, -1):
+            room[idx] = room[idx + 1] + desc[idx] * cap[desc[idx] - 1]
+
     def rec(idx: int, rem: int) -> Iterator[TypeVector]:
         j = desc[idx]
         most = rem // j if cap is None else min(rem // j, cap[j - 1])
@@ -213,6 +221,8 @@ def iter_types(n: int, levels: LevelSet, cap: Sequence[int] | None = None) -> It
                 lam[j - 1] = 0
             return
         for c in range(most, -1, -1):
+            if rem - c * j > room[idx + 1]:
+                break
             lam[j - 1] = c
             yield from rec(idx + 1, rem - c * j)
         lam[j - 1] = 0

@@ -141,10 +141,13 @@ def _raise_first_error(lines: list[str], n: int) -> NoReturn:
                 raise FormatError(f"line {no}: element {elems[0]} is not in 1..{n}")
             if elems[-1] > n:
                 raise FormatError(f"line {no}: element {elems[-1]} exceeds n={n}")
+            canonical = "{" + ",".join(map(str, elems)) + "}"
+            if piece != canonical:
+                raise FormatError(f"line {no}: {piece!r} is not the canonical spelling {canonical!r}")
             mins.append(elems[0])
         if any(a >= b for a, b in zip(mins, mins[1:])):
             raise FormatError(f"line {no}: sets not ordered by minimum element")
-    # catches leading zeros and any other non-canonical spelling
+    # the factor lines are canonical, so the header is not: _parse_header reads n=04 as 4
     raise FormatError("factorization text is not in canonical form")
 
 

@@ -13,6 +13,10 @@ decision pipeline reduces everything to it.
 
 There can be millions of types, so a LinearSystem holds only b; one knapsack
 DP over the ground size both checks certificates and prices the exact LP.
+Its top cell is the least reduced cost over all types; a walk down its rows
+finds the first type in canonical order below a bound: below 0 for a
+certificate's violating type and Bland's column, below the least plus one
+for Dantzig's.
 The integer stage rounds the LP's vertex down and completes it with a search
 over the few types that fit in the residual, so it lists no type beyond those.
 """
@@ -21,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .combinatorics import (
     LevelSet,
@@ -32,7 +37,7 @@ from .combinatorics import (
     iter_types,
 )
 from .errors import InvariantViolation, SearchLimitExceeded
-from .exactlp import phase_one
+from .exactlp import Column, phase_one
 
 
 @dataclass(frozen=True)
@@ -119,12 +124,12 @@ class CertificateCheck:
     b_dot_y: int
 
 
-def first_negative_type(n: int, levels: LevelSet, w: Sequence[int]) -> TypeVector | None:
-    """The first type lam in canonical order with sum of lam_j * w_j < 0, or
-    None; w has one int entry per level, in order.
+def _knapsack(n: int, levels: LevelSet, w: Sequence[int]) -> tuple[list[list[int | None]], int | None]:
+    """The DP rows of the least sum of lam_j * w_j over all types, and that
+    least sum, or None when no type exists; w has one int entry per level.
 
-    The least such sum over all types is an unbounded knapsack over the ground
-    size (Gilmore & Gomory 1961), solved exactly in O(n * |levels|).
+    The least sum is an unbounded knapsack over the ground size (Gilmore &
+    Gomory 1961), solved exactly in O(n * |levels|).
     """
     # best[i][rem]: least sum of c_j * w_j over the i smallest levels with
     # sum of j * c_j == rem; None when no such multiplicities exist.  Each
@@ -142,30 +147,59 @@ def first_negative_type(n: int, levels: LevelSet, w: Sequence[int]) -> TypeVecto
                     row[rem] = more
         best.append(row)
         below = row
-    # the walk reads the largest level's row only at n, so only that cell is
-    # evaluated: some type is negative when some below[n - c * k] + c * w_k is
+    # the walks read the largest level's row only at n, so only that cell
+    # is evaluated: the least of below[n - c * k] + c * w_k
     wk = w[-1]
-    for c, tail in enumerate(below[n :: -levels.k]):
-        if tail is not None and tail + c * wk < 0:
-            break
-    else:
-        return None
-    # canonical order takes the most parts of the largest level first, so the
-    # first negative type takes, level by level, the largest multiplicity
-    # whose best completion is still negative
+    tops = [tail + c * wk for c, tail in enumerate(below[n :: -levels.k]) if tail is not None]
+    return best, min(tops, default=None)
+
+
+def _walk(
+    n: int, levels: LevelSet, w: Sequence[int], best: list[list[int | None]], bound: int
+) -> TypeVector:
+    """The first type lam in canonical order with sum of lam_j * w_j < bound,
+    read off the rows of _knapsack, whose least sum is below the bound.
+
+    Canonical order takes the most parts of the largest level first, so that
+    type takes, level by level, the largest multiplicity whose best
+    completion is still below the bound.
+    """
     lam = [0] * levels.k
     rem, acc = n, 0
     for below, j, wj in zip(reversed(best), reversed(levels.levels), reversed(w)):
         for c in range(rem // j, -1, -1):
             tail = below[rem - c * j]
-            if tail is not None and acc + c * wj + tail < 0:
+            if tail is not None and acc + c * wj + tail < bound:
                 break
         else:
-            raise InvariantViolation(f"knapsack walk found no negative type for n={n}")
+            raise InvariantViolation(f"knapsack walk found no type below {bound} for n={n}")
         lam[j - 1] = c
         rem -= c * j
         acc += c * wj
     return tuple(lam)
+
+
+def first_negative_type(n: int, levels: LevelSet, w: Sequence[int]) -> TypeVector | None:
+    """The first type lam in canonical order with sum of lam_j * w_j < 0, or
+    None; w has one int entry per level, in order."""
+    best, least = _knapsack(n, levels, w)
+    if least is None or least >= 0:
+        return None
+    return _walk(n, levels, w, best, 0)
+
+
+def priced_types(
+    n: int, levels: LevelSet, w: Sequence[int]
+) -> tuple[TypeVector, Callable[[], TypeVector]] | None:
+    """The simplex's pricing of every type by one DP: None when no type has
+    sum of lam_j * w_j < 0, else Dantzig's type, the first in canonical
+    order of least sum, and a function that returns Bland's, the first
+    negative one, off the same rows.  A sum of ints is least exactly when
+    it is below the least plus one."""
+    best, least = _knapsack(n, levels, w)
+    if least is None or least >= 0:
+        return None
+    return _walk(n, levels, w, best, least + 1), partial(_walk, n, levels, w, best, 0)
 
 
 def check_certificate(n: int, levels: LevelSet, cert: FarkasCertificate) -> CertificateCheck:
@@ -207,19 +241,24 @@ def lp_feasible(system: LinearSystem) -> LpOutcome:
     """Exact rational feasibility of the counting system; never timeouts.
 
     The simplex has one row per level (the other rows are zero in every type
-    and in b) and prices all types with first_negative_type, so Bland's
-    entering column is the first negative type in canonical order and no type
-    is listed.  A feasible outcome carries the vertex as ints over det, an
-    infeasible one the simplex's separator, in ints, on its levels; both
-    outcomes are self-validated before being returned.
+    and in b) and prices all types with priced_types, one knapsack DP per
+    step, so no type is listed: Dantzig's type enters, the first of least
+    reduced cost in canonical order, or on a zero step Bland's, the first
+    negative one.  A feasible outcome carries the vertex as ints over
+    det, an infeasible one the simplex's separator, in ints, on its levels;
+    both outcomes are self-validated before being returned.
     """
     n, levels = system.n, system.levels
 
-    def price(y: tuple[int, ...]) -> tuple[tuple, list[int]] | None:
-        lam = first_negative_type(n, levels, y)
-        if lam is None:
-            return None
+    def column(lam: TypeVector) -> Column:
         return (canonical_key(lam), lam), [lam[j - 1] for j in levels]
+
+    def price(y: tuple[int, ...]) -> tuple[Column, Callable[[], Column]] | None:
+        found = priced_types(n, levels, y)
+        if found is None:
+            return None
+        dantzig, bland = found
+        return column(dantzig), lambda: column(bland())
 
     solution, det, separator = phase_one([system.b[j - 1] for j in levels], price)
     if separator is None:

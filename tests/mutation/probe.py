@@ -39,6 +39,7 @@ MODULES = {
     "fileformat.py": ("tests/test_fileformat.py",),
     "exactlp.py": ("tests/test_exactlp.py",),
     "verifier.py": ("tests/test_verifier.py",),
+    "linear_system.py": ("tests/test_linear_system.py",),
 }
 
 #: each operator and the one it is swapped for

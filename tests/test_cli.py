@@ -74,7 +74,7 @@ def test_decide_undecided_statuses(capsys, monkeypatch):
     assert _printed_certificate_holds(54, out)
     # a fractional LP vertex whose floor needs a completion, with no node to spend
     monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
-    assert main(["decide", "--n", "10", "--levels", "1,2,4,6"]) == 3
+    assert main(["decide", "--n", "11", "--levels", "1,2,3,4,7"]) == 3
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL"
 
@@ -242,8 +242,8 @@ def test_solve_not_factorable(capsys):
 
 def test_solve_undecided_is_a_limit_not_a_refusal(capsys, monkeypatch):
     monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
-    assert main(["solve", "--n", "10", "--levels", "1,2,4,6"]) == 3
-    assert capsys.readouterr().err.startswith("limit exceeded: (n=10, levels=(1, 2, 4, 6)) undecided:")
+    assert main(["solve", "--n", "11", "--levels", "1,2,3,4,7"]) == 3
+    assert capsys.readouterr().err.startswith("limit exceeded: (n=11, levels=(1, 2, 3, 4, 7)) undecided:")
 
 
 def test_certificate_success(capsys):
@@ -261,7 +261,7 @@ def test_certificate_factorable_instance(capsys):
 def test_certificate_no_family(capsys, monkeypatch):
     # undecided and rationally feasible: no Farkas certificate can exist
     monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
-    assert main(["certificate", "--n", "10", "--levels", "1,2,4,6"]) == 3
+    assert main(["certificate", "--n", "11", "--levels", "1,2,3,4,7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "no Farkas certificate exists: the rational relaxation is feasible\n"

@@ -175,19 +175,19 @@ def test_decide_general_limit_overrides(monkeypatch):
     # the LP's vertex is fractional here, so its floor needs a completion, and
     # the completion's node limit leaves the LP-feasible set undecided
     monkeypatch.setattr(linear_system, "SEARCH_NODE_LIMIT", 0)
-    v = decide_general(10, LevelSet.of([1, 2, 4, 6]))
+    v = decide_general(11, LevelSet.of([1, 2, 3, 4, 7]))
     assert v.status is Status.RATIONALLY_FEASIBLE_UNKNOWN_INTEGRAL
     assert v.reason == "rationally feasible, but no integral witness: the completion search exceeded 0 nodes"
     assert v.certificate is None and v.solution is None
 
 
 def test_a_node_limit_of_zero_leaves_no_integral_vertex_undecided(monkeypatch):
-    """Every non-range level set with 3 <= n <= 10 under a node limit of 0:
+    """Every non-range level set with 3 <= n <= 11 under a node limit of 0:
     an integral vertex takes no node, so only the completed sets turn
     undecided, and every other verdict stays as it is."""
     sets = [
         (n, LevelSet.of(j for j in range(1, n + 1) if bits >> (j - 1) & 1))
-        for n in range(3, 11)
+        for n in range(3, 12)
         for bits in range(1, 2 ** n)
     ]
     sets = [(n, levels) for n, levels in sets if not levels.is_full_range()]
@@ -201,8 +201,11 @@ def test_a_node_limit_of_zero_leaves_no_integral_vertex_undecided(monkeypatch):
             moved.append((n, levels.levels))
         else:
             assert after == v, (n, levels)
-    assert sum(v.reason == VERTEX for v in before) == 304
-    assert moved == [(10, (1, 2, 4, 6)), (10, (1, 2, 4, 6, 10))]
+    assert sum(v.reason == VERTEX for v in before) == 452
+    assert moved == [
+        (11, (1, 2, 3, 5, 6)), (11, (1, 2, 3, 4, 7)), (11, (1, 2, 3, 11)),
+        (11, (1, 2, 3, 5, 6, 11)), (11, (1, 2, 3, 4, 7, 11)),
+    ]
 
 
 def test_decide_general_past_the_old_type_limit():
@@ -236,22 +239,30 @@ def test_decide_general_past_the_old_type_limit():
     assert undecided == []
 
 
-#: The sets the integer stage witnesses from a fractional vertex among the
-#: 14,298 non-range sets with k <= 8 and n <= 64: five the cone-pruned search
-#: witnessed, and five it left undecided past its 200-type limit.
-_COMPLETED_SETS = [
-    (10, (1, 2, 4, 6)), (14, (1, 2, 6, 8)), (15, (1, 3, 4, 5, 7, 8)),
-    (15, (1, 2, 3, 4, 5, 7, 8)), (27, (2, 3, 4, 6, 7)),
-] + [(n, (1, 3, 4, 5, 6, 7, 8)) for n in (31, 39, 47, 55, 63)]
-
-
 def test_every_fractional_vertex_up_to_k_8_is_completed():
-    for n, levels in _COMPLETED_SETS:
-        v = decide_general(n, LevelSet(levels))
-        assert (v.status, v.reason) == (Status.FACTORABLE, COMPLETED), (n, levels)
-        assert not any(solution_residual(n, LevelSet(levels), v.solution)), (n, levels)
-        assert min(v.solution.values()) >= 1, (n, levels)
-        assert v.blocks[0].solution is v.solution
+    """Every non-range set with k <= 8 and n <= 64, 14,298 sets: each feasible
+    one that no closed form settles is witnessed by the LP's vertex, 739 by
+    an integral vertex and 293 by a completed floor, with no zero
+    multiplicity and a zero residual; none is undecided."""
+    reasons = Counter()
+    for n in range(1, 65):
+        for k in range(1, min(n, 8) + 1):
+            for bits in range(2 ** (k - 1)):
+                levels = LevelSet.of([j for j in range(1, k) if bits >> (j - 1) & 1] + [k])
+                if levels.is_full_range():
+                    continue
+                v = decide_general(n, levels)
+                reasons[v.reason if v.status is Status.FACTORABLE else v.status] += 1
+                if v.reason == COMPLETED:
+                    assert not any(solution_residual(n, levels, v.solution)), (n, levels)
+                    assert min(v.solution.values()) >= 1, (n, levels)
+                    assert v.blocks[0].solution is v.solution
+    assert reasons == {
+        Status.NOT_FACTORABLE: 11899,
+        "divisible level-pairing construction": 1367,
+        VERTEX: 739,
+        COMPLETED: 293,
+    }
 
 
 def test_decide_general_search_faults_propagate(monkeypatch):
@@ -297,14 +308,14 @@ def test_a_vertex_of_whole_fractions_gives_int_multiplicities():
 
 
 def test_every_small_vertex_witness_builds():
-    """Every level set with n <= 10: each FACTORABLE verdict, ranges, pairings
+    """Every level set with n <= 11: each FACTORABLE verdict, ranges, pairings
     and LP witnesses alike, goes through construct, which verifies the
-    factorization it returns.  The counts and the digest of the factors were
-    measured before the Block took over the producers' residual checks."""
+    factorization it returns.  Under Dantzig's rule no set with n <= 10 has
+    a fractional vertex, so n = 11 brings the five completed floors."""
     reasons = Counter()
     factors = Counter()
     digest = hashlib.sha256()
-    for n in range(1, 11):
+    for n in range(1, 12):
         for bits in range(1, 2 ** n):
             levels = LevelSet.of(j for j in range(1, n + 1) if bits >> (j - 1) & 1)
             v = decide_general(n, levels)
@@ -316,20 +327,20 @@ def test_every_small_vertex_witness_builds():
             factors[reason] += len(fact.factors)
             digest.update(repr((n, levels.levels, fact.factors)).encode())
     assert reasons == {
-        Status.NOT_FACTORABLE: 1624,
-        "range": 49,
-        "divisible level-pairing construction": 57,
-        VERTEX: 304,
-        COMPLETED: 2,
+        Status.NOT_FACTORABLE: 3508,
+        "range": 59,
+        "divisible level-pairing construction": 59,
+        VERTEX: 452,
+        COMPLETED: 5,
     }
     assert factors == {
-        "range": 4191,
-        "divisible level-pairing construction": 1721,
-        VERTEX: 47104,
-        COMPLETED: 441,
+        "range": 9949,
+        "divisible level-pairing construction": 1724,
+        VERTEX: 119599,
+        COMPLETED: 1867,
     }
     assert digest.hexdigest() == (
-        "663b9125aaa745893a1fa0c6747cd9838410725fed3d46b71afb7d481a1b8cc4"
+        "a3e320f04ad6acbbe2125b36db759160e1ab4e630ffa862286efc7b08329b53d"
     )
 
 

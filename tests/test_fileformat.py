@@ -105,7 +105,7 @@ FACTORIZATION_REJECTS = {
     # non-canonical ground size
     K4_TEXT.replace("n=4", "n=04"): "factorization text is not in canonical form",
     # non-canonical element
-    K4_TEXT.replace("{1,2}", "{01,2}"): "factorization text is not in canonical form",
+    K4_TEXT.replace("{1,2}", "{01,2}"): "line 3: '{01,2}' is not the canonical spelling '{1,2}'",
     K4_TEXT.replace("n=4 levels=2", "n=4  levels=2"): "line 2: malformed header 'n=4  levels=2'",
     K4_TEXT.replace("n=4 levels=2", "n=0 levels=2"): "line 2: ground size n=0 out of range 1..64",
     K4_TEXT.replace("n=4 levels=2", "n=65 levels=2"): "line 2: ground size n=65 out of range 1..64",
@@ -129,7 +129,7 @@ FACTORIZATION_REJECTS = {
     # pieces and headers that no table of the reader holds
     SIXTEEN_TEXT.replace("n=16", "n=016"): "factorization text is not in canonical form",
     SIXTEEN_TEXT.replace("{1,2,3,4,5,6,7,8}", "{01} | {2,3,4,5,6,7,8}"):
-        "factorization text is not in canonical form",
+        "line 3: '{01}' is not the canonical spelling '{1}'",
     SIXTEEN_TEXT.replace("{1,2,3,4,5,6,7,8}", "{1,1} | {2,3,4,5,6,7,8}"):
         "line 3: elements not strictly ascending in '{1,1}'",
     SIXTEEN_TEXT.replace("{1,2,3,4,5,6,7,8}", "{2,1} | {3,4,5,6,7,8}"):
@@ -156,7 +156,7 @@ PIECE_REJECTS = {
     "{10,10}": "line 3: elements not strictly ascending in '{10,10}'",
     "{11,10}": "line 3: elements not strictly ascending in '{11,10}'",
     "{16,16}": "line 3: elements not strictly ascending in '{16,16}'",
-    "{010}": "factorization text is not in canonical form",
+    "{010}": "line 3: '{010}' is not the canonical spelling '{10}'",
 }
 FACTORIZATION_REJECTS.update(
     (f"HYPERFACTOR v1\nn=16 levels=8\n{piece}\n", message) for piece, message in PIECE_REJECTS.items()
@@ -380,6 +380,9 @@ def _reference_parse_factorization(text):
                 raise FormatError(f"line {no}: element {elems[0]} is not in 1..{n}")
             if elems[-1] > n:
                 raise FormatError(f"line {no}: element {elems[-1]} exceeds n={n}")
+            canonical = "{" + ",".join(map(str, elems)) + "}"
+            if piece != canonical:
+                raise FormatError(f"line {no}: {piece!r} is not the canonical spelling {canonical!r}")
             masks.append(mask_of(elems))
         mins = [min_element(mask) for mask in masks]
         if any(a >= b for a, b in zip(mins, mins[1:])):

@@ -1114,17 +1114,18 @@ def test_range_factorizations_are_pinned():
 
 
 def test_run_refuses_a_rational_solution():
-    """The LP's vertex for (10, {1, 2, 4, 6}) solves the counts with 35/2 and
-    5/2; the input check names the first multiplicity that is not an int."""
-    levels = LevelSet.of([1, 2, 4, 6])
-    outcome = lp_feasible(build_system(10, levels))
+    """The LP's vertex for (11, {1, 2, 3, 4, 7}) solves the counts with 3/2
+    and 11/2; the input check names the first multiplicity that is not an
+    int."""
+    levels = LevelSet.of([1, 2, 3, 4, 7])
+    outcome = lp_feasible(build_system(11, levels))
     solution = {lam: Fraction(v, outcome.det) for lam, v in outcome.solution.items()}
-    assert {Fraction(35, 2), Fraction(5, 2)} <= set(solution.values())
-    for j in range(1, 7):
+    assert {Fraction(3, 2), Fraction(11, 2)} <= set(solution.values())
+    for j in range(1, 8):
         covered = sum(lam[j - 1] * mult for lam, mult in solution.items())
-        assert covered == (binomial(10, j) if j in levels else 0)
+        assert covered == (binomial(11, j) if j in levels else 0)
     with pytest.raises(ValueError, match=r"is not an int: Fraction\("):
-        run(10, levels, solution)
+        run(11, levels, solution)
 
 
 def test_a_type_at_multiplicity_zero_changes_nothing():

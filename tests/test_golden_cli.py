@@ -88,7 +88,8 @@ DECIDE = [
     "--n 10 --levels 2,3,4",
     "--n 20 --levels 1,2,3,4,6,7",
     "--n 40 --levels 2,3,4,5,6,7,8",
-    # the LP's integral vertex witnesses a set the old integer search gave up on after 38 s
+    # a set the old integer search gave up on after 38 s: the LP's vertex is
+    # fractional, and the integer stage completes its floor in two nodes
     "--n 62 --levels 5,6,7",
     # a fractional vertex: its floor, completed by the integer stage (17,360 types)
     "--n 63 --levels 1,3,4,5,6,7,8",

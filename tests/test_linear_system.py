@@ -27,6 +27,7 @@ from hyperfactor.linear_system import (
     first_negative_type,
     integer_search_small,
     lp_feasible,
+    priced_types,
     solution_residual,
     verify_certificate,
 )
@@ -119,8 +120,13 @@ def test_solution_residual():
     assert solution_residual(12, levels, solution) == (0, 0, 0)
     short = {(3, 0, 3): 4, (0, 3, 2): 22, (0, 0, 4): 40}
     assert solution_residual(12, levels, short) == (0, 0, -4)
+    # a type listed at multiplicity 0 adds nothing
+    assert solution_residual(12, levels, {**solution, (1, 1, 3): 0}) == (0, 0, 0)
     with pytest.raises(ValueError):
         solution_residual(12, levels, {(1, 1, 1): 1})
+    # weight 12, but with parts of size 1, which {2, 3} does not hold
+    with pytest.raises(ValueError, match=r"not an \(n, levels\)-type: \(3, 0, 3\)$"):
+        solution_residual(12, LevelSet.of([2, 3]), {(3, 0, 3): 1})
     with pytest.raises(ValueError):
         solution_residual(12, levels, {(3, 0, 3): -1})
     with pytest.raises(ValueError, match=r"is not an int: Fraction\(4, 1\)"):
@@ -346,6 +352,34 @@ def test_first_negative_type_matches_the_reference(data):
     assert first_negative_type(n, levels, ints) == expected
 
 
+@st.composite
+def _listable_levels(draw):
+    """(n, levels) with n <= 16, so that every type can be listed."""
+    n = draw(st.integers(1, 16))
+    k = draw(st.integers(1, n))
+    lower = draw(st.sets(st.integers(1, k - 1))) if k > 1 else set()
+    return n, LevelSet.of(lower | {k})
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_priced_types_match_a_scan_of_every_type(data):
+    """Dantzig's type is the first in canonical order of least sum, and
+    Bland's the first with a negative sum; small weights make ties common."""
+    n, levels = data.draw(_listable_levels())
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=len(levels.levels), max_size=len(levels.levels)))
+    sums = [(sum(lam[j - 1] * wj for j, wj in zip(levels, w)), lam) for lam in iter_types(n, levels)]
+    negative = [lam for total, lam in sums if total < 0]
+    found = priced_types(n, levels, w)
+    if not negative:
+        assert found is None
+        return
+    least = min(total for total, _ in sums)
+    dantzig, bland = found
+    assert dantzig == next(lam for total, lam in sums if total == least)
+    assert bland() == negative[0] == first_negative_type(n, levels, w)
+
+
 @settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_check_certificate_matches_the_reference(data):
@@ -417,11 +451,11 @@ def _stage(n, levels):
 @pytest.mark.parametrize(
     "n, levels, nodes",
     [
-        (10, (1, 2, 4, 6), 1),
-        (15, (1, 2, 3, 4, 5, 7, 8), 2),
-        (27, (2, 3, 4, 6, 7), 2),
+        (11, (1, 2, 3, 4, 7), 1),
+        (14, (2, 3, 4, 5, 6, 8), 2),
+        (27, (3, 4, 5, 6, 7), 2),
         (31, (1, 3, 4, 5, 6, 7, 8), 2),
-        (63, (1, 3, 4, 5, 6, 7, 8), 1),
+        (63, (1, 2, 5, 7, 8), 1),
     ],
 )
 def test_the_integer_stage_completes_the_floor(monkeypatch, n, levels, nodes):
@@ -578,11 +612,15 @@ def _fraction_lcm_certificate(n, levels):
     the knapsack DP, placed on its levels and multiplied by the lcm of its
     denominators."""
 
-    def price(y):
-        lam = first_negative_type(n, levels, _over_one_den(y)[0])
-        if lam is None:
-            return None
+    def column(lam):
         return (canonical_key(lam), lam), [lam[j - 1] for j in levels]
+
+    def price(y):
+        found = priced_types(n, levels, _over_one_den(y)[0])
+        if found is None:
+            return None
+        dantzig, bland = found
+        return column(dantzig), lambda: column(bland())
 
     _, separator = _reference_phase_one([binomial(n, j) for j in levels], price)
     by_level = dict(zip(levels, separator))
@@ -616,24 +654,29 @@ def test_lp_certificate_matches_the_fraction_lcm_construction():
 
 
 def test_lp_outcomes_pin_blands_pivots():
-    """Outcomes the earlier dense tableau produced, over every type listed.
-    Each one changes if an artificial column may not re-enter or if ratio
+    """Outcomes of Dantzig's rule with Bland's column on a zero step.  The
+    (9, ...) outcomes change if Bland's column stops entering where
+    Dantzig's steps zero, (11, {1, 3, 4, 6, 7}) if an artificial column may
+    not re-enter, and (5, ...), (7, ...) and (11, {2, 3, 4, 6, 7}) if ratio
     ties stop going to the first basic column in canonical order."""
     certificates = {
         (5, (1, 2, 4)): (2, -1, 0, -1),
         (7, (1, 2, 3, 4, 6)): (3, -1, 2, -2, 0, -2),
-        (9, (1, 2, 4, 5, 6)): (4, -1, 0, -2, 2, -2),
-        (11, (2, 3, 4, 6, 7)): (0, 3, -1, 1, 0, -1, -1),
+        (9, (1, 2, 4, 5, 6)): (4, -1, 0, -2, 2, -3),
+        (11, (2, 3, 4, 6, 7)): (0, 3, -1, 2, 0, -2, -2),
+        (11, (1, 3, 4, 6, 7)): (3, 0, -2, 1, 0, -2, -1),
         (29, (1, 2, 4, 5, 6)): (14, -1, 0, -2, 12, -3),
     }
     for (n, levels), y in certificates.items():
         out = lp_feasible(build_system(n, LevelSet.of(levels)))
         assert out.certificate == FarkasCertificate(y), (n, levels)
-    out = lp_feasible(build_system(10, LevelSet.of([1, 2, 4, 6])))
-    assert {lam: Fraction(v, out.det) for lam, v in out.solution.items()} == {
-        (0, 0, 0, 1, 0, 1): 190, (0, 2, 0, 0, 0, 1): Fraction(35, 2),
-        (4, 0, 0, 0, 0, 1): Fraction(5, 2), (0, 1, 0, 2, 0, 0): 10,
+    vertices = {
+        (9, (1, 2, 4, 5)): {(0, 0, 0, 1, 1): 126, (1, 4, 0, 0, 0): 9},
+        (10, (1, 2, 4, 6)): {(0, 0, 0, 1, 0, 1): 210, (0, 5, 0, 0, 0, 0): 9, (10, 0, 0, 0, 0, 0): 1},
     }
+    for (n, levels), x in vertices.items():
+        out = lp_feasible(build_system(n, LevelSet.of(levels)))
+        assert {lam: Fraction(v, out.det) for lam, v in out.solution.items()} == x, (n, levels)
 
 
 def test_lp_rechecks_its_certificate(monkeypatch):
